@@ -1,0 +1,132 @@
+"""Golden hashes: the exact bytes of a generated mesh and of two scan
+jobs' four artifacts.
+
+Determinism tests compare two runs of the same code; these pin the
+bytes themselves, so any change to what a file holds (a different
+float rounding, facet order, normal sign or CSV format) fails here
+even when every run agrees with itself.  Reports echo absolute paths,
+so the report is hashed with the run directory replaced by a token.
+"""
+
+import hashlib
+import io
+import struct
+
+from armscan.cli import main
+from armscan.meshio import write_stl_binary
+from armscan.objects import make_plate, make_wing
+
+ARTIFACTS = ("scan.stl", "scan.xyz", "trace.csv", "report.txt")
+
+WING_STL_SHA256 = "d3349d2af63006db0cb0bb6f422b51f08adecd8f24332a2ac6de52a27b5b207b"
+
+WING_JOB = """\
+[scene]
+mesh = wing.stl
+table_z = 0
+floor_mode = table
+
+[grid]
+x0 = 220
+y0 = -70
+rows = 26
+cols = 24
+row_spacing = 6
+col_spacing = 6
+safe_z = 60
+
+[noise]
+sigma_contact = 0.02
+drift_per_contact = 1e-4
+seed = 7
+
+[output]
+stl = out/scan.stl
+xyz = out/scan.xyz
+trace = out/trace.csv
+report = out/report.txt
+flip_normals = false
+"""
+WING_JOB_SHA256 = {
+    "scan.stl": "925357037993e5527b2cf70a228a48021ebf792d16eca2612a496dd2b0c33473",
+    "scan.xyz": "c0cde5bf1dfc48fb8da9df523692cb74d8b283982a0bbd78ce15f4fa80c160cc",
+    "trace.csv": "b0284606e0152c741d76f36154e9431e0ec63d9b19d6ae35fb4de3464b5d1e07",
+    "report.txt": "bdff6c3ef08c6483696414190ccc71e479e261ef71e62b845f519be4216b6709",
+}
+
+# Two plates with a 4 mm gap along y cover part of the grid.  In skip
+# mode the first two rows and columns miss and so does the column over
+# the gap, so the mesh has holes on two sides and one inside.
+PLATE_JOB = """\
+[scene]
+mesh = plate.stl
+table_z = 0
+floor_mode = skip
+
+[grid]
+x0 = 240
+y0 = -30
+rows = 6
+cols = 7
+row_spacing = 6
+col_spacing = 6
+safe_z = 60
+
+[noise]
+sigma_contact = 0.01
+seed = 3
+
+[output]
+stl = out/scan.stl
+xyz = out/scan.xyz
+trace = out/trace.csv
+report = out/report.txt
+flip_normals = true
+"""
+PLATE_JOB_SHA256 = {
+    "scan.stl": "b78906f29973a90217c0f9999deb106561560e199bc84a28a3cf0114ba374add",
+    "scan.xyz": "1478924c633cd80dc00c49b9a1f4a52529f58f1afd4cf0fbe9a6486dab24b7ba",
+    "trace.csv": "b9c3cf91b404955acaaa650a2e07ac5d6f46d67b16115a50255adc577ee7f8f9",
+    "report.txt": "4690f7f70be997de490cee2f5f5303e1cd69d6a8c601aec33ed653e387f3a0d9",
+}
+
+
+def two_plates() -> bytes:
+    """Binary STL of two coplanar plates at z = 20, split at y = -8..-4."""
+    facets = b"".join(
+        write_stl_binary(make_plate(250.0, y0, 40.0, depth, 20.0))[84:]
+        for y0, depth in ((-20.0, 12.0), (-4.0, 14.0))
+    )
+    return b"\0" * 80 + struct.pack("<I", len(facets) // 50) + facets
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_job(tmp_path, stl_bytes, job_text, mesh_name):
+    (tmp_path / mesh_name).write_bytes(stl_bytes)
+    (tmp_path / "job.ini").write_text(job_text)
+    assert main(["scan", str(tmp_path / "job.ini")], out=io.StringIO()) == 0
+    hashes = {}
+    for name in ARTIFACTS:
+        data = (tmp_path / "out" / name).read_bytes()
+        if name == "report.txt":
+            data = data.replace(str(tmp_path.resolve()).encode(), b"<RUN>")
+        hashes[name] = sha256(data)
+    return hashes
+
+
+def test_golden_wing_stl_bytes():
+    assert sha256(write_stl_binary(make_wing(220.0, -70.0))) == WING_STL_SHA256
+
+
+def test_golden_wing_job_artifacts(tmp_path):
+    wing = write_stl_binary(make_wing(220.0, -70.0))
+    hashes = run_job(tmp_path, wing, WING_JOB, "wing.stl")
+    assert hashes == WING_JOB_SHA256
+
+
+def test_golden_plate_skip_flip_job_artifacts(tmp_path):
+    hashes = run_job(tmp_path, two_plates(), PLATE_JOB, "plate.stl")
+    assert hashes == PLATE_JOB_SHA256
