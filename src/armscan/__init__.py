@@ -20,7 +20,6 @@ from .kinematics import (
 from .meshio import (
     PointCloud,
     StlFormatError,
-    Triangle,
     TriangleMesh,
     XyzFormatError,
     load_stl,
@@ -76,7 +75,6 @@ __all__ = [
     "SphereFit",
     "StlFormatError",
     "TargetScene",
-    "Triangle",
     "TriangleMesh",
     "UnreachableError",
     "UnreachableGridError",

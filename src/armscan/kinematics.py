@@ -173,8 +173,7 @@ class RobotGeometry:
 class Pose:
     """End-effector frame: 3x3 rotation plus position (mm).
 
-    The homogeneous bottom row [0 0 0 1] is implicit.  Column 3 of the
-    rotation is the tool approach axis; the probe tip sits d6 along it
+    Column 3 of the rotation is the tool approach axis; the probe tip sits d6 along it
     from the wrist center.
     """
 
@@ -186,26 +185,8 @@ class Pose:
         self.position = np.asarray(self.position, dtype=float).reshape(3)
 
     @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "Pose":
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        return cls(m[:3, :3].copy(), m[:3, 3].copy())
-
-    @classmethod
     def tool_down(cls, x: float, y: float, z: float) -> "Pose":
         return cls(TOOL_DOWN_ROTATION.copy(), np.array([x, y, z], dtype=float))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.position
-        return m
 
     @property
     def approach(self) -> np.ndarray:

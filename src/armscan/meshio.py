@@ -1,14 +1,17 @@
 """Triangle meshes, point clouds, and their file formats.
 
-Binary STL is the primary interchange format: 80-byte header, u32
-triangle count, then 50 bytes per facet (12 little-endian float32:
-normal, v1, v2, v3; plus a u16 attribute written as 0).  Coordinates
-are held as float64 in memory and narrowed to float32 on write; that
-narrowing is the format's precision, not ours, and write-read-write
-round trips are bit-exact.
+A mesh is two arrays: `vertices`, (N, 3, 3) float64 with one row of
+three vertices per facet, and `normals`, (N, 3) float64 unit normals.
 
-ASCII STL is read transparently and written only on request.  Point
-clouds travel as xyz text, one "x y z" triple per line with six
+Binary STL is the primary interchange format: 80-byte header, u32
+triangle count, then one 50-byte record per facet (`STL_RECORD`:
+float32 normal, float32 3x3 vertices, u16 attribute written as 0).
+Coordinates are held as float64 in memory and narrowed to float32 on
+write; that narrowing is the format's precision, not ours, and
+write-read-write round trips are bit-exact.
+
+ASCII STL is read transparently; its writer serves as a test fixture.
+Point clouds travel as xyz text, one "x y z" triple per line with six
 fractional digits.
 """
 
@@ -20,8 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 STL_HEADER_BYTES = 80
-STL_FACET_STRUCT = struct.Struct("<12fH")
+STL_RECORD = np.dtype(
+    [("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)), ("attribute", "<u2")]
+)
 STL_SIGNATURE = b"armscan binary STL"
+
+# A facet whose edge cross product is shorter than this (mm^2, twice
+# its area) has no normal and is never built.
+DEGENERATE_NORM = 1e-12
 
 XYZ_DECIMALS = 6
 
@@ -35,82 +44,47 @@ class XyzFormatError(ValueError):
 
 
 @dataclass
-class Triangle:
-    """One facet: unit normal plus three vertices (mm)."""
+class TriangleMesh:
+    """Ordered triangle soup, as STL stores it: (N, 3, 3) vertices and
+    (N, 3) unit normals."""
 
-    normal: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
+    vertices: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
+    normals: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
     def __post_init__(self):
-        self.normal = np.asarray(self.normal, dtype=float).reshape(3)
-        self.v1 = np.asarray(self.v1, dtype=float).reshape(3)
-        self.v2 = np.asarray(self.v2, dtype=float).reshape(3)
-        self.v3 = np.asarray(self.v3, dtype=float).reshape(3)
+        self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3, 3)
+        self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
+        if len(self.normals) != len(self.vertices):
+            raise ValueError(
+                f"{len(self.normals)} normals for {len(self.vertices)} facets"
+            )
 
     @classmethod
-    def from_vertices(cls, v1, v2, v3) -> "Triangle":
-        """Build a facet with the right-hand-rule normal of (v1, v2, v3).
+    def from_vertices(cls, vertices) -> "TriangleMesh":
+        """Facets with the right-hand-rule normals of their vertex rows.
 
-        Raises ValueError for collinear vertices; degenerate facets are
-        never emitted.
+        Raises ValueError for a facet with collinear vertices;
+        degenerate facets are never emitted.
         """
-        v1 = np.asarray(v1, dtype=float)
-        v2 = np.asarray(v2, dtype=float)
-        v3 = np.asarray(v3, dtype=float)
-        cross = np.cross(v2 - v1, v3 - v1)
-        norm = np.linalg.norm(cross)
-        if norm < 1e-12:
+        v = np.asarray(vertices, dtype=float).reshape(-1, 3, 3)
+        cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+        # A row dot product rounds as a single facet's norm does;
+        # np.linalg.norm(axis=1) can differ in the last bit.
+        norm = np.sqrt(cross[:, None, :] @ cross[:, :, None])[:, 0, 0]
+        bad = np.flatnonzero(norm < DEGENERATE_NORM)
+        if bad.size:
+            v1, v2, v3 = v[bad[0]]
             raise ValueError(f"degenerate triangle: {v1}, {v2}, {v3}")
-        return cls(cross / norm, v1, v2, v3)
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return np.stack([self.v1, self.v2, self.v3])
-
-    def flipped(self) -> "Triangle":
-        return Triangle(-self.normal, self.v1, self.v3, self.v2)
-
-
-@dataclass
-class TriangleMesh:
-    """Ordered triangle soup, as STL stores it."""
-
-    triangles: list = field(default_factory=list)
+        return cls(v, cross / norm[:, None])
 
     def __len__(self) -> int:
-        return len(self.triangles)
-
-    def __iter__(self):
-        return iter(self.triangles)
-
-    def __getitem__(self, i):
-        return self.triangles[i]
-
-    def add(self, triangle: Triangle) -> None:
-        self.triangles.append(triangle)
-
-    def vertex_array(self) -> np.ndarray:
-        """All vertices, (3 * count, 3), in facet order."""
-        if not self.triangles:
-            return np.zeros((0, 3))
-        return np.concatenate([t.vertices for t in self.triangles])
-
-    def triangle_array(self) -> np.ndarray:
-        """Vertices grouped per facet, (count, 3, 3)."""
-        if not self.triangles:
-            return np.zeros((0, 3, 3))
-        return np.stack([t.vertices for t in self.triangles])
+        return len(self.vertices)
 
     def bounds(self) -> tuple:
-        verts = self.vertex_array()
-        if verts.size == 0:
+        if len(self) == 0:
             raise ValueError("empty mesh has no bounds")
+        verts = self.vertices.reshape(-1, 3)
         return verts.min(axis=0), verts.max(axis=0)
-
-    def flipped(self) -> "TriangleMesh":
-        return TriangleMesh([t.flipped() for t in self.triangles])
 
 
 @dataclass
@@ -133,23 +107,22 @@ def write_stl_binary(mesh: TriangleMesh) -> bytes:
     count = len(mesh)
     if count > 0xFFFFFFFF:
         raise StlFormatError(f"triangle count {count} exceeds the u32 field")
-    parts = [STL_SIGNATURE.ljust(STL_HEADER_BYTES, b"\0")]
-    parts.append(struct.pack("<I", count))
-    for t in mesh:
-        parts.append(
-            STL_FACET_STRUCT.pack(*t.normal, *t.v1, *t.v2, *t.v3, 0)
-        )
-    return b"".join(parts)
+    records = np.zeros(count, dtype=STL_RECORD)
+    records["normal"] = mesh.normals
+    records["vertices"] = mesh.vertices
+    return (
+        STL_SIGNATURE.ljust(STL_HEADER_BYTES, b"\0")
+        + struct.pack("<I", count)
+        + records.tobytes()
+    )
 
 
 def write_stl_ascii(mesh: TriangleMesh, name: str = "scan") -> str:
     lines = [f"solid {name}"]
-    for t in mesh:
-        lines.append(
-            "  facet normal {:e} {:e} {:e}".format(*t.normal)
-        )
+    for normal, vertices in zip(mesh.normals, mesh.vertices):
+        lines.append("  facet normal {:e} {:e} {:e}".format(*normal))
         lines.append("    outer loop")
-        for v in (t.v1, t.v2, t.v3):
+        for v in vertices:
             lines.append("      vertex {:e} {:e} {:e}".format(*v))
         lines.append("    endloop")
         lines.append("  endfacet")
@@ -163,26 +136,16 @@ def _read_stl_binary(data: bytes) -> TriangleMesh:
             f"file is {len(data)} bytes, shorter than the 84-byte binary minimum"
         )
     (count,) = struct.unpack_from("<I", data, STL_HEADER_BYTES)
-    expected = STL_HEADER_BYTES + 4 + 50 * count
+    expected = STL_HEADER_BYTES + 4 + STL_RECORD.itemsize * count
     if len(data) != expected:
         raise StlFormatError(
             f"size mismatch: header declares {count} triangles "
             f"({expected} bytes) but the file holds {len(data)} bytes"
         )
-    mesh = TriangleMesh()
-    offset = STL_HEADER_BYTES + 4
-    for _ in range(count):
-        values = STL_FACET_STRUCT.unpack_from(data, offset)
-        mesh.add(
-            Triangle(
-                np.array(values[0:3], dtype=float),
-                np.array(values[3:6], dtype=float),
-                np.array(values[6:9], dtype=float),
-                np.array(values[9:12], dtype=float),
-            )
-        )
-        offset += 50
-    return mesh
+    records = np.frombuffer(data, dtype=STL_RECORD, offset=STL_HEADER_BYTES + 4)
+    return TriangleMesh(
+        records["vertices"].astype(float), records["normal"].astype(float)
+    )
 
 
 def _parse_floats(tokens, n, line_no, what):
@@ -197,7 +160,7 @@ def _parse_floats(tokens, n, line_no, what):
 
 
 def _read_stl_ascii(text: str) -> TriangleMesh:
-    mesh = TriangleMesh()
+    normals, vertices = [], []
     lines = text.splitlines()
     i = 0
 
@@ -239,8 +202,9 @@ def _read_stl_ascii(text: str) -> TriangleMesh:
         line, no = next_content_line()
         if line != "endfacet":
             raise StlFormatError(f"line {no}: expected 'endfacet', got {line!r}")
-        mesh.add(Triangle(np.array(normal), *(np.array(v) for v in verts)))
-    return mesh
+        normals.append(normal)
+        vertices.append(verts)
+    return TriangleMesh(vertices, normals)
 
 
 def read_stl(data: bytes) -> TriangleMesh:
@@ -262,13 +226,9 @@ def read_stl(data: bytes) -> TriangleMesh:
     return _read_stl_binary(data)
 
 
-def save_stl(mesh: TriangleMesh, path, ascii_format: bool = False) -> None:
-    if ascii_format:
-        with open(path, "w") as fh:
-            fh.write(write_stl_ascii(mesh))
-    else:
-        with open(path, "wb") as fh:
-            fh.write(write_stl_binary(mesh))
+def save_stl(mesh: TriangleMesh, path) -> None:
+    with open(path, "wb") as fh:
+        fh.write(write_stl_binary(mesh))
 
 
 def load_stl(path) -> TriangleMesh:

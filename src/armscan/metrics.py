@@ -91,7 +91,7 @@ def sample_mesh_surface(
     Pass either an exact count or a density in points per mm^2.
     Sampling is seeded and reproducible.
     """
-    tris = mesh.triangle_array()
+    tris = mesh.vertices
     if tris.size == 0:
         raise ValueError("cannot sample an empty mesh")
     edge1 = tris[:, 1] - tris[:, 0]

@@ -9,6 +9,10 @@ A probe cycle is three such lines: lateral travel at the safe height,
 descent to the contact, retract back to the safe height.  Contact
 heights come from the scene's exact raycast; the descent step size only
 shapes the joint log, never the measurement.
+
+A joint trace is one (N, 6) array of angles, a row per waypoint.  Legs
+and cycles join by slicing off shared seam rows and concatenating, so
+the CSV's waypoint column is simply the row number.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import numpy as np
 
 from .kinematics import (
     TOOL_DOWN_ROTATION,
-    JointAngles,
     JointLimitError,
     Pose,
     RobotGeometry,
@@ -30,6 +33,10 @@ from .kinematics import (
 from .scene import CONTACT_UNREACHABLE, ContactResult, NoiseModel, TargetScene, probe_contact
 
 DEFAULT_STEP = 5.0
+
+CSV_HEADER = (
+    "waypoint,theta1_deg,theta2_deg,theta3_deg,theta4_deg,theta5_deg,theta6_deg\n"
+)
 
 
 @dataclass
@@ -70,35 +77,23 @@ class LinearPath:
 
 @dataclass
 class JointTrace:
-    """Ordered joint-space log: (waypoint index, JointAngles) pairs."""
+    """Ordered joint-space log: one row of six angles (rad) per waypoint.
 
-    entries: list = field(default_factory=list)
+    The CSV numbers the waypoints by row, from 0, in degrees.
+    """
+
+    angles: np.ndarray = field(default_factory=lambda: np.zeros((0, 6)))
+
+    def __post_init__(self):
+        self.angles = np.asarray(self.angles, dtype=float).reshape(-1, 6)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def add(self, angles: JointAngles) -> None:
-        self.entries.append((len(self.entries), angles))
-
-    def extend(self, other: "JointTrace") -> None:
-        """Append another trace, renumbering onto this one's tail."""
-        for _, angles in other.entries:
-            self.add(angles)
-
-    def angles_array(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((0, 6))
-        return np.array([angles for _, angles in self.entries])
+        return len(self.angles)
 
     def to_csv(self) -> str:
-        lines = ["waypoint,theta1_deg,theta2_deg,theta3_deg,theta4_deg,theta5_deg,theta6_deg"]
-        for idx, angles in self.entries:
-            degs = ",".join(f"{math.degrees(a):.6f}" for a in angles)
-            lines.append(f"{idx},{degs}")
-        return "\n".join(lines) + "\n"
+        table = np.column_stack([np.arange(len(self)), np.degrees(self.angles)])
+        row = "%d" + ",%.6f" * 6 + "\n"
+        return CSV_HEADER + (row * len(self)) % tuple(table.ravel().tolist())
 
 
 def plan_line(path: LinearPath, geom: RobotGeometry) -> JointTrace:
@@ -107,7 +102,7 @@ def plan_line(path: LinearPath, geom: RobotGeometry) -> JointTrace:
     Raises UnreachableError or JointLimitError naming the offending
     waypoint index and position.
     """
-    trace = JointTrace()
+    rows = []
     for i, pos in enumerate(path.waypoints()):
         where = f"waypoint {i} at ({pos[0]:.3f}, {pos[1]:.3f}, {pos[2]:.3f})"
         try:
@@ -116,15 +111,8 @@ def plan_line(path: LinearPath, geom: RobotGeometry) -> JointTrace:
             raise UnreachableError(f"{where}: {exc}") from None
         except JointLimitError as exc:
             raise JointLimitError(exc.joint, exc.value, *exc.limits, context=where) from None
-        trace.add(angles)
-    return trace
-
-
-def _append_leg(trace: JointTrace, leg: JointTrace, skip_first: bool) -> None:
-    for n, (_, angles) in enumerate(leg.entries):
-        if skip_first and n == 0:
-            continue
-        trace.add(angles)
+        rows.append(angles)
+    return JointTrace(rows)
 
 
 def probe_cycle(
@@ -147,7 +135,7 @@ def probe_cycle(
     unreachable (kind distinct from a no-contact miss) and the trace
     holds only the lateral travel, still ending at the safe height.
     """
-    trace = JointTrace()
+    lateral = np.zeros((0, 6))
     try:
         if from_xy is not None:
             lateral = plan_line(
@@ -155,21 +143,20 @@ def probe_cycle(
                     [from_xy[0], from_xy[1], safe_z], [x, y, safe_z], step=step
                 ),
                 geom,
-            )
-            _append_leg(trace, lateral, skip_first=False)
+            ).angles
 
         contact = probe_contact(x, y, contact_index, scene, noise)
         z_stop = contact.z_measured if contact.touched else scene.table_z
         descend = plan_line(
             LinearPath([x, y, safe_z], [x, y, z_stop], step=step), geom
-        )
+        ).angles
         retract = plan_line(
             LinearPath([x, y, z_stop], [x, y, safe_z], step=step), geom
-        )
+        ).angles
     except (UnreachableError, JointLimitError):
-        # trace holds at most the lateral leg, still at the safe height
-        return ContactResult(x, y, kind=CONTACT_UNREACHABLE), trace
+        # the trace holds at most the lateral leg, still at the safe height
+        return ContactResult(x, y, kind=CONTACT_UNREACHABLE), JointTrace(lateral)
 
-    _append_leg(trace, descend, skip_first=from_xy is not None)
-    _append_leg(trace, retract, skip_first=True)
-    return contact, trace
+    if from_xy is not None:
+        descend = descend[1:]
+    return contact, JointTrace(np.concatenate([lateral, descend, retract[1:]]))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .meshio import Triangle, TriangleMesh
+from .meshio import TriangleMesh
 
 
 def make_plate(x0: float, y0: float, width: float, depth: float, z: float) -> TriangleMesh:
@@ -21,9 +21,7 @@ def make_plate(x0: float, y0: float, width: float, depth: float, z: float) -> Tr
     b = [x0 + width, y0, z]
     c = [x0 + width, y0 + depth, z]
     d = [x0, y0 + depth, z]
-    return TriangleMesh(
-        [Triangle.from_vertices(a, b, c), Triangle.from_vertices(a, c, d)]
-    )
+    return TriangleMesh.from_vertices([[a, b, c], [a, c, d]])
 
 
 def _camber_line(s: float, camber: float, camber_pos: float) -> float:
@@ -86,13 +84,12 @@ def make_wing(
         [wing_upper_surface(s, chord, camber, camber_pos, thickness) for s in fractions]
     )
 
-    mesh = TriangleMesh()
-    for a in range(n_span - 1):
-        for b in range(n_chord - 1):
-            p00 = [xs[a], ys[b], zs[b]]
-            p01 = [xs[a], ys[b + 1], zs[b + 1]]
-            p10 = [xs[a + 1], ys[b], zs[b]]
-            p11 = [xs[a + 1], ys[b + 1], zs[b + 1]]
-            mesh.add(Triangle.from_vertices(p00, p10, p11))
-            mesh.add(Triangle.from_vertices(p00, p11, p01))
-    return mesh
+    grid = np.stack(np.broadcast_arrays(xs[:, None], ys, zs), axis=-1)
+    p00, p01 = grid[:-1, :-1], grid[:-1, 1:]
+    p10, p11 = grid[1:, :-1], grid[1:, 1:]
+    # Span-major, then chord: two facets per cell, (p00, p10, p11) first.
+    facets = np.stack(
+        [np.stack([p00, p10, p11], axis=-2), np.stack([p00, p11, p01], axis=-2)],
+        axis=2,
+    )
+    return TriangleMesh.from_vertices(facets)

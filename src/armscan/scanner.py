@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import RobotGeometry, is_reachable
-from .meshio import PointCloud, Triangle, TriangleMesh
+from .meshio import DEGENERATE_NORM, PointCloud, TriangleMesh
 from .motion import DEFAULT_STEP, JointTrace, probe_cycle
 from .scene import (
     CONTACT_MESH,
@@ -77,6 +77,12 @@ class ScanGrid:
             raise ValueError("grid needs at least one row and one column")
         if self.row_spacing <= 0.0 or self.col_spacing <= 0.0:
             raise ValueError("grid spacings must be positive")
+        # A tessellated facet's cross product is at least the cell area.
+        if self.row_spacing * self.col_spacing < DEGENERATE_NORM:
+            raise ValueError(
+                f"grid cell {self.row_spacing:g} x {self.col_spacing:g} mm is "
+                f"below {DEGENERATE_NORM:g} mm^2: its facets would be degenerate"
+            )
 
     def point(self, i: int, k: int) -> tuple:
         """(x, y) of the 0-based cell (row i, column k)."""
@@ -113,9 +119,19 @@ class PointGrid:
     def count(self, kind: str) -> int:
         return sum(1 for c in self.in_probe_order() if c.kind == kind)
 
+    def coordinates(self) -> np.ndarray:
+        """(n_cols, n_rows, 3) measured points in probe order, column
+        by column; z is NaN where the cell has no contact."""
+        return np.array(
+            [
+                [(c.x, c.y, c.z_measured if c.touched else np.nan) for c in column]
+                for column in zip(*self.cells)
+            ]
+        )
+
     def measured_cloud(self) -> PointCloud:
-        pts = [c.point() for c in self.in_probe_order() if c.touched]
-        return PointCloud(np.array(pts).reshape(-1, 3))
+        pts = self.coordinates().reshape(-1, 3)
+        return PointCloud(pts[~np.isnan(pts[:, 2])])
 
 
 def triangulate(points: PointGrid, flip_normals: bool = False) -> TriangleMesh:
@@ -125,25 +141,22 @@ def triangulate(points: PointGrid, flip_normals: bool = False) -> TriangleMesh:
     (probe miss in skip mode, or an unreachable point).  Emission order
     matches the incremental order a column-by-column scan produces.
     """
-    mesh = TriangleMesh()
-    cells = points.cells
-    for k in range(1, points.grid.n_cols):
-        for i in range(1, points.grid.n_rows):
-            corners = (
-                cells[i][k],
-                cells[i - 1][k],
-                cells[i - 1][k - 1],
-                cells[i][k - 1],
-            )
-            if not all(c.touched for c in corners):
-                continue
-            q_ik, q_up, q_diag, q_left = (c.point() for c in corners)
-            first = Triangle.from_vertices(q_ik, q_up, q_diag)
-            second = Triangle.from_vertices(q_ik, q_diag, q_left)
-            if flip_normals:
-                first, second = first.flipped(), second.flipped()
-            mesh.add(first)
-            mesh.add(second)
+    q = points.coordinates()  # q[k, i] is Q[i][k]
+    q_ik, q_up = q[1:, 1:], q[1:, :-1]
+    q_diag, q_left = q[:-1, :-1], q[:-1, 1:]
+    facets = np.stack(
+        [
+            np.stack([q_ik, q_up, q_diag], axis=-2),
+            np.stack([q_ik, q_diag, q_left], axis=-2),
+        ],
+        axis=2,
+    )
+    facets = facets[~np.isnan(facets).any(axis=(2, 3, 4))]
+    mesh = TriangleMesh.from_vertices(facets)
+    if flip_normals:
+        # Negated rather than recomputed: recomputing yields +0.0 where
+        # negation yields -0.0, and the STL bytes would differ.
+        mesh = TriangleMesh(mesh.vertices[:, [0, 2, 1]], -mesh.normals)
     return mesh
 
 
@@ -180,12 +193,18 @@ def run_scan(
 ) -> ScanResult:
     """Probe the whole lattice and tessellate the measured heights.
 
-    Every grid point must be reachable at the safe height before any
-    probing starts; otherwise UnreachableGridError lists the offenders
-    and no motion is logged.  Per-point descent failures during the
+    The safe height must clear the highest mesh vertex (ValueError
+    otherwise), and every grid point must be reachable at the safe
+    height before any probing starts; otherwise UnreachableGridError
+    lists the offenders and no motion is logged.  Per-point descent failures during the
     scan do not abort it, they mark the cell unreachable and leave
     holes in the mesh.
     """
+    top = scene.bounds()[1][2]
+    if grid.safe_z < top:
+        raise ValueError(
+            f"safe height {grid.safe_z:g} mm is below the scene top at {top:g} mm"
+        )
     bad = []
     first_reason = None
     for i, k in grid.probe_order():
@@ -199,7 +218,7 @@ def run_scan(
         raise UnreachableGridError(bad, first_reason)
 
     cells = [[None] * grid.n_cols for _ in range(grid.n_rows)]
-    trace = JointTrace()
+    legs = []
     last_xy = None
     for i, k in grid.probe_order():
         x, y = grid.point(i, k)
@@ -215,9 +234,9 @@ def run_scan(
             step=step,
         )
         cells[i][k] = contact
-        trace.extend(cycle)
+        legs.append(cycle.angles)
         last_xy = (x, y)
 
     points = PointGrid(grid, cells)
     mesh = triangulate(points, flip_normals=flip_normals)
-    return ScanResult(points, mesh, trace)
+    return ScanResult(points, mesh, JointTrace(np.concatenate(legs)))

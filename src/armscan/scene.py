@@ -51,7 +51,7 @@ class TargetScene:
             raise ValueError(
                 f"floor_mode must be one of {FLOOR_MODES}, got {self.floor_mode!r}"
             )
-        tris = self.mesh.triangle_array()
+        tris = self.mesh.vertices
         if tris.size == 0:
             raise ValueError("scene mesh is empty")
         if not np.isfinite(tris).all():

@@ -172,3 +172,21 @@ def sphere_probe_monte_carlo(directions, radius, sigma, trials, seed, chunk=100_
         total += dd.mean(axis=1).sum()
         done += size
     return total / trials
+
+
+def triangulate_loop(cells, n_rows, n_cols):
+    """Facet vertex triples of the two-triangle rule, cell by cell.
+
+    cells[i][k] is an (x, y, z) point or None for a cell with no
+    contact; a cell with any corner missing emits nothing.
+    """
+    facets = []
+    for k in range(1, n_cols):
+        for i in range(1, n_rows):
+            q_ik, q_up = cells[i][k], cells[i - 1][k]
+            q_diag, q_left = cells[i - 1][k - 1], cells[i][k - 1]
+            if any(q is None for q in (q_ik, q_up, q_diag, q_left)):
+                continue
+            facets.append([q_ik, q_up, q_diag])
+            facets.append([q_ik, q_diag, q_left])
+    return np.array(facets, dtype=float).reshape(-1, 3, 3)

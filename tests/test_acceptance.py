@@ -16,7 +16,6 @@ from armscan.cli import main
 from armscan.kinematics import RobotGeometry, forward_kinematics, inverse_kinematics
 from armscan.meshio import (
     PointCloud,
-    Triangle,
     TriangleMesh,
     read_stl,
     save_stl,
@@ -158,7 +157,7 @@ def test_criterion_3_triangle_count_law(plate_scan, rng):
 def test_criterion_4_wing_chamfer_and_noise_calibration():
     wing = make_wing(220.0, -70.0)
     scene = TargetScene(wing)
-    tris = wing.triangle_array()
+    tris = wing.vertices
     area = float(
         np.linalg.norm(
             np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]), axis=1
@@ -261,10 +260,11 @@ def test_criterion_7_stl_bit_exactness(rng, tmp_path):
         while len(tris) < count:
             v = rng.uniform(-100, 100, size=(3, 3)).astype(np.float32).astype(float)
             try:
-                tris.append(Triangle.from_vertices(*v))
+                TriangleMesh.from_vertices(v)
             except ValueError:
                 continue
-        mesh = TriangleMesh(tris)
+            tris.append(v)
+        mesh = TriangleMesh.from_vertices(tris)
         first = write_stl_binary(mesh)
         assert len(first) == 84 + 50 * count
         second = write_stl_binary(read_stl(first))
@@ -281,11 +281,12 @@ def test_criterion_8_raycast_oracle_equivalence(rng):
             v = rng.uniform(0.0, 60.0, size=(3, 3))
             v[:, 2] = rng.uniform(0.5, 30.0, size=3)
             try:
-                tris.append(Triangle.from_vertices(*v))
+                TriangleMesh.from_vertices(v)
             except ValueError:
                 continue
-        scene = TargetScene(TriangleMesh(tris))
-        raw = [(t.v1, t.v2, t.v3) for t in tris]
+            tris.append(v)
+        scene = TargetScene(TriangleMesh.from_vertices(tris))
+        raw = [tuple(t) for t in tris]
         for _ in range(2000):
             x = float(rng.uniform(-5.0, 65.0))
             y = float(rng.uniform(-5.0, 65.0))

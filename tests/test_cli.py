@@ -203,6 +203,36 @@ def test_scan_bad_config_exit_code(tmp_path):
     assert code == EXIT_CONFIG and "rows" in err
 
 
+def test_scan_safe_height_below_scene_top_is_config_error(tmp_path):
+    # plate top at z = 25: a descent from z = 10 would move upward
+    config = write_job(tmp_path, plate_z=25.0)
+    config.write_text(config.read_text().replace("safe_z = 60", "safe_z = 10"))
+    code, _, err = run_cli("scan", config)
+    assert code == EXIT_CONFIG
+    assert "safe height 10 mm" in err and "scene top at 25 mm" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_degenerate_cell_rejected_at_job_load(tmp_path):
+    config = write_job(tmp_path)
+    text = config.read_text()
+    config.write_text(
+        text.replace("row_spacing = 6", "row_spacing = 1e-7")
+        .replace("col_spacing = 6", "col_spacing = 1e-7")
+    )
+    with pytest.raises(JobConfigError, match="degenerate"):
+        load_job(config)
+    code, _, err = run_cli("scan", config)
+    assert code == EXIT_CONFIG and "degenerate" in err
+    assert not (tmp_path / "out").exists()
+
+    # a thin cell is fine as long as its area clears the tolerance
+    config.write_text(text.replace("row_spacing = 6", "row_spacing = 1e-7"))
+    code, out, _ = run_cli("scan", config)
+    assert code == EXIT_OK
+    assert "triangles       60" in out
+
+
 # --------------------------------------------------------------- compare
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from armscan.kinematics import (
     SHOULDER_ELEVATION_OFFSET,
@@ -182,6 +182,8 @@ def test_ik_round_trip_random(geom, rng):
     t5=st.floats(0.0, math.pi),
     t6=st.floats(-math.pi, math.pi),
 )
+# back-reaching branch: elevation and alpha + beta differ by exactly 2 pi
+@example(t1=0.0, t2=2.3125, t3=2.75, t4=0.0, t5=0.0, t6=0.0)
 def test_ik_round_trip_property(t1, t2, t3, t4, t5, t6):
     geom = RobotGeometry()
     pos_err, rot_err, sol, trace = ik_roundtrip_errors(
@@ -189,9 +191,12 @@ def test_ik_round_trip_property(t1, t2, t3, t4, t5, t6):
     )
     assert pos_err < 1e-9
     assert rot_err < 1e-9
-    # elbow-up branch only: upper-arm elevation equals alpha + beta
+    # elbow-up branch only: upper-arm elevation equals alpha + beta, as
+    # angles (modulo 2 pi)
     elevation = sol.theta2 + SHOULDER_ELEVATION_OFFSET
-    assert elevation == pytest.approx(trace.alpha + trace.beta, abs=1e-9)
+    assert normalize_angle(elevation - (trace.alpha + trace.beta)) == pytest.approx(
+        0.0, abs=1e-9
+    )
 
 
 def test_ik_theta1_zero_on_positive_x_axis(geom):
@@ -281,9 +286,11 @@ def test_ik_trace_internal_consistency(geom, rng):
         )
         assert trace.alpha == math.atan2(trace.z, trace.radial)
         assert abs(geom.l2 - geom.d4) - 1e-9 <= trace.chord <= geom.l2 + geom.d4 + 1e-9
-        # elbow-up: elevation of the upper arm is alpha + beta
+        # elbow-up: elevation of the upper arm is alpha + beta (modulo 2 pi)
         elevation = sol.theta2 + SHOULDER_ELEVATION_OFFSET
-        assert elevation == pytest.approx(trace.alpha + trace.beta, abs=1e-9)
+        assert normalize_angle(
+            elevation - (trace.alpha + trace.beta)
+        ) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ik_theta1_equivariance_under_base_rotation(geom):

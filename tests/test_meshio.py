@@ -6,7 +6,6 @@ import pytest
 from armscan.meshio import (
     PointCloud,
     StlFormatError,
-    Triangle,
     TriangleMesh,
     XyzFormatError,
     read_stl,
@@ -19,38 +18,37 @@ from armscan.meshio import (
 
 def random_mesh(rng, count):
     """Mesh with exactly float32-representable coordinates."""
-    tris = []
-    for _ in range(count):
-        verts = rng.uniform(-500.0, 500.0, (3, 3)).astype(np.float32)
-        tris.append(
-            Triangle.from_vertices(*(v.astype(float) for v in verts))
-        )
-    return TriangleMesh(tris)
+    verts = rng.uniform(-500.0, 500.0, (count, 3, 3)).astype(np.float32)
+    return TriangleMesh.from_vertices(verts.astype(float))
 
 
 # ------------------------------------------------------------------ triangle
 
 
 def test_triangle_normal_right_hand_rule():
-    t = Triangle.from_vertices([0, 0, 0], [1, 0, 0], [0, 1, 0])
-    assert np.allclose(t.normal, [0, 0, 1])
-    assert np.allclose(np.linalg.norm(t.normal), 1.0)
+    mesh = TriangleMesh.from_vertices([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert np.allclose(mesh.normals[0], [0, 0, 1])
+    assert np.allclose(np.linalg.norm(mesh.normals[0]), 1.0)
 
 
 def test_triangle_rejects_collinear_vertices():
-    with pytest.raises(ValueError):
-        Triangle.from_vertices([0, 0, 0], [1, 1, 1], [2, 2, 2])
-    with pytest.raises(ValueError):
-        Triangle.from_vertices([0, 0, 0], [0, 0, 0], [1, 0, 0])
+    with pytest.raises(ValueError, match="degenerate triangle"):
+        TriangleMesh.from_vertices([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+    with pytest.raises(ValueError, match="degenerate triangle"):
+        TriangleMesh.from_vertices([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+    # one bad facet among good ones still fails the whole batch
+    with pytest.raises(ValueError, match="degenerate triangle"):
+        TriangleMesh.from_vertices(
+            [[[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 0, 0], [1, 1, 1], [2, 2, 2]]]
+        )
 
 
-def test_triangle_flip_reverses_normal_and_winding():
-    t = Triangle.from_vertices([0, 0, 0], [2, 0, 0], [0, 2, 0])
-    f = t.flipped()
-    assert np.allclose(f.normal, -t.normal)
-    assert np.allclose(f.v2, t.v3)
-    recomputed = Triangle.from_vertices(f.v1, f.v2, f.v3)
-    assert np.allclose(recomputed.normal, f.normal)
+def test_mesh_normals_match_per_facet_reference(rng):
+    verts = rng.uniform(-500.0, 500.0, (40, 3, 3))
+    mesh = TriangleMesh.from_vertices(verts)
+    for v, normal in zip(verts, mesh.normals):
+        cross = np.cross(v[1] - v[0], v[2] - v[0])
+        assert np.allclose(normal, cross / np.linalg.norm(cross), rtol=0, atol=1e-15)
 
 
 # ------------------------------------------------------------------ binary
@@ -78,10 +76,10 @@ def test_binary_round_trip_bit_exact(rng):
 
 def test_write_narrows_to_float32(rng):
     v1 = [0.1, 0.2, 0.3]  # not float32-representable
-    mesh = TriangleMesh([Triangle.from_vertices(v1, [1, 0, 0], [0, 1, 0])])
+    mesh = TriangleMesh.from_vertices([v1, [1, 0, 0], [0, 1, 0]])
     back = read_stl(write_stl_binary(mesh))
-    assert back[0].v1[0] == np.float32(0.1)
-    assert back[0].v1[0] != 0.1
+    assert back.vertices[0, 0, 0] == np.float32(0.1)
+    assert back.vertices[0, 0, 0] != 0.1
 
 
 def test_binary_truncated_raises():
@@ -122,8 +120,8 @@ def test_ascii_single_facet():
     """
     mesh = read_stl(text.encode())
     assert len(mesh) == 1
-    assert np.allclose(mesh[0].normal, [0, 0, 1])
-    assert np.allclose(mesh[0].v2, [1.5, 0, 7])
+    assert np.allclose(mesh.normals[0], [0, 0, 1])
+    assert np.allclose(mesh.vertices[0, 1], [1.5, 0, 7])
 
 
 def test_ascii_unit_cube_from_another_tool():
@@ -155,8 +153,8 @@ def test_ascii_writer_output_parses_back(rng):
     mesh = random_mesh(rng, 4)
     back = read_stl(write_stl_ascii(mesh).encode())
     assert len(back) == 4
-    for orig, parsed in zip(mesh, back):
-        assert np.allclose(parsed.vertices, orig.vertices, atol=1e-5)
+    assert np.allclose(back.vertices, mesh.vertices, atol=1e-5)
+    assert np.allclose(back.normals, mesh.normals, atol=1e-5)
 
 
 def test_ascii_malformed_token_reports_line():

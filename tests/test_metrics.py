@@ -140,7 +140,10 @@ def test_sample_weighting_follows_area():
     # the area so roughly 1% of samples (binomial, 5 sigma slack).
     big = make_plate(0.0, 0.0, 10.0, 10.0, 0.0)
     small = make_plate(100.0, 0.0, 1.0, 1.0, 0.0)
-    mesh = TriangleMesh(list(big) + list(small))
+    mesh = TriangleMesh(
+        np.concatenate([big.vertices, small.vertices]),
+        np.concatenate([big.normals, small.normals]),
+    )
     pts = sample_mesh_surface(mesh, count=5000, seed=3).points
     frac = (pts[:, 0] > 50.0).mean()
     expected = 1.0 / 101.0

@@ -9,21 +9,17 @@ from armscan.kinematics import (
     UnreachableError,
     forward_kinematics,
 )
-from armscan.meshio import Triangle, TriangleMesh
+from armscan.meshio import TriangleMesh
 from armscan.motion import JointTrace, LinearPath, plan_line, probe_cycle
 from armscan.scene import CONTACT_MESH, CONTACT_TABLE, CONTACT_UNREACHABLE, NoiseModel, TargetScene
 
 
 def plate_scene(z=25.0, size=200.0, x0=200.0, y0=-100.0, **kw):
     return TargetScene(
-        TriangleMesh(
+        TriangleMesh.from_vertices(
             [
-                Triangle.from_vertices(
-                    [x0, y0, z], [x0 + size, y0, z], [x0, y0 + size, z]
-                ),
-                Triangle.from_vertices(
-                    [x0 + size, y0, z], [x0 + size, y0 + size, z], [x0, y0 + size, z]
-                ),
+                [[x0, y0, z], [x0 + size, y0, z], [x0, y0 + size, z]],
+                [[x0 + size, y0, z], [x0 + size, y0 + size, z], [x0, y0 + size, z]],
             ]
         ),
         **kw,
@@ -79,7 +75,7 @@ def test_plan_line_trace_positions_on_segment(geom):
     trace = plan_line(path, geom)
     pts = path.waypoints()
     assert len(trace) == len(pts)
-    for (idx, angles), target in zip(trace, pts):
+    for angles, target in zip(trace.angles, pts):
         back = forward_kinematics(angles, geom)
         assert np.abs(back.position - target).max() < 1e-9
         assert np.allclose(back.rotation, path.orientation, atol=1e-9)
@@ -87,7 +83,7 @@ def test_plan_line_trace_positions_on_segment(geom):
 
 def test_plan_line_limits_respected(geom):
     trace = plan_line(LinearPath([250, 0, 30], [300, 0, 30]), geom)
-    for _, angles in trace:
+    for angles in trace.angles:
         assert geom.in_limits(JointAngles(*angles))
 
 
@@ -115,7 +111,7 @@ def test_probe_cycle_hits_plate(geom):
     assert contact.kind == CONTACT_MESH
     assert contact.z_true == 25.0
     positions = np.array(
-        [forward_kinematics(a, geom).position for _, a in trace]
+        [forward_kinematics(a, geom).position for a in trace.angles]
     )
     # starts and ends at the safe height, touches the plate in between
     assert positions[0, 2] == pytest.approx(80.0, abs=1e-9)
@@ -129,7 +125,7 @@ def test_probe_cycle_descent_monotone(geom):
         280.0, 20.0, safe_z=70.0, geom=geom, scene=scene,
         noise=NoiseModel(), contact_index=0, from_xy=(260.0, -10.0),
     )
-    z = np.array([forward_kinematics(a, geom).position[2] for _, a in trace])
+    z = np.array([forward_kinematics(a, geom).position[2] for a in trace.angles])
     lateral = np.nonzero(np.abs(z - 70.0) > 1e-9)[0]
     first_move = lateral[0] if len(lateral) else len(z)
     bottom = int(np.argmin(z))
@@ -137,8 +133,9 @@ def test_probe_cycle_descent_monotone(geom):
     assert (np.diff(descent) < 0).all()
     assert (np.diff(retract) > 0).all()
     assert len(z) == len(set(np.round(z, 9))) + len(lateral) == len(z)  # no duplicate seams
-    # indices renumbered contiguously
-    assert [i for i, _ in trace] == list(range(len(trace)))
+    # waypoints numbered contiguously by row
+    waypoints = [int(line.split(",")[0]) for line in trace.to_csv().splitlines()[1:]]
+    assert waypoints == list(range(len(trace)))
 
 
 def test_probe_cycle_lateral_leg_at_safe_height(geom):
@@ -147,7 +144,7 @@ def test_probe_cycle_lateral_leg_at_safe_height(geom):
         300.0, 30.0, safe_z=75.0, geom=geom, scene=scene,
         noise=NoiseModel(), contact_index=0, from_xy=(250.0, -40.0), step=6.0,
     )
-    pts = np.array([forward_kinematics(a, geom).position for _, a in trace])
+    pts = np.array([forward_kinematics(a, geom).position for a in trace.angles])
     over = np.isclose(pts[:, 2], 75.0, atol=1e-9)
     # the xy travel happens only while at the safe height
     moving = np.linalg.norm(np.diff(pts[:, :2], axis=0), axis=1) > 1e-9
@@ -162,7 +159,7 @@ def test_probe_cycle_miss_table_mode(geom):
     )
     assert contact.kind == CONTACT_TABLE
     assert contact.z_true == 0.0
-    z = np.array([forward_kinematics(a, geom).position[2] for _, a in trace])
+    z = np.array([forward_kinematics(a, geom).position[2] for a in trace.angles])
     assert z.min() == pytest.approx(0.0, abs=1e-9)
 
 
@@ -201,18 +198,17 @@ def test_probe_cycle_deterministic(geom):
 
 
 def test_trace_csv_format(geom):
-    trace = JointTrace()
-    trace.add(JointAngles(0.0, -math.pi / 2, math.pi / 4, 0.0, math.pi, 0.1))
+    trace = JointTrace([JointAngles(0.0, -math.pi / 2, math.pi / 4, 0.0, math.pi, 0.1)])
     csv = trace.to_csv()
     lines = csv.splitlines()
     assert lines[0].startswith("waypoint,theta1_deg")
     assert lines[1] == "0,0.000000,-90.000000,45.000000,0.000000,180.000000,5.729578"
 
 
-def test_trace_extend_renumbers():
-    a, b = JointTrace(), JointTrace()
-    a.add(JointAngles(0, 0, 0, 0, 0, 0))
-    b.add(JointAngles(1, 0, 0, 0, 0, 0))
-    b.add(JointAngles(2, 0, 0, 0, 0, 0))
-    a.extend(b)
-    assert [i for i, _ in a] == [0, 1, 2]
+def test_trace_csv_waypoints_are_row_numbers():
+    angles = np.radians(np.arange(5 * 6).reshape(5, 6))
+    lines = JointTrace(angles).to_csv().splitlines()
+    assert len(lines) == 6
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2, 3, 4]
+    assert lines[3] == "2,12.000000,13.000000,14.000000,15.000000,16.000000,17.000000"
+    assert JointTrace().to_csv() == lines[0] + "\n"

@@ -4,12 +4,21 @@ import pytest
 from armscan.meshio import write_stl_binary
 from armscan.objects import make_plate, make_wing
 from armscan.scanner import (
+    PointGrid,
     ScanGrid,
     UnreachableGridError,
     run_scan,
     triangulate,
 )
-from armscan.scene import CONTACT_MESH, CONTACT_NONE, NoiseModel, TargetScene
+from armscan.scene import (
+    CONTACT_MESH,
+    CONTACT_NONE,
+    ContactResult,
+    NoiseModel,
+    TargetScene,
+)
+
+from oracles import triangulate_loop
 
 
 def plate_scene(z=25.0, **kw):
@@ -69,9 +78,9 @@ def test_scan_flat_plate_zero_noise(geom):
     for c in result.points.in_probe_order():
         assert c.kind == CONTACT_MESH
         assert abs(c.z_measured - 25.0) < 1e-9
-    for t in result.mesh:
-        assert np.allclose(t.normal, [0.0, 0.0, 1.0], atol=1e-9)
-        assert np.abs(t.vertices[:, 2] - 25.0).max() < 1e-9
+    for normal, vertices in zip(result.mesh.normals, result.mesh.vertices):
+        assert np.allclose(normal, [0.0, 0.0, 1.0], atol=1e-9)
+        assert np.abs(vertices[:, 2] - 25.0).max() < 1e-9
 
 
 def test_scan_contact_ordinals_via_drift(geom):
@@ -114,13 +123,13 @@ def test_triangulate_2x2_exact_vertex_sequences(geom):
     q = {(i, k): result.points.cell(i, k).point() for i, k in grid.probe_order()}
     mesh = result.mesh
     assert len(mesh) == 2
-    first, second = mesh[0], mesh[1]
-    assert np.allclose(first.v1, q[(1, 1)])
-    assert np.allclose(first.v2, q[(0, 1)])
-    assert np.allclose(first.v3, q[(0, 0)])
-    assert np.allclose(second.v1, q[(1, 1)])
-    assert np.allclose(second.v2, q[(0, 0)])
-    assert np.allclose(second.v3, q[(1, 0)])
+    first, second = mesh.vertices
+    assert np.allclose(first[0], q[(1, 1)])
+    assert np.allclose(first[1], q[(0, 1)])
+    assert np.allclose(first[2], q[(0, 0)])
+    assert np.allclose(second[0], q[(1, 1)])
+    assert np.allclose(second[1], q[(0, 0)])
+    assert np.allclose(second[2], q[(1, 0)])
 
 
 def test_triangle_count_law(geom, rng):
@@ -155,8 +164,41 @@ def test_triangulate_flip_normals(geom):
     result = run_scan(
         small_grid(3, 3), geom, plate_scene(25.0), NoiseModel(), flip_normals=True
     )
-    for t in result.mesh:
-        assert np.allclose(t.normal, [0.0, 0.0, -1.0], atol=1e-9)
+    for normal in result.mesh.normals:
+        assert np.allclose(normal, [0.0, 0.0, -1.0], atol=1e-9)
+    # same facets with reversed winding, normals negated exactly
+    upward = triangulate(result.points)
+    assert np.array_equal(result.mesh.vertices, upward.vertices[:, [0, 2, 1]])
+    assert np.array_equal(result.mesh.normals, -upward.normals)
+
+
+def test_triangulate_matches_cell_loop_with_random_holes(rng):
+    for _ in range(20):
+        r, c = (int(n) for n in rng.integers(1, 9, size=2))
+        grid = ScanGrid(240.0, -30.0, r, c, 6.0, 4.0)
+        heights = rng.uniform(0.0, 30.0, size=(r, c))
+        holes = rng.random((r, c)) < 0.2
+        cells = [
+            [
+                ContactResult(*grid.point(i, k), kind=CONTACT_NONE)
+                if holes[i, k]
+                else ContactResult(*grid.point(i, k), heights[i, k],
+                                   heights[i, k], CONTACT_MESH)
+                for k in range(c)
+            ]
+            for i in range(r)
+        ]
+        points = [
+            [None if holes[i, k] else (*grid.point(i, k), heights[i, k])
+             for k in range(c)]
+            for i in range(r)
+        ]
+        mesh = triangulate(PointGrid(grid, cells))
+        expected = triangulate_loop(points, r, c)
+        assert np.array_equal(mesh.vertices, expected)
+        for vertices, normal in zip(expected, mesh.normals):
+            cross = np.cross(vertices[1] - vertices[0], vertices[2] - vertices[0])
+            assert np.allclose(normal, cross / np.linalg.norm(cross), rtol=0, atol=1e-15)
 
 
 def test_triangulate_pure_function_of_grid(geom):
@@ -169,8 +211,8 @@ def test_triangulate_projected_area_tiles_rectangle(geom):
     grid = small_grid(5, 7, spacing=6.0)
     result = run_scan(grid, geom, plate_scene(), NoiseModel())
     area = 0.0
-    for t in result.mesh:
-        (x1, y1), (x2, y2), (x3, y3) = t.vertices[:, :2]
+    for vertices in result.mesh.vertices:
+        (x1, y1), (x2, y2), (x3, y3) = vertices[:, :2]
         area += abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)) / 2.0
     assert area == pytest.approx((5 - 1) * (7 - 1) * 36.0, abs=1e-9)
 
@@ -179,8 +221,8 @@ def test_triangulate_interior_edges_shared_twice(geom):
     grid = small_grid(4, 5)
     result = run_scan(grid, geom, plate_scene(), NoiseModel())
     edges = {}
-    for t in result.mesh:
-        vs = [tuple(np.round(v, 9)) for v in t.vertices]
+    for vertices in result.mesh.vertices:
+        vs = [tuple(np.round(v, 9)) for v in vertices]
         for a, b in ((0, 1), (1, 2), (2, 0)):
             key = tuple(sorted([vs[a], vs[b]]))
             edges[key] = edges.get(key, 0) + 1
@@ -195,7 +237,7 @@ def test_triangulate_interior_edges_shared_twice(geom):
 def test_height_map_single_cover(geom, rng):
     grid = small_grid(4, 4)
     result = run_scan(grid, geom, plate_scene(), NoiseModel())
-    tris = result.mesh.triangle_array()
+    tris = result.mesh.vertices
     for _ in range(200):
         x = rng.uniform(grid.x0 + 0.01, grid.x0 + 3 * 6.0 - 0.01)
         y = rng.uniform(grid.y0 + 0.01, grid.y0 + 3 * 6.0 - 0.01)

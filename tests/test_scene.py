@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from armscan.meshio import Triangle, TriangleMesh
+from armscan.meshio import TriangleMesh
 from armscan.scene import (
     CONTACT_MESH,
     CONTACT_NONE,
@@ -24,18 +24,26 @@ def soup(rng, count, span=100.0, zmax=50.0):
             [rng.uniform(0, span, (3, 2)), rng.uniform(0, zmax, 3)[:, None]]
         )
         try:
-            tris.append(Triangle.from_vertices(*v))
+            TriangleMesh.from_vertices(v)
         except ValueError:
             continue
-    return TriangleMesh(tris)
+        tris.append(v)
+    return TriangleMesh.from_vertices(tris)
 
 
 def plane_patch(z, size=10.0):
-    return TriangleMesh(
+    return TriangleMesh.from_vertices(
         [
-            Triangle.from_vertices([0, 0, z], [size, 0, z], [0, size, z]),
-            Triangle.from_vertices([size, 0, z], [size, size, z], [0, size, z]),
+            [[0, 0, z], [size, 0, z], [0, size, z]],
+            [[size, 0, z], [size, size, z], [0, size, z]],
         ]
+    )
+
+
+def joined(*meshes):
+    return TriangleMesh(
+        np.concatenate([m.vertices for m in meshes]),
+        np.concatenate([m.normals for m in meshes]),
     )
 
 
@@ -44,7 +52,7 @@ def plane_patch(z, size=10.0):
 
 def test_raycast_planar_hit():
     scene = TargetScene(
-        TriangleMesh([Triangle.from_vertices([0, 0, 7], [1, 0, 7], [0, 1, 7])])
+        TriangleMesh.from_vertices([[0, 0, 7], [1, 0, 7], [0, 1, 7]])
     )
     assert raycast_down(0.25, 0.25, scene) == 7.0
 
@@ -57,7 +65,7 @@ def test_raycast_miss_returns_none():
 
 def test_raycast_edge_and_vertex_grazes_hit():
     scene = TargetScene(
-        TriangleMesh([Triangle.from_vertices([0, 0, 3], [4, 0, 3], [0, 4, 3])])
+        TriangleMesh.from_vertices([[0, 0, 3], [4, 0, 3], [0, 4, 3]])
     )
     assert raycast_down(0.0, 0.0, scene) == 3.0  # vertex
     assert raycast_down(2.0, 0.0, scene) == 3.0  # edge
@@ -74,16 +82,14 @@ def test_raycast_horizontal_plane_is_exact(rng):
 
 
 def test_raycast_overlapping_takes_max():
-    mesh = plane_patch(2.0)
-    for t in plane_patch(9.0):
-        mesh.add(t)
+    mesh = joined(plane_patch(2.0), plane_patch(9.0))
     assert raycast_down(3.0, 3.0, TargetScene(mesh)) == 9.0
 
 
 def test_raycast_matches_brute_oracle(rng):
     mesh = soup(rng, 60)
     scene = TargetScene(mesh)
-    tris = mesh.triangle_array()
+    tris = mesh.vertices
     for _ in range(2000):
         x, y = rng.uniform(-10, 110, 2)
         fast = raycast_down(x, y, scene)
@@ -97,7 +103,7 @@ def test_raycast_matches_brute_oracle(rng):
 
 def test_raycast_monotone_under_added_triangles(rng):
     base = soup(rng, 30)
-    more = TriangleMesh(list(base.triangles) + list(soup(rng, 30).triangles))
+    more = joined(base, soup(rng, 30))
     s1, s2 = TargetScene(base), TargetScene(more)
     for _ in range(300):
         x, y = rng.uniform(0, 100, 2)
@@ -109,8 +115,8 @@ def test_raycast_monotone_under_added_triangles(rng):
 
 def test_raycast_skips_degenerate_triangles():
     # vertical sliver: zero projected area, must never be hit
-    mesh = plane_patch(1.0)
-    mesh.add(Triangle([1, 0, 0], [2, 2, 0], [2, 2, 9], [2, 2.0000000000001, 9]))
+    sliver = TriangleMesh([[2, 2, 0], [2, 2, 9], [2, 2.0000000000001, 9]], [1, 0, 0])
+    mesh = joined(plane_patch(1.0), sliver)
     assert raycast_down(2.0, 2.0, TargetScene(mesh)) == 1.0
 
 
@@ -135,8 +141,8 @@ def test_scene_rejects_bad_floor_mode():
 
 
 def test_scene_rejects_non_finite():
-    mesh = plane_patch(1.0)
-    mesh.add(Triangle([0, 0, 1], [0, 0, np.nan], [1, 0, 5], [0, 1, 5]))
+    bad = TriangleMesh([[0, 0, np.nan], [1, 0, 5], [0, 1, 5]], [0, 0, 1])
+    mesh = joined(plane_patch(1.0), bad)
     with pytest.raises(ValueError, match="non-finite"):
         TargetScene(mesh)
 
