@@ -43,6 +43,16 @@ def test_triangle_rejects_collinear_vertices():
         )
 
 
+def test_triangle_flip_reverses_normal_and_winding():
+    t = TriangleMesh.from_vertices([[0, 0, 0], [2, 0, 0], [0, 2, 0]])
+    # the flip triangulate applies: swap the last two vertices, negate normals
+    f = TriangleMesh(t.vertices[:, [0, 2, 1]], -t.normals)
+    assert np.allclose(f.normals, -t.normals)
+    assert np.allclose(f.vertices[0, 1], t.vertices[0, 2])
+    recomputed = TriangleMesh.from_vertices(f.vertices)
+    assert np.allclose(recomputed.normals, f.normals)
+
+
 def test_mesh_normals_match_per_facet_reference(rng):
     verts = rng.uniform(-500.0, 500.0, (40, 3, 3))
     mesh = TriangleMesh.from_vertices(verts)
