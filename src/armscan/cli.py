@@ -54,6 +54,7 @@ from .meshio import (
     load_xyz,
     save_stl,
     save_xyz,
+    write_atomic,
 )
 from .scanner import ScanGrid, ScanResult, UnreachableGridError, run_scan
 from .scene import FLOOR_MODES, NoiseModel, TargetScene
@@ -252,8 +253,7 @@ def _job_as_config(job: ScanJob) -> str:
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _comment_block(text: str) -> str:

@@ -25,6 +25,15 @@ Joint zero datums ("home" = all joints zero = arm pointing straight up):
 
 Both offsets are exposed as module constants.  Only the elbow-up branch is
 solved: the elbow always sits above the shoulder-to-wrist chord.
+
+`inverse_kinematics` solves one pose or a whole path of points under one
+rotation.  A single point goes through scalar `math` code, the reference
+and the faster path for one pose (an array solve of one row costs about
+four times as much).  A path is solved in one pass of array
+expressions: the same closed form row by row (Pieper's spherical-wrist
+decoupling), with the back-reaching branch computed only for the rows
+the aimed branch cannot solve.  Both paths apply the same checks in the
+same order, raise the same messages and give the same angles bit for bit.
 """
 
 from __future__ import annotations
@@ -71,11 +80,23 @@ TOOL_DOWN_ROTATION = np.array(
 
 
 class UnreachableError(Exception):
-    """Target pose lies outside the position workspace."""
+    """Target pose lies outside the position workspace.
+
+    ``row`` is the index of the failing point when a path was solved,
+    None for a single pose.
+    """
+
+    row = None
 
 
 class JointLimitError(Exception):
-    """A solved joint angle violates its configured limit interval."""
+    """A solved joint angle violates its configured limit interval.
+
+    ``row`` is the index of the failing point when a path was solved,
+    None for a single pose.
+    """
+
+    row = None
 
     def __init__(self, joint: int, value: float, lo: float, hi: float, context: str = ""):
         self.joint = joint
@@ -96,6 +117,12 @@ def normalize_angle(a: float) -> float:
     if r <= 0.0:
         r += 2.0 * math.pi
     return r - math.pi
+
+
+def _normalize_angles(a: np.ndarray) -> np.ndarray:
+    """`normalize_angle` over an array, bit for bit (fmod is exact)."""
+    r = np.fmod(a + math.pi, 2.0 * math.pi)
+    return np.where(r <= 0.0, r + 2.0 * math.pi, r) - math.pi
 
 
 class JointAngles(NamedTuple):
@@ -174,7 +201,8 @@ class Pose:
     """End-effector frame: 3x3 rotation plus position (mm).
 
     Column 3 of the rotation is the tool approach axis; the probe tip sits d6 along it
-    from the wrist center.
+    from the wrist center.  The position is one point, shape (3,), or a
+    path of points under the one rotation, shape (N, 3).
     """
 
     rotation: np.ndarray
@@ -182,7 +210,11 @@ class Pose:
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
+        position = np.asarray(self.position, dtype=float)
+        if position.ndim == 2:
+            self.position = position.reshape(-1, 3)
+        else:
+            self.position = position.reshape(3)
 
     @classmethod
     def tool_down(cls, x: float, y: float, z: float) -> "Pose":
@@ -205,6 +237,9 @@ class Pose:
 @dataclass(frozen=True)
 class IkTrace:
     """Intermediate quantities of the position solve, r-z plane view.
+
+    Each field is a float for one pose, an array of one entry per point
+    for a path.
 
     z        wrist-center elevation above the shoulder (mm)
     radial   in-plane distance from the shoulder to the wrist center (mm)
@@ -288,7 +323,8 @@ def fk_frames(angles: JointAngles, geom: RobotGeometry) -> list:
 
 
 def wrist_center(pose: Pose, geom: RobotGeometry) -> WristCenter:
-    """Wrist-center position: tip position backed off d6 along the approach."""
+    """Wrist-center position of a one-point pose: tip position backed off
+    d6 along the approach."""
     p = pose.position
     a = pose.rotation[:, 2]
     return WristCenter(
@@ -298,26 +334,40 @@ def wrist_center(pose: Pose, geom: RobotGeometry) -> WristCenter:
     )
 
 
-def _acos_or_unreachable(value: float, what: str) -> float:
-    if value > 1.0 + ACOS_CLAMP_TOL or value < -1.0 - ACOS_CLAMP_TOL:
-        raise UnreachableError(f"{what}: cosine argument {value:.6f} outside [-1, 1]")
-    return math.acos(min(1.0, max(-1.0, value)))
+# A wrist center closer to the shoulder than this (mm) has no chord
+# direction to solve along.
+MIN_CHORD = 1e-9
+
+
+def _elbow_cosine(chord, geom: RobotGeometry):
+    """Cosine of the interior elbow angle closing the triangle; float or array."""
+    l2, d4 = geom.l2, geom.d4
+    return (l2 * l2 + d4 * d4 - chord * chord) / (2.0 * l2 * d4)
+
+
+def _check_branch(geom: RobotGeometry, chord: float, cosine: float, angles) -> None:
+    """Raise the error of one branch solve, checks in solve order: chord,
+    elbow triangle, then joint limits from joint 1."""
+    if chord < MIN_CHORD:
+        raise UnreachableError("wrist center coincides with the shoulder")
+    if cosine > 1.0 + ACOS_CLAMP_TOL or cosine < -1.0 - ACOS_CLAMP_TOL:
+        raise UnreachableError(
+            f"elbow triangle (chord {chord:.3f} mm, annulus "
+            f"[{abs(geom.l2 - geom.d4):.3f}, {geom.l2 + geom.d4:.3f}]): "
+            f"cosine argument {cosine:.6f} outside [-1, 1]"
+        )
+    geom.check_limits(angles, "inverse kinematics")
 
 
 def _solve_branch(
     pose: Pose, geom: RobotGeometry, theta1: float, radial: float, z: float
 ) -> tuple:
     chord = math.hypot(radial, z)
-    if chord < 1e-9:
-        raise UnreachableError("wrist center coincides with the shoulder")
     alpha = math.atan2(z, radial)
 
     l2, d4 = geom.l2, geom.d4
-    interior = _acos_or_unreachable(
-        (l2 * l2 + d4 * d4 - chord * chord) / (2.0 * l2 * d4),
-        f"elbow triangle (chord {chord:.3f} mm, annulus "
-        f"[{abs(l2 - d4):.3f}, {l2 + d4:.3f}])",
-    )
+    cosine = _elbow_cosine(chord, geom)
+    interior = math.acos(min(1.0, max(-1.0, cosine)))
     theta3 = ELBOW_STRAIGHT_INTERIOR - interior
     # Shoulder angle from the solved elbow angle rather than a second
     # acos: the pair then closes the triangle exactly, which keeps the
@@ -365,18 +415,135 @@ def _solve_branch(
         theta5,
         normalize_angle(theta6),
     )
-    geom.check_limits(angles, "inverse kinematics")
+    _check_branch(geom, chord, cosine, angles)
     trace = IkTrace(z, radial, chord, alpha, beta, wrist_singular)
+    return angles, trace
+
+
+def _rowwise(fn, *columns) -> np.ndarray:
+    """`fn` (a `math` function) applied row by row.
+
+    numpy's SIMD atan2, hypot and acos may round the last bit differently
+    from `math`; the path solve uses the scalar solve's own functions so
+    that both reach every limit and tolerance decision, and every angle,
+    bit for bit.
+    """
+    return np.fromiter(
+        map(fn, *(c.tolist() for c in columns)), float, len(columns[0])
+    )
+
+
+def _solve_rows(
+    rotation: np.ndarray, geom: RobotGeometry, theta1, radial, z
+) -> tuple:
+    """`_solve_branch` over arrays, one row per point.
+
+    Returns (angles (N, 6), IkTrace of arrays, elbow cosines, failed),
+    where `failed` marks the rows `_check_branch` rejects.
+    """
+    chord = _rowwise(math.hypot, radial, z)
+    alpha = _rowwise(math.atan2, z, radial)
+
+    l2, d4 = geom.l2, geom.d4
+    cosine = _elbow_cosine(chord, geom)
+    theta3 = ELBOW_STRAIGHT_INTERIOR - _rowwise(math.acos, np.clip(cosine, -1.0, 1.0))
+    beta = _rowwise(
+        math.atan2,
+        d4 * _rowwise(math.sin, theta3),
+        l2 + d4 * _rowwise(math.cos, theta3),
+    )
+
+    r = rotation
+    c1, s1 = _rowwise(math.cos, theta1), _rowwise(math.sin, theta1)
+    m13 = c1 * r[0, 2] + s1 * r[1, 2]
+    m23 = -s1 * r[0, 2] + c1 * r[1, 2]
+    m11 = c1 * r[0, 0] + s1 * r[1, 0]
+    m21 = -s1 * r[0, 0] + c1 * r[1, 0]
+    m31, m32, m33 = r[2]
+
+    sin5 = _rowwise(math.hypot, m13, m23)
+    wrist_singular = sin5 <= WRIST_SINGULAR_TOL
+    # singular rows pin theta4 to 0, as the scalar solve does
+    theta4 = np.zeros(len(sin5))
+    if m33 > 0.0:
+        theta5 = np.zeros(len(sin5))
+        theta6 = _rowwise(math.atan2, m21, m11)
+    else:
+        theta5 = np.full(len(sin5), math.pi)
+        theta6 = _rowwise(math.atan2, m21, -m11)
+    free = ~wrist_singular
+    if free.any():
+        theta4[free] = _rowwise(math.atan2, m23[free], m13[free])
+        theta5[free] = _rowwise(math.atan2, sin5[free], np.full(free.sum(), m33))
+        theta6[free] = math.atan2(m32, -m31)
+
+    angles = np.array(
+        [theta1, alpha + beta - SHOULDER_ELEVATION_OFFSET, theta3, theta4, theta5, theta6]
+    ).T
+    # theta2, theta4 and theta6 are wrapped as the scalar solve wraps them
+    angles[:, 1::2] = _normalize_angles(angles[:, 1::2])
+    lo, hi = np.array(geom.joint_limits).T
+    failed = (
+        (chord < MIN_CHORD)
+        | (np.abs(cosine) > 1.0 + ACOS_CLAMP_TOL)
+        | ~((lo - LIMIT_GRACE <= angles) & (angles <= hi + LIMIT_GRACE)).all(axis=1)
+    )
+    trace = IkTrace(z, radial, chord, alpha, beta, wrist_singular)
+    return angles, trace, cosine, failed
+
+
+def _solve_path(pose: Pose, geom: RobotGeometry) -> tuple:
+    """`inverse_kinematics` of every row of an (N, 3) position."""
+    xc, yc, zc = (pose.position - geom.d6 * pose.approach).T
+    azimuth = _rowwise(math.atan2, yc, xc)
+    planar = _rowwise(math.hypot, xc, yc)
+    z = zc - geom.d1
+
+    angles, trace, cosine, failed = _solve_rows(
+        pose.rotation, geom, azimuth, planar - geom.l1, z
+    )
+    retry = np.flatnonzero(failed)
+    if retry.size == 0:
+        return angles, trace
+
+    back_angles, back_trace, _, back_failed = _solve_rows(
+        pose.rotation,
+        geom,
+        _normalize_angles(azimuth[retry] + math.pi),
+        -planar[retry] - geom.l1,
+        z[retry],
+    )
+    unsolved = retry[back_failed]
+    if unsolved.size:
+        # the aimed branch's error, as the scalar solve raises it
+        i = int(unsolved[0])
+        try:
+            _check_branch(
+                geom,
+                float(trace.chord[i]),
+                float(cosine[i]),
+                angles[i].tolist(),
+            )
+        except (UnreachableError, JointLimitError) as exc:
+            exc.row = i
+            raise
+    angles[retry] = back_angles
+    for name in IkTrace.__dataclass_fields__:
+        getattr(trace, name)[retry] = getattr(back_trace, name)
     return angles, trace
 
 
 def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> tuple:
     """Solve the elbow-up joint tuple reproducing `pose`.
 
-    Returns (JointAngles, IkTrace).  All quadrant-sensitive inverse
-    tangents are two-argument.  A straight-down (or straight-up) tool
-    makes joint 4 indeterminate; it is pinned to 0 and the trace flags
-    ``wrist_singular``.
+    Returns (JointAngles, IkTrace) for a one-point pose.  For a path,
+    an (N, 3) position, returns an (N, 6) angle array and an IkTrace
+    of arrays, and a failure raises the error the scalar solve of the
+    first unsolvable row raises, with that row's index in ``row``.
+
+    All quadrant-sensitive inverse tangents are two-argument.  A
+    straight-down (or straight-up) tool makes joint 4 indeterminate; it
+    is pinned to 0 and the trace flags ``wrist_singular``.
 
     The base yaw aims at the wrist center.  Postures that carry the
     wrist center across the base axis (upper arm pitched past vertical)
@@ -394,6 +561,8 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> tuple:
         raise ValueError(
             f"pose rotation is not orthonormal (error {pose.rotation_error():.2e})"
         )
+    if pose.position.ndim == 2:
+        return _solve_path(pose, geom)
 
     xc, yc, zc = wrist_center(pose, geom)
     azimuth = math.atan2(yc, xc)

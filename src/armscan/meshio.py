@@ -12,13 +12,16 @@ write-read-write round trips are bit-exact.
 
 ASCII STL is read transparently; its writer serves as a test fixture.
 Point clouds travel as xyz text, one "x y z" triple per line with six
-fractional digits.
+fractional digits.  Files are written atomically (`write_atomic`).
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -226,9 +229,27 @@ def read_stl(data: bytes) -> TriangleMesh:
     return _read_stl_binary(data)
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace the file at `path` with `data` in one rename.
+
+    The bytes go to a fresh file beside the target, which `os.replace`
+    then moves over it, so a failed write leaves the old file (or no
+    file) in place and removes its temporary.  This guards against a
+    failure of this process, not against power loss: nothing is synced.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(temp, "xb") as fh:
+            fh.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def save_stl(mesh: TriangleMesh, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_stl_binary(mesh))
+    write_atomic(path, write_stl_binary(mesh))
 
 
 def load_stl(path) -> TriangleMesh:
@@ -240,9 +261,8 @@ def load_stl(path) -> TriangleMesh:
 
 
 def write_xyz(cloud: PointCloud) -> str:
-    return "".join(
-        "{:.6f} {:.6f} {:.6f}\n".format(*row) for row in cloud.points
-    )
+    row = " ".join([f"%.{XYZ_DECIMALS}f"] * 3) + "\n"
+    return (row * len(cloud)) % tuple(cloud.points.ravel().tolist())
 
 
 def read_xyz(text: str) -> PointCloud:
@@ -264,8 +284,7 @@ def read_xyz(text: str) -> PointCloud:
 
 
 def save_xyz(cloud: PointCloud, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(write_xyz(cloud))
+    write_atomic(path, write_xyz(cloud).encode("ascii"))
 
 
 def load_xyz(path) -> PointCloud:

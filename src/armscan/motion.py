@@ -1,9 +1,10 @@
 """Straight-line Cartesian planning and the touch-probe motion cycle.
 
 Planning is quasi-static: a path is a uniform chain of position
-waypoints under a constant tool orientation, solved joint-by-joint
-through the closed-form IK.  No velocity profile exists; the trace is
-the sequence an open-loop controller would stream.
+waypoints under a constant tool orientation.  Each leg is solved in one
+closed-form IK call over all its waypoints (an (N, 3) position); the
+scalar solve stays for single poses.  No velocity profile exists; the
+trace is the sequence an open-loop controller would stream.
 
 A probe cycle is three such lines: lateral travel at the safe height,
 descent to the contact, retract back to the safe height.  Contact
@@ -97,22 +98,21 @@ class JointTrace:
 
 
 def plan_line(path: LinearPath, geom: RobotGeometry) -> JointTrace:
-    """Solve IK along the path; failures identify the waypoint.
+    """Solve IK for all waypoints of the path in one call.
 
-    Raises UnreachableError or JointLimitError naming the offending
-    waypoint index and position.
+    Raises UnreachableError or JointLimitError naming the first
+    offending waypoint's index and position.
     """
-    rows = []
-    for i, pos in enumerate(path.waypoints()):
-        where = f"waypoint {i} at ({pos[0]:.3f}, {pos[1]:.3f}, {pos[2]:.3f})"
-        try:
-            angles, _ = inverse_kinematics(Pose(path.orientation, pos), geom)
-        except UnreachableError as exc:
+    points = path.waypoints()
+    try:
+        angles, _ = inverse_kinematics(Pose(path.orientation, points), geom)
+    except (UnreachableError, JointLimitError) as exc:
+        x, y, z = points[exc.row]
+        where = f"waypoint {exc.row} at ({x:.3f}, {y:.3f}, {z:.3f})"
+        if isinstance(exc, UnreachableError):
             raise UnreachableError(f"{where}: {exc}") from None
-        except JointLimitError as exc:
-            raise JointLimitError(exc.joint, exc.value, *exc.limits, context=where) from None
-        rows.append(angles)
-    return JointTrace(rows)
+        raise JointLimitError(exc.joint, exc.value, *exc.limits, context=where) from None
+    return JointTrace(angles)
 
 
 def probe_cycle(

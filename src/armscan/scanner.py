@@ -55,6 +55,15 @@ class UnreachableGridError(Exception):
         )
 
 
+def _smallest_step(origin: float, count: int, spacing: float) -> float:
+    """Smallest gap between consecutive coordinates origin + i * spacing,
+    rounded as `ScanGrid.point` rounds them (the nominal spacing for a
+    single coordinate)."""
+    if count < 2:
+        return spacing
+    return float(np.diff(origin + np.arange(count) * spacing).min())
+
+
 @dataclass(frozen=True)
 class ScanGrid:
     """Rectangular probe lattice.
@@ -77,11 +86,17 @@ class ScanGrid:
             raise ValueError("grid needs at least one row and one column")
         if self.row_spacing <= 0.0 or self.col_spacing <= 0.0:
             raise ValueError("grid spacings must be positive")
-        # A tessellated facet's cross product is at least the cell area.
-        if self.row_spacing * self.col_spacing < DEGENERATE_NORM:
+        # A tessellated facet's cross product is at least the cell area,
+        # taken between the coordinates `point` gives: a spacing below
+        # the float resolution of the corner rounds away entirely.
+        row_step = _smallest_step(self.x0, self.n_rows, self.row_spacing)
+        col_step = _smallest_step(self.y0, self.n_cols, self.col_spacing)
+        if not row_step * col_step >= DEGENERATE_NORM:
             raise ValueError(
-                f"grid cell {self.row_spacing:g} x {self.col_spacing:g} mm is "
-                f"below {DEGENERATE_NORM:g} mm^2: its facets would be degenerate"
+                f"grid cell {row_step:g} x {col_step:g} mm between probe "
+                f"coordinates (spacing {self.row_spacing:g} x "
+                f"{self.col_spacing:g} mm) is below {DEGENERATE_NORM:g} mm^2: "
+                f"its facets would be degenerate"
             )
 
     def point(self, i: int, k: int) -> tuple:

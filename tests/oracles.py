@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from armscan.kinematics import JointLimitError, Pose, UnreachableError, inverse_kinematics
+from armscan.motion import JointTrace
+
 
 def _h_rotz(a):
     c, s = math.cos(a), math.sin(a)
@@ -190,3 +193,22 @@ def triangulate_loop(cells, n_rows, n_cols):
             facets.append([q_ik, q_up, q_diag])
             facets.append([q_ik, q_diag, q_left])
     return np.array(facets, dtype=float).reshape(-1, 3, 3)
+
+
+def plan_line_loop(path, geom):
+    """`motion.plan_line` one waypoint at a time through the scalar IK.
+
+    The first waypoint neither branch solves raises the scalar error,
+    prefixed with the waypoint's index and position.
+    """
+    rows = []
+    for i, pos in enumerate(path.waypoints()):
+        where = f"waypoint {i} at ({pos[0]:.3f}, {pos[1]:.3f}, {pos[2]:.3f})"
+        try:
+            angles, _ = inverse_kinematics(Pose(path.orientation, pos), geom)
+        except UnreachableError as exc:
+            raise UnreachableError(f"{where}: {exc}") from None
+        except JointLimitError as exc:
+            raise JointLimitError(exc.joint, exc.value, *exc.limits, context=where) from None
+        rows.append(angles)
+    return JointTrace(rows)

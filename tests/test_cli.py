@@ -233,6 +233,24 @@ def test_scan_degenerate_cell_rejected_at_job_load(tmp_path):
     assert "triangles       60" in out
 
 
+def test_scan_spacing_below_corner_resolution_rejected_at_job_load(tmp_path):
+    # x0 = 240 absorbs a 1e-14 mm step: the nominal cell area, 1e-12 mm^2,
+    # passes, but every row lands on the same x and the facets collapse
+    config = write_job(tmp_path)
+    config.write_text(
+        config.read_text()
+        .replace("rows = 6", "rows = 3")
+        .replace("cols = 7", "cols = 3")
+        .replace("row_spacing = 6", "row_spacing = 1e-14")
+        .replace("col_spacing = 6", "col_spacing = 100")
+    )
+    with pytest.raises(JobConfigError, match="degenerate"):
+        load_job(config)
+    code, _, err = run_cli("scan", config)
+    assert code == EXIT_CONFIG and "degenerate" in err
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------- compare
 
 

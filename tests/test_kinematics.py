@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from armscan.kinematics import (
     SHOULDER_ELEVATION_OFFSET,
     TOOL_DOWN_ROTATION,
+    IkTrace,
     JointAngles,
     JointLimitError,
     Pose,
@@ -240,8 +241,9 @@ def test_ik_back_reaching_branch(geom):
 
 
 def test_ik_unreachable_beyond_max_extension(geom):
-    with pytest.raises(UnreachableError):
+    with pytest.raises(UnreachableError) as err:
         inverse_kinematics(Pose.tool_down(700.0, 0.0, 50.0), geom)
+    assert err.value.row is None  # set by path solves only
 
 
 def test_ik_unreachable_annulus_inner_hole(geom):
@@ -275,6 +277,9 @@ def test_ik_rejects_non_orthonormal_rotation(geom):
     bad = Pose(np.eye(3) * 1.01, np.array([300.0, 0.0, 50.0]))
     with pytest.raises(ValueError):
         inverse_kinematics(bad, geom)
+    path = Pose(np.eye(3) * 1.01, np.array([[300.0, 0.0, 50.0], [310.0, 0.0, 50.0]]))
+    with pytest.raises(ValueError):
+        inverse_kinematics(path, geom)
 
 
 def test_ik_trace_internal_consistency(geom, rng):
@@ -312,6 +317,88 @@ def test_ik_theta1_equivariance_under_base_rotation(geom):
         assert sol.theta2 == pytest.approx(base.theta2, abs=1e-9)
         assert sol.theta3 == pytest.approx(base.theta3, abs=1e-9)
         assert sol.theta5 == pytest.approx(base.theta5, abs=1e-9)
+
+
+# ---------------------------------------------------------------- path solve
+
+GEOM = RobotGeometry()
+IN_LIMITS = st.tuples(*(st.floats(lo, hi) for lo, hi in GEOM.joint_limits))
+
+
+@st.composite
+def legs(draw):
+    """(rotation, points): a straight leg from the tip of an in-limit
+    posture (back-reaching ones included) under that posture's rotation
+    or the tool-down one, to the tip of another posture or to a point
+    anywhere around the arm: outside the reach, in the inner hole, or
+    over the base where joint limits stop the aimed branch."""
+    start = forward_kinematics(JointAngles(*draw(IN_LIMITS)), GEOM)
+    rotation = TOOL_DOWN_ROTATION if draw(st.booleans()) else start.rotation
+    if draw(st.booleans()):
+        end = forward_kinematics(JointAngles(*draw(IN_LIMITS)), GEOM).position
+    else:
+        end = np.array(
+            draw(st.tuples(st.floats(-700.0, 700.0), st.floats(-700.0, 700.0),
+                           st.floats(-400.0, 800.0)))
+        )
+    return rotation, np.linspace(start.position, end, draw(st.integers(1, 40)))
+
+
+def scalar_solves(rotation, points, geom):
+    """Scalar IK row by row up to the first failure:
+    (angles, traces, failing row or None, its error or None)."""
+    rows, traces = [], []
+    for i, point in enumerate(points):
+        try:
+            angles, trace = inverse_kinematics(Pose(rotation, point), geom)
+        except (UnreachableError, JointLimitError) as exc:
+            return rows, traces, i, exc
+        rows.append(angles)
+        traces.append(trace)
+    return rows, traces, None, None
+
+
+def assert_path_solve_matches_scalar(rotation, points, geom):
+    rows, traces, bad_row, error = scalar_solves(rotation, points, geom)
+    path = Pose(rotation, points)
+    if bad_row is not None:
+        with pytest.raises((UnreachableError, JointLimitError)) as caught:
+            inverse_kinematics(path, geom)
+        assert type(caught.value) is type(error)
+        assert caught.value.row == bad_row
+        assert str(caught.value) == str(error)
+        return
+    angles, trace = inverse_kinematics(path, geom)
+    # bit for bit, signed zeros included: the trace CSV prints these
+    assert angles.tobytes() == np.array(rows, dtype=float).reshape(-1, 6).tobytes()
+    for name in IkTrace.__dataclass_fields__:
+        expected = np.array([getattr(t, name) for t in traces])
+        assert getattr(trace, name).tobytes() == expected.tobytes(), name
+
+
+def tool_down_leg(start, end, count):
+    return TOOL_DOWN_ROTATION, np.linspace(start, end, count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(leg=legs())
+# over the base the middle of the leg needs the back-reaching branch
+@example(leg=tool_down_leg([100.0, 0.0, 300.0], [-100.0, 0.0, 300.0], 21))
+# out of reach from the 7th point on
+@example(leg=tool_down_leg([300.0, 0.0, 50.0], [900.0, 0.0, 50.0], 13))
+# joint 2 past its stop near the base from the 8th point on
+@example(leg=tool_down_leg([250.0, 0.0, 0.0], [0.0, 0.0, 0.0], 11))
+def test_ik_path_matches_scalar_solves(leg):
+    rotation, points = leg
+    assert_path_solve_matches_scalar(rotation, points, GEOM)
+
+
+def test_ik_path_branch_changes_mid_leg(geom):
+    rotation, points = tool_down_leg([100.0, 0.0, 300.0], [-100.0, 0.0, 300.0], 21)
+    _, trace = inverse_kinematics(Pose(rotation, points), geom)
+    back = trace.radial < 0.0
+    assert back[5:16].all() and not back[:3].any() and not back[-3:].any()
+    assert_path_solve_matches_scalar(rotation, points, geom)
 
 
 # ---------------------------------------------------------------- reachability

@@ -1,8 +1,10 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from armscan import cli
 from armscan.meshio import (
     PointCloud,
     StlFormatError,
@@ -10,6 +12,8 @@ from armscan.meshio import (
     XyzFormatError,
     read_stl,
     read_xyz,
+    save_stl,
+    save_xyz,
     write_stl_ascii,
     write_stl_binary,
     write_xyz,
@@ -195,6 +199,20 @@ def test_xyz_round_trip_500_points(rng):
     assert np.abs(back.points - cloud.points).max() < 1e-6
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[-0.0, 0.0, -1e-9], [-4e-7, 5e-7, 0.5e-6]],
+        [[1e300, -1.5e15, 123456789.0000005], [np.pi, -np.e, 2.5e-7]],
+        np.zeros((0, 3)),
+    ],
+)
+def test_xyz_writer_matches_per_row_format(points):
+    cloud = PointCloud(points)
+    expected = "".join("{:.6f} {:.6f} {:.6f}\n".format(*row) for row in cloud.points)
+    assert write_xyz(cloud) == expected
+
+
 def test_xyz_tolerates_extra_whitespace():
     cloud = read_xyz("  1.0\t2.0   3.0  \n\n   4 5 6\n")
     assert np.allclose(cloud.points, [[1, 2, 3], [4, 5, 6]])
@@ -205,3 +223,43 @@ def test_xyz_malformed_line_numbered():
         read_xyz("1 2 3\n4 5\n")
     with pytest.raises(XyzFormatError, match="line 3"):
         read_xyz("1 2 3\n4 5 6\n7 eight 9\n")
+
+
+# ------------------------------------------------------------------ writes
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: save_stl(TriangleMesh.from_vertices([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), path),
+        lambda path: save_xyz(PointCloud([[1.0, 2.0, 3.0]]), path),
+        lambda path: cli._write_text(path, "# report\n"),
+    ],
+    ids=["stl", "xyz", "text"],
+)
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, write):
+    target = tmp_path / "artifact"
+    target.write_bytes(b"old contents\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write(target)
+    assert target.read_bytes() == b"old contents\n"
+    assert os.listdir(tmp_path) == ["artifact"]
+
+    write(target)
+    assert target.read_bytes() != b"old contents\n"
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_unencodable_report_keeps_old_file(tmp_path):
+    target = tmp_path / "report.txt"
+    target.write_text("old report\n")
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_text(target, "lone surrogate \ud800\n")
+    assert target.read_text() == "old report\n"
+    assert os.listdir(tmp_path) == ["report.txt"]

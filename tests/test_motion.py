@@ -89,14 +89,24 @@ def test_plan_line_limits_respected(geom):
 
 def test_plan_line_unreachable_names_waypoint(geom):
     # end far outside the workspace: failure happens mid-path
-    with pytest.raises(UnreachableError, match=r"waypoint \d+"):
+    with pytest.raises(UnreachableError) as err:
         plan_line(LinearPath([300, 0, 50], [900, 0, 50], step=50.0), geom)
+    assert str(err.value) == (
+        "waypoint 6 at (600.000, 0.000, 50.000): elbow triangle (chord "
+        "537.331 mm, annulus [83.000, 527.000]): cosine argument -1.081199 "
+        "outside [-1, 1]"
+    )
 
 
 def test_plan_line_joint_limit_names_waypoint(geom):
     # straight over the base: theta2 runs past its stop near the axis
-    with pytest.raises(JointLimitError, match=r"waypoint \d+"):
+    with pytest.raises(JointLimitError) as err:
         plan_line(LinearPath([250, 0, 0], [0, 0, 0], step=25.0), geom)
+    assert err.value.joint == 2
+    assert str(err.value) == (
+        "waypoint 7 at (75.000, 0.000, 0.000): joint 2 angle -145.722 deg "
+        "outside [-135.000, 135.000] deg"
+    )
 
 
 # ------------------------------------------------------------------ cycle

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from armscan import motion
 from armscan.meshio import write_stl_binary
 from armscan.objects import make_plate, make_wing
 from armscan.scanner import (
@@ -13,12 +14,14 @@ from armscan.scanner import (
 from armscan.scene import (
     CONTACT_MESH,
     CONTACT_NONE,
+    CONTACT_TABLE,
+    CONTACT_UNREACHABLE,
     ContactResult,
     NoiseModel,
     TargetScene,
 )
 
-from oracles import triangulate_loop
+from oracles import plan_line_loop, triangulate_loop
 
 
 def plate_scene(z=25.0, **kw):
@@ -101,6 +104,34 @@ def test_scan_unreachable_grid_aborts_before_probing(geom):
         run_scan(grid, geom, plate_scene(), NoiseModel())
     assert err.value.indices  # 1-based offenders listed
     assert all(1 <= i <= 4 and 1 <= k <= 4 for i, k in err.value.indices)
+
+
+def test_scan_with_failing_descents_matches_waypoint_loop(geom, monkeypatch):
+    # around the base, descents from 200 mm leave the elbow annulus or
+    # push joint 3 past its stop; the plate covers x > 0 only
+    scene = TargetScene(make_plate(0.0, -100.0, 200.0, 200.0, 25.0))
+    grid = ScanGrid(-150.0, -150.0, 7, 7, 50.0, 50.0, safe_z=200.0)
+    noise = NoiseModel(sigma_contact=0.01, seed=3)
+    legs = run_scan(grid, geom, scene, noise)
+    monkeypatch.setattr(motion, "plan_line", plan_line_loop)
+    loop = run_scan(grid, geom, scene, noise)
+
+    kinds = [c.kind for c in legs.points.in_probe_order()]
+    assert kinds == [c.kind for c in loop.points.in_probe_order()]
+    assert {CONTACT_MESH, CONTACT_TABLE, CONTACT_UNREACHABLE} <= set(kinds)
+    assert legs.trace.angles.shape == loop.trace.angles.shape
+    assert legs.trace.angles.tobytes() == loop.trace.angles.tobytes()
+    assert write_stl_binary(legs.mesh) == write_stl_binary(loop.mesh)
+
+
+def test_grid_spacing_below_corner_resolution_rejected():
+    # 240 + 1e-14 == 240: the nominal 1e-12 mm^2 cell has no area at all
+    with pytest.raises(ValueError, match="degenerate"):
+        ScanGrid(240.0, -30.0, 3, 3, 1e-14, 100.0)
+    with pytest.raises(ValueError, match="degenerate"):
+        ScanGrid(-30.0, 240.0, 3, 3, 100.0, 1e-14)
+    # the same spacing clears the tolerance at a corner that resolves it
+    ScanGrid(0.0, 0.0, 3, 3, 1e-14, 100.0)
 
 
 def test_scan_deterministic(geom):
