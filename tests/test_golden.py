@@ -1,5 +1,6 @@
-"""Golden hashes: the exact bytes of a generated mesh and of two scan
-jobs' four artifacts.
+"""Golden hashes: the exact bytes of a generated mesh, of two scan
+jobs' four artifacts, and of inverse-kinematics solves under arbitrary
+rotations.
 
 Determinism tests compare two runs of the same code; these pin the
 bytes themselves, so any change to what a file holds (a different
@@ -10,9 +11,21 @@ so the report is hashed with the run directory replaced by a token.
 
 import hashlib
 import io
+import math
 import struct
 
+import numpy as np
+
 from armscan.cli import main
+from armscan.kinematics import (
+    IkTrace,
+    JointAngles,
+    Pose,
+    RobotGeometry,
+    forward_kinematics,
+    inverse_kinematics,
+    normalize_angle,
+)
 from armscan.meshio import write_stl_binary
 from armscan.objects import make_plate, make_wing
 
@@ -90,6 +103,12 @@ PLATE_JOB_SHA256 = {
     "report.txt": "4690f7f70be997de490cee2f5f5303e1cd69d6a8c601aec33ed653e387f3a0d9",
 }
 
+# Six wrist orientations (tool-down first, then five drawn in limits),
+# each combined with the same 40 arm postures drawn in limits: 240 poses,
+# two of each 40 on the back-reaching branch.
+IK_POSES_SHA256 = "929d90f80411a3fcd1d7528d78f7c41e574a623fe1a49011abb22e5d890b619e"
+IK_PATHS_SHA256 = "df38d2e6bb69a93fbc1904987c02f25d378aaaddff79caf0dfa70271eec7857a"
+
 
 def two_plates() -> bytes:
     """Binary STL of two coplanar plates at z = 20, split at y = -8..-4."""
@@ -130,3 +149,47 @@ def test_golden_wing_job_artifacts(tmp_path):
 def test_golden_plate_skip_flip_job_artifacts(tmp_path):
     hashes = run_job(tmp_path, two_plates(), PLATE_JOB, "plate.stl")
     assert hashes == PLATE_JOB_SHA256
+
+
+def ik_pose_groups():
+    """One list of in-limit FK poses per wrist orientation (t1 + t4, t5, t6)."""
+    geom = RobotGeometry()
+    rng = np.random.default_rng(20261018)
+    lows = np.array([lo + 1e-6 for lo, hi in geom.joint_limits])
+    highs = np.array([hi - 1e-6 for lo, hi in geom.joint_limits])
+    wrists = [(0.0, math.pi, math.pi)]
+    wrists += [tuple(rng.uniform(lows[3:], highs[3:])) for _ in range(5)]
+    arms = rng.uniform(lows[:3], highs[:3], size=(40, 3))
+    return geom, [
+        [
+            forward_kinematics(
+                JointAngles(t1, t2, t3, normalize_angle(yaw - t1), t5, t6), geom
+            )
+            for t1, t2, t3 in arms.tolist()
+        ]
+        for yaw, t5, t6 in wrists
+    ]
+
+
+def solve_bytes(angles, trace) -> bytes:
+    fields = (getattr(trace, name) for name in IkTrace.__dataclass_fields__)
+    return b"".join(np.asarray(v).tobytes() for v in (angles, *fields))
+
+
+def test_golden_ik_single_poses():
+    geom, groups = ik_pose_groups()
+    data = b"".join(
+        solve_bytes(*inverse_kinematics(pose, geom)) for poses in groups for pose in poses
+    )
+    assert sha256(data) == IK_POSES_SHA256
+
+
+def test_golden_ik_paths():
+    geom, groups = ik_pose_groups()
+    data = b""
+    for poses in groups:
+        path = Pose(poses[0].rotation, np.array([p.position for p in poses]))
+        angles, trace = inverse_kinematics(path, geom)
+        assert angles.shape == (40, 6) and (trace.radial < 0.0).any()
+        data += solve_bytes(angles, trace)
+    assert sha256(data) == IK_PATHS_SHA256
