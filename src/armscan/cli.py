@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,7 +124,12 @@ class _Section:
             ) from None
 
     def number(self, key, fallback=None):
-        return self._fetch(key, float, fallback)
+        value = self._fetch(key, float, fallback)
+        if not math.isfinite(value):
+            raise JobConfigError(
+                f"{self.where}: [{self.name}] {key} = {self.raw[key]!r} is not finite"
+            )
+        return value
 
     def integer(self, key, fallback=None):
         return self._fetch(key, int, fallback)

@@ -27,13 +27,9 @@ Both offsets are exposed as module constants.  Only the elbow-up branch is
 solved: the elbow always sits above the shoulder-to-wrist chord.
 
 `inverse_kinematics` solves one pose or a whole path of points under one
-rotation.  A single point goes through scalar `math` code, the reference
-and the faster path for one pose (an array solve of one row costs about
-four times as much).  A path is solved in one pass of array
-expressions: the same closed form row by row (Pieper's spherical-wrist
-decoupling), with the back-reaching branch computed only for the rows
-the aimed branch cannot solve.  Both paths apply the same checks in the
-same order, raise the same messages and give the same angles bit for bit.
+rotation with one closed form (Pieper's spherical-wrist decoupling) in
+scalar `math` code.  A path is that closed form applied point by point,
+after one rotation check for the whole path.
 """
 
 from __future__ import annotations
@@ -117,12 +113,6 @@ def normalize_angle(a: float) -> float:
     if r <= 0.0:
         r += 2.0 * math.pi
     return r - math.pi
-
-
-def _normalize_angles(a: np.ndarray) -> np.ndarray:
-    """`normalize_angle` over an array, bit for bit (fmod is exact)."""
-    r = np.fmod(a + math.pi, 2.0 * math.pi)
-    return np.where(r <= 0.0, r + 2.0 * math.pi, r) - math.pi
 
 
 class JointAngles(NamedTuple):
@@ -219,10 +209,6 @@ class Pose:
     @classmethod
     def tool_down(cls, x: float, y: float, z: float) -> "Pose":
         return cls(TOOL_DOWN_ROTATION.copy(), np.array([x, y, z], dtype=float))
-
-    @property
-    def approach(self) -> np.ndarray:
-        return self.rotation[:, 2]
 
     def rotation_error(self) -> float:
         """Max deviation of R from a proper rotation (orthonormality + det)."""
@@ -339,34 +325,26 @@ def wrist_center(pose: Pose, geom: RobotGeometry) -> WristCenter:
 MIN_CHORD = 1e-9
 
 
-def _elbow_cosine(chord, geom: RobotGeometry):
-    """Cosine of the interior elbow angle closing the triangle; float or array."""
-    l2, d4 = geom.l2, geom.d4
-    return (l2 * l2 + d4 * d4 - chord * chord) / (2.0 * l2 * d4)
+def _solve_branch(
+    rot: list, geom: RobotGeometry, theta1: float, radial: float, z: float
+) -> tuple:
+    """One yaw branch of the closed form; `rot` is the rotation as nested floats.
 
-
-def _check_branch(geom: RobotGeometry, chord: float, cosine: float, angles) -> None:
-    """Raise the error of one branch solve, checks in solve order: chord,
-    elbow triangle, then joint limits from joint 1."""
+    Returns the six joint angles and the IkTrace fields, both as tuples.
+    """
+    chord = math.hypot(radial, z)
     if chord < MIN_CHORD:
         raise UnreachableError("wrist center coincides with the shoulder")
-    if cosine > 1.0 + ACOS_CLAMP_TOL or cosine < -1.0 - ACOS_CLAMP_TOL:
-        raise UnreachableError(
-            f"elbow triangle (chord {chord:.3f} mm, annulus "
-            f"[{abs(geom.l2 - geom.d4):.3f}, {geom.l2 + geom.d4:.3f}]): "
-            f"cosine argument {cosine:.6f} outside [-1, 1]"
-        )
-    geom.check_limits(angles, "inverse kinematics")
-
-
-def _solve_branch(
-    pose: Pose, geom: RobotGeometry, theta1: float, radial: float, z: float
-) -> tuple:
-    chord = math.hypot(radial, z)
     alpha = math.atan2(z, radial)
 
     l2, d4 = geom.l2, geom.d4
-    cosine = _elbow_cosine(chord, geom)
+    cosine = (l2 * l2 + d4 * d4 - chord * chord) / (2.0 * l2 * d4)
+    if cosine > 1.0 + ACOS_CLAMP_TOL or cosine < -1.0 - ACOS_CLAMP_TOL:
+        raise UnreachableError(
+            f"elbow triangle (chord {chord:.3f} mm, annulus "
+            f"[{abs(l2 - d4):.3f}, {l2 + d4:.3f}]): "
+            f"cosine argument {cosine:.6f} outside [-1, 1]"
+        )
     interior = math.acos(min(1.0, max(-1.0, cosine)))
     theta3 = ELBOW_STRAIGHT_INTERIOR - interior
     # Shoulder angle from the solved elbow angle rather than a second
@@ -380,15 +358,12 @@ def _solve_branch(
     theta2 = normalize_angle(alpha + beta - SHOULDER_ELEVATION_OFFSET)
 
     # Wrist: ZYZ angles of the rotation seen from the (vertical-z) carrier.
-    r = pose.rotation
+    (r11, _, r13), (r21, _, r23), (m31, m32, m33) = rot
     c1, s1 = math.cos(theta1), math.sin(theta1)
-    m13 = c1 * r[0, 2] + s1 * r[1, 2]
-    m23 = -s1 * r[0, 2] + c1 * r[1, 2]
-    m11 = c1 * r[0, 0] + s1 * r[1, 0]
-    m21 = -s1 * r[0, 0] + c1 * r[1, 0]
-    m31 = r[2, 0]
-    m32 = r[2, 1]
-    m33 = r[2, 2]
+    m13 = c1 * r13 + s1 * r23
+    m23 = -s1 * r13 + c1 * r23
+    m11 = c1 * r11 + s1 * r21
+    m21 = -s1 * r11 + c1 * r21
 
     # atan2 keeps the tilt relative-accurate where acos(m33) would
     # round tiny tilts to zero and drop a d6-scaled tip offset
@@ -407,7 +382,7 @@ def _solve_branch(
         theta4 = math.atan2(m23, m13)
         theta6 = math.atan2(m32, -m31)
 
-    angles = JointAngles(
+    angles = (
         theta1,
         theta2,
         theta3,
@@ -415,131 +390,40 @@ def _solve_branch(
         theta5,
         normalize_angle(theta6),
     )
-    _check_branch(geom, chord, cosine, angles)
-    trace = IkTrace(z, radial, chord, alpha, beta, wrist_singular)
-    return angles, trace
+    geom.check_limits(angles, "inverse kinematics")
+    return angles, (z, radial, chord, alpha, beta, wrist_singular)
 
 
-def _rowwise(fn, *columns) -> np.ndarray:
-    """`fn` (a `math` function) applied row by row.
-
-    numpy's SIMD atan2, hypot and acos may round the last bit differently
-    from `math`; the path solve uses the scalar solve's own functions so
-    that both reach every limit and tolerance decision, and every angle,
-    bit for bit.
-    """
-    return np.fromiter(
-        map(fn, *(c.tolist() for c in columns)), float, len(columns[0])
-    )
-
-
-def _solve_rows(
-    rotation: np.ndarray, geom: RobotGeometry, theta1, radial, z
+def _solve_point(
+    rot: list, geom: RobotGeometry, x: float, y: float, z: float
 ) -> tuple:
-    """`_solve_branch` over arrays, one row per point.
+    """Both yaw branches for the tip at (x, y, z); the aimed one wins."""
+    # wrist center: the tip backed off d6 along the approach (column 3)
+    xc = x - geom.d6 * rot[0][2]
+    yc = y - geom.d6 * rot[1][2]
+    height = z - geom.d6 * rot[2][2] - geom.d1  # above the shoulder
+    azimuth = math.atan2(yc, xc)
+    planar = math.hypot(xc, yc)
 
-    Returns (angles (N, 6), IkTrace of arrays, elbow cosines, failed),
-    where `failed` marks the rows `_check_branch` rejects.
-    """
-    chord = _rowwise(math.hypot, radial, z)
-    alpha = _rowwise(math.atan2, z, radial)
-
-    l2, d4 = geom.l2, geom.d4
-    cosine = _elbow_cosine(chord, geom)
-    theta3 = ELBOW_STRAIGHT_INTERIOR - _rowwise(math.acos, np.clip(cosine, -1.0, 1.0))
-    beta = _rowwise(
-        math.atan2,
-        d4 * _rowwise(math.sin, theta3),
-        l2 + d4 * _rowwise(math.cos, theta3),
-    )
-
-    r = rotation
-    c1, s1 = _rowwise(math.cos, theta1), _rowwise(math.sin, theta1)
-    m13 = c1 * r[0, 2] + s1 * r[1, 2]
-    m23 = -s1 * r[0, 2] + c1 * r[1, 2]
-    m11 = c1 * r[0, 0] + s1 * r[1, 0]
-    m21 = -s1 * r[0, 0] + c1 * r[1, 0]
-    m31, m32, m33 = r[2]
-
-    sin5 = _rowwise(math.hypot, m13, m23)
-    wrist_singular = sin5 <= WRIST_SINGULAR_TOL
-    # singular rows pin theta4 to 0, as the scalar solve does
-    theta4 = np.zeros(len(sin5))
-    if m33 > 0.0:
-        theta5 = np.zeros(len(sin5))
-        theta6 = _rowwise(math.atan2, m21, m11)
-    else:
-        theta5 = np.full(len(sin5), math.pi)
-        theta6 = _rowwise(math.atan2, m21, -m11)
-    free = ~wrist_singular
-    if free.any():
-        theta4[free] = _rowwise(math.atan2, m23[free], m13[free])
-        theta5[free] = _rowwise(math.atan2, sin5[free], np.full(free.sum(), m33))
-        theta6[free] = math.atan2(m32, -m31)
-
-    angles = np.array(
-        [theta1, alpha + beta - SHOULDER_ELEVATION_OFFSET, theta3, theta4, theta5, theta6]
-    ).T
-    # theta2, theta4 and theta6 are wrapped as the scalar solve wraps them
-    angles[:, 1::2] = _normalize_angles(angles[:, 1::2])
-    lo, hi = np.array(geom.joint_limits).T
-    failed = (
-        (chord < MIN_CHORD)
-        | (np.abs(cosine) > 1.0 + ACOS_CLAMP_TOL)
-        | ~((lo - LIMIT_GRACE <= angles) & (angles <= hi + LIMIT_GRACE)).all(axis=1)
-    )
-    trace = IkTrace(z, radial, chord, alpha, beta, wrist_singular)
-    return angles, trace, cosine, failed
-
-
-def _solve_path(pose: Pose, geom: RobotGeometry) -> tuple:
-    """`inverse_kinematics` of every row of an (N, 3) position."""
-    xc, yc, zc = (pose.position - geom.d6 * pose.approach).T
-    azimuth = _rowwise(math.atan2, yc, xc)
-    planar = _rowwise(math.hypot, xc, yc)
-    z = zc - geom.d1
-
-    angles, trace, cosine, failed = _solve_rows(
-        pose.rotation, geom, azimuth, planar - geom.l1, z
-    )
-    retry = np.flatnonzero(failed)
-    if retry.size == 0:
-        return angles, trace
-
-    back_angles, back_trace, _, back_failed = _solve_rows(
-        pose.rotation,
-        geom,
-        _normalize_angles(azimuth[retry] + math.pi),
-        -planar[retry] - geom.l1,
-        z[retry],
-    )
-    unsolved = retry[back_failed]
-    if unsolved.size:
-        # the aimed branch's error, as the scalar solve raises it
-        i = int(unsolved[0])
+    try:
+        return _solve_branch(rot, geom, azimuth, planar - geom.l1, height)
+    except (UnreachableError, JointLimitError) as aimed_error:
         try:
-            _check_branch(
-                geom,
-                float(trace.chord[i]),
-                float(cosine[i]),
-                angles[i].tolist(),
+            return _solve_branch(
+                rot, geom, normalize_angle(azimuth + math.pi), -planar - geom.l1, height
             )
-        except (UnreachableError, JointLimitError) as exc:
-            exc.row = i
-            raise
-    angles[retry] = back_angles
-    for name in IkTrace.__dataclass_fields__:
-        getattr(trace, name)[retry] = getattr(back_trace, name)
-    return angles, trace
+        except (UnreachableError, JointLimitError):
+            raise aimed_error from None
 
 
 def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> tuple:
     """Solve the elbow-up joint tuple reproducing `pose`.
 
-    Returns (JointAngles, IkTrace) for a one-point pose.  For a path,
-    an (N, 3) position, returns an (N, 6) angle array and an IkTrace
-    of arrays, and a failure raises the error the scalar solve of the
-    first unsolvable row raises, with that row's index in ``row``.
+    Returns (JointAngles, IkTrace) for a one-point pose.  A path, an
+    (N, 3) position, is the same closed form solved point by point
+    after one rotation check; it returns an (N, 6) angle array and an
+    IkTrace of arrays, and a failure raises the first unsolvable
+    point's error with that point's index in ``row``.
 
     All quadrant-sensitive inverse tangents are two-argument.  A
     straight-down (or straight-up) tool makes joint 4 indeterminate; it
@@ -561,23 +445,23 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> tuple:
         raise ValueError(
             f"pose rotation is not orthonormal (error {pose.rotation_error():.2e})"
         )
-    if pose.position.ndim == 2:
-        return _solve_path(pose, geom)
+    rot = pose.rotation.tolist()
+    if pose.position.ndim == 1:
+        angles, trace = _solve_point(rot, geom, *pose.position.tolist())
+        return JointAngles(*angles), IkTrace(*trace)
 
-    xc, yc, zc = wrist_center(pose, geom)
-    azimuth = math.atan2(yc, xc)
-    planar = math.hypot(xc, yc)
-    z = zc - geom.d1
-
-    try:
-        return _solve_branch(pose, geom, azimuth, planar - geom.l1, z)
-    except (UnreachableError, JointLimitError) as aimed_error:
+    rows, traces = [], []
+    for i, (x, y, z) in enumerate(pose.position.tolist()):
         try:
-            return _solve_branch(
-                pose, geom, normalize_angle(azimuth + math.pi), -planar - geom.l1, z
-            )
-        except (UnreachableError, JointLimitError):
-            raise aimed_error from None
+            angles, trace = _solve_point(rot, geom, x, y, z)
+        except (UnreachableError, JointLimitError) as exc:
+            exc.row = i
+            raise
+        rows.append(angles)
+        traces.append(trace)
+    *fields, singular = np.array(traces, dtype=float).reshape(-1, 6).T
+    trace = IkTrace(*fields, singular.astype(bool))
+    return np.array(rows, dtype=float).reshape(-1, 6), trace
 
 
 def is_reachable(point, geom: RobotGeometry) -> tuple:
@@ -588,8 +472,6 @@ def is_reachable(point, geom: RobotGeometry) -> tuple:
     x, y, z = (float(v) for v in point)
     try:
         inverse_kinematics(Pose.tool_down(x, y, z), geom)
-    except UnreachableError as exc:
-        return False, str(exc)
-    except JointLimitError as exc:
+    except (UnreachableError, JointLimitError) as exc:
         return False, str(exc)
     return True, "reachable"

@@ -1,10 +1,11 @@
 """Straight-line Cartesian planning and the touch-probe motion cycle.
 
 Planning is quasi-static: a path is a uniform chain of position
-waypoints under a constant tool orientation.  Each leg is solved in one
-closed-form IK call over all its waypoints (an (N, 3) position); the
-scalar solve stays for single poses.  No velocity profile exists; the
-trace is the sequence an open-loop controller would stream.
+waypoints under a constant tool orientation.  Each leg is one IK call
+over all its waypoints (an (N, 3) position): the rotation is checked
+once, then the one closed form solves waypoint by waypoint.  No
+velocity profile exists; the trace is the sequence an open-loop
+controller would stream.
 
 A probe cycle is three such lines: lateral travel at the safe height,
 descent to the contact, retract back to the safe height.  Contact

@@ -103,10 +103,47 @@ def test_load_job_missing_key(tmp_path):
         load_job(config)
 
 
-def test_load_job_bad_number(tmp_path):
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("x0 = 240", "x0 = wide", r"\[grid\] x0 = 'wide' is not a valid float"),
+        # non-finite numbers parse as floats but would fail mid-scan,
+        # after the precheck, or not at all
+        ("safe_z = 60", "safe_z = nan", r"\[grid\] safe_z = 'nan' is not finite"),
+        ("safe_z = 60", "safe_z = inf", r"\[grid\] safe_z = 'inf' is not finite"),
+        (
+            "rows = 6\ncols = 7\nrow_spacing = 6",
+            "rows = 1\ncols = 7\nrow_spacing = inf",
+            r"\[grid\] row_spacing = 'inf' is not finite",
+        ),
+        (
+            "seed = 11",
+            "drift_per_contact = nan\nseed = 11",
+            r"\[noise\] drift_per_contact = 'nan' is not finite",
+        ),
+        (
+            "sigma_contact = 0.0",
+            "sigma_contact = NaN",
+            r"\[noise\] sigma_contact = 'NaN' is not finite",
+        ),
+        ("table_z = 0", "table_z = -inf", r"\[scene\] table_z = '-inf' is not finite"),
+    ],
+    ids=[
+        "not-a-float",
+        "safe_z-nan",
+        "safe_z-inf",
+        "row_spacing-inf",
+        "drift-nan",
+        "sigma-nan",
+        "table_z-minus-inf",
+    ],
+)
+def test_load_job_bad_number(tmp_path, old, new, match):
     config = write_job(tmp_path)
-    config.write_text(config.read_text().replace("x0 = 240", "x0 = wide"))
-    with pytest.raises(JobConfigError, match="'wide' is not a valid float"):
+    text = config.read_text()
+    assert old in text
+    config.write_text(text.replace(old, new))
+    with pytest.raises(JobConfigError, match=match):
         load_job(config)
 
 
@@ -210,6 +247,15 @@ def test_scan_safe_height_below_scene_top_is_config_error(tmp_path):
     code, _, err = run_cli("scan", config)
     assert code == EXIT_CONFIG
     assert "safe height 10 mm" in err and "scene top at 25 mm" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_non_finite_number_is_config_error(tmp_path):
+    # a NaN sigma would otherwise scan with no noise and exit 0
+    config = write_job(tmp_path, sigma="nan")
+    code, _, err = run_cli("scan", config)
+    assert code == EXIT_CONFIG
+    assert "[noise] sigma_contact = 'nan' is not finite" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -401,6 +401,14 @@ def test_ik_path_branch_changes_mid_leg(geom):
     assert_path_solve_matches_scalar(rotation, points, geom)
 
 
+def test_ik_empty_path(geom):
+    angles, trace = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, np.zeros((0, 3))), geom)
+    assert angles.shape == (0, 6) and angles.dtype == float
+    for name in IkTrace.__dataclass_fields__:
+        assert getattr(trace, name).shape == (0,), name
+    assert trace.z.dtype == float and trace.wrist_singular.dtype == bool
+
+
 # ---------------------------------------------------------------- reachability
 
 
