@@ -52,14 +52,13 @@ from .scanner import (
     run_scan,
     triangulate,
 )
-from .scene import ContactResult, NoiseModel, TargetScene, probe_contact, raycast_down
+from .scene import NoiseModel, TargetScene, probe_contact, raycast_down
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyReport",
     "ChamferReport",
-    "ContactResult",
     "JointAngles",
     "JointLimitError",
     "JointTrace",

@@ -159,6 +159,9 @@ class RobotGeometry:
     )
 
     def __post_init__(self):
+        for name in ("d1", "l1", "l2", "d4", "d6"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("d1", "l2", "d4", "d6"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

@@ -32,7 +32,7 @@ from .kinematics import (
     UnreachableError,
     inverse_kinematics,
 )
-from .scene import CONTACT_UNREACHABLE, ContactResult, NoiseModel, TargetScene, probe_contact
+from .scene import CONTACT_UNREACHABLE, NoiseModel, TargetScene, probe_contact
 
 DEFAULT_STEP = 5.0
 
@@ -126,37 +126,31 @@ def probe_cycle(
     noise: NoiseModel,
     contact_index: int,
     from_xy=None,
-    step: float = DEFAULT_STEP,
 ) -> tuple:
     """One touch: travel over (x, y), descend to contact, retract.
 
-    Returns (ContactResult, JointTrace).  The trace starts and ends at
-    the safe height; seam waypoints shared between legs appear once.
-    If any leg of the cycle cannot be solved, the point is marked
-    unreachable (kind distinct from a no-contact miss) and the trace
+    Returns ((kind, z_true, z_measured), JointTrace), the contact as
+    `probe_contact` gives it.  The trace starts and ends at the safe
+    height; seam waypoints shared between legs appear once.  If any leg
+    of the cycle cannot be solved, the contact is (CONTACT_UNREACHABLE,
+    nan, nan), a kind distinct from a no-contact miss, and the trace
     holds only the lateral travel, still ending at the safe height.
     """
     lateral = np.zeros((0, 6))
     try:
         if from_xy is not None:
             lateral = plan_line(
-                LinearPath(
-                    [from_xy[0], from_xy[1], safe_z], [x, y, safe_z], step=step
-                ),
-                geom,
+                LinearPath([from_xy[0], from_xy[1], safe_z], [x, y, safe_z]), geom
             ).angles
 
         contact = probe_contact(x, y, contact_index, scene, noise)
-        z_stop = contact.z_measured if contact.touched else scene.table_z
-        descend = plan_line(
-            LinearPath([x, y, safe_z], [x, y, z_stop], step=step), geom
-        ).angles
-        retract = plan_line(
-            LinearPath([x, y, z_stop], [x, y, safe_z], step=step), geom
-        ).angles
+        z_measured = contact[2]
+        z_stop = scene.table_z if math.isnan(z_measured) else z_measured
+        descend = plan_line(LinearPath([x, y, safe_z], [x, y, z_stop]), geom).angles
+        retract = plan_line(LinearPath([x, y, z_stop], [x, y, safe_z]), geom).angles
     except (UnreachableError, JointLimitError):
         # the trace holds at most the lateral leg, still at the safe height
-        return ContactResult(x, y, kind=CONTACT_UNREACHABLE), JointTrace(lateral)
+        return (CONTACT_UNREACHABLE, math.nan, math.nan), JointTrace(lateral)
 
     if from_xy is not None:
         descend = descend[1:]

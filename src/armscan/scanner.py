@@ -24,7 +24,7 @@ import numpy as np
 
 from .kinematics import RobotGeometry, is_reachable
 from .meshio import DEGENERATE_NORM, PointCloud, TriangleMesh
-from .motion import DEFAULT_STEP, JointTrace, probe_cycle
+from .motion import JointTrace, probe_cycle
 from .scene import (
     CONTACT_MESH,
     CONTACT_NONE,
@@ -55,13 +55,12 @@ class UnreachableGridError(Exception):
         )
 
 
-def _smallest_step(origin: float, count: int, spacing: float) -> float:
-    """Smallest gap between consecutive coordinates origin + i * spacing,
-    rounded as `ScanGrid.point` rounds them (the nominal spacing for a
-    single coordinate)."""
-    if count < 2:
+def _smallest_step(coords: np.ndarray, spacing: float) -> float:
+    """Smallest gap between consecutive lattice coordinates (the nominal
+    spacing for a single coordinate)."""
+    if len(coords) < 2:
         return spacing
-    return float(np.diff(origin + np.arange(count) * spacing).min())
+    return float(np.diff(coords).min())
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,9 @@ class ScanGrid:
         # A tessellated facet's cross product is at least the cell area,
         # taken between the coordinates `point` gives: a spacing below
         # the float resolution of the corner rounds away entirely.
-        row_step = _smallest_step(self.x0, self.n_rows, self.row_spacing)
-        col_step = _smallest_step(self.y0, self.n_cols, self.col_spacing)
+        xs, ys = self.axes()
+        row_step = _smallest_step(xs, self.row_spacing)
+        col_step = _smallest_step(ys, self.col_spacing)
         if not row_step * col_step >= DEGENERATE_NORM:
             raise ValueError(
                 f"grid cell {row_step:g} x {col_step:g} mm between probe "
@@ -102,6 +102,14 @@ class ScanGrid:
     def point(self, i: int, k: int) -> tuple:
         """(x, y) of the 0-based cell (row i, column k)."""
         return (self.x0 + i * self.row_spacing, self.y0 + k * self.col_spacing)
+
+    def axes(self) -> tuple:
+        """(x of every row, y of every column) as arrays, rounded exactly
+        as `point` rounds them."""
+        return (
+            self.x0 + np.arange(self.n_rows) * self.row_spacing,
+            self.y0 + np.arange(self.n_cols) * self.col_spacing,
+        )
 
     def contact_ordinal(self, i: int, k: int) -> int:
         return k * self.n_rows + i
@@ -119,30 +127,23 @@ class ScanGrid:
 
 @dataclass
 class PointGrid:
-    """Measured contact lattice; cells[i][k] follows the grid layout."""
+    """Measured contact lattice as three (n_rows, n_cols) arrays indexed
+    [i, k] like the grid: each cell's contact kind, true height and
+    measured height.  A height is NaN where the cell has none (a
+    skip-mode miss or an unreachable point)."""
 
     grid: ScanGrid
-    cells: list
-
-    def cell(self, i: int, k: int):
-        return self.cells[i][k]
-
-    def in_probe_order(self):
-        for i, k in self.grid.probe_order():
-            yield self.cells[i][k]
+    kinds: np.ndarray
+    z_true: np.ndarray
+    z_measured: np.ndarray
 
     def count(self, kind: str) -> int:
-        return sum(1 for c in self.in_probe_order() if c.kind == kind)
+        return int(np.count_nonzero(self.kinds == kind))
 
     def coordinates(self) -> np.ndarray:
         """(n_cols, n_rows, 3) measured points in probe order, column
         by column; z is NaN where the cell has no contact."""
-        return np.array(
-            [
-                [(c.x, c.y, c.z_measured if c.touched else np.nan) for c in column]
-                for column in zip(*self.cells)
-            ]
-        )
+        return np.stack([*np.meshgrid(*self.grid.axes()), self.z_measured.T], axis=-1)
 
     def measured_cloud(self) -> PointCloud:
         pts = self.coordinates().reshape(-1, 3)
@@ -204,16 +205,15 @@ def run_scan(
     scene: TargetScene,
     noise: NoiseModel,
     flip_normals: bool = False,
-    step: float = DEFAULT_STEP,
 ) -> ScanResult:
     """Probe the whole lattice and tessellate the measured heights.
 
     The safe height must clear the highest mesh vertex (ValueError
     otherwise), and every grid point must be reachable at the safe
     height before any probing starts; otherwise UnreachableGridError
-    lists the offenders and no motion is logged.  Per-point descent failures during the
-    scan do not abort it, they mark the cell unreachable and leave
-    holes in the mesh.
+    lists the offenders and no motion is logged.  Per-point descent
+    failures during the scan do not abort it: they mark the cell
+    unreachable, with NaN heights, and leave holes in the mesh.
     """
     top = scene.bounds()[1][2]
     if grid.safe_z < top:
@@ -232,12 +232,14 @@ def run_scan(
     if bad:
         raise UnreachableGridError(bad, first_reason)
 
-    cells = [[None] * grid.n_cols for _ in range(grid.n_rows)]
+    shape = (grid.n_rows, grid.n_cols)
+    kinds = np.full(shape, CONTACT_UNREACHABLE)  # the longest kind name sets the width
+    z_true, z_measured = np.full(shape, np.nan), np.full(shape, np.nan)
     legs = []
     last_xy = None
     for i, k in grid.probe_order():
         x, y = grid.point(i, k)
-        contact, cycle = probe_cycle(
+        (kinds[i, k], z_true[i, k], z_measured[i, k]), cycle = probe_cycle(
             x,
             y,
             safe_z=grid.safe_z,
@@ -246,12 +248,10 @@ def run_scan(
             noise=noise,
             contact_index=grid.contact_ordinal(i, k),
             from_xy=last_xy,
-            step=step,
         )
-        cells[i][k] = contact
         legs.append(cycle.angles)
         last_xy = (x, y)
 
-    points = PointGrid(grid, cells)
+    points = PointGrid(grid, kinds, z_true, z_measured)
     mesh = triangulate(points, flip_normals=flip_normals)
     return ScanResult(points, mesh, JointTrace(np.concatenate(legs)))

@@ -6,10 +6,15 @@ come from exact ray-triangle intersection, never from stepping, so
 measurement accuracy is independent of any motion step size.  The error
 model adds a per-contact Gaussian term plus a cumulative linear drift,
 reproducing a hard-stop trigger whose deviation compounds over a scan.
+
+A contact is a (kind, z_true, z_measured) triple of plain values; NaN
+is the only encoding of "no height", for a miss and for a point the arm
+cannot reach alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +126,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("sigma_contact", "drift_per_contact"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_contact < 0.0:
             raise ValueError("sigma_contact must be non-negative")
 
@@ -138,38 +146,18 @@ class NoiseModel:
         return gauss + self.drift_per_contact * contact_index
 
 
-@dataclass(frozen=True)
-class ContactResult:
-    """One probe outcome at (x, y).
-
-    kind: "mesh" or "table" carry heights; "none" is a skip-mode miss;
-    "unreachable" marks a grid point the arm cannot pose over at all.
-    """
-
-    x: float
-    y: float
-    z_true: float = None
-    z_measured: float = None
-    kind: str = CONTACT_NONE
-
-    @property
-    def touched(self) -> bool:
-        return self.kind in (CONTACT_MESH, CONTACT_TABLE)
-
-    def point(self) -> np.ndarray:
-        if not self.touched:
-            raise ValueError(f"no contact point for kind {self.kind!r}")
-        return np.array([self.x, self.y, self.z_measured])
-
-
 def probe_contact(
     x: float,
     y: float,
     contact_index: int,
     scene: TargetScene,
     noise: NoiseModel,
-) -> ContactResult:
-    """Simulate one touch at (x, y), the contact_index-th of its scan."""
+) -> tuple:
+    """Simulate one touch at (x, y), the contact_index-th of its scan.
+
+    Returns (kind, z_true, z_measured): kind is "mesh" or "table" with
+    both heights, or "none" (a skip-mode miss) with both heights NaN.
+    """
     z = raycast_down(x, y, scene)
     if z is not None:
         kind = CONTACT_MESH
@@ -177,5 +165,5 @@ def probe_contact(
         z = scene.table_z
         kind = CONTACT_TABLE
     else:
-        return ContactResult(x, y, kind=CONTACT_NONE)
-    return ContactResult(x, y, z, z + noise.error_at(contact_index), kind)
+        return CONTACT_NONE, math.nan, math.nan
+    return kind, z, z + noise.error_at(contact_index)

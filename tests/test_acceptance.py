@@ -30,7 +30,7 @@ from armscan.metrics import test_a as run_accuracy_test
 from armscan.metrics import test_b as run_repeatability_test
 from armscan.objects import make_plate, make_wing
 from armscan.scanner import PointGrid, ScanGrid, run_scan, triangulate
-from armscan.scene import ContactResult, NoiseModel, TargetScene, raycast_down
+from armscan.scene import NoiseModel, TargetScene, raycast_down
 
 from conftest import random_joint_tuples
 from oracles import chamfer_brute, raycast_brute, sphere_probe_monte_carlo
@@ -92,9 +92,7 @@ def test_criterion_1_ik_round_trip_10k(rng):
 
 
 def test_criterion_2_plane_scan_fidelity(plate_scan, rng):
-    heights = np.array(
-        [c.z_measured for c in plate_scan.points.in_probe_order()]
-    )
+    heights = plate_scan.points.z_measured.T.ravel()  # probe order
     assert heights.shape == (500,)
     assert np.abs(heights - PLATE_Z).max() < 1e-9
     assert len(plate_scan.mesh) == 912
@@ -134,19 +132,8 @@ def test_criterion_3_triangle_count_law(plate_scan, rng):
         rows = int(rng.integers(1, 13))
         cols = int(rng.integers(1, 13))
         grid = ScanGrid(0.0, 0.0, rows, cols, 4.0, 5.0, safe_z=50.0)
-        cells = [
-            [
-                ContactResult(
-                    *grid.point(i, k),
-                    z_true=1.0,
-                    z_measured=1.0,
-                    kind="mesh",
-                )
-                for k in range(cols)
-            ]
-            for i in range(rows)
-        ]
-        mesh = triangulate(PointGrid(grid, cells))
+        z = np.ones((rows, cols))
+        mesh = triangulate(PointGrid(grid, np.full((rows, cols), "mesh"), z, z))
         assert len(mesh) == 2 * (rows - 1) * (cols - 1)
 
     assert plate_scan.points.grid.point_count == 500

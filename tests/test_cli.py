@@ -371,6 +371,24 @@ def test_cli_test_b_defaults_and_repeats():
     assert run_cli("test-b", "--sigma", "0.02") == run_cli("test-b", "--sigma", "0.02")
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["ik", "300", "0", "50", "--d4", "nan"], "d4"),
+        (["test-a", "--sigma", "nan"], "sigma_contact"),
+        (["test-b", "--sigma", "nan", "--repeats", "3"], "sigma_contact"),
+        (["test-b", "--drift", "inf", "--repeats", "3"], "drift_per_contact"),
+    ],
+    ids=["ik-d4-nan", "test-a-sigma-nan", "test-b-sigma-nan", "test-b-drift-inf"],
+)
+def test_cli_non_finite_flag_is_config_error(argv, field):
+    # the flags skip the job parser: the types themselves must refuse
+    code, out, err = run_cli(*argv)
+    assert code == EXIT_CONFIG
+    assert f"{field} must be finite" in err
+    assert out == ""
+
+
 # ----------------------------------------------------------------- fk/ik
 
 

@@ -114,12 +114,12 @@ def test_plan_line_joint_limit_names_waypoint(geom):
 
 def test_probe_cycle_hits_plate(geom):
     scene = plate_scene(25.0)
-    contact, trace = probe_cycle(
+    (kind, z_true, _), trace = probe_cycle(
         300.0, 0.0, safe_z=80.0, geom=geom, scene=scene,
         noise=NoiseModel(), contact_index=0,
     )
-    assert contact.kind == CONTACT_MESH
-    assert contact.z_true == 25.0
+    assert kind == CONTACT_MESH
+    assert z_true == 25.0
     positions = np.array(
         [forward_kinematics(a, geom).position for a in trace.angles]
     )
@@ -131,7 +131,7 @@ def test_probe_cycle_hits_plate(geom):
 
 def test_probe_cycle_descent_monotone(geom):
     scene = plate_scene(25.0)
-    contact, trace = probe_cycle(
+    _, trace = probe_cycle(
         280.0, 20.0, safe_z=70.0, geom=geom, scene=scene,
         noise=NoiseModel(), contact_index=0, from_xy=(260.0, -10.0),
     )
@@ -152,7 +152,7 @@ def test_probe_cycle_lateral_leg_at_safe_height(geom):
     scene = plate_scene(25.0)
     _, trace = probe_cycle(
         300.0, 30.0, safe_z=75.0, geom=geom, scene=scene,
-        noise=NoiseModel(), contact_index=0, from_xy=(250.0, -40.0), step=6.0,
+        noise=NoiseModel(), contact_index=0, from_xy=(250.0, -40.0),
     )
     pts = np.array([forward_kinematics(a, geom).position for a in trace.angles])
     over = np.isclose(pts[:, 2], 75.0, atol=1e-9)
@@ -163,34 +163,34 @@ def test_probe_cycle_lateral_leg_at_safe_height(geom):
 
 def test_probe_cycle_miss_table_mode(geom):
     scene = plate_scene(25.0, floor_mode="table")
-    contact, trace = probe_cycle(
+    (kind, z_true, _), trace = probe_cycle(
         420.0, 0.0, safe_z=60.0, geom=geom, scene=scene,
         noise=NoiseModel(), contact_index=3,
     )
-    assert contact.kind == CONTACT_TABLE
-    assert contact.z_true == 0.0
+    assert kind == CONTACT_TABLE
+    assert z_true == 0.0
     z = np.array([forward_kinematics(a, geom).position[2] for a in trace.angles])
     assert z.min() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_probe_cycle_unreachable_marked(geom):
     scene = plate_scene(25.0, size=600.0, x0=0.0, y0=-300.0)
-    contact, trace = probe_cycle(
+    (kind, z_true, z_measured), trace = probe_cycle(
         590.0, 0.0, safe_z=60.0, geom=geom, scene=scene,
         noise=NoiseModel(), contact_index=0,
     )
-    assert contact.kind == CONTACT_UNREACHABLE
-    assert contact.z_measured is None
+    assert kind == CONTACT_UNREACHABLE
+    assert math.isnan(z_true) and math.isnan(z_measured)
 
 
 def test_probe_cycle_noise_applied(geom):
     scene = plate_scene(25.0)
     noise = NoiseModel(sigma_contact=0.03, drift_per_contact=0.001, seed=5)
-    contact, _ = probe_cycle(
+    (_, z_true, z_measured), _ = probe_cycle(
         290.0, 10.0, safe_z=70.0, geom=geom, scene=scene,
         noise=noise, contact_index=12,
     )
-    assert contact.z_measured == contact.z_true + noise.error_at(12)
+    assert z_measured == z_true + noise.error_at(12)
 
 
 def test_probe_cycle_deterministic(geom):
@@ -200,7 +200,7 @@ def test_probe_cycle_deterministic(geom):
               from_xy=(250.0, 0.0))
     c1, t1 = probe_cycle(300.0, 20.0, **kw)
     c2, t2 = probe_cycle(300.0, 20.0, **kw)
-    assert c1.z_measured == c2.z_measured
+    assert c1 == c2
     assert t1.to_csv() == t2.to_csv()
 
 

@@ -16,7 +16,6 @@ from armscan.scene import (
     CONTACT_NONE,
     CONTACT_TABLE,
     CONTACT_UNREACHABLE,
-    ContactResult,
     NoiseModel,
     TargetScene,
 )
@@ -66,7 +65,7 @@ def test_scan_1x1_grid(geom):
     result = run_scan(small_grid(1, 1), geom, plate_scene(), NoiseModel())
     assert result.points.grid.point_count == 1
     assert len(result.mesh) == 0
-    assert result.points.cell(0, 0).z_measured == 25.0
+    assert result.points.z_measured[0, 0] == 25.0
 
 
 def test_scan_20x25_counts(geom):
@@ -78,9 +77,8 @@ def test_scan_20x25_counts(geom):
 
 def test_scan_flat_plate_zero_noise(geom):
     result = run_scan(small_grid(6, 7), geom, plate_scene(25.0), NoiseModel())
-    for c in result.points.in_probe_order():
-        assert c.kind == CONTACT_MESH
-        assert abs(c.z_measured - 25.0) < 1e-9
+    assert (result.points.kinds == CONTACT_MESH).all()
+    assert np.abs(result.points.z_measured - 25.0).max() < 1e-9
     for normal, vertices in zip(result.mesh.normals, result.mesh.vertices):
         assert np.allclose(normal, [0.0, 0.0, 1.0], atol=1e-9)
         assert np.abs(vertices[:, 2] - 25.0).max() < 1e-9
@@ -93,8 +91,8 @@ def test_scan_contact_ordinals_via_drift(geom):
     result = run_scan(grid, geom, plate_scene(25.0),
                       NoiseModel(drift_per_contact=drift))
     for i, k in grid.probe_order():
-        c = result.points.cell(i, k)
-        ordinal = round((c.z_measured - c.z_true) / drift)
+        z_measured, z_true = result.points.z_measured[i, k], result.points.z_true[i, k]
+        ordinal = round((z_measured - z_true) / drift)
         assert ordinal == k * grid.n_rows + i
 
 
@@ -116,9 +114,12 @@ def test_scan_with_failing_descents_matches_waypoint_loop(geom, monkeypatch):
     monkeypatch.setattr(motion, "plan_line", plan_line_loop)
     loop = run_scan(grid, geom, scene, noise)
 
-    kinds = [c.kind for c in legs.points.in_probe_order()]
-    assert kinds == [c.kind for c in loop.points.in_probe_order()]
-    assert {CONTACT_MESH, CONTACT_TABLE, CONTACT_UNREACHABLE} <= set(kinds)
+    kinds = legs.points.kinds
+    assert np.array_equal(kinds, loop.points.kinds)
+    assert {CONTACT_MESH, CONTACT_TABLE, CONTACT_UNREACHABLE} <= set(kinds.ravel())
+    unreachable = kinds == CONTACT_UNREACHABLE
+    assert np.isnan(legs.points.z_true[unreachable]).all()
+    assert np.array_equal(np.isnan(legs.points.z_measured), unreachable)
     assert legs.trace.angles.shape == loop.trace.angles.shape
     assert legs.trace.angles.tobytes() == loop.trace.angles.tobytes()
     assert write_stl_binary(legs.mesh) == write_stl_binary(loop.mesh)
@@ -132,6 +133,21 @@ def test_grid_spacing_below_corner_resolution_rejected():
         ScanGrid(-30.0, 240.0, 3, 3, 100.0, 1e-14)
     # the same spacing clears the tolerance at a corner that resolves it
     ScanGrid(0.0, 0.0, 3, 3, 1e-14, 100.0)
+
+
+def test_coordinates_match_grid_points_bit_for_bit(geom):
+    # spacings that are not binary fractions round differently per point
+    grid = ScanGrid(240.1, -30.7, 7, 5, 0.3, 0.7, safe_z=60.0)
+    scene = TargetScene(make_plate(180.0, -29.0, 220.0, 160.0, 25.0), floor_mode="skip")
+    points = run_scan(grid, geom, scene, NoiseModel(sigma_contact=0.02, seed=1)).points
+    q = points.coordinates()
+    assert q.shape == (5, 7, 3)
+    for i, k in grid.probe_order():
+        assert q[k, i, :2].tobytes() == np.array(grid.point(i, k)).tobytes()
+    no_height = np.isin(points.kinds, [CONTACT_NONE, CONTACT_UNREACHABLE]).T
+    assert 0 < no_height.sum() < grid.point_count
+    assert np.array_equal(np.isnan(q[..., 2]), no_height)
+    assert q[..., 2][~no_height].tobytes() == points.z_measured.T[~no_height].tobytes()
 
 
 def test_scan_deterministic(geom):
@@ -151,7 +167,10 @@ def test_scan_deterministic(geom):
 def test_triangulate_2x2_exact_vertex_sequences(geom):
     grid = small_grid(2, 2)
     result = run_scan(grid, geom, plate_scene(25.0), NoiseModel())
-    q = {(i, k): result.points.cell(i, k).point() for i, k in grid.probe_order()}
+    q = {
+        (i, k): np.array([*grid.point(i, k), result.points.z_measured[i, k]])
+        for i, k in grid.probe_order()
+    }
     mesh = result.mesh
     assert len(mesh) == 2
     first, second = mesh.vertices
@@ -209,22 +228,14 @@ def test_triangulate_matches_cell_loop_with_random_holes(rng):
         grid = ScanGrid(240.0, -30.0, r, c, 6.0, 4.0)
         heights = rng.uniform(0.0, 30.0, size=(r, c))
         holes = rng.random((r, c)) < 0.2
-        cells = [
-            [
-                ContactResult(*grid.point(i, k), kind=CONTACT_NONE)
-                if holes[i, k]
-                else ContactResult(*grid.point(i, k), heights[i, k],
-                                   heights[i, k], CONTACT_MESH)
-                for k in range(c)
-            ]
-            for i in range(r)
-        ]
+        kinds = np.where(holes, CONTACT_NONE, CONTACT_MESH)
+        z = np.where(holes, np.nan, heights)
         points = [
             [None if holes[i, k] else (*grid.point(i, k), heights[i, k])
              for k in range(c)]
             for i in range(r)
         ]
-        mesh = triangulate(PointGrid(grid, cells))
+        mesh = triangulate(PointGrid(grid, kinds, z, z))
         expected = triangulate_loop(points, r, c)
         assert np.array_equal(mesh.vertices, expected)
         for vertices, normal in zip(expected, mesh.normals):
@@ -291,10 +302,10 @@ def test_scan_wing_measures_surface_heights(geom):
     scene = TargetScene(wing)
     grid = ScanGrid(240.0, -40.0, 5, 6, 6.0, 6.0, safe_z=60.0)
     result = run_scan(grid, geom, scene, NoiseModel())
-    zs = [c.z_measured for c in result.points.in_probe_order()]
-    assert all(c.kind == CONTACT_MESH for c in result.points.in_probe_order())
-    assert max(zs) > 5.0  # over the cambered hump
-    assert min(zs) >= 0.0
+    zs = result.points.z_measured
+    assert (result.points.kinds == CONTACT_MESH).all()
+    assert zs.max() > 5.0  # over the cambered hump
+    assert zs.min() >= 0.0
 
 
 def test_summary_counts(geom):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from armscan.scene import (
     CONTACT_MESH,
     CONTACT_NONE,
     CONTACT_TABLE,
-    ContactResult,
     NoiseModel,
     TargetScene,
     probe_contact,
@@ -187,37 +188,48 @@ def test_noise_rejects_negative_sigma():
 
 def test_probe_hits_plate():
     scene = TargetScene(plane_patch(25.0))
-    r = probe_contact(3.0, 4.0, 0, scene, NoiseModel())
-    assert r.kind == CONTACT_MESH
-    assert r.z_true == 25.0
-    assert r.z_measured == 25.0
-    assert np.allclose(r.point(), [3.0, 4.0, 25.0])
+    kind, z_true, z_measured = probe_contact(3.0, 4.0, 0, scene, NoiseModel())
+    assert kind == CONTACT_MESH
+    assert z_true == 25.0
+    assert z_measured == 25.0
 
 
 def test_probe_miss_table_mode():
     scene = TargetScene(plane_patch(25.0), table_z=0.0, floor_mode="table")
-    r = probe_contact(50.0, 50.0, 0, scene, NoiseModel())
-    assert r.kind == CONTACT_TABLE
-    assert r.z_true == 0.0
+    kind, z_true, z_measured = probe_contact(50.0, 50.0, 0, scene, NoiseModel())
+    assert kind == CONTACT_TABLE
+    assert z_true == 0.0
+    assert z_measured == 0.0
 
 
 def test_probe_miss_skip_mode():
     scene = TargetScene(plane_patch(25.0), floor_mode="skip")
-    r = probe_contact(50.0, 50.0, 0, scene, NoiseModel())
-    assert r.kind == CONTACT_NONE
-    assert r.z_measured is None
-    with pytest.raises(ValueError):
-        r.point()
+    kind, z_true, z_measured = probe_contact(50.0, 50.0, 0, scene, NoiseModel())
+    assert kind == CONTACT_NONE
+    assert math.isnan(z_true) and math.isnan(z_measured)
 
 
 def test_probe_applies_noise_exactly():
     scene = TargetScene(plane_patch(25.0))
     noise = NoiseModel(sigma_contact=0.05, drift_per_contact=0.002, seed=11)
-    r = probe_contact(2.0, 2.0, 37, scene, noise)
-    assert r.z_measured == r.z_true + noise.error_at(37)
+    _, z_true, z_measured = probe_contact(2.0, 2.0, 37, scene, noise)
+    assert z_measured == z_true + noise.error_at(37)
 
 
-def test_contact_result_touched():
-    assert ContactResult(0, 0, 1.0, 1.0, CONTACT_MESH).touched
-    assert ContactResult(0, 0, 0.0, 0.0, CONTACT_TABLE).touched
-    assert not ContactResult(0, 0, kind=CONTACT_NONE).touched
+@pytest.mark.parametrize("floor_mode", ["table", "skip"])
+def test_probe_heights_nan_exactly_without_contact(floor_mode):
+    # a touch carries two finite heights; a skip-mode miss carries none
+    scene = TargetScene(plane_patch(25.0), table_z=-2.0, floor_mode=floor_mode)
+    noise = NoiseModel(sigma_contact=0.05, drift_per_contact=0.002, seed=4)
+    miss = CONTACT_TABLE if floor_mode == "table" else CONTACT_NONE
+    cases = [
+        (3.0, 4.0, CONTACT_MESH),
+        (10.0, 0.0, CONTACT_MESH),  # a vertex graze
+        (50.0, 50.0, miss),
+        (-1.0, 5.0, miss),
+    ]
+    for index, (x, y, expected) in enumerate(cases):
+        kind, z_true, z_measured = probe_contact(x, y, index, scene, noise)
+        assert kind == expected
+        no_height = kind == CONTACT_NONE
+        assert math.isnan(z_true) == math.isnan(z_measured) == no_height
