@@ -1,6 +1,6 @@
 """Golden hashes: the exact bytes of a generated mesh, of two scan
-jobs' four artifacts, and of inverse-kinematics solves under arbitrary
-rotations.
+jobs' four artifacts, of inverse-kinematics solves under arbitrary
+rotations, and of surface samples and the Chamfer distance between them.
 
 Determinism tests compare two runs of the same code; these pin the
 bytes themselves, so any change to what a file holds (a different
@@ -26,7 +26,8 @@ from armscan.kinematics import (
     inverse_kinematics,
     normalize_angle,
 )
-from armscan.meshio import write_stl_binary
+from armscan.meshio import TriangleMesh, write_stl_binary
+from armscan.metrics import chamfer_distance, sample_mesh_surface
 from armscan.objects import make_plate, make_wing
 
 ARTIFACTS = ("scan.stl", "scan.xyz", "trace.csv", "report.txt")
@@ -108,6 +109,14 @@ PLATE_JOB_SHA256 = {
 # two of each 40 on the back-reaching branch.
 IK_POSES_SHA256 = "929d90f80411a3fcd1d7528d78f7c41e574a623fe1a49011abb22e5d890b619e"
 IK_PATHS_SHA256 = "df38d2e6bb69a93fbc1904987c02f25d378aaaddff79caf0dfa70271eec7857a"
+
+# 20,000 samples of the wing, 1,500 of two plates at different heights
+# over it, and float.hex of (cd, forward_mean, backward_mean) between them.
+CHAMFER_SHA256 = {
+    "wing": "27cc1ee5fbc193bac78c8b1321c304b6d30dbeeaf77d2a1b4db77329bf30b4e8",
+    "plates": "3f35804c21ed6eff2211a7160cc22df5efe8b0338ee696f880b2f069145e4a66",
+    "report": "af9284578a18ab198bad606388997759e621c98d5c5c6ca25df20e17cb8de3e9",
+}
 
 
 def two_plates() -> bytes:
@@ -193,3 +202,26 @@ def test_golden_ik_paths():
         assert angles.shape == (40, 6) and (trace.radial < 0.0).any()
         data += solve_bytes(angles, trace)
     assert sha256(data) == IK_PATHS_SHA256
+
+
+def test_golden_chamfer():
+    wing = sample_mesh_surface(make_wing(220.0, -70.0), count=20_000, seed=3)
+    pair = (
+        make_plate(230.0, -60.0, 60.0, 50.0, 5.0),
+        make_plate(300.0, 0.0, 50.0, 60.0, 12.0),
+    )
+    plates = sample_mesh_surface(
+        TriangleMesh(
+            np.concatenate([p.vertices for p in pair]),
+            np.concatenate([p.normals for p in pair]),
+        ),
+        count=1_500,
+        seed=11,
+    )
+    report = chamfer_distance(wing, plates)
+    floats = (report.cd, report.forward_mean, report.backward_mean)
+    assert {
+        "wing": sha256(wing.points.tobytes()),
+        "plates": sha256(plates.points.tobytes()),
+        "report": sha256(" ".join(float.hex(v) for v in floats).encode()),
+    } == CHAMFER_SHA256
