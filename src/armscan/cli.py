@@ -380,6 +380,8 @@ def _cmd_fk(args, out) -> int:
 
 
 def _cmd_ik(args, out) -> int:
+    if not all(map(math.isfinite, args.point)):
+        raise ValueError(f"point X Y Z must be finite, got {args.point}")
     solution, _ = inverse_kinematics(Pose.tool_down(*args.point), _geometry_from(args))
     for name, value in zip(
         ("theta1", "theta2", "theta3", "theta4", "theta5", "theta6"),

@@ -17,6 +17,7 @@ fractional digits.  Files are written atomically (`write_atomic`).
 
 from __future__ import annotations
 
+import math
 import os
 import secrets
 import struct
@@ -146,9 +147,24 @@ def _read_stl_binary(data: bytes) -> TriangleMesh:
             f"({expected} bytes) but the file holds {len(data)} bytes"
         )
     records = np.frombuffer(data, dtype=STL_RECORD, offset=STL_HEADER_BYTES + 4)
-    return TriangleMesh(
+    mesh = TriangleMesh(
         records["vertices"].astype(float), records["normal"].astype(float)
     )
+    return _require_finite(
+        mesh, lambda k: f"byte {STL_HEADER_BYTES + 4 + k * STL_RECORD.itemsize}"
+    )
+
+
+def _require_finite(mesh: TriangleMesh, position) -> TriangleMesh:
+    """`mesh`, or StlFormatError naming its first facet with a NaN or
+    infinite coordinate; `position(k)` says where facet k starts."""
+    # one flat reduction first: a per-facet one doubles a binary read
+    if np.isfinite(mesh.vertices).all() and np.isfinite(mesh.normals).all():
+        return mesh
+    finite = np.isfinite(mesh.vertices).all(axis=(1, 2))
+    finite &= np.isfinite(mesh.normals).all(axis=1)
+    k = int(np.argmin(finite))
+    raise StlFormatError(f"{position(k)}: facet {k + 1} has a non-finite coordinate")
 
 
 def _parse_floats(tokens, n, line_no, what):
@@ -163,7 +179,7 @@ def _parse_floats(tokens, n, line_no, what):
 
 
 def _read_stl_ascii(text: str) -> TriangleMesh:
-    normals, vertices = [], []
+    normals, vertices, facet_lines = [], [], []
     lines = text.splitlines()
     i = 0
 
@@ -189,6 +205,7 @@ def _read_stl_ascii(text: str) -> TriangleMesh:
         if tokens[:2] != ["facet", "normal"]:
             raise StlFormatError(f"line {no}: expected 'facet normal', got {line!r}")
         normal = _parse_floats(tokens[2:], 3, no, "facet normal")
+        facet_lines.append(no)
         line, no = next_content_line()
         if line != "outer loop":
             raise StlFormatError(f"line {no}: expected 'outer loop', got {line!r}")
@@ -207,7 +224,9 @@ def _read_stl_ascii(text: str) -> TriangleMesh:
             raise StlFormatError(f"line {no}: expected 'endfacet', got {line!r}")
         normals.append(normal)
         vertices.append(verts)
-    return TriangleMesh(vertices, normals)
+    return _require_finite(
+        TriangleMesh(vertices, normals), lambda k: f"line {facet_lines[k]}"
+    )
 
 
 def read_stl(data: bytes) -> TriangleMesh:
@@ -254,7 +273,11 @@ def save_stl(mesh: TriangleMesh, path) -> None:
 
 def load_stl(path) -> TriangleMesh:
     with open(path, "rb") as fh:
-        return read_stl(fh.read())
+        data = fh.read()
+    try:
+        return read_stl(data)
+    except StlFormatError as exc:
+        raise StlFormatError(f"{path}: {exc}") from None
 
 
 # ------------------------------------------------------------------ xyz
@@ -277,9 +300,12 @@ def read_xyz(text: str) -> PointCloud:
                 f"line {no}: expected 3 coordinates, got {len(tokens)}"
             )
         try:
-            rows.append([float(tok) for tok in tokens])
+            row = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise XyzFormatError(f"line {no}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise XyzFormatError(f"line {no}: non-finite coordinate in {stripped!r}")
+        rows.append(row)
     return PointCloud(np.array(rows).reshape(-1, 3))
 
 
@@ -289,4 +315,8 @@ def save_xyz(cloud: PointCloud, path) -> None:
 
 def load_xyz(path) -> PointCloud:
     with open(path) as fh:
-        return read_xyz(fh.read())
+        text = fh.read()
+    try:
+        return read_xyz(text)
+    except XyzFormatError as exc:
+        raise XyzFormatError(f"{path}: {exc}") from None

@@ -18,7 +18,14 @@ from armscan.cli import (
     load_job,
     main,
 )
-from armscan.meshio import PointCloud, load_stl, save_stl, save_xyz
+from armscan.meshio import (
+    PointCloud,
+    load_stl,
+    save_stl,
+    save_xyz,
+    write_stl_ascii,
+    write_stl_binary,
+)
 from armscan.objects import make_plate
 
 JOB_TEMPLATE = """\
@@ -233,6 +240,22 @@ def test_scan_corrupt_mesh_is_a_data_error(tmp_path):
     assert code == EXIT_DATA and "error:" in err
 
 
+def nan_plate_stl(ascii=False) -> bytes:
+    """A two-facet plate whose second facet has a NaN vertex."""
+    mesh = make_plate(180.0, -120.0, 220.0, 240.0, 25.0)
+    mesh.vertices[1, 2, 0] = np.nan
+    return write_stl_ascii(mesh).encode() if ascii else write_stl_binary(mesh)
+
+
+def test_scan_non_finite_mesh_is_a_data_error(tmp_path):
+    config = write_job(tmp_path)
+    (tmp_path / "plate.stl").write_bytes(nan_plate_stl())
+    code, _, err = run_cli("scan", config)
+    assert code == EXIT_DATA
+    assert f"{tmp_path / 'plate.stl'}: byte 134: facet 2 has a non-finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_bad_config_exit_code(tmp_path):
     config = write_job(tmp_path)
     config.write_text(config.read_text().replace("rows = 6", "rows = six"))
@@ -343,6 +366,34 @@ def test_compare_corrupt_xyz_is_data_error(tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "name, data, where",
+    [
+        ("nan.xyz", b"1 2 3\nnan 0 0\n", "line 2: non-finite coordinate"),
+        ("nan.stl", nan_plate_stl(), "byte 134: facet 2 has a non-finite"),
+        ("nan-ascii.stl", nan_plate_stl(ascii=True), "line 9: facet 2 has a non-finite"),
+    ],
+    ids=["xyz", "binary-stl", "ascii-stl"],
+)
+def test_compare_non_finite_geometry_is_data_error(tmp_path, name, data, where):
+    (tmp_path / name).write_bytes(data)
+    save_xyz(PointCloud(np.array([[25.0, 25.0, 10.0]])), tmp_path / "ok.xyz")
+    code, out, err = run_cli("compare", tmp_path / name, tmp_path / "ok.xyz")
+    assert code == EXIT_DATA
+    assert f"{tmp_path / name}: {where}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_compare_sample_count_below_one_is_config_error(tmp_path, samples):
+    plate = tmp_path / "plate.stl"
+    save_stl(make_plate(0.0, 0.0, 50.0, 50.0, 10.0), plate)
+    code, out, err = run_cli("compare", plate, plate, "--samples", samples)
+    assert code == EXIT_CONFIG
+    assert f"sample count must be at least 1, got {samples}" in err
+    assert out == ""
+
+
 # ------------------------------------------------------------- test-a/b
 
 
@@ -378,11 +429,18 @@ def test_cli_test_b_defaults_and_repeats():
         (["test-a", "--sigma", "nan"], "sigma_contact"),
         (["test-b", "--sigma", "nan", "--repeats", "3"], "sigma_contact"),
         (["test-b", "--drift", "inf", "--repeats", "3"], "drift_per_contact"),
+        (["ik", "300", "0", "nan"], "point X Y Z"),
+        (["test-a", "--center", "300", "0", "nan"], "sphere center"),
+        (["test-b", "--distances", "300", "nan", "--repeats", "3"], "test distances"),
     ],
-    ids=["ik-d4-nan", "test-a-sigma-nan", "test-b-sigma-nan", "test-b-drift-inf"],
+    ids=[
+        "ik-d4-nan", "test-a-sigma-nan", "test-b-sigma-nan", "test-b-drift-inf",
+        "ik-point-nan", "test-a-center-nan", "test-b-distance-nan",
+    ],
 )
 def test_cli_non_finite_flag_is_config_error(argv, field):
-    # the flags skip the job parser: the types themselves must refuse
+    # the flags and points skip the job parser: the types, the metrics
+    # tests and the ik command must refuse them themselves
     code, out, err = run_cli(*argv)
     assert code == EXIT_CONFIG
     assert f"{field} must be finite" in err

@@ -6,6 +6,7 @@ import pytest
 
 from armscan import cli
 from armscan.meshio import (
+    STL_RECORD,
     PointCloud,
     StlFormatError,
     TriangleMesh,
@@ -117,6 +118,19 @@ def test_binary_header_starting_with_solid_still_binary(rng):
     assert len(back) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("vertices", np.nan), ("vertices", -np.inf), ("normal", np.inf)],
+)
+def test_binary_non_finite_facet_named(rng, field, value):
+    data = bytearray(write_stl_binary(random_mesh(rng, 5)))
+    records = np.frombuffer(data, dtype=STL_RECORD, offset=84)
+    records[field][2].flat[1] = value
+    records[field][4].flat[0] = value
+    with pytest.raises(StlFormatError, match="byte 184: facet 3 has a non-finite"):
+        read_stl(bytes(data))
+
+
 # ------------------------------------------------------------------ ascii
 
 
@@ -183,6 +197,14 @@ def test_ascii_missing_endsolid_raises():
         read_stl(text.encode())
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_ascii_non_finite_facet_named(rng, token):
+    lines = write_stl_ascii(random_mesh(rng, 3)).splitlines()
+    lines[11] = f"      vertex 1 {token} 2"  # line 12, in facet 2 from line 9
+    with pytest.raises(StlFormatError, match="line 9: facet 2 has a non-finite"):
+        read_stl("\n".join(lines).encode())
+
+
 # ------------------------------------------------------------------ xyz
 
 
@@ -223,6 +245,12 @@ def test_xyz_malformed_line_numbered():
         read_xyz("1 2 3\n4 5\n")
     with pytest.raises(XyzFormatError, match="line 3"):
         read_xyz("1 2 3\n4 5 6\n7 eight 9\n")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_xyz_non_finite_coordinate_numbered(token):
+    with pytest.raises(XyzFormatError, match="line 3: non-finite coordinate"):
+        read_xyz(f"1 2 3\n\n4 {token} 6\n")
 
 
 # ------------------------------------------------------------------ writes

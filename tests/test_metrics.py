@@ -24,7 +24,12 @@ from armscan.metrics import test_b as run_repeatability_test
 from armscan.objects import make_plate
 from armscan.scene import NoiseModel
 
-from oracles import chamfer_brute, kasa_normal_equations, sphere_grid_search
+from oracles import (
+    chamfer_brute,
+    chamfer_input_order,
+    kasa_normal_equations,
+    sphere_grid_search,
+)
 
 
 def sphere_points(center, radius, n, rng, hemisphere=False):
@@ -105,6 +110,54 @@ def test_chamfer_agrees_with_brute_force_everywhere(m, n, seed):
     report = chamfer_distance(PointCloud(p), PointCloud(q))
     assert report.cd >= 0.0
     assert report.cd == pytest.approx(chamfer_brute(p, q), abs=1e-12)
+
+
+def uniform(m, n, offset=0.0):
+    def clouds(rng):
+        p = rng.uniform(-30, 30, size=(m, 3))
+        return p, rng.uniform(-30, 30, size=(n, 3)) + offset
+
+    return clouds
+
+
+def integer_grid(m, n):
+    # 27 distinct points in all: duplicates on both sides, so most
+    # points have several equally near neighbors
+    def clouds(rng):
+        return (
+            rng.integers(0, 3, size=(m, 3)).astype(float),
+            rng.integers(0, 3, size=(n, 3)).astype(float),
+        )
+
+    return clouds
+
+
+@pytest.mark.parametrize(
+    "clouds",
+    [
+        uniform(1, 1),
+        uniform(15, 15),
+        uniform(16, 16),
+        uniform(17, 17),
+        uniform(10_000, 10_000),
+        uniform(1, 17),
+        uniform(17, 10_000),
+        uniform(10_000, 16),
+        integer_grid(40, 25),
+        integer_grid(10_000, 9_000),
+        uniform(300, 2_000, offset=1e4),
+    ],
+    ids=[
+        "1x1", "15x15", "16x16", "17x17", "10000x10000", "1x17", "17x10000",
+        "10000x16", "ties-40x25", "ties-10000x9000", "far-300x2000",
+    ],
+)
+def test_chamfer_equals_input_order_kd_query(clouds):
+    # == on purpose: the leaf-order query must change the speed only
+    p, q = clouds(np.random.default_rng(11))
+    report = chamfer_distance(PointCloud(p), PointCloud(q))
+    got = (report.cd, report.forward_mean, report.backward_mean)
+    assert got == chamfer_input_order(p, q)
 
 
 # ---------------------------------------------------------------- sampling
