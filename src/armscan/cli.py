@@ -367,6 +367,8 @@ def _cmd_test_b(args, out) -> int:
 
 
 def _cmd_fk(args, out) -> int:
+    if not all(map(math.isfinite, args.angles)):
+        raise ValueError(f"joint angles must be finite, got {args.angles}")
     geom = _geometry_from(args)
     angles = JointAngles.from_sequence(np.radians(args.angles))
     geom.check_limits(angles)

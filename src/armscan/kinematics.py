@@ -177,12 +177,6 @@ class RobotGeometry:
     def max_reach(self) -> float:
         return self.l1 + self.l2 + self.d4 + self.d6
 
-    def in_limits(self, angles: JointAngles) -> bool:
-        return all(
-            lo - LIMIT_GRACE <= a <= hi + LIMIT_GRACE
-            for a, (lo, hi) in zip(angles, self.joint_limits)
-        )
-
     def check_limits(self, angles: JointAngles, context: str = "") -> None:
         for j, (a, (lo, hi)) in enumerate(zip(angles, self.joint_limits), start=1):
             if not (lo - LIMIT_GRACE <= a <= hi + LIMIT_GRACE):
@@ -218,9 +212,6 @@ class Pose:
         r = self.rotation
         ortho = np.abs(r.T @ r - np.eye(3)).max()
         return max(ortho, abs(np.linalg.det(r) - 1.0))
-
-    def is_orthonormal(self, tol: float = 1e-9) -> bool:
-        return self.rotation_error() <= tol
 
 
 @dataclass(frozen=True)
@@ -444,10 +435,9 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> tuple:
     angle violates its interval, ValueError on a non-orthonormal
     rotation.
     """
-    if not pose.is_orthonormal(1e-9):
-        raise ValueError(
-            f"pose rotation is not orthonormal (error {pose.rotation_error():.2e})"
-        )
+    error = pose.rotation_error()
+    if not error <= 1e-9:  # a NaN error fails too
+        raise ValueError(f"pose rotation is not orthonormal (error {error:.2e})")
     rot = pose.rotation.tolist()
     if pose.position.ndim == 1:
         angles, trace = _solve_point(rot, geom, *pose.position.tolist())

@@ -7,8 +7,9 @@ once, then the one closed form solves waypoint by waypoint.  No
 velocity profile exists; the trace is the sequence an open-loop
 controller would stream.
 
-A probe cycle is three such lines: lateral travel at the safe height,
-descent to the contact, retract back to the safe height.  Contact
+A probe cycle is two such lines, lateral travel at the safe height and
+descent to the contact, then the retract: the descent's rows replayed
+in reverse back to the safe height, with no further IK.  Contact
 heights come from the scene's exact raycast; the descent step size only
 shapes the joint log, never the measurement.
 
@@ -43,19 +44,15 @@ CSV_HEADER = (
 
 @dataclass
 class LinearPath:
-    """Uniformly sampled segment with a fixed tool orientation."""
+    """Uniformly sampled segment; `plan_line` solves it tool-down."""
 
     start: np.ndarray
     end: np.ndarray
-    orientation: np.ndarray = None
     step: float = DEFAULT_STEP
 
     def __post_init__(self):
         self.start = np.asarray(self.start, dtype=float).reshape(3)
         self.end = np.asarray(self.end, dtype=float).reshape(3)
-        if self.orientation is None:
-            self.orientation = TOOL_DOWN_ROTATION.copy()
-        self.orientation = np.asarray(self.orientation, dtype=float).reshape(3, 3)
         if self.step <= 0.0:
             raise ValueError(f"step must be positive, got {self.step}")
 
@@ -99,14 +96,14 @@ class JointTrace:
 
 
 def plan_line(path: LinearPath, geom: RobotGeometry) -> JointTrace:
-    """Solve IK for all waypoints of the path in one call.
+    """Solve tool-down IK for all waypoints of the path in one call.
 
     Raises UnreachableError or JointLimitError naming the first
     offending waypoint's index and position.
     """
     points = path.waypoints()
     try:
-        angles, _ = inverse_kinematics(Pose(path.orientation, points), geom)
+        angles, _ = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, points), geom)
     except (UnreachableError, JointLimitError) as exc:
         x, y, z = points[exc.row]
         where = f"waypoint {exc.row} at ({x:.3f}, {y:.3f}, {z:.3f})"
@@ -131,10 +128,12 @@ def probe_cycle(
 
     Returns ((kind, z_true, z_measured), JointTrace), the contact as
     `probe_contact` gives it.  The trace starts and ends at the safe
-    height; seam waypoints shared between legs appear once.  If any leg
-    of the cycle cannot be solved, the contact is (CONTACT_UNREACHABLE,
-    nan, nan), a kind distinct from a no-contact miss, and the trace
-    holds only the lateral travel, still ending at the safe height.
+    height; seam waypoints shared between legs appear once.  The
+    retract replays the descent's rows in reverse, so only the lateral
+    leg or the descent can fail; then the contact is
+    (CONTACT_UNREACHABLE, nan, nan), a kind distinct from a no-contact
+    miss, and the trace holds only the lateral travel, still ending at
+    the safe height.
     """
     lateral = np.zeros((0, 6))
     try:
@@ -147,11 +146,11 @@ def probe_cycle(
         z_measured = contact[2]
         z_stop = scene.table_z if math.isnan(z_measured) else z_measured
         descend = plan_line(LinearPath([x, y, safe_z], [x, y, z_stop]), geom).angles
-        retract = plan_line(LinearPath([x, y, z_stop], [x, y, safe_z]), geom).angles
     except (UnreachableError, JointLimitError):
         # the trace holds at most the lateral leg, still at the safe height
         return (CONTACT_UNREACHABLE, math.nan, math.nan), JointTrace(lateral)
 
+    retract = descend[-2::-1]  # back up the same line, less the contact row
     if from_xy is not None:
         descend = descend[1:]
-    return contact, JointTrace(np.concatenate([lateral, descend, retract[1:]]))
+    return contact, JointTrace(np.concatenate([lateral, descend, retract]))

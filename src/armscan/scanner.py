@@ -215,7 +215,7 @@ def run_scan(
     failures during the scan do not abort it: they mark the cell
     unreachable, with NaN heights, and leave holes in the mesh.
     """
-    top = scene.bounds()[1][2]
+    top = scene.mesh.bounds()[1][2]
     if grid.safe_z < top:
         raise ValueError(
             f"safe height {grid.safe_z:g} mm is below the scene top at {top:g} mm"

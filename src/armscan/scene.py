@@ -79,9 +79,6 @@ class TargetScene:
         self._box_lo = xy.min(axis=1) - BBOX_PAD
         self._box_hi = xy.max(axis=1) + BBOX_PAD
 
-    def bounds(self):
-        return self.mesh.bounds()
-
 
 def raycast_down(x: float, y: float, scene: TargetScene):
     """Highest z where the vertical line at (x, y) pierces the mesh.

@@ -12,7 +12,13 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from armscan.kinematics import JointLimitError, Pose, UnreachableError, inverse_kinematics
+from armscan.kinematics import (
+    TOOL_DOWN_ROTATION,
+    JointLimitError,
+    Pose,
+    UnreachableError,
+    inverse_kinematics,
+)
 from armscan.motion import JointTrace
 
 
@@ -216,7 +222,7 @@ def plan_line_loop(path, geom):
     for i, pos in enumerate(path.waypoints()):
         where = f"waypoint {i} at ({pos[0]:.3f}, {pos[1]:.3f}, {pos[2]:.3f})"
         try:
-            angles, _ = inverse_kinematics(Pose(path.orientation, pos), geom)
+            angles, _ = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, pos), geom)
         except UnreachableError as exc:
             raise UnreachableError(f"{where}: {exc}") from None
         except JointLimitError as exc:

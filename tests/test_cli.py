@@ -432,10 +432,11 @@ def test_cli_test_b_defaults_and_repeats():
         (["ik", "300", "0", "nan"], "point X Y Z"),
         (["test-a", "--center", "300", "0", "nan"], "sphere center"),
         (["test-b", "--distances", "300", "nan", "--repeats", "3"], "test distances"),
+        (["fk", "nan", "0", "0", "0", "0", "0"], "joint angles"),
     ],
     ids=[
         "ik-d4-nan", "test-a-sigma-nan", "test-b-sigma-nan", "test-b-drift-inf",
-        "ik-point-nan", "test-a-center-nan", "test-b-distance-nan",
+        "ik-point-nan", "test-a-center-nan", "test-b-distance-nan", "fk-angle-nan",
     ],
 )
 def test_cli_non_finite_flag_is_config_error(argv, field):

@@ -126,7 +126,7 @@ def test_base_yaw_sweep_keeps_height(geom):
 
 def test_fk_rotation_always_orthonormal(geom, rng):
     for q in random_joint_tuples(geom, 100, rng):
-        assert forward_kinematics(JointAngles(*q), geom).is_orthonormal(1e-12)
+        assert forward_kinematics(JointAngles(*q), geom).rotation_error() <= 1e-12
 
 
 # ---------------------------------------------------------------- wrist center

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from armscan import motion
 from armscan.kinematics import (
+    TOOL_DOWN_ROTATION,
     JointAngles,
     JointLimitError,
     UnreachableError,
     forward_kinematics,
+    inverse_kinematics,
 )
 from armscan.meshio import TriangleMesh
 from armscan.motion import JointTrace, LinearPath, plan_line, probe_cycle
@@ -78,13 +81,13 @@ def test_plan_line_trace_positions_on_segment(geom):
     for angles, target in zip(trace.angles, pts):
         back = forward_kinematics(angles, geom)
         assert np.abs(back.position - target).max() < 1e-9
-        assert np.allclose(back.rotation, path.orientation, atol=1e-9)
+        assert np.allclose(back.rotation, TOOL_DOWN_ROTATION, atol=1e-9)
 
 
 def test_plan_line_limits_respected(geom):
     trace = plan_line(LinearPath([250, 0, 30], [300, 0, 30]), geom)
     for angles in trace.angles:
-        assert geom.in_limits(JointAngles(*angles))
+        geom.check_limits(JointAngles(*angles))
 
 
 def test_plan_line_unreachable_names_waypoint(geom):
@@ -191,6 +194,39 @@ def test_probe_cycle_noise_applied(geom):
         noise=noise, contact_index=12,
     )
     assert z_measured == z_true + noise.error_at(12)
+
+
+def test_probe_cycle_retract_replays_descent(geom, monkeypatch):
+    # two IK solves per cycle (lateral, descent); the retract is the
+    # descent's rows reversed bit for bit, less the contact row
+    solved = []
+
+    def counting_ik(pose, g):
+        angles, trace = inverse_kinematics(pose, g)
+        solved.append(angles)
+        return angles, trace
+
+    monkeypatch.setattr(motion, "inverse_kinematics", counting_ik)
+    scene = plate_scene(25.0)
+    noise = NoiseModel(sigma_contact=0.03, drift_per_contact=0.001, seed=11)
+    calls, not_reversed = [], []
+    for index, (x, y) in enumerate(
+        (x, y) for x in np.linspace(220.0, 380.0, 11) for y in np.linspace(-60.0, 60.0, 7)
+    ):
+        solved.clear()
+        (kind, _, _), trace = probe_cycle(
+            x, y, safe_z=73.0, geom=geom, scene=scene, noise=noise,
+            contact_index=index, from_xy=(x - 7.0, y - 5.0),
+        )
+        assert kind == CONTACT_MESH
+        calls.append(len(solved))
+        lateral, descend = solved[:2]
+        bottom = len(lateral) - 1 + len(descend)
+        assert np.array_equal(trace.angles[len(lateral) - 1 : bottom], descend)
+        if not np.array_equal(trace.angles[bottom:], descend[-2::-1]):
+            not_reversed.append((x, y))
+    assert calls == [2] * 77
+    assert not_reversed == []
 
 
 def test_probe_cycle_deterministic(geom):
