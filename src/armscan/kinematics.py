@@ -208,10 +208,22 @@ class Pose:
         return cls(TOOL_DOWN_ROTATION.copy(), np.array([x, y, z], dtype=float))
 
     def rotation_error(self) -> float:
-        """Max deviation of R from a proper rotation (orthonormality + det)."""
-        r = self.rotation
-        ortho = np.abs(r.T @ r - np.eye(3)).max()
-        return max(ortho, abs(np.linalg.det(r) - 1.0))
+        """Max deviation of R from a proper rotation (orthonormality + det).
+
+        NaN when R holds a NaN: every entry reaches the determinant,
+        which goes first because `max` keeps a NaN only in first place.
+        """
+        (a, b, c), (d, e, f), (g, h, i) = self.rotation.tolist()
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        return max(
+            abs(det - 1.0),
+            abs(a * a + d * d + g * g - 1.0),
+            abs(b * b + e * e + h * h - 1.0),
+            abs(c * c + f * f + i * i - 1.0),
+            abs(a * b + d * e + g * h),
+            abs(a * c + d * f + g * i),
+            abs(b * c + e * f + h * i),
+        )
 
 
 @dataclass(frozen=True)

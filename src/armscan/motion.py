@@ -67,9 +67,10 @@ class LinearPath:
         slack keeps an exact multiple of step from picking up a phantom
         extra interval through float rounding.
         """
-        if self.length < 1e-12:
+        length = self.length
+        if length < 1e-12:
             return self.start[None, :].copy()
-        intervals = max(1, math.ceil(self.length / self.step - 1e-9))
+        intervals = max(1, math.ceil(length / self.step - 1e-9))
         t = np.arange(intervals + 1) / intervals
         return self.start + t[:, None] * (self.end - self.start)
 

@@ -18,6 +18,7 @@ for positive spacings; flip_normals re-orients every facet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ from .scene import (
 )
 
 DEFAULT_SAFE_Z = 60.0
+# Most probe points a grid may have.  A scan costs about 0.4 ms per
+# point, so this is minutes of work; a mistyped 100000 x 100000 grid
+# would otherwise spend days in the precheck before any motion.
+MAX_GRID_POINTS = 1_000_000
 
 
 class UnreachableGridError(Exception):
@@ -81,8 +86,17 @@ class ScanGrid:
     safe_z: float = DEFAULT_SAFE_Z
 
     def __post_init__(self):
+        for name in ("x0", "y0", "row_spacing", "col_spacing", "safe_z"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("grid needs at least one row and one column")
+        if self.n_rows * self.n_cols > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid of {self.n_rows} rows x {self.n_cols} cols is "
+                f"{self.n_rows * self.n_cols} points, over the bound of "
+                f"{MAX_GRID_POINTS}"
+            )
         if self.row_spacing <= 0.0 or self.col_spacing <= 0.0:
             raise ValueError("grid spacings must be positive")
         # A tessellated facet's cross product is at least the cell area,

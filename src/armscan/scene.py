@@ -10,6 +10,14 @@ reproducing a hard-stop trigger whose deviation compounds over a scan.
 A contact is a (kind, z_true, z_measured) triple of plain values; NaN
 is the only encoding of "no height", for a miss and for a point the arm
 cannot reach alike.
+
+The scene indexes its facets on a uniform xy grid built once: facet ids
+sorted by the cell of their padded box's centre, plus one start offset
+per cell, O(facets) storage.  Each cell is at least as wide as the widest
+box, so a ray tests only the facets of the 3x3 cells around it, with the
+same arithmetic as testing every facet: the result is exact.  The worst
+case is one very wide facet, which widens every cell until a ray tests
+nearly every facet, as an unindexed scan would.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ class TargetScene:
             raise ValueError(
                 f"floor_mode must be one of {FLOOR_MODES}, got {self.floor_mode!r}"
             )
+        if not math.isfinite(self.table_z):
+            raise ValueError(f"table_z must be finite, got {self.table_z}")
         tris = self.mesh.vertices
         if tris.size == 0:
             raise ValueError("scene mesh is empty")
@@ -66,18 +76,42 @@ class TargetScene:
             raise ValueError(
                 f"mesh dips {self.table_z - low:.6g} mm below the table plane"
             )
-        # Precomputed projections for the vectorized raycast.
-        self._v1 = tris[:, 0, :]
-        self._e1 = tris[:, 1, :2] - tris[:, 0, :2]
-        self._e2 = tris[:, 2, :2] - tris[:, 0, :2]
-        self._dz1 = tris[:, 1, 2] - tris[:, 0, 2]
-        self._dz2 = tris[:, 2, 2] - tris[:, 0, 2]
-        det = self._e1[:, 0] * self._e2[:, 1] - self._e1[:, 1] * self._e2[:, 0]
-        self._det = det
-        self._alive = np.abs(det) > DEGENERATE_DET
-        xy = tris[:, :, :2]
-        self._box_lo = xy.min(axis=1) - BBOX_PAD
-        self._box_hi = xy.max(axis=1) + BBOX_PAD
+        # The facet index (see the module docstring); `_start[c]` is where
+        # cell c's run of facet ids begins in `_ids`.
+        lo, hi = _padded_boxes(tris)
+        limit = math.ceil(math.sqrt(len(tris)))
+        self._grid = (*_axis_cells(lo[:, 0], hi[:, 0], limit),
+                      *_axis_cells(lo[:, 1], hi[:, 1], limit))
+        ox, _, cx, nx, oy, _, cy, ny = self._grid
+        centre = (lo + hi) / 2.0
+        keys = (
+            np.fmin((centre[:, 0] - ox) / cx, nx - 1).astype(np.int64) * ny
+            + np.fmin((centre[:, 1] - oy) / cy, ny - 1).astype(np.int64)
+        )
+        self._ids = np.argsort(keys, kind="stable").astype(np.int32)
+        self._start = np.concatenate(([0], np.bincount(keys, minlength=nx * ny).cumsum()))
+
+
+def _padded_boxes(tris: np.ndarray) -> tuple:
+    """(lo, hi) xy corners of each facet's box, padded by BBOX_PAD."""
+    a, b, c = tris[:, 0, :2], tris[:, 1, :2], tris[:, 2, :2]
+    return (
+        np.minimum(np.minimum(a, b), c) - BBOX_PAD,
+        np.maximum(np.maximum(a, b), c) + BBOX_PAD,
+    )
+
+
+def _axis_cells(lo: np.ndarray, hi: np.ndarray, limit: int) -> tuple:
+    """(start, end, cell size, cell count) of one axis of the facet index.
+
+    The cells cover [start, end], the extent of the boxes (lo, hi); there
+    are at most `limit` of them, each at least as wide as the widest box.
+    An axis too narrow or too wide to divide is one cell of infinite size.
+    """
+    start, end = float(lo.min()), float(hi.max())
+    span, width = end - start, float((hi - lo).max())
+    count = int(min(limit, span / width)) if 0.0 < width <= span < math.inf else 1
+    return start, end, (max(span / count, width) if count > 1 else math.inf), count
 
 
 def raycast_down(x: float, y: float, scene: TargetScene):
@@ -85,28 +119,42 @@ def raycast_down(x: float, y: float, scene: TargetScene):
 
     Returns None when no triangle covers the point.  Edge and vertex
     grazes count as hits; degenerate (edge-on) triangles never do.
+    Only the facets indexed in the 3x3 cells around (x, y) are tested,
+    with the arithmetic of a test of every facet, so the result is the
+    same bit for bit.
     """
-    cand = (
-        scene._alive
-        & (scene._box_lo[:, 0] <= x)
-        & (x <= scene._box_hi[:, 0])
-        & (scene._box_lo[:, 1] <= y)
-        & (y <= scene._box_hi[:, 1])
+    x, y = float(x), float(y)
+    ox, x_hi, cx, nx, oy, y_hi, cy, ny = scene._grid
+    if not (ox <= x <= x_hi and oy <= y <= y_hi):  # NaN lands here too
+        return None
+    i = int(min(nx - 1, (x - ox) / cx))
+    k = int(min(ny - 1, (y - oy) / cy))
+    first, last = max(k - 1, 0), min(k + 1, ny - 1) + 1
+    start, ids = scene._start, scene._ids
+    cand = np.concatenate(
+        [
+            ids[start[row + first] : start[row + last]]
+            for row in range(max(i - 1, 0) * ny, min(i + 2, nx) * ny, ny)
+        ]
     )
-    if not cand.any():
-        return None
-    idx = np.nonzero(cand)[0]
-    v1 = scene._v1[idx]
-    rx = x - v1[:, 0]
-    ry = y - v1[:, 1]
-    det = scene._det[idx]
-    u = (rx * scene._e2[idx, 1] - ry * scene._e2[idx, 0]) / det
-    v = (ry * scene._e1[idx, 0] - rx * scene._e1[idx, 1]) / det
-    inside = (u >= -EDGE_TOL) & (v >= -EDGE_TOL) & (u + v <= 1.0 + EDGE_TOL)
-    if not inside.any():
-        return None
-    zs = v1[inside, 2] + u[inside] * scene._dz1[idx][inside] + v[inside] * scene._dz2[idx][inside]
-    return float(zs.max())
+    tris = scene.mesh.vertices[cand]
+    lo, hi = _padded_boxes(tris)
+    point = np.array((x, y))
+    boxed = ((lo <= point) & (point <= hi)).all(axis=1)
+    best = None
+    for (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) in tris[boxed].tolist():
+        e1x, e1y, e2x, e2y = x2 - x1, y2 - y1, x3 - x1, y3 - y1
+        det = e1x * e2y - e1y * e2x
+        if not abs(det) > DEGENERATE_DET:
+            continue
+        rx, ry = x - x1, y - y1
+        u = (rx * e2y - ry * e2x) / det
+        v = (ry * e1x - rx * e1y) / det
+        if u >= -EDGE_TOL and v >= -EDGE_TOL and u + v <= 1.0 + EDGE_TOL:
+            z = z1 + u * (z2 - z1) + v * (z3 - z1)
+            if best is None or z > best:
+                best = z
+    return best
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from armscan.kinematics import (
     inverse_kinematics,
 )
 from armscan.motion import JointTrace
+from armscan.scene import BBOX_PAD, DEGENERATE_DET, EDGE_TOL
 
 
 def _h_rotz(a):
@@ -126,6 +127,51 @@ def raycast_brute(x, y, triangles):
         if best is None or z > best:
             best = z
     return best
+
+
+def raycast_all_facets(triangles, points):
+    """The scene's raycast before its facet index, one height or None
+    per (x, y) point: every facet's padded xy box masked for each ray,
+    then the barycentric test on the survivors.  `scene.raycast_down`
+    must equal it bit for bit.
+    """
+    tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 3)
+    _v1 = tris[:, 0, :]
+    _e1 = tris[:, 1, :2] - tris[:, 0, :2]
+    _e2 = tris[:, 2, :2] - tris[:, 0, :2]
+    _dz1 = tris[:, 1, 2] - tris[:, 0, 2]
+    _dz2 = tris[:, 2, 2] - tris[:, 0, 2]
+    det = _e1[:, 0] * _e2[:, 1] - _e1[:, 1] * _e2[:, 0]
+    _det = det
+    _alive = np.abs(det) > DEGENERATE_DET
+    xy = tris[:, :, :2]
+    _box_lo = xy.min(axis=1) - BBOX_PAD
+    _box_hi = xy.max(axis=1) + BBOX_PAD
+
+    def raycast(x, y):
+        cand = (
+            _alive
+            & (_box_lo[:, 0] <= x)
+            & (x <= _box_hi[:, 0])
+            & (_box_lo[:, 1] <= y)
+            & (y <= _box_hi[:, 1])
+        )
+        if not cand.any():
+            return None
+        idx = np.nonzero(cand)[0]
+        v1 = _v1[idx]
+        rx = x - v1[:, 0]
+        ry = y - v1[:, 1]
+        det = _det[idx]
+        u = (rx * _e2[idx, 1] - ry * _e2[idx, 0]) / det
+        v = (ry * _e1[idx, 0] - rx * _e1[idx, 1]) / det
+        inside = (u >= -EDGE_TOL) & (v >= -EDGE_TOL) & (u + v <= 1.0 + EDGE_TOL)
+        if not inside.any():
+            return None
+        zs = v1[inside, 2] + u[inside] * _dz1[idx][inside] + v[inside] * _dz2[idx][inside]
+        return float(zs.max())
+
+    return [raycast(x, y) for x, y in points]
 
 
 def sphere_grid_search(points, center_guess, span, steps):

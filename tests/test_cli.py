@@ -7,6 +7,7 @@ import io
 import numpy as np
 import pytest
 
+from armscan import cli
 from armscan.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -279,6 +280,18 @@ def test_scan_non_finite_number_is_config_error(tmp_path):
     code, _, err = run_cli("scan", config)
     assert code == EXIT_CONFIG
     assert "[noise] sigma_contact = 'nan' is not finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_grid_over_point_bound_is_config_error(tmp_path, monkeypatch):
+    # 10^10 points fail the job at load: no precheck, no motion
+    config = write_job(tmp_path)
+    text = config.read_text()
+    config.write_text(text.replace("rows = 6\ncols = 7", "rows = 100000\ncols = 100000"))
+    monkeypatch.setattr(cli, "run_scan", lambda *a, **k: pytest.fail("the scan started"))
+    code, _, err = run_cli("scan", config)
+    assert code == EXIT_CONFIG
+    assert "100000 rows x 100000 cols" in err and "bound of 1000000" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -282,6 +282,33 @@ def test_ik_rejects_non_orthonormal_rotation(geom):
         inverse_kinematics(path, geom)
 
 
+@pytest.mark.parametrize("entry", range(9))
+def test_ik_rejects_nan_rotation_entry(geom, entry):
+    # a NaN anywhere in R must fail the check, not drop out of the max
+    rot = TOOL_DOWN_ROTATION.copy()
+    rot.flat[entry] = np.nan
+    with pytest.raises(ValueError, match="not orthonormal"):
+        inverse_kinematics(Pose(rot, np.array([300.0, 0.0, 50.0])), geom)
+
+
+@pytest.mark.parametrize(
+    "rot",
+    [np.diag([1.0, 1.0, -1.0]), 1.001 * np.eye(3), TOOL_DOWN_ROTATION @ np.diag([1.0, -1.0, 1.0])],
+    ids=["reflection", "scaled", "tool-down-reflected"],
+)
+def test_ik_rejects_improper_or_scaled_rotation(geom, rot):
+    with pytest.raises(ValueError, match="not orthonormal"):
+        inverse_kinematics(Pose(rot, np.array([300.0, 0.0, 50.0])), geom)
+
+
+def test_rotation_error_matches_matrix_form(geom, rng):
+    # the closed form reads what R^T R - I and det(R) - 1 read
+    for q in random_joint_tuples(geom, 50, rng):
+        r = forward_kinematics(JointAngles(*q), geom).rotation + rng.normal(0, 1e-3, (3, 3))
+        matrix = max(np.abs(r.T @ r - np.eye(3)).max(), abs(np.linalg.det(r) - 1.0))
+        assert Pose(r, np.zeros(3)).rotation_error() == pytest.approx(matrix, rel=1e-9)
+
+
 def test_ik_trace_internal_consistency(geom, rng):
     for q in random_joint_tuples(geom, 200, rng):
         pose = forward_kinematics(JointAngles(*q), geom)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,31 @@ def test_grid_validation():
         ScanGrid(0, 0, 0, 5, 1.0, 1.0)
     with pytest.raises(ValueError):
         ScanGrid(0, 0, 5, 5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["x0", "y0", "row_spacing", "col_spacing", "safe_z"])
+def test_grid_rejects_non_finite_number(name, value):
+    # a NaN safe height used to build, then fail the precheck as unreachable
+    fields = dict(x0=240.0, y0=-30.0, n_rows=3, n_cols=3, row_spacing=6.0,
+                  col_spacing=6.0, safe_z=60.0)
+    fields[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        ScanGrid(**fields)
+
+
+def test_grid_point_bound_checked_before_axes(monkeypatch):
+    # 10^10 points must fail at once, before anything per point runs
+    monkeypatch.setattr(ScanGrid, "axes", lambda self: pytest.fail("axes() ran"))
+    with pytest.raises(
+        ValueError,
+        match=r"100000 rows x 100000 cols is 10000000000 points, over the bound of 1000000",
+    ):
+        ScanGrid(0.0, 0.0, 100_000, 100_000, 1.0, 1.0)
+    monkeypatch.undo()
+    assert ScanGrid(0.0, 0.0, 1000, 1000, 1.0, 1.0).point_count == 1_000_000
+    with pytest.raises(ValueError, match="1000 rows x 1001 cols"):
+        ScanGrid(0.0, 0.0, 1000, 1001, 1.0, 1.0)
 
 
 def test_grid_probe_order_column_major():

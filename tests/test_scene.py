@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from armscan.meshio import TriangleMesh
+from armscan.objects import make_plate, make_wing
 from armscan.scene import (
     CONTACT_MESH,
     CONTACT_NONE,
@@ -14,7 +15,7 @@ from armscan.scene import (
     raycast_down,
 )
 
-from oracles import raycast_brute
+from oracles import raycast_all_facets, raycast_brute
 
 
 def soup(rng, count, span=100.0, zmax=50.0):
@@ -30,6 +31,19 @@ def soup(rng, count, span=100.0, zmax=50.0):
             continue
         tris.append(v)
     return TriangleMesh.from_vertices(tris)
+
+
+def facets(tris):
+    """A mesh of the given vertex triples, degenerate ones included."""
+    tris = np.asarray(tris, dtype=float).reshape(-1, 3, 3)
+    return TriangleMesh(tris, np.tile([0.0, 0.0, 1.0], (len(tris), 1)))
+
+
+def sized_soup(rng, count, size, span=100.0, zmax=50.0):
+    """`count` random facets, each within a `size` mm square, over the span."""
+    corner = rng.uniform(-size / 2, span - size / 2, (count, 1, 2))
+    xy = corner + rng.uniform(0, size, (count, 3, 2))
+    return facets(np.concatenate([xy, rng.uniform(0, zmax, (count, 3, 1))], axis=2))
 
 
 def plane_patch(z, size=10.0):
@@ -102,6 +116,84 @@ def test_raycast_matches_brute_oracle(rng):
             assert abs(fast - slow) < 1e-9
 
 
+def cell_borders(start, end, size, count):
+    """Up to 42 cell borders of one axis of the scene's facet index, its
+    extent's ends among them, then the same one ulp lower, one ulp higher."""
+    exact = [start, end]
+    if count > 1:
+        exact += [start + j * size for j in np.unique(np.linspace(0, count, 40).astype(int))]
+    exact = np.array(exact)
+    return exact, np.concatenate([np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf)])
+
+
+def probe_points(rng, mesh, scene, every_vertex, randoms=400):
+    """Rays worth checking against the full mask: random points over and
+    around the mesh; its vertices and edge midpoints (`randoms` of each
+    unless `every_vertex`); points on, and one ulp either side of, the
+    index's cell borders and the ends of the mesh's xy extent, which
+    puts some just outside it; the crossings of those borders; and NaN
+    and infinite coordinates, which are misses."""
+    tris = mesh.vertices[:, :, :2]
+    corners = np.unique(tris.reshape(-1, 2), axis=0)
+    midpoints = np.unique((tris + tris[:, [1, 2, 0]]).reshape(-1, 2) / 2.0, axis=0)
+    if not every_vertex:
+        corners = rng.permutation(corners)[:randoms]
+        midpoints = rng.permutation(midpoints)[:randoms]
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    pad = 0.1 * (hi - lo) + 1.0
+    points = [rng.uniform(lo - pad, hi + pad, (randoms, 2)), corners, midpoints]
+    x0, x1, *x_cells = scene._grid[:4]
+    y0, y1, *y_cells = scene._grid[4:]
+    bx, near_bx = cell_borders(x0, x1, *x_cells)
+    by, near_by = cell_borders(y0, y1, *y_cells)
+    for xs in (bx, near_bx):
+        points.append(np.column_stack([xs, rng.uniform(y0, y1, len(xs))]))
+    for ys in (by, near_by):
+        points.append(np.column_stack([rng.uniform(x0, x1, len(ys)), ys]))
+    points.append(np.stack(np.meshgrid(bx, by), axis=-1).reshape(-1, 2))
+    odd = [math.nan, math.inf, -math.inf, (x0 + x1) / 2]
+    points.append([(x, y) for x in odd for y in odd[:3] + [(y0 + y1) / 2]])
+    return np.concatenate(points).tolist()
+
+
+def _soup_with_sliver(rng):
+    soup = sized_soup(rng, 500, 3.0)
+    sliver = facets([[[-400, 50, 1], [600, 50.5, 20], [600, 49.5, 20]]])
+    return joined(soup, sliver)
+
+
+RAYCAST_CASES = {
+    "soup-10-large": lambda rng: sized_soup(rng, 10, 100.0),
+    "soup-300-large": lambda rng: sized_soup(rng, 300, 60.0),
+    "soup-1000-small": lambda rng: sized_soup(rng, 1000, 2.0),
+    "soup-5000-small": lambda rng: sized_soup(rng, 5000, 1.0),
+    "soup-2000-mixed": lambda rng: joined(sized_soup(rng, 100, 80.0), sized_soup(rng, 1900, 3.0)),
+    "soup-with-degenerate": lambda rng: joined(
+        sized_soup(rng, 200, 5.0),
+        facets([[[x, x, 0], [x + 1, x + 1, 9], [x + 2, x + 2, 9]] for x in range(0, 90, 3)]),
+    ),
+    "soup-plus-1000mm-sliver": _soup_with_sliver,
+    "two-plates-far-apart": lambda rng: joined(
+        make_plate(0.0, 0.0, 10.0, 10.0, 3.0), make_plate(9000.0, 7000.0, 10.0, 10.0, 5.0)
+    ),
+    "wing": lambda rng: make_wing(220.0, -70.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAYCAST_CASES))
+def test_raycast_equals_full_mask(case, rng):
+    """The indexed raycast gives, bit for bit, what masking every facet
+    gives, on every ray, and raises nothing."""
+    mesh = RAYCAST_CASES[case](rng)
+    scene = TargetScene(mesh)
+    points = probe_points(rng, mesh, scene, every_vertex=case == "wing")
+    expected = raycast_all_facets(mesh.vertices, points)
+    got = [raycast_down(x, y, scene) for x, y in points]
+    wrong = [(p, g, e) for p, g, e in zip(points, got, expected) if g != e]
+    assert not wrong, f"{len(wrong)} of {len(points)} rays differ, first {wrong[:3]}"
+    assert any(e is not None for e in expected)
+
+
 def test_raycast_monotone_under_added_triangles(rng):
     base = soup(rng, 30)
     more = joined(base, soup(rng, 30))
@@ -139,6 +231,13 @@ def test_scene_rejects_mesh_below_table():
 def test_scene_rejects_bad_floor_mode():
     with pytest.raises(ValueError, match="floor_mode"):
         TargetScene(plane_patch(1.0), floor_mode="bounce")
+
+
+@pytest.mark.parametrize("table_z", [math.nan, math.inf, -math.inf])
+def test_scene_rejects_non_finite_table(table_z):
+    # a NaN table used to build, then crash a table-mode miss mid-scan
+    with pytest.raises(ValueError, match=f"table_z must be finite, got {table_z}"):
+        TargetScene(plane_patch(1.0), table_z=table_z)
 
 
 def test_scene_rejects_non_finite():
