@@ -15,7 +15,6 @@ from .kinematics import (
     forward_kinematics,
     inverse_kinematics,
     is_reachable,
-    wrist_center,
 )
 from .meshio import (
     PointCloud,
@@ -100,7 +99,6 @@ __all__ = [
     "test_a",
     "test_b",
     "triangulate",
-    "wrist_center",
     "write_stl_binary",
     "write_xyz",
 ]

@@ -370,7 +370,7 @@ def _cmd_fk(args, out) -> int:
     if not all(map(math.isfinite, args.angles)):
         raise ValueError(f"joint angles must be finite, got {args.angles}")
     geom = _geometry_from(args)
-    angles = JointAngles.from_sequence(np.radians(args.angles))
+    angles = JointAngles(*np.radians(args.angles).tolist())
     geom.check_limits(angles)
     pose = forward_kinematics(angles, geom)
     x, y, z = pose.position
@@ -385,10 +385,7 @@ def _cmd_ik(args, out) -> int:
     if not all(map(math.isfinite, args.point)):
         raise ValueError(f"point X Y Z must be finite, got {args.point}")
     solution, _ = inverse_kinematics(Pose.tool_down(*args.point), _geometry_from(args))
-    for name, value in zip(
-        ("theta1", "theta2", "theta3", "theta4", "theta5", "theta6"),
-        solution.as_array(),
-    ):
+    for name, value in solution._asdict().items():
         out.write(f"{name}_deg = {np.degrees(value):.6f}\n")
     return EXIT_OK
 

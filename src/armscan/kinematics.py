@@ -123,25 +123,6 @@ class JointAngles(NamedTuple):
     theta5: float
     theta6: float
 
-    @classmethod
-    def from_sequence(cls, values) -> "JointAngles":
-        vals = [float(v) for v in values]
-        if len(vals) != 6:
-            raise ValueError(f"expected 6 joint angles, got {len(vals)}")
-        return cls(*vals)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-
-class WristCenter(NamedTuple):
-    xc: float
-    yc: float
-    zc: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
 
 @dataclass(frozen=True)
 class RobotGeometry:
@@ -279,51 +260,6 @@ def forward_kinematics(angles: JointAngles, geom: RobotGeometry) -> Pose:
     rotation = _rotz(t1 + t4) @ _roty(t5) @ _rotz(t6)
     position = center + geom.d6 * rotation[:, 2]
     return Pose(rotation, position)
-
-
-def fk_frames(angles: JointAngles, geom: RobotGeometry) -> list:
-    """4x4 frames after each link: shoulder, elbow, wrist carrier,
-    joint-4, joint-5, probe tip.  The wrist carrier keeps z vertical."""
-    t1, t2, t3, t4, t5, t6 = angles
-
-    def h(rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = rot
-        m[:3, 3] = trans
-        return m
-
-    frames = []
-    base_yaw = _rotz(t1)
-    shoulder = h(base_yaw, base_yaw @ np.array([geom.l1, 0.0, geom.d1]))
-    frames.append(shoulder)
-
-    upper = shoulder @ h(_roty(-t2), np.zeros(3)) @ h(np.eye(3), np.array([0.0, 0.0, geom.l2]))
-    frames.append(upper)
-
-    fore = upper @ h(_roty(t3), np.zeros(3)) @ h(np.eye(3), np.array([0.0, 0.0, geom.d4]))
-    # Carrier compensation: undo the arm pitch so the wrist z stays vertical.
-    carrier = fore @ h(_roty(t2 - t3), np.zeros(3))
-    frames.append(carrier)
-
-    j4 = carrier @ h(_rotz(t4), np.zeros(3))
-    frames.append(j4)
-    j5 = j4 @ h(_roty(t5), np.zeros(3))
-    frames.append(j5)
-    tip = j5 @ h(_rotz(t6), np.zeros(3)) @ h(np.eye(3), np.array([0.0, 0.0, geom.d6]))
-    frames.append(tip)
-    return frames
-
-
-def wrist_center(pose: Pose, geom: RobotGeometry) -> WristCenter:
-    """Wrist-center position of a one-point pose: tip position backed off
-    d6 along the approach."""
-    p = pose.position
-    a = pose.rotation[:, 2]
-    return WristCenter(
-        p[0] - geom.d6 * a[0],
-        p[1] - geom.d6 * a[1],
-        p[2] - geom.d6 * a[2],
-    )
 
 
 # A wrist center closer to the shoulder than this (mm) has no chord

@@ -84,12 +84,6 @@ class TriangleMesh:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def bounds(self) -> tuple:
-        if len(self) == 0:
-            raise ValueError("empty mesh has no bounds")
-        verts = self.vertices.reshape(-1, 3)
-        return verts.min(axis=0), verts.max(axis=0)
-
 
 @dataclass
 class PointCloud:

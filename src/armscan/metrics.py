@@ -110,16 +110,15 @@ def _nearest_distances(tree: cKDTree, points: np.ndarray, order: np.ndarray):
     return distances
 
 
-def sample_mesh_surface(
-    mesh: TriangleMesh, count: int = None, density: float = None, seed: int = 0
-) -> PointCloud:
-    """Area-weighted uniform random points on the mesh surface.
-
-    Pass either an exact count (at least 1) or a density in points
-    per mm^2.  Sampling is seeded and reproducible.
+def sample_mesh_surface(mesh: TriangleMesh, count: int, seed: int = 0) -> PointCloud:
+    """`count` (at least 1) area-weighted uniform random points on the
+    mesh surface.  Sampling is seeded by the non-negative `seed` and
+    reproducible.
     """
-    if count is not None and count < 1:
+    if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     tris = mesh.vertices
     if tris.size == 0:
         raise ValueError("cannot sample an empty mesh")
@@ -129,10 +128,6 @@ def sample_mesh_surface(
     total = areas.sum()
     if total <= 0.0:
         raise ValueError("mesh has zero surface area")
-    if count is None:
-        if density is None:
-            raise ValueError("need count or density")
-        count = max(1, math.ceil(density * total))
 
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(areas), size=count, p=areas / total)

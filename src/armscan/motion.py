@@ -53,7 +53,7 @@ class LinearPath:
     def __post_init__(self):
         self.start = np.asarray(self.start, dtype=float).reshape(3)
         self.end = np.asarray(self.end, dtype=float).reshape(3)
-        if self.step <= 0.0:
+        if not self.step > 0.0:  # a NaN step fails too
             raise ValueError(f"step must be positive, got {self.step}")
 
     @property

@@ -100,7 +100,7 @@ class ScanGrid:
         if self.row_spacing <= 0.0 or self.col_spacing <= 0.0:
             raise ValueError("grid spacings must be positive")
         # A tessellated facet's cross product is at least the cell area,
-        # taken between the coordinates `point` gives: a spacing below
+        # taken between the coordinates `axes` gives: a spacing below
         # the float resolution of the corner rounds away entirely.
         xs, ys = self.axes()
         row_step = _smallest_step(xs, self.row_spacing)
@@ -113,13 +113,8 @@ class ScanGrid:
                 f"its facets would be degenerate"
             )
 
-    def point(self, i: int, k: int) -> tuple:
-        """(x, y) of the 0-based cell (row i, column k)."""
-        return (self.x0 + i * self.row_spacing, self.y0 + k * self.col_spacing)
-
     def axes(self) -> tuple:
-        """(x of every row, y of every column) as arrays, rounded exactly
-        as `point` rounds them."""
+        """(x of every row, y of every column) as arrays."""
         return (
             self.x0 + np.arange(self.n_rows) * self.row_spacing,
             self.y0 + np.arange(self.n_cols) * self.col_spacing,
@@ -229,16 +224,16 @@ def run_scan(
     failures during the scan do not abort it: they mark the cell
     unreachable, with NaN heights, and leave holes in the mesh.
     """
-    top = scene.mesh.bounds()[1][2]
+    top = scene.mesh.vertices[:, :, 2].max()
     if grid.safe_z < top:
         raise ValueError(
             f"safe height {grid.safe_z:g} mm is below the scene top at {top:g} mm"
         )
+    xs, ys = (a.tolist() for a in grid.axes())
     bad = []
     first_reason = None
     for i, k in grid.probe_order():
-        x, y = grid.point(i, k)
-        ok, why = is_reachable((x, y, grid.safe_z), geom)
+        ok, why = is_reachable((xs[i], ys[k], grid.safe_z), geom)
         if not ok:
             bad.append((i + 1, k + 1))
             if first_reason is None:
@@ -252,7 +247,7 @@ def run_scan(
     legs = []
     last_xy = None
     for i, k in grid.probe_order():
-        x, y = grid.point(i, k)
+        x, y = xs[i], ys[k]
         (kinds[i, k], z_true[i, k], z_measured[i, k]), cycle = probe_cycle(
             x,
             y,

@@ -176,14 +176,10 @@ class NoiseModel:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_contact < 0.0:
             raise ValueError("sigma_contact must be non-negative")
-
-    @property
-    def silent(self) -> bool:
-        return self.sigma_contact == 0.0 and self.drift_per_contact == 0.0
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def error_at(self, contact_index: int) -> float:
-        if self.silent:
-            return 0.0
         gauss = 0.0
         if self.sigma_contact > 0.0:
             rng = np.random.default_rng((self.seed, contact_index))

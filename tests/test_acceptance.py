@@ -111,7 +111,11 @@ def test_criterion_2_plane_scan_fidelity(plate_scan, rng):
     )
     exact = np.array(
         [
-            (*PLATE_GRID.point(i, k), PLATE_Z)
+            (
+                PLATE_GRID.x0 + i * PLATE_GRID.row_spacing,
+                PLATE_GRID.y0 + k * PLATE_GRID.col_spacing,
+                PLATE_Z,
+            )
             for i, k in PLATE_GRID.probe_order()
         ]
     )

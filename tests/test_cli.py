@@ -135,6 +135,8 @@ def test_load_job_missing_key(tmp_path):
             r"\[noise\] sigma_contact = 'NaN' is not finite",
         ),
         ("table_z = 0", "table_z = -inf", r"\[scene\] table_z = '-inf' is not finite"),
+        # numpy refuses it only at the first noise draw, mid-scan
+        ("seed = 11", "seed = -1", "seed must be non-negative, got -1"),
     ],
     ids=[
         "not-a-float",
@@ -144,6 +146,7 @@ def test_load_job_missing_key(tmp_path):
         "drift-nan",
         "sigma-nan",
         "table_z-minus-inf",
+        "seed-negative",
     ],
 )
 def test_load_job_bad_number(tmp_path, old, new, match):
@@ -458,6 +461,22 @@ def test_cli_non_finite_flag_is_config_error(argv, field):
     code, out, err = run_cli(*argv)
     assert code == EXIT_CONFIG
     assert f"{field} must be finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["test-a", "test-b", "compare"])
+def test_cli_negative_seed_is_config_error(tmp_path, command):
+    # numpy refuses a negative seed only at its first draw, in its own words
+    plate = tmp_path / "plate.stl"
+    save_stl(make_plate(0.0, 0.0, 50.0, 50.0, 10.0), plate)
+    argv = {
+        "test-a": ["test-a", "--sigma", "0.1", "--seed", "-1"],
+        "test-b": ["test-b", "--sigma", "0.1", "--seed", "-1", "--repeats", "3"],
+        "compare": ["compare", plate, plate, "--samples", "10", "--seed", "-1"],
+    }[command]
+    code, out, err = run_cli(*argv)
+    assert code == EXIT_CONFIG
+    assert "seed must be non-negative, got -1" in err
     assert out == ""
 
 

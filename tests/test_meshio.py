@@ -172,9 +172,9 @@ def test_ascii_unit_cube_from_another_tool():
     text = "solid cube\n" + "\n".join(faces) + "\nendsolid cube\n"
     mesh = read_stl(text.encode())
     assert len(mesh) == 12
-    lo, hi = mesh.bounds()
-    assert np.allclose(lo, [0, 0, 0])
-    assert np.allclose(hi, [1, 1, 1])
+    verts = mesh.vertices.reshape(-1, 3)
+    assert np.allclose(verts.min(axis=0), [0, 0, 0])
+    assert np.allclose(verts.max(axis=0), [1, 1, 1])
 
 
 def test_ascii_writer_output_parses_back(rng):

@@ -173,12 +173,6 @@ def test_sample_count_and_bounds():
     assert pts[:, 1].min() >= -5.0 and pts[:, 1].max() <= 15.0
 
 
-def test_sample_density_scales_with_area():
-    mesh = make_plate(0.0, 0.0, 200.0, 100.0, 0.0)  # 20000 mm^2
-    cloud = sample_mesh_surface(mesh, density=0.01, seed=2)
-    assert len(cloud) == 200
-
-
 def test_sample_is_seeded():
     mesh = make_plate(0.0, 0.0, 10.0, 10.0, 0.0)
     a = sample_mesh_surface(mesh, count=64, seed=9).points
@@ -207,7 +201,7 @@ def test_sample_weighting_follows_area():
 def test_sample_rejects_empty_and_missing_size():
     with pytest.raises(ValueError, match="empty"):
         sample_mesh_surface(TriangleMesh(), count=10)
-    with pytest.raises(ValueError, match="count or density"):
+    with pytest.raises(TypeError, match="count"):
         sample_mesh_surface(make_plate(0, 0, 1, 1, 0))
 
 

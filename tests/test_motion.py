@@ -66,8 +66,10 @@ def test_waypoints_exact_multiple_no_phantom_interval():
 
 
 def test_path_rejects_bad_step():
-    with pytest.raises(ValueError):
-        LinearPath([0, 0, 0], [1, 0, 0], step=0.0)
+    # `step <= 0` is False for NaN, which then died in waypoints()
+    for step in (0.0, math.nan):
+        with pytest.raises(ValueError, match="step must be positive"):
+            LinearPath([0, 0, 0], [1, 0, 0], step=step)
 
 
 # ------------------------------------------------------------------ planning

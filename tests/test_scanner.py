@@ -20,6 +20,7 @@ from armscan.scene import (
     CONTACT_UNREACHABLE,
     NoiseModel,
     TargetScene,
+    probe_contact,
 )
 
 from oracles import plan_line_loop, triangulate_loop
@@ -41,9 +42,9 @@ def small_grid(n_rows, n_cols, spacing=6.0):
 
 
 def test_grid_point_formula():
-    g = ScanGrid(10.0, 20.0, 5, 4, 2.0, 3.0)
-    assert g.point(0, 0) == (10.0, 20.0)
-    assert g.point(3, 2) == (10.0 + 3 * 2.0, 20.0 + 2 * 3.0)
+    xs, ys = ScanGrid(10.0, 20.0, 5, 4, 2.0, 3.0).axes()
+    assert xs.tolist() == [10.0 + i * 2.0 for i in range(5)]
+    assert ys.tolist() == [20.0 + k * 3.0 for k in range(4)]
 
 
 def test_grid_validation():
@@ -162,15 +163,25 @@ def test_grid_spacing_below_corner_resolution_rejected():
     ScanGrid(0.0, 0.0, 3, 3, 1e-14, 100.0)
 
 
-def test_coordinates_match_grid_points_bit_for_bit(geom):
+def test_coordinates_match_grid_points_bit_for_bit(geom, monkeypatch):
     # spacings that are not binary fractions round differently per point
     grid = ScanGrid(240.1, -30.7, 7, 5, 0.3, 0.7, safe_z=60.0)
     scene = TargetScene(make_plate(180.0, -29.0, 220.0, 160.0, 25.0), floor_mode="skip")
+    touched = []
+
+    def recording_probe_contact(x, y, *args):
+        touched.append((x, y))
+        return probe_contact(x, y, *args)
+
+    monkeypatch.setattr(motion, "probe_contact", recording_probe_contact)
     points = run_scan(grid, geom, scene, NoiseModel(sigma_contact=0.02, seed=1)).points
     q = points.coordinates()
     assert q.shape == (5, 7, 3)
-    for i, k in grid.probe_order():
-        assert q[k, i, :2].tobytes() == np.array(grid.point(i, k)).tobytes()
+    written = [(240.1 + i * 0.3, -30.7 + k * 0.7) for i, k in grid.probe_order()]
+    assert len(touched) == len(written)
+    for (i, k), xy, probed in zip(grid.probe_order(), written, touched):
+        assert q[k, i, :2].tobytes() == np.array(xy).tobytes()
+        assert np.array(probed).tobytes() == np.array(xy).tobytes()
     no_height = np.isin(points.kinds, [CONTACT_NONE, CONTACT_UNREACHABLE]).T
     assert 0 < no_height.sum() < grid.point_count
     assert np.array_equal(np.isnan(q[..., 2]), no_height)
@@ -195,7 +206,9 @@ def test_triangulate_2x2_exact_vertex_sequences(geom):
     grid = small_grid(2, 2)
     result = run_scan(grid, geom, plate_scene(25.0), NoiseModel())
     q = {
-        (i, k): np.array([*grid.point(i, k), result.points.z_measured[i, k]])
+        (i, k): np.array(
+            [240.0 + i * 6.0, -30.0 + k * 6.0, result.points.z_measured[i, k]]
+        )
         for i, k in grid.probe_order()
     }
     mesh = result.mesh
@@ -258,7 +271,7 @@ def test_triangulate_matches_cell_loop_with_random_holes(rng):
         kinds = np.where(holes, CONTACT_NONE, CONTACT_MESH)
         z = np.where(holes, np.nan, heights)
         points = [
-            [None if holes[i, k] else (*grid.point(i, k), heights[i, k])
+            [None if holes[i, k] else (240.0 + i * 6.0, -30.0 + k * 4.0, heights[i, k])
              for k in range(c)]
             for i in range(r)
         ]

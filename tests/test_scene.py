@@ -251,9 +251,12 @@ def test_scene_rejects_non_finite():
 
 
 def test_noise_off_is_identity():
-    noise = NoiseModel()
-    assert noise.error_at(0) == 0.0
-    assert noise.error_at(999) == 0.0
+    for noise in (NoiseModel(), NoiseModel(drift_per_contact=-0.0)):
+        for index in (0, 999):
+            err = noise.error_at(index)
+            assert err == 0.0
+            # +0.0: z + (-0.0) would keep a z of -0.0 negative and change its bytes
+            assert math.copysign(1.0, err) == 1.0
 
 
 def test_noise_drift_alone_is_linear():
@@ -280,6 +283,12 @@ def test_noise_keyed_determinism():
 def test_noise_rejects_negative_sigma():
     with pytest.raises(ValueError):
         NoiseModel(sigma_contact=-0.1)
+
+
+def test_noise_rejects_negative_seed():
+    # numpy refuses a negative seed only at the first draw, mid-scan
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        NoiseModel(sigma_contact=0.1, seed=-1)
 
 
 # ------------------------------------------------------------------ probing
