@@ -41,7 +41,7 @@ from .metrics import (
     test_a,
     test_b,
 )
-from .motion import JointTrace, LinearPath, plan_line, probe_cycle
+from .motion import JointTrace, plan_line, probe_cycle
 from .objects import make_plate, make_wing
 from .scanner import (
     PointGrid,
@@ -61,7 +61,6 @@ __all__ = [
     "JointAngles",
     "JointLimitError",
     "JointTrace",
-    "LinearPath",
     "NoiseModel",
     "PointCloud",
     "PointGrid",

@@ -150,6 +150,8 @@ def load_job(path) -> ScanJob:
             parser.read_file(handle, source=str(path))
     except FileNotFoundError:
         raise JobConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise JobConfigError(f"{path}: not UTF-8 text: {exc}") from None
     except configparser.Error as exc:
         raise JobConfigError(f"config parse error: {exc}") from None
 
@@ -162,16 +164,12 @@ def load_job(path) -> ScanJob:
 
     base = path.resolve().parent
 
-    def resolved(key):
-        return (base / Path(output.text(key))).resolve()
-
     try:
         geom = RobotGeometry(
-            d1=robot.number("d1", 170.0),
-            l1=robot.number("l1", 65.0),
-            l2=robot.number("l2", 305.0),
-            d4=robot.number("d4", 222.0),
-            d6=robot.number("d6", 70.0),
+            **{
+                name: robot.number(name, getattr(RobotGeometry, name))
+                for name in ("d1", "l1", "l2", "d4", "d6")
+            }
         )
         scan_grid = ScanGrid(
             x0=grid.number("x0"),
@@ -183,14 +181,16 @@ def load_job(path) -> ScanJob:
             safe_z=grid.number("safe_z"),
         )
         noise_model = NoiseModel(
-            sigma_contact=noise.number("sigma_contact", 0.0),
-            drift_per_contact=noise.number("drift_per_contact", 0.0),
-            seed=noise.integer("seed", 0),
+            sigma_contact=noise.number("sigma_contact", NoiseModel.sigma_contact),
+            drift_per_contact=noise.number(
+                "drift_per_contact", NoiseModel.drift_per_contact
+            ),
+            seed=noise.integer("seed", NoiseModel.seed),
         )
     except ValueError as exc:
         raise JobConfigError(f"{where}: {exc}") from None
 
-    floor_mode = scene.text("floor_mode", "table")
+    floor_mode = scene.text("floor_mode", TargetScene.floor_mode)
     if floor_mode not in FLOOR_MODES:
         raise JobConfigError(
             f"{where}: [scene] floor_mode must be one of {'/'.join(FLOOR_MODES)}, "
@@ -199,19 +199,28 @@ def load_job(path) -> ScanJob:
     mesh_path = (base / Path(scene.text("mesh"))).resolve()
     if not mesh_path.is_file():
         raise JobConfigError(f"{where}: [scene] mesh file not found: {mesh_path}")
+    # each file the job reads or writes is a distinct path
+    files = {"[scene] mesh": mesh_path}
+    for key in ("stl", "xyz", "trace", "report"):
+        files[f"[output] {key}"] = (base / Path(output.text(key))).resolve()
+    owner = {}
+    for key, file in files.items():
+        if file in owner:
+            raise JobConfigError(f"{where}: {owner[file]} and {key} are both {file}")
+        owner[file] = key
 
     return ScanJob(
         geom=geom,
         mesh_path=mesh_path,
-        table_z=scene.number("table_z", 0.0),
+        table_z=scene.number("table_z", TargetScene.table_z),
         floor_mode=floor_mode,
         grid=scan_grid,
         noise=noise_model,
         flip_normals=output.flag("flip_normals", False),
-        stl_path=resolved("stl"),
-        xyz_path=resolved("xyz"),
-        trace_path=resolved("trace"),
-        report_path=resolved("report"),
+        stl_path=files["[output] stl"],
+        xyz_path=files["[output] xyz"],
+        trace_path=files["[output] trace"],
+        report_path=files["[output] report"],
     )
 
 
@@ -394,17 +403,24 @@ def _cmd_ik(args, out) -> int:
 
 
 def _add_geometry_flags(sub):
-    sub.add_argument("--d1", type=float, default=170.0, help="base height, mm")
-    sub.add_argument("--l1", type=float, default=65.0, help="shoulder offset, mm")
-    sub.add_argument("--l2", type=float, default=305.0, help="upper arm, mm")
-    sub.add_argument("--d4", type=float, default=222.0, help="forearm, mm")
-    sub.add_argument("--d6", type=float, default=70.0, help="tool offset, mm")
+    arm = RobotGeometry()
+    sub.add_argument("--d1", type=float, default=arm.d1, help="base height, mm")
+    sub.add_argument("--l1", type=float, default=arm.l1, help="shoulder offset, mm")
+    sub.add_argument("--l2", type=float, default=arm.l2, help="upper arm, mm")
+    sub.add_argument("--d4", type=float, default=arm.d4, help="forearm, mm")
+    sub.add_argument("--d6", type=float, default=arm.d6, help="tool offset, mm")
 
 
 def _add_noise_flags(sub):
-    sub.add_argument("--sigma", type=float, default=0.0, help="contact noise, mm")
-    sub.add_argument("--drift", type=float, default=0.0, help="drift per contact, mm")
-    sub.add_argument("--seed", type=int, default=0, help="noise seed")
+    off = NoiseModel()
+    sub.add_argument(
+        "--sigma", type=float, default=off.sigma_contact, help="contact noise, mm"
+    )
+    sub.add_argument(
+        "--drift", type=float, default=off.drift_per_contact,
+        help="drift per contact, mm",
+    )
+    sub.add_argument("--seed", type=int, default=off.seed, help="noise seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,9 @@ meet at the wrist center.  Five lengths describe the geometry:
     d6  tool offset from the wrist center to the probe tip, along the
         tool approach axis
 
+They are the fields of `RobotGeometry`, defaulting to the reference arm;
+the joint limit intervals are the fixed table `JOINT_LIMITS`.
+
 The wrist carrier frame keeps its z axis vertical for every arm posture
 (the joint-2/joint-3 rotations are compensated ahead of the wrist, as on
 belt-coupled arms), so joint 5 measures the tool tilt from vertical and a
@@ -35,7 +38,7 @@ after one rotation check for the whole path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,13 +59,17 @@ WRIST_SINGULAR_TOL = 1e-12
 # when the target lies exactly on the boundary.
 LIMIT_GRACE = 1e-9
 
-DEFAULT_JOINT_LIMITS_DEG = (
-    (-180.0, 180.0),
-    (-135.0, 135.0),
-    (0.0, 170.0),
-    (-180.0, 180.0),
-    (0.0, 180.0),
-    (-180.0, 180.0),
+# (lo, hi) interval of each joint, radians.
+JOINT_LIMITS = tuple(
+    (math.radians(lo), math.radians(hi))
+    for lo, hi in (
+        (-180.0, 180.0),
+        (-135.0, 135.0),
+        (0.0, 170.0),
+        (-180.0, 180.0),
+        (0.0, 180.0),
+        (-180.0, 180.0),
+    )
 )
 
 # Probe pointing straight down: approach = -z, tool x kept along base x.
@@ -86,7 +93,7 @@ class UnreachableError(Exception):
 
 
 class JointLimitError(Exception):
-    """A solved joint angle violates its configured limit interval.
+    """A solved joint angle violates its interval in JOINT_LIMITS.
 
     ``row`` is the index of the failing point when a path was solved,
     None for a single pose.
@@ -126,18 +133,13 @@ class JointAngles(NamedTuple):
 
 @dataclass(frozen=True)
 class RobotGeometry:
-    """Link lengths (mm) and joint limit intervals (radians)."""
+    """Link lengths (mm)."""
 
     d1: float = 170.0
     l1: float = 65.0
     l2: float = 305.0
     d4: float = 222.0
     d6: float = 70.0
-    joint_limits: tuple = field(
-        default=tuple(
-            (math.radians(lo), math.radians(hi)) for lo, hi in DEFAULT_JOINT_LIMITS_DEG
-        )
-    )
 
     def __post_init__(self):
         for name in ("d1", "l1", "l2", "d4", "d6"):
@@ -148,18 +150,9 @@ class RobotGeometry:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.l1 < 0.0:
             raise ValueError(f"l1 must be non-negative, got {self.l1}")
-        if len(self.joint_limits) != 6:
-            raise ValueError("joint_limits must hold 6 (lo, hi) intervals")
-        for j, (lo, hi) in enumerate(self.joint_limits, start=1):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"joint {j} limit interval ({lo}, {hi}) is invalid")
-
-    @property
-    def max_reach(self) -> float:
-        return self.l1 + self.l2 + self.d4 + self.d6
 
     def check_limits(self, angles: JointAngles, context: str = "") -> None:
-        for j, (a, (lo, hi)) in enumerate(zip(angles, self.joint_limits), start=1):
+        for j, (a, (lo, hi)) in enumerate(zip(angles, JOINT_LIMITS), start=1):
             if not (lo - LIMIT_GRACE <= a <= hi + LIMIT_GRACE):
                 raise JointLimitError(j, a, lo, hi, context)
 

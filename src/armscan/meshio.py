@@ -10,9 +10,9 @@ Coordinates are held as float64 in memory and narrowed to float32 on
 write; that narrowing is the format's precision, not ours, and
 write-read-write round trips are bit-exact.
 
-ASCII STL is read transparently; its writer serves as a test fixture.
-Point clouds travel as xyz text, one "x y z" triple per line with six
-fractional digits.  Files are written atomically (`write_atomic`).
+ASCII STL is read transparently but never written.  Point clouds travel
+as ASCII xyz text, one "x y z" triple per line with six fractional
+digits.  Files are written atomically (`write_atomic`).
 """
 
 from __future__ import annotations
@@ -113,19 +113,6 @@ def write_stl_binary(mesh: TriangleMesh) -> bytes:
         + struct.pack("<I", count)
         + records.tobytes()
     )
-
-
-def write_stl_ascii(mesh: TriangleMesh, name: str = "scan") -> str:
-    lines = [f"solid {name}"]
-    for normal, vertices in zip(mesh.normals, mesh.vertices):
-        lines.append("  facet normal {:e} {:e} {:e}".format(*normal))
-        lines.append("    outer loop")
-        for v in vertices:
-            lines.append("      vertex {:e} {:e} {:e}".format(*v))
-        lines.append("    endloop")
-        lines.append("  endfacet")
-    lines.append(f"endsolid {name}")
-    return "\n".join(lines) + "\n"
 
 
 def _read_stl_binary(data: bytes) -> TriangleMesh:
@@ -308,9 +295,13 @@ def save_xyz(cloud: PointCloud, path) -> None:
 
 
 def load_xyz(path) -> PointCloud:
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return read_xyz(text)
+        return read_xyz(data.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        no = data.count(b"\n", 0, exc.start) + 1
+        bad = data[exc.start]
+        raise XyzFormatError(f"{path}: line {no}: byte 0x{bad:02x} is not ASCII") from None
     except XyzFormatError as exc:
         raise XyzFormatError(f"{path}: {exc}") from None

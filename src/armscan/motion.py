@@ -1,11 +1,12 @@
 """Straight-line Cartesian planning and the touch-probe motion cycle.
 
-Planning is quasi-static: a path is a uniform chain of position
-waypoints under a constant tool orientation.  Each leg is one IK call
-over all its waypoints (an (N, 3) position): the rotation is checked
-once, then the one closed form solves waypoint by waypoint.  No
-velocity profile exists; the trace is the sequence an open-loop
-controller would stream.
+Planning is quasi-static: a leg is a uniform chain of position
+waypoints at most `STEP` apart (`line_waypoints`) under the tool-down
+orientation.  `plan_line` solves a leg in one IK call over all its
+waypoints (an (N, 3) position): the rotation is checked once, then the
+one closed form solves waypoint by waypoint, and the leg comes back as
+an (N, 6) angle array, a row per waypoint.  No velocity profile exists;
+the rows are the sequence an open-loop controller would stream.
 
 A probe cycle is two such lines, lateral travel at the safe height and
 descent to the contact, then the retract: the descent's rows replayed
@@ -13,9 +14,9 @@ in reverse back to the safe height, with no further IK.  Contact
 heights come from the scene's exact raycast; the descent step size only
 shapes the joint log, never the measurement.
 
-A joint trace is one (N, 6) array of angles, a row per waypoint.  Legs
-and cycles join by slicing off shared seam rows and concatenating, so
-the CSV's waypoint column is simply the row number.
+Legs and cycles join by slicing off shared seam rows and concatenating.
+A scan's rows become one `JointTrace`, whose CSV waypoint column is
+simply the row number.
 """
 
 from __future__ import annotations
@@ -35,44 +36,30 @@ from .kinematics import (
 )
 from .scene import CONTACT_UNREACHABLE, NoiseModel, TargetScene, probe_contact
 
-DEFAULT_STEP = 5.0
+# Longest gap (mm) between consecutive waypoints of a leg.
+STEP = 5.0
 
 CSV_HEADER = (
     "waypoint,theta1_deg,theta2_deg,theta3_deg,theta4_deg,theta5_deg,theta6_deg\n"
 )
 
 
-@dataclass
-class LinearPath:
-    """Uniformly sampled segment; `plan_line` solves it tool-down."""
+def line_waypoints(start, end) -> np.ndarray:
+    """(N, 3) uniform interpolation of a segment, endpoints exact,
+    spacing <= STEP.
 
-    start: np.ndarray
-    end: np.ndarray
-    step: float = DEFAULT_STEP
-
-    def __post_init__(self):
-        self.start = np.asarray(self.start, dtype=float).reshape(3)
-        self.end = np.asarray(self.end, dtype=float).reshape(3)
-        if not self.step > 0.0:  # a NaN step fails too
-            raise ValueError(f"step must be positive, got {self.step}")
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.end - self.start))
-
-    def waypoints(self) -> np.ndarray:
-        """Uniform interpolation, endpoints exact, spacing <= step.
-
-        A degenerate segment yields the single start point.  The 1e-9
-        slack keeps an exact multiple of step from picking up a phantom
-        extra interval through float rounding.
-        """
-        length = self.length
-        if length < 1e-12:
-            return self.start[None, :].copy()
-        intervals = max(1, math.ceil(length / self.step - 1e-9))
-        t = np.arange(intervals + 1) / intervals
-        return self.start + t[:, None] * (self.end - self.start)
+    A degenerate segment yields the single start point.  The 1e-9
+    slack keeps an exact multiple of STEP from picking up a phantom
+    extra interval through float rounding.
+    """
+    start = np.asarray(start, dtype=float)
+    end = np.asarray(end, dtype=float)
+    length = float(np.linalg.norm(end - start))
+    if length < 1e-12:
+        return start[None, :].copy()
+    intervals = max(1, math.ceil(length / STEP - 1e-9))
+    t = np.arange(intervals + 1) / intervals
+    return start + t[:, None] * (end - start)
 
 
 @dataclass
@@ -96,13 +83,14 @@ class JointTrace:
         return CSV_HEADER + (row * len(self)) % tuple(table.ravel().tolist())
 
 
-def plan_line(path: LinearPath, geom: RobotGeometry) -> JointTrace:
-    """Solve tool-down IK for all waypoints of the path in one call.
+def plan_line(start, end, geom: RobotGeometry) -> np.ndarray:
+    """Solve tool-down IK for every waypoint of the segment in one call.
 
-    Raises UnreachableError or JointLimitError naming the first
-    offending waypoint's index and position.
+    Returns the (N, 6) joint angles, a row per waypoint.  Raises
+    UnreachableError or JointLimitError naming the first offending
+    waypoint's index and position.
     """
-    points = path.waypoints()
+    points = line_waypoints(start, end)
     try:
         angles, _ = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, points), geom)
     except (UnreachableError, JointLimitError) as exc:
@@ -111,7 +99,7 @@ def plan_line(path: LinearPath, geom: RobotGeometry) -> JointTrace:
         if isinstance(exc, UnreachableError):
             raise UnreachableError(f"{where}: {exc}") from None
         raise JointLimitError(exc.joint, exc.value, *exc.limits, context=where) from None
-    return JointTrace(angles)
+    return angles
 
 
 def probe_cycle(
@@ -127,31 +115,29 @@ def probe_cycle(
 ) -> tuple:
     """One touch: travel over (x, y), descend to contact, retract.
 
-    Returns ((kind, z_true, z_measured), JointTrace), the contact as
-    `probe_contact` gives it.  The trace starts and ends at the safe
-    height; seam waypoints shared between legs appear once.  The
-    retract replays the descent's rows in reverse, so only the lateral
-    leg or the descent can fail; then the contact is
-    (CONTACT_UNREACHABLE, nan, nan), a kind distinct from a no-contact
-    miss, and the trace holds only the lateral travel, still ending at
-    the safe height.
+    Returns ((kind, z_true, z_measured), angles), the contact as
+    `probe_contact` gives it and the cycle's (N, 6) joint angles.  The
+    angles start and end at the safe height; seam waypoints shared
+    between legs appear once.  The retract replays the descent's rows in
+    reverse, so only the lateral leg or the descent can fail; then the
+    contact is (CONTACT_UNREACHABLE, nan, nan), a kind distinct from a
+    no-contact miss, and the angles hold only the lateral travel, still
+    ending at the safe height.
     """
     lateral = np.zeros((0, 6))
     try:
         if from_xy is not None:
-            lateral = plan_line(
-                LinearPath([from_xy[0], from_xy[1], safe_z], [x, y, safe_z]), geom
-            ).angles
+            lateral = plan_line((*from_xy, safe_z), (x, y, safe_z), geom)
 
         contact = probe_contact(x, y, contact_index, scene, noise)
         z_measured = contact[2]
         z_stop = scene.table_z if math.isnan(z_measured) else z_measured
-        descend = plan_line(LinearPath([x, y, safe_z], [x, y, z_stop]), geom).angles
+        descend = plan_line((x, y, safe_z), (x, y, z_stop), geom)
     except (UnreachableError, JointLimitError):
-        # the trace holds at most the lateral leg, still at the safe height
-        return (CONTACT_UNREACHABLE, math.nan, math.nan), JointTrace(lateral)
+        # the angles hold at most the lateral leg, still at the safe height
+        return (CONTACT_UNREACHABLE, math.nan, math.nan), lateral
 
     retract = descend[-2::-1]  # back up the same line, less the contact row
     if from_xy is not None:
         descend = descend[1:]
-    return contact, JointTrace(np.concatenate([lateral, descend, retract]))
+    return contact, np.concatenate([lateral, descend, retract])

@@ -258,7 +258,7 @@ def run_scan(
             contact_index=grid.contact_ordinal(i, k),
             from_xy=last_xy,
         )
-        legs.append(cycle.angles)
+        legs.append(cycle)
         last_xy = (x, y)
 
     points = PointGrid(grid, kinds, z_true, z_measured)

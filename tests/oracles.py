@@ -19,7 +19,7 @@ from armscan.kinematics import (
     UnreachableError,
     inverse_kinematics,
 )
-from armscan.motion import JointTrace
+from armscan.motion import line_waypoints
 from armscan.scene import BBOX_PAD, DEGENERATE_DET, EDGE_TOL
 
 
@@ -258,14 +258,14 @@ def triangulate_loop(cells, n_rows, n_cols):
     return np.array(facets, dtype=float).reshape(-1, 3, 3)
 
 
-def plan_line_loop(path, geom):
+def plan_line_loop(start, end, geom):
     """`motion.plan_line` one waypoint at a time through the scalar IK.
 
     The first waypoint neither branch solves raises the scalar error,
     prefixed with the waypoint's index and position.
     """
     rows = []
-    for i, pos in enumerate(path.waypoints()):
+    for i, pos in enumerate(line_waypoints(start, end)):
         where = f"waypoint {i} at ({pos[0]:.3f}, {pos[1]:.3f}, {pos[2]:.3f})"
         try:
             angles, _ = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, pos), geom)
@@ -274,4 +274,4 @@ def plan_line_loop(path, geom):
         except JointLimitError as exc:
             raise JointLimitError(exc.joint, exc.value, *exc.limits, context=where) from None
         rows.append(angles)
-    return JointTrace(rows)
+    return np.array(rows, dtype=float).reshape(-1, 6)

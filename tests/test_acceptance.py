@@ -70,7 +70,7 @@ def plate_scan():
 
 
 def test_criterion_1_ik_round_trip_10k(rng):
-    tuples = random_joint_tuples(GEOM, 10_000, rng, margin=0.0)
+    tuples = random_joint_tuples(10_000, rng, margin=0.0)
     worst_pos = 0.0
     worst_rot = 0.0
     started = time.perf_counter()

@@ -24,10 +24,11 @@ from armscan.meshio import (
     load_stl,
     save_stl,
     save_xyz,
-    write_stl_ascii,
     write_stl_binary,
 )
 from armscan.objects import make_plate
+
+from conftest import write_stl_ascii
 
 JOB_TEMPLATE = """\
 [scene]
@@ -168,6 +169,42 @@ def test_load_job_missing_mesh(tmp_path):
     (tmp_path / "plate.stl").unlink()
     with pytest.raises(JobConfigError, match="mesh file not found"):
         load_job(config)
+
+
+def test_load_job_not_utf8_is_config_error(tmp_path):
+    config = write_job(tmp_path)
+    config.write_bytes(config.read_bytes().replace(b"table_z = 0", b"table_z = 0 # \xff"))
+    with pytest.raises(JobConfigError, match="not UTF-8"):
+        load_job(config)
+    code, _, err = run_cli("scan", config)
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {config}: not UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "old, new, keys",
+    [
+        ("xyz = out/scan.xyz", "xyz = out/scan.stl", "[output] stl and [output] xyz"),
+        (
+            "report = out/report.txt",
+            "report = out/../out/trace.csv",
+            "[output] trace and [output] report",
+        ),
+        ("stl = out/scan.stl", "stl = plate.stl", "[scene] mesh and [output] stl"),
+    ],
+    ids=["stl-xyz", "trace-report", "mesh-stl"],
+)
+def test_scan_colliding_files_rejected_at_job_load(tmp_path, monkeypatch, old, new, keys):
+    config = write_job(tmp_path)
+    config.write_text(config.read_text().replace(old, new))
+    monkeypatch.setattr(cli, "run_scan", lambda *a, **k: pytest.fail("the scan started"))
+    plate = (tmp_path / "plate.stl").read_bytes()
+    code, out, err = run_cli("scan", config)
+    assert code == EXIT_CONFIG
+    assert f"{keys} are both " in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "plate.stl").read_bytes() == plate
 
 
 def test_load_job_invalid_geometry_value(tmp_path):
@@ -386,10 +423,12 @@ def test_compare_corrupt_xyz_is_data_error(tmp_path):
     "name, data, where",
     [
         ("nan.xyz", b"1 2 3\nnan 0 0\n", "line 2: non-finite coordinate"),
+        # undecodable text is bad data too, not a bad job
+        ("byte.xyz", b"1 2 3\n4 5 \xff\n", "line 2: byte 0xff is not ASCII"),
         ("nan.stl", nan_plate_stl(), "byte 134: facet 2 has a non-finite"),
         ("nan-ascii.stl", nan_plate_stl(ascii=True), "line 9: facet 2 has a non-finite"),
     ],
-    ids=["xyz", "binary-stl", "ascii-stl"],
+    ids=["xyz", "xyz-non-ascii", "binary-stl", "ascii-stl"],
 )
 def test_compare_non_finite_geometry_is_data_error(tmp_path, name, data, where):
     (tmp_path / name).write_bytes(data)

@@ -18,6 +18,7 @@ import numpy as np
 
 from armscan.cli import main
 from armscan.kinematics import (
+    JOINT_LIMITS,
     IkTrace,
     JointAngles,
     Pose,
@@ -164,8 +165,8 @@ def ik_pose_groups():
     """One list of in-limit FK poses per wrist orientation (t1 + t4, t5, t6)."""
     geom = RobotGeometry()
     rng = np.random.default_rng(20261018)
-    lows = np.array([lo + 1e-6 for lo, hi in geom.joint_limits])
-    highs = np.array([hi - 1e-6 for lo, hi in geom.joint_limits])
+    lows = np.array([lo + 1e-6 for lo, hi in JOINT_LIMITS])
+    highs = np.array([hi - 1e-6 for lo, hi in JOINT_LIMITS])
     wrists = [(0.0, math.pi, math.pi)]
     wrists += [tuple(rng.uniform(lows[3:], highs[3:])) for _ in range(5)]
     arms = rng.uniform(lows[:3], highs[:3], size=(40, 3))

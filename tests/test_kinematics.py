@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from armscan import kinematics
 from armscan.kinematics import (
+    JOINT_LIMITS,
     SHOULDER_ELEVATION_OFFSET,
     TOOL_DOWN_ROTATION,
     IkTrace,
@@ -85,7 +87,7 @@ def test_fk_golden_values(geom):
 
 
 def test_fk_matches_reference_chain(geom, rng):
-    for q in random_joint_tuples(geom, 300, rng):
+    for q in random_joint_tuples(300, rng):
         q = JointAngles(*q)
         pose = forward_kinematics(q, geom)
         ref = fk_reference(q, geom)
@@ -99,7 +101,7 @@ def backed_off(pose, geom):
 
 
 def test_tip_to_wrist_center_distance_is_d6(geom, rng):
-    for q in random_joint_tuples(geom, 100, rng):
+    for q in random_joint_tuples(100, rng):
         pose = forward_kinematics(JointAngles(*q), geom)
         wc = backed_off(pose, geom)
         assert np.linalg.norm(pose.position - wc) == pytest.approx(geom.d6, abs=1e-9)
@@ -115,7 +117,7 @@ def test_base_yaw_sweep_keeps_height(geom):
 
 
 def test_fk_rotation_always_orthonormal(geom, rng):
-    for q in random_joint_tuples(geom, 100, rng):
+    for q in random_joint_tuples(100, rng):
         assert forward_kinematics(JointAngles(*q), geom).rotation_error() <= 1e-12
 
 
@@ -123,7 +125,7 @@ def test_fk_rotation_always_orthonormal(geom, rng):
 
 
 def test_wrist_center_matches_chain_joint5_origin(geom, rng):
-    for q in random_joint_tuples(geom, 100, rng):
+    for q in random_joint_tuples(100, rng):
         q = JointAngles(*q)
         pose = forward_kinematics(q, geom)
         ref = wrist_center_reference(q, geom)
@@ -145,7 +147,7 @@ def test_wrist_center_independent_of_wrist_joints(geom, rng):
 
 
 def test_ik_round_trip_random(geom, rng):
-    for q in random_joint_tuples(geom, 2000, rng):
+    for q in random_joint_tuples(2000, rng):
         pos_err, rot_err, _, _ = ik_roundtrip_errors(JointAngles(*q), geom)
         assert pos_err < 1e-9
         assert rot_err < 1e-9
@@ -231,19 +233,10 @@ def test_ik_unreachable_annulus_inner_hole(geom):
         inverse_kinematics(pose, geom)
 
 
-def test_ik_joint_limit_violation_reports_joint():
-    geom = RobotGeometry(
-        joint_limits=tuple(
-            (math.radians(lo), math.radians(hi))
-            for lo, hi in (
-                (-180, 180),
-                (-135, 135),
-                (0, 60),  # tight elbow
-                (-180, 180),
-                (0, 180),
-                (-180, 180),
-            )
-        )
+def test_ik_joint_limit_violation_reports_joint(geom, monkeypatch):
+    tight_elbow = (0.0, math.radians(60.0))
+    monkeypatch.setattr(
+        kinematics, "JOINT_LIMITS", JOINT_LIMITS[:2] + (tight_elbow,) + JOINT_LIMITS[3:]
     )
     with pytest.raises(JointLimitError) as err:
         inverse_kinematics(Pose.tool_down(150.0, 0.0, 30.0), geom)
@@ -280,14 +273,14 @@ def test_ik_rejects_improper_or_scaled_rotation(geom, rot):
 
 def test_rotation_error_matches_matrix_form(geom, rng):
     # the closed form reads what R^T R - I and det(R) - 1 read
-    for q in random_joint_tuples(geom, 50, rng):
+    for q in random_joint_tuples(50, rng):
         r = forward_kinematics(JointAngles(*q), geom).rotation + rng.normal(0, 1e-3, (3, 3))
         matrix = max(np.abs(r.T @ r - np.eye(3)).max(), abs(np.linalg.det(r) - 1.0))
         assert Pose(r, np.zeros(3)).rotation_error() == pytest.approx(matrix, rel=1e-9)
 
 
 def test_ik_trace_internal_consistency(geom, rng):
-    for q in random_joint_tuples(geom, 200, rng):
+    for q in random_joint_tuples(200, rng):
         pose = forward_kinematics(JointAngles(*q), geom)
         sol, trace = inverse_kinematics(pose, geom)
         assert trace.chord == pytest.approx(
@@ -326,7 +319,7 @@ def test_ik_theta1_equivariance_under_base_rotation(geom):
 # ---------------------------------------------------------------- path solve
 
 GEOM = RobotGeometry()
-IN_LIMITS = st.tuples(*(st.floats(lo, hi) for lo, hi in GEOM.joint_limits))
+IN_LIMITS = st.tuples(*(st.floats(lo, hi) for lo, hi in JOINT_LIMITS))
 
 
 @st.composite
@@ -423,7 +416,7 @@ def test_origin_is_unreachable(geom):
 
 
 def test_point_beyond_max_reach_is_unreachable(geom):
-    r = geom.max_reach + 1.0
+    r = geom.l1 + geom.l2 + geom.d4 + geom.d6 + 1.0
     ok, _ = is_reachable((r, 0.0, 100.0), geom)
     assert not ok
 
@@ -460,14 +453,6 @@ def test_geometry_validation():
         RobotGeometry(l2=-1.0)
     with pytest.raises(ValueError):
         RobotGeometry(d1=0.0)
-    with pytest.raises(ValueError):
-        RobotGeometry(joint_limits=((0.0, 1.0),) * 5)
-    with pytest.raises(ValueError):
-        RobotGeometry(joint_limits=((1.0, -1.0),) + ((-3.0, 3.0),) * 5)
-
-
-def test_max_reach(geom):
-    assert geom.max_reach == 65.0 + 305.0 + 222.0 + 70.0
 
 
 def test_tool_down_rotation_is_proper():

@@ -15,10 +15,11 @@ from armscan.meshio import (
     read_xyz,
     save_stl,
     save_xyz,
-    write_stl_ascii,
     write_stl_binary,
     write_xyz,
 )
+
+from conftest import write_stl_ascii
 
 
 def random_mesh(rng, count):

@@ -13,7 +13,7 @@ from armscan.kinematics import (
     inverse_kinematics,
 )
 from armscan.meshio import TriangleMesh
-from armscan.motion import JointTrace, LinearPath, plan_line, probe_cycle
+from armscan.motion import JointTrace, line_waypoints, plan_line, probe_cycle
 from armscan.scene import CONTACT_MESH, CONTACT_TABLE, CONTACT_UNREACHABLE, NoiseModel, TargetScene
 
 
@@ -32,23 +32,24 @@ def plate_scene(z=25.0, size=200.0, x0=200.0, y0=-100.0, **kw):
 # ------------------------------------------------------------------ path
 
 
-def test_waypoints_count_100mm_by_10mm():
-    path = LinearPath([0, 0, 0], [100, 0, 0], step=10.0)
-    pts = path.waypoints()
+def test_waypoints_count_100mm_by_10mm(monkeypatch):
+    monkeypatch.setattr(motion, "STEP", 10.0)
+    pts = line_waypoints([0, 0, 0], [100, 0, 0])
     assert len(pts) == 11
     assert np.allclose(np.diff(pts[:, 0]), 10.0)
 
 
-def test_waypoints_degenerate_segment():
-    path = LinearPath([5, 5, 5], [5, 5, 5], step=10.0)
-    pts = path.waypoints()
+def test_waypoints_degenerate_segment(monkeypatch):
+    monkeypatch.setattr(motion, "STEP", 10.0)
+    pts = line_waypoints([5, 5, 5], [5, 5, 5])
     assert pts.shape == (1, 3)
     assert np.allclose(pts[0], [5, 5, 5])
 
 
-def test_waypoints_endpoints_exact_and_collinear():
+def test_waypoints_endpoints_exact_and_collinear(monkeypatch):
+    monkeypatch.setattr(motion, "STEP", 7.0)
     start, end = np.array([230.0, -40.0, 60.0]), np.array([310.0, 55.0, 60.0])
-    pts = LinearPath(start, end, step=7.0).waypoints()
+    pts = line_waypoints(start, end)
     assert np.allclose(pts[0], start, atol=1e-12)
     assert np.allclose(pts[-1], end, atol=1e-12)
     seg = end - start
@@ -60,42 +61,37 @@ def test_waypoints_endpoints_exact_and_collinear():
     assert np.ptp(gaps) < 1e-9
 
 
-def test_waypoints_exact_multiple_no_phantom_interval():
-    pts = LinearPath([0, 0, 0], [0.3, 0, 0], step=0.1).waypoints()
+def test_waypoints_exact_multiple_no_phantom_interval(monkeypatch):
+    monkeypatch.setattr(motion, "STEP", 0.1)
+    pts = line_waypoints([0, 0, 0], [0.3, 0, 0])
     assert len(pts) == 4
-
-
-def test_path_rejects_bad_step():
-    # `step <= 0` is False for NaN, which then died in waypoints()
-    for step in (0.0, math.nan):
-        with pytest.raises(ValueError, match="step must be positive"):
-            LinearPath([0, 0, 0], [1, 0, 0], step=step)
 
 
 # ------------------------------------------------------------------ planning
 
 
-def test_plan_line_trace_positions_on_segment(geom):
-    path = LinearPath([240, -30, 40], [320, 60, 40], step=8.0)
-    trace = plan_line(path, geom)
-    pts = path.waypoints()
-    assert len(trace) == len(pts)
-    for angles, target in zip(trace.angles, pts):
+def test_plan_line_trace_positions_on_segment(geom, monkeypatch):
+    monkeypatch.setattr(motion, "STEP", 8.0)
+    start, end = [240, -30, 40], [320, 60, 40]
+    rows = plan_line(start, end, geom)
+    pts = line_waypoints(start, end)
+    assert rows.shape == (len(pts), 6)
+    for angles, target in zip(rows, pts):
         back = forward_kinematics(angles, geom)
         assert np.abs(back.position - target).max() < 1e-9
         assert np.allclose(back.rotation, TOOL_DOWN_ROTATION, atol=1e-9)
 
 
 def test_plan_line_limits_respected(geom):
-    trace = plan_line(LinearPath([250, 0, 30], [300, 0, 30]), geom)
-    for angles in trace.angles:
+    for angles in plan_line([250, 0, 30], [300, 0, 30], geom):
         geom.check_limits(JointAngles(*angles))
 
 
-def test_plan_line_unreachable_names_waypoint(geom):
+def test_plan_line_unreachable_names_waypoint(geom, monkeypatch):
     # end far outside the workspace: failure happens mid-path
+    monkeypatch.setattr(motion, "STEP", 50.0)
     with pytest.raises(UnreachableError) as err:
-        plan_line(LinearPath([300, 0, 50], [900, 0, 50], step=50.0), geom)
+        plan_line([300, 0, 50], [900, 0, 50], geom)
     assert str(err.value) == (
         "waypoint 6 at (600.000, 0.000, 50.000): elbow triangle (chord "
         "537.331 mm, annulus [83.000, 527.000]): cosine argument -1.081199 "
@@ -103,10 +99,11 @@ def test_plan_line_unreachable_names_waypoint(geom):
     )
 
 
-def test_plan_line_joint_limit_names_waypoint(geom):
+def test_plan_line_joint_limit_names_waypoint(geom, monkeypatch):
     # straight over the base: theta2 runs past its stop near the axis
+    monkeypatch.setattr(motion, "STEP", 25.0)
     with pytest.raises(JointLimitError) as err:
-        plan_line(LinearPath([250, 0, 0], [0, 0, 0], step=25.0), geom)
+        plan_line([250, 0, 0], [0, 0, 0], geom)
     assert err.value.joint == 2
     assert str(err.value) == (
         "waypoint 7 at (75.000, 0.000, 0.000): joint 2 angle -145.722 deg "
@@ -119,14 +116,14 @@ def test_plan_line_joint_limit_names_waypoint(geom):
 
 def test_probe_cycle_hits_plate(geom):
     scene = plate_scene(25.0)
-    (kind, z_true, _), trace = probe_cycle(
+    (kind, z_true, _), rows = probe_cycle(
         300.0, 0.0, safe_z=80.0, geom=geom, scene=scene,
         noise=NoiseModel(), contact_index=0,
     )
     assert kind == CONTACT_MESH
     assert z_true == 25.0
     positions = np.array(
-        [forward_kinematics(a, geom).position for a in trace.angles]
+        [forward_kinematics(a, geom).position for a in rows]
     )
     # starts and ends at the safe height, touches the plate in between
     assert positions[0, 2] == pytest.approx(80.0, abs=1e-9)
@@ -136,11 +133,11 @@ def test_probe_cycle_hits_plate(geom):
 
 def test_probe_cycle_descent_monotone(geom):
     scene = plate_scene(25.0)
-    _, trace = probe_cycle(
+    _, rows = probe_cycle(
         280.0, 20.0, safe_z=70.0, geom=geom, scene=scene,
         noise=NoiseModel(), contact_index=0, from_xy=(260.0, -10.0),
     )
-    z = np.array([forward_kinematics(a, geom).position[2] for a in trace.angles])
+    z = np.array([forward_kinematics(a, geom).position[2] for a in rows])
     lateral = np.nonzero(np.abs(z - 70.0) > 1e-9)[0]
     first_move = lateral[0] if len(lateral) else len(z)
     bottom = int(np.argmin(z))
@@ -149,17 +146,18 @@ def test_probe_cycle_descent_monotone(geom):
     assert (np.diff(retract) > 0).all()
     assert len(z) == len(set(np.round(z, 9))) + len(lateral) == len(z)  # no duplicate seams
     # waypoints numbered contiguously by row
-    waypoints = [int(line.split(",")[0]) for line in trace.to_csv().splitlines()[1:]]
-    assert waypoints == list(range(len(trace)))
+    csv = JointTrace(rows).to_csv()
+    waypoints = [int(line.split(",")[0]) for line in csv.splitlines()[1:]]
+    assert waypoints == list(range(len(rows)))
 
 
 def test_probe_cycle_lateral_leg_at_safe_height(geom):
     scene = plate_scene(25.0)
-    _, trace = probe_cycle(
+    _, rows = probe_cycle(
         300.0, 30.0, safe_z=75.0, geom=geom, scene=scene,
         noise=NoiseModel(), contact_index=0, from_xy=(250.0, -40.0),
     )
-    pts = np.array([forward_kinematics(a, geom).position for a in trace.angles])
+    pts = np.array([forward_kinematics(a, geom).position for a in rows])
     over = np.isclose(pts[:, 2], 75.0, atol=1e-9)
     # the xy travel happens only while at the safe height
     moving = np.linalg.norm(np.diff(pts[:, :2], axis=0), axis=1) > 1e-9
@@ -168,19 +166,19 @@ def test_probe_cycle_lateral_leg_at_safe_height(geom):
 
 def test_probe_cycle_miss_table_mode(geom):
     scene = plate_scene(25.0, floor_mode="table")
-    (kind, z_true, _), trace = probe_cycle(
+    (kind, z_true, _), rows = probe_cycle(
         420.0, 0.0, safe_z=60.0, geom=geom, scene=scene,
         noise=NoiseModel(), contact_index=3,
     )
     assert kind == CONTACT_TABLE
     assert z_true == 0.0
-    z = np.array([forward_kinematics(a, geom).position[2] for a in trace.angles])
+    z = np.array([forward_kinematics(a, geom).position[2] for a in rows])
     assert z.min() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_probe_cycle_unreachable_marked(geom):
     scene = plate_scene(25.0, size=600.0, x0=0.0, y0=-300.0)
-    (kind, z_true, z_measured), trace = probe_cycle(
+    (kind, z_true, z_measured), rows = probe_cycle(
         590.0, 0.0, safe_z=60.0, geom=geom, scene=scene,
         noise=NoiseModel(), contact_index=0,
     )
@@ -216,7 +214,7 @@ def test_probe_cycle_retract_replays_descent(geom, monkeypatch):
         (x, y) for x in np.linspace(220.0, 380.0, 11) for y in np.linspace(-60.0, 60.0, 7)
     ):
         solved.clear()
-        (kind, _, _), trace = probe_cycle(
+        (kind, _, _), rows = probe_cycle(
             x, y, safe_z=73.0, geom=geom, scene=scene, noise=noise,
             contact_index=index, from_xy=(x - 7.0, y - 5.0),
         )
@@ -224,8 +222,8 @@ def test_probe_cycle_retract_replays_descent(geom, monkeypatch):
         calls.append(len(solved))
         lateral, descend = solved[:2]
         bottom = len(lateral) - 1 + len(descend)
-        assert np.array_equal(trace.angles[len(lateral) - 1 : bottom], descend)
-        if not np.array_equal(trace.angles[bottom:], descend[-2::-1]):
+        assert np.array_equal(rows[len(lateral) - 1 : bottom], descend)
+        if not np.array_equal(rows[bottom:], descend[-2::-1]):
             not_reversed.append((x, y))
     assert calls == [2] * 77
     assert not_reversed == []
@@ -239,7 +237,7 @@ def test_probe_cycle_deterministic(geom):
     c1, t1 = probe_cycle(300.0, 20.0, **kw)
     c2, t2 = probe_cycle(300.0, 20.0, **kw)
     assert c1 == c2
-    assert t1.to_csv() == t2.to_csv()
+    assert t1.tobytes() == t2.tobytes()
 
 
 # ------------------------------------------------------------------ trace
