@@ -9,15 +9,19 @@ Subcommands:
     ik        tool-down inverse kinematics of one point
 
 Scan jobs are sectioned key=value text (INI).  All lengths are mm and
-all angles are degrees at this boundary.  Grammar:
+all angles are degrees at this boundary.  Grammar (`JOB_KEYS`):
 
-    [robot]            optional, link lengths d1 l1 l2 d4 d6
-    [scene]            mesh = path.stl; table_z; floor_mode table|skip
-    [grid]             x0 y0 rows cols row_spacing col_spacing safe_z
-    [noise]            optional, sigma_contact drift_per_contact seed
-    [output]           stl xyz trace report paths; flip_normals
+    [robot]   d1 l1 l2 d4 d6                                 (optional)
+    [scene]   mesh table_z floor_mode
+    [grid]    x0 y0 rows cols row_spacing col_spacing safe_z
+    [noise]   sigma_contact drift_per_contact seed           (optional)
+    [output]  stl xyz trace report flip_normals
 
-Relative paths are resolved against the config file's directory.  The
+mesh and the four output keys are paths, resolved against the config
+file's directory; rows, cols and seed are integers; floor_mode is table
+or skip; flip_normals is a boolean; every other value is a finite
+number.  A section or key outside the grammar, and an output path that
+names a directory or lies under a file, fail the job at load.  The
 report a run writes echoes the fully resolved job as a valid config
 followed by the result counts as comments, so any report can be fed
 back to `armscan scan` to reproduce its artifacts byte for byte.
@@ -76,69 +80,64 @@ class JobConfigError(Exception):
 
 # ------------------------------------------------------------------- job
 
+# The job grammar: each section's keys in report order, with their type
+# and default.  A default of None marks a required key; a section with a
+# required key is required.  The grid keys are in ScanGrid's field order.
+JOB_KEYS = {
+    "robot": tuple(
+        (name, float, getattr(RobotGeometry, name))
+        for name in ("d1", "l1", "l2", "d4", "d6")
+    ),
+    "scene": (
+        ("mesh", Path, None),
+        ("table_z", float, TargetScene.table_z),
+        ("floor_mode", str, TargetScene.floor_mode),
+    ),
+    "grid": (
+        ("x0", float, None),
+        ("y0", float, None),
+        ("rows", int, None),
+        ("cols", int, None),
+        ("row_spacing", float, None),
+        ("col_spacing", float, None),
+        ("safe_z", float, None),
+    ),
+    "noise": (
+        ("sigma_contact", float, NoiseModel.sigma_contact),
+        ("drift_per_contact", float, NoiseModel.drift_per_contact),
+        ("seed", int, NoiseModel.seed),
+    ),
+    "output": (
+        ("stl", Path, None),
+        ("xyz", Path, None),
+        ("trace", Path, None),
+        ("report", Path, None),
+        ("flip_normals", bool, False),
+    ),
+}
+
 
 @dataclass
 class ScanJob:
     geom: RobotGeometry
-    mesh_path: Path
-    table_z: float
-    floor_mode: str
     grid: ScanGrid
     noise: NoiseModel
-    flip_normals: bool
-    stl_path: Path
-    xyz_path: Path
-    trace_path: Path
-    report_path: Path
+    values: dict  # section -> key -> resolved value, for every JOB_KEYS key
 
-
-class _Section:
-    """One config section with typed, error-reporting accessors."""
-
-    def __init__(self, parser, name, where):
-        self.name = name
-        self.where = where
-        self.raw = parser[name] if parser.has_section(name) else None
-
-    def require(self):
-        if self.raw is None:
-            raise JobConfigError(f"{self.where}: missing section [{self.name}]")
-        return self
-
-    def _fetch(self, key, kind, fallback):
-        if self.raw is None or key not in self.raw:
-            if fallback is not None:
-                return fallback
-            raise JobConfigError(
-                f"{self.where}: section [{self.name}] needs key '{key}'"
-            )
-        text = self.raw[key]
-        try:
-            if kind is bool:
-                return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-            return kind(text)
-        except (ValueError, KeyError):
-            raise JobConfigError(
-                f"{self.where}: [{self.name}] {key} = {text!r} is not a valid "
-                f"{kind.__name__}"
-            ) from None
-
-    def number(self, key, fallback=None):
-        value = self._fetch(key, float, fallback)
-        if not math.isfinite(value):
-            raise JobConfigError(
-                f"{self.where}: [{self.name}] {key} = {self.raw[key]!r} is not finite"
-            )
-        return value
-
-    def integer(self, key, fallback=None):
-        return self._fetch(key, int, fallback)
-
-    def flag(self, key, fallback=None):
-        return self._fetch(key, bool, fallback)
-
-    def text(self, key, fallback=None):
-        return self._fetch(key, str, fallback)
+    def as_config(self) -> str:
+        """The fully resolved job as runnable config text."""
+        lines = []
+        for section, keys in JOB_KEYS.items():
+            lines.append(f"[{section}]")
+            for key, kind, _ in keys:
+                value = self.values[section][key]
+                if kind is float:
+                    value = repr(value)
+                elif kind is bool:
+                    value = "true" if value else "false"
+                lines.append(f"{key} = {value}")
+            lines.append("")
+        return "\n".join(lines)
 
 
 def load_job(path) -> ScanJob:
@@ -156,114 +155,77 @@ def load_job(path) -> ScanJob:
         raise JobConfigError(f"config parse error: {exc}") from None
 
     where = str(path)
-    robot = _Section(parser, "robot", where)
-    scene = _Section(parser, "scene", where).require()
-    grid = _Section(parser, "grid", where).require()
-    noise = _Section(parser, "noise", where)
-    output = _Section(parser, "output", where).require()
+    for section, keys in JOB_KEYS.items():
+        if not parser.has_section(section) and any(d is None for *_, d in keys):
+            raise JobConfigError(f"{where}: missing section [{section}]")
+    # a misspelt name would otherwise run with the default it shadows
+    for section, raw in parser.items():
+        if section not in JOB_KEYS and section != parser.default_section:
+            raise JobConfigError(f"{where}: unknown section [{section}]")
+        known = [key for key, *_ in JOB_KEYS.get(section, ())]
+        for key in raw:
+            if key not in known:
+                raise JobConfigError(f"{where}: [{section}] has no key '{key}'")
 
     base = path.resolve().parent
 
+    def read(section, key, kind, default):
+        """One value read as `kind`, or its default when the key is absent."""
+        if not parser.has_option(section, key):
+            if default is None:
+                raise JobConfigError(f"{where}: section [{section}] needs key '{key}'")
+            return default
+        text = parser[section][key]
+        if kind is Path:
+            return (base / text).resolve()
+        bad = f"{where}: [{section}] {key} = {text!r} is not"
+        try:
+            value = parser.BOOLEAN_STATES[text.lower()] if kind is bool else kind(text)
+        except (ValueError, KeyError):
+            raise JobConfigError(f"{bad} a valid {kind.__name__}") from None
+        if kind is float and not math.isfinite(value):
+            raise JobConfigError(f"{bad} finite")
+        return value
+
+    values = {
+        section: {key: read(section, key, kind, default) for key, kind, default in keys}
+        for section, keys in JOB_KEYS.items()
+    }
     try:
-        geom = RobotGeometry(
-            **{
-                name: robot.number(name, getattr(RobotGeometry, name))
-                for name in ("d1", "l1", "l2", "d4", "d6")
-            }
-        )
-        scan_grid = ScanGrid(
-            x0=grid.number("x0"),
-            y0=grid.number("y0"),
-            n_rows=grid.integer("rows"),
-            n_cols=grid.integer("cols"),
-            row_spacing=grid.number("row_spacing"),
-            col_spacing=grid.number("col_spacing"),
-            safe_z=grid.number("safe_z"),
-        )
-        noise_model = NoiseModel(
-            sigma_contact=noise.number("sigma_contact", NoiseModel.sigma_contact),
-            drift_per_contact=noise.number(
-                "drift_per_contact", NoiseModel.drift_per_contact
-            ),
-            seed=noise.integer("seed", NoiseModel.seed),
-        )
+        geom = RobotGeometry(**values["robot"])
+        grid = ScanGrid(*values["grid"].values())
+        noise = NoiseModel(**values["noise"])
     except ValueError as exc:
         raise JobConfigError(f"{where}: {exc}") from None
 
-    floor_mode = scene.text("floor_mode", TargetScene.floor_mode)
-    if floor_mode not in FLOOR_MODES:
+    scene = values["scene"]
+    if scene["floor_mode"] not in FLOOR_MODES:
         raise JobConfigError(
             f"{where}: [scene] floor_mode must be one of {'/'.join(FLOOR_MODES)}, "
-            f"got {floor_mode!r}"
+            f"got {scene['floor_mode']!r}"
         )
-    mesh_path = (base / Path(scene.text("mesh"))).resolve()
-    if not mesh_path.is_file():
-        raise JobConfigError(f"{where}: [scene] mesh file not found: {mesh_path}")
-    # each file the job reads or writes is a distinct path
-    files = {"[scene] mesh": mesh_path}
-    for key in ("stl", "xyz", "trace", "report"):
-        files[f"[output] {key}"] = (base / Path(output.text(key))).resolve()
+    if not scene["mesh"].is_file():
+        raise JobConfigError(f"{where}: [scene] mesh file not found: {scene['mesh']}")
+    # each file the job reads or writes is a distinct path that can be a
+    # file: not a directory, and under no existing file
+    paths = [
+        (f"[{section}] {key}", values[section][key])
+        for section, keys in JOB_KEYS.items()
+        for key, kind, _ in keys
+        if kind is Path
+    ]
     owner = {}
-    for key, file in files.items():
+    for name, file in paths:
         if file in owner:
-            raise JobConfigError(f"{where}: {owner[file]} and {key} are both {file}")
-        owner[file] = key
+            raise JobConfigError(f"{where}: {owner[file]} and {name} are both {file}")
+        owner[file] = name
+        if file.is_dir():
+            raise JobConfigError(f"{where}: {name} is a directory: {file}")
+        nearest = next(parent for parent in file.parents if parent.exists())
+        if not nearest.is_dir():
+            raise JobConfigError(f"{where}: {name} is under a file: {nearest}")
 
-    return ScanJob(
-        geom=geom,
-        mesh_path=mesh_path,
-        table_z=scene.number("table_z", TargetScene.table_z),
-        floor_mode=floor_mode,
-        grid=scan_grid,
-        noise=noise_model,
-        flip_normals=output.flag("flip_normals", False),
-        stl_path=files["[output] stl"],
-        xyz_path=files["[output] xyz"],
-        trace_path=files["[output] trace"],
-        report_path=files["[output] report"],
-    )
-
-
-def _job_as_config(job: ScanJob) -> str:
-    """The fully resolved job as runnable config text."""
-    g, sg, n = job.geom, job.grid, job.noise
-    return "\n".join(
-        [
-            "[robot]",
-            f"d1 = {g.d1!r}",
-            f"l1 = {g.l1!r}",
-            f"l2 = {g.l2!r}",
-            f"d4 = {g.d4!r}",
-            f"d6 = {g.d6!r}",
-            "",
-            "[scene]",
-            f"mesh = {job.mesh_path}",
-            f"table_z = {job.table_z!r}",
-            f"floor_mode = {job.floor_mode}",
-            "",
-            "[grid]",
-            f"x0 = {sg.x0!r}",
-            f"y0 = {sg.y0!r}",
-            f"rows = {sg.n_rows}",
-            f"cols = {sg.n_cols}",
-            f"row_spacing = {sg.row_spacing!r}",
-            f"col_spacing = {sg.col_spacing!r}",
-            f"safe_z = {sg.safe_z!r}",
-            "",
-            "[noise]",
-            f"sigma_contact = {n.sigma_contact!r}",
-            f"drift_per_contact = {n.drift_per_contact!r}",
-            f"seed = {n.seed}",
-            "",
-            "[output]",
-            f"stl = {job.stl_path}",
-            f"xyz = {job.xyz_path}",
-            f"trace = {job.trace_path}",
-            f"report = {job.report_path}",
-            f"flip_normals = {'true' if job.flip_normals else 'false'}",
-            "",
-        ]
-    )
+    return ScanJob(geom, grid, noise, values)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -282,38 +244,31 @@ def run_job(job: ScanJob, out=sys.stdout) -> ScanResult:
     is still written (with the abort reason) and the error propagates
     for the exit-code mapping.
     """
-    scene = TargetScene(
-        load_stl(job.mesh_path), table_z=job.table_z, floor_mode=job.floor_mode
-    )
-    header = "# scan job report; feed this file back to `armscan scan` to rerun\n"
+    setup, output = job.values["scene"], job.values["output"]
+    scene = TargetScene(load_stl(setup["mesh"]), setup["table_z"], setup["floor_mode"])
+    report = "# scan job report; feed this file back to `armscan scan` to rerun\n"
+    report += job.as_config()
     try:
         result = run_scan(
-            job.grid, job.geom, scene, job.noise, flip_normals=job.flip_normals
+            job.grid, job.geom, scene, job.noise, flip_normals=output["flip_normals"]
         )
     except UnreachableGridError as exc:
-        report = (
-            header
-            + _job_as_config(job)
-            + "\n# aborted before any motion\n"
-            + _comment_block(f"unreachable grid: {exc}")
-        )
-        _write_text(job.report_path, report)
+        report += "\n# aborted before any motion\n"
+        report += _comment_block(f"unreachable grid: {exc}")
+        _write_text(output["report"], report)
         raise
 
-    for artifact in (job.stl_path, job.xyz_path):
+    for artifact in (output["stl"], output["xyz"]):
         artifact.parent.mkdir(parents=True, exist_ok=True)
-    save_stl(result.mesh, job.stl_path)
-    save_xyz(result.points.measured_cloud(), job.xyz_path)
-    _write_text(job.trace_path, result.trace.to_csv())
-    report = header + _job_as_config(job) + "\n# results\n"
-    report += _comment_block(result.summary())
-    _write_text(job.report_path, report)
+    save_stl(result.mesh, output["stl"])
+    save_xyz(result.points.measured_cloud(), output["xyz"])
+    _write_text(output["trace"], result.trace.to_csv())
+    report += "\n# results\n" + _comment_block(result.summary())
+    _write_text(output["report"], report)
 
     out.write(result.summary())
-    out.write(f"stl     {job.stl_path}\n")
-    out.write(f"xyz     {job.xyz_path}\n")
-    out.write(f"trace   {job.trace_path}\n")
-    out.write(f"report  {job.report_path}\n")
+    for key in ("stl", "xyz", "trace", "report"):
+        out.write(f"{key:<8}{output[key]}\n")
     return result
 
 

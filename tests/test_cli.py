@@ -3,9 +3,12 @@ exit codes, and the report-echo rerun invariant."""
 
 import configparser
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from armscan import cli
 from armscan.cli import (
@@ -19,6 +22,7 @@ from armscan.cli import (
     load_job,
     main,
 )
+from armscan.kinematics import RobotGeometry
 from armscan.meshio import (
     PointCloud,
     load_stl,
@@ -27,6 +31,7 @@ from armscan.meshio import (
     write_stl_binary,
 )
 from armscan.objects import make_plate
+from armscan.scene import FLOOR_MODES, NoiseModel
 
 from conftest import write_stl_ascii
 
@@ -83,13 +88,14 @@ def parse_kv(text):
 
 def test_load_job_resolves_paths_and_defaults(tmp_path):
     job = load_job(write_job(tmp_path))
-    assert job.mesh_path == (tmp_path / "plate.stl").resolve()
-    assert job.stl_path == (tmp_path / "out" / "scan.stl").resolve()
+    assert job.values["scene"]["mesh"] == (tmp_path / "plate.stl").resolve()
+    assert job.values["output"]["stl"] == (tmp_path / "out" / "scan.stl").resolve()
     assert job.geom.d1 == 170.0 and job.geom.d6 == 70.0  # [robot] omitted
     assert job.grid.n_rows == 6 and job.grid.n_cols == 7
     assert job.noise.sigma_contact == 0.0 and job.noise.seed == 11
     assert job.noise.drift_per_contact == 0.0
-    assert job.floor_mode == "table" and job.flip_normals is False
+    assert job.values["scene"]["floor_mode"] == "table"
+    assert job.values["output"]["flip_normals"] is False
 
 
 def test_load_job_missing_file(tmp_path):
@@ -212,6 +218,156 @@ def test_load_job_invalid_geometry_value(tmp_path):
     config.write_text("[robot]\nl2 = -5\n" + config.read_text())
     with pytest.raises(JobConfigError, match="l2"):
         load_job(config)
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("[noise]", "[nosie]", "unknown section [nosie]"),
+        ("sigma_contact = 0.0", "sigma_contct = 0.5", "[noise] has no key 'sigma_contct'"),
+        ("row_spacing = 6", "row_spacing = 6\nrow_spacng = 1", "[grid] has no key 'row_spacng'"),
+        # configparser copies [DEFAULT] keys into every section
+        ("[scene]", "[DEFAULT]\nseed = 3\n\n[scene]", "[DEFAULT] has no key 'seed'"),
+    ],
+    ids=["section", "noise-key", "grid-key", "default-section"],
+)
+def test_scan_unknown_name_rejected_at_job_load(tmp_path, monkeypatch, old, new, named):
+    # each of these used to run with the default the misspelt name shadows
+    config = write_job(tmp_path)
+    text = config.read_text()
+    assert old in text
+    config.write_text(text.replace(old, new, 1))
+    monkeypatch.setattr(cli, "load_stl", lambda *a, **k: pytest.fail("the STL was loaded"))
+    code, out, err = run_cli("scan", config)
+    assert code == EXIT_CONFIG
+    assert err == f"error: {config}: {named}\n"
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "new, blocker",
+    [
+        ("stl = shelf", "[output] stl is a directory: {tmp}/shelf"),
+        ("stl =", "[output] stl is a directory: {tmp}"),
+        ("stl = plate.stl/x.stl", "[output] stl is under a file: {tmp}/plate.stl"),
+    ],
+    ids=["directory", "empty", "under-a-file"],
+)
+def test_scan_output_path_not_a_file_rejected_at_job_load(tmp_path, monkeypatch, new, blocker):
+    # each of these used to run the whole scan and fail at the first write
+    config = write_job(tmp_path)
+    (tmp_path / "shelf").mkdir()
+    config.write_text(config.read_text().replace("stl = out/scan.stl", new))
+    monkeypatch.setattr(cli, "run_scan", lambda *a, **k: pytest.fail("the scan started"))
+    plate = (tmp_path / "plate.stl").read_bytes()
+    code, out, err = run_cli("scan", config)
+    assert code == EXIT_CONFIG
+    assert blocker.format(tmp=tmp_path.resolve()) in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+    assert list((tmp_path / "shelf").iterdir()) == []
+    assert (tmp_path / "plate.stl").read_bytes() == plate
+
+
+def finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+# positive, non-negative and unbounded values as their types validate them
+POSITIVE = finite(min_value=0.0, exclude_min=True)
+NON_NEGATIVE = finite(min_value=0.0) | st.just(-0.0)
+ANY = finite() | st.just(-0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    robot=st.none() | st.fixed_dictionaries(
+        {"d1": POSITIVE, "l1": NON_NEGATIVE, "l2": POSITIVE, "d4": POSITIVE, "d6": POSITIVE}
+    ),
+    scene=st.fixed_dictionaries(
+        {"table_z": ANY, "floor_mode": st.sampled_from(FLOOR_MODES)}
+    ),
+    grid=st.fixed_dictionaries(
+        {
+            "x0": finite(min_value=-1e4, max_value=1e4) | st.just(-0.0),
+            "y0": finite(min_value=-1e4, max_value=1e4) | st.just(-0.0),
+            "rows": st.integers(1, 1000),
+            "cols": st.integers(1, 1000),
+            "row_spacing": finite(min_value=0.01, max_value=1e3),
+            "col_spacing": finite(min_value=0.01, max_value=1e3),
+            "safe_z": ANY,
+        }
+    ),
+    noise=st.none() | st.fixed_dictionaries(
+        {"sigma_contact": NON_NEGATIVE, "drift_per_contact": ANY, "seed": st.integers(0, 2**64)}
+    ),
+    flip=st.sampled_from(sorted(configparser.ConfigParser.BOOLEAN_STATES)),
+)
+def test_report_echo_round_trips(tmp_path_factory, robot, scene, grid, noise, flip):
+    base = tmp_path_factory.mktemp("job")
+    (base / "plate.stl").write_bytes(b"")  # the job load only checks it is a file
+    drawn = {
+        "robot": robot,
+        "scene": {"mesh": "plate.stl", **scene},
+        "grid": grid,
+        "noise": noise,
+        "output": {
+            "stl": "out/scan.stl",
+            "xyz": "out/scan.xyz",
+            "trace": "out/trace.csv",
+            "report": "out/report.txt",
+            "flip_normals": flip,
+        },
+    }
+    lines = []
+    for section, keys in drawn.items():
+        if keys is not None:
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {v if isinstance(v, str) else repr(v)}" for key, v in keys.items()]
+    config = base / "job.ini"
+    config.write_text("\n".join(lines) + "\n")
+    job = load_job(config)
+    for section, keys in drawn.items():
+        for key, value in (keys or {}).items():
+            if isinstance(value, float):
+                assert repr(job.values[section][key]) == repr(value)
+            elif isinstance(value, int):
+                assert job.values[section][key] == value
+    assert job.values["output"]["flip_normals"] is configparser.ConfigParser.BOOLEAN_STATES[flip]
+    assert job.values["output"]["report"] == (base / "out" / "report.txt").resolve()
+    if robot is None:
+        assert job.geom == RobotGeometry()
+    if noise is None:
+        assert job.noise == NoiseModel()
+
+    echo = base / "echo.ini"
+    echo.write_text(job.as_config())
+    again = load_job(echo)
+    assert repr(again.values) == repr(job.values)
+    assert again.as_config() == job.as_config()
+
+
+def test_docs_name_every_job_key():
+    # the module docstring lists each section's keys in table order, and
+    # marks the sections whose keys all have defaults
+    documented = [
+        (section, rest.split("(")[0].split(), "(optional)" in rest)
+        for section, rest in re.findall(r"^    \[(\w+)\] +(.*)$", cli.__doc__, re.M)
+    ]
+    table = [
+        (section, [key for key, *_ in keys], all(default is not None for *_, default in keys))
+        for section, keys in cli.JOB_KEYS.items()
+    ]
+    assert documented == table
+    # every key of the README's example job is in the table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    example = [(section, key) for section in parser.sections() for key in parser[section]]
+    assert example
+    grammar = {(section, key) for section, keys in cli.JOB_KEYS.items() for key, *_ in keys}
+    assert set(example) <= grammar
 
 
 # ------------------------------------------------------------------ scan
