@@ -20,11 +20,12 @@ all angles are degrees at this boundary.  Grammar (`JOB_KEYS`):
 mesh and the four output keys are paths, resolved against the config
 file's directory; rows, cols and seed are integers; floor_mode is table
 or skip; flip_normals is a boolean; every other value is a finite
-number.  A section or key outside the grammar, and an output path that
-names a directory or lies under a file, fail the job at load.  The
-report a run writes echoes the fully resolved job as a valid config
-followed by the result counts as comments, so any report can be fed
-back to `armscan scan` to reproduce its artifacts byte for byte.
+number.  Values are taken literally: `%` is an ordinary character.  A
+section or key outside the grammar, and an output path that names a
+directory or lies under a file, fail the job at load.  The report a
+run writes echoes the fully resolved job as a valid config followed
+by the result counts as comments, so any report can be fed back to
+`armscan scan` to reproduce its artifacts byte for byte.
 
 Exit codes: 0 success, 2 bad config or arguments, 3 unreachable
 geometry, 4 joint limit violation, 5 I/O failure, 6 malformed
@@ -49,6 +50,7 @@ from .kinematics import (
     Pose,
     RobotGeometry,
     UnreachableError,
+    check_limits,
     forward_kinematics,
     inverse_kinematics,
 )
@@ -76,6 +78,21 @@ DEFAULT_COMPARE_SAMPLES = 10000
 
 class JobConfigError(Exception):
     """Scan-job file is missing, unparsable, or fails validation."""
+
+
+# The error each exit code reports, in precedence order: `main` exits
+# with the first entry the error is an instance of, so the geometry-data
+# errors come before ValueError, their base class.
+EXIT_CODES = {
+    StlFormatError: EXIT_DATA,
+    XyzFormatError: EXIT_DATA,
+    UnreachableError: EXIT_UNREACHABLE,
+    UnreachableGridError: EXIT_UNREACHABLE,
+    JointLimitError: EXIT_JOINT_LIMIT,
+    JobConfigError: EXIT_CONFIG,
+    ValueError: EXIT_CONFIG,
+    OSError: EXIT_IO,
+}
 
 
 # ------------------------------------------------------------------- job
@@ -143,7 +160,9 @@ class ScanJob:
 def load_job(path) -> ScanJob:
     """Parse and validate a scan-job config file."""
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#",), interpolation=None
+    )
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle, source=str(path))
@@ -290,6 +309,11 @@ def _cmd_scan(args, out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
+    # checked up front: an .xyz input never reaches the sampler's checks
+    if args.samples < 1:
+        raise ValueError(f"sample count must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     a = _load_cloud(Path(args.path_a), args.samples, args.seed)
     b = _load_cloud(Path(args.path_b), args.samples, args.seed)
     out.write(metrics.chamfer_distance(a, b).key_values())
@@ -335,7 +359,7 @@ def _cmd_fk(args, out) -> int:
         raise ValueError(f"joint angles must be finite, got {args.angles}")
     geom = _geometry_from(args)
     angles = JointAngles(*np.radians(args.angles).tolist())
-    geom.check_limits(angles)
+    check_limits(angles)
     pose = forward_kinematics(angles, geom)
     x, y, z = pose.position
     out.write(f"x_mm = {x:.6f}\ny_mm = {y:.6f}\nz_mm = {z:.6f}\n")
@@ -443,21 +467,9 @@ def main(argv=None, out=None, err=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
-    except (StlFormatError, XyzFormatError) as exc:
+    except tuple(EXIT_CODES) as exc:
         err.write(f"error: {exc}\n")
-        return EXIT_DATA
-    except (UnreachableError, UnreachableGridError) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_UNREACHABLE
-    except JointLimitError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_JOINT_LIMIT
-    except (JobConfigError, ValueError) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except OSError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_IO
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -32,7 +32,8 @@ solved: the elbow always sits above the shoulder-to-wrist chord.
 `inverse_kinematics` solves one pose or a whole path of points under one
 rotation with one closed form (Pieper's spherical-wrist decoupling) in
 scalar `math` code.  A path is that closed form applied point by point,
-after one rotation check for the whole path.
+after one rotation check for the whole path; its error is the first
+failing point's, the message prefixed `waypoint i at (x, y, z): `.
 """
 
 from __future__ import annotations
@@ -83,35 +84,11 @@ TOOL_DOWN_ROTATION = np.array(
 
 
 class UnreachableError(Exception):
-    """Target pose lies outside the position workspace.
-
-    ``row`` is the index of the failing point when a path was solved,
-    None for a single pose.
-    """
-
-    row = None
+    """Target pose lies outside the position workspace."""
 
 
 class JointLimitError(Exception):
-    """A solved joint angle violates its interval in JOINT_LIMITS.
-
-    ``row`` is the index of the failing point when a path was solved,
-    None for a single pose.
-    """
-
-    row = None
-
-    def __init__(self, joint: int, value: float, lo: float, hi: float, context: str = ""):
-        self.joint = joint
-        self.value = value
-        self.limits = (lo, hi)
-        msg = (
-            f"joint {joint} angle {math.degrees(value):.3f} deg outside "
-            f"[{math.degrees(lo):.3f}, {math.degrees(hi):.3f}] deg"
-        )
-        if context:
-            msg = f"{context}: {msg}"
-        super().__init__(msg)
+    """A solved joint angle violates its interval in JOINT_LIMITS."""
 
 
 def normalize_angle(a: float) -> float:
@@ -151,10 +128,15 @@ class RobotGeometry:
         if self.l1 < 0.0:
             raise ValueError(f"l1 must be non-negative, got {self.l1}")
 
-    def check_limits(self, angles: JointAngles, context: str = "") -> None:
-        for j, (a, (lo, hi)) in enumerate(zip(angles, JOINT_LIMITS), start=1):
-            if not (lo - LIMIT_GRACE <= a <= hi + LIMIT_GRACE):
-                raise JointLimitError(j, a, lo, hi, context)
+
+def check_limits(angles: JointAngles) -> None:
+    """Raise JointLimitError naming the first joint outside its interval."""
+    for j, (a, (lo, hi)) in enumerate(zip(angles, JOINT_LIMITS), start=1):
+        if not (lo - LIMIT_GRACE <= a <= hi + LIMIT_GRACE):
+            raise JointLimitError(
+                f"joint {j} angle {math.degrees(a):.3f} deg outside "
+                f"[{math.degrees(lo):.3f}, {math.degrees(hi):.3f}] deg"
+            )
 
 
 @dataclass
@@ -325,7 +307,7 @@ def _solve_branch(
         theta5,
         normalize_angle(theta6),
     )
-    geom.check_limits(angles, "inverse kinematics")
+    check_limits(angles)
     return angles, (z, radial, chord, alpha, beta, wrist_singular)
 
 
@@ -358,7 +340,7 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> tuple:
     (N, 3) position, is the same closed form solved point by point
     after one rotation check; it returns an (N, 6) angle array and an
     IkTrace of arrays, and a failure raises the first unsolvable
-    point's error with that point's index in ``row``.
+    point's error, its message prefixed ``waypoint i at (x, y, z): ``.
 
     All quadrant-sensitive inverse tangents are two-argument.  A
     straight-down (or straight-up) tool makes joint 4 indeterminate; it
@@ -389,8 +371,8 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> tuple:
         try:
             angles, trace = _solve_point(rot, geom, x, y, z)
         except (UnreachableError, JointLimitError) as exc:
-            exc.row = i
-            raise
+            where = f"waypoint {i} at ({x:.3f}, {y:.3f}, {z:.3f})"
+            raise type(exc)(f"{where}: {exc}") from None
         rows.append(angles)
         traces.append(trace)
     *fields, singular = np.array(traces, dtype=float).reshape(-1, 6).T

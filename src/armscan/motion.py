@@ -91,14 +91,7 @@ def plan_line(start, end, geom: RobotGeometry) -> np.ndarray:
     waypoint's index and position.
     """
     points = line_waypoints(start, end)
-    try:
-        angles, _ = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, points), geom)
-    except (UnreachableError, JointLimitError) as exc:
-        x, y, z = points[exc.row]
-        where = f"waypoint {exc.row} at ({x:.3f}, {y:.3f}, {z:.3f})"
-        if isinstance(exc, UnreachableError):
-            raise UnreachableError(f"{where}: {exc}") from None
-        raise JointLimitError(exc.joint, exc.value, *exc.limits, context=where) from None
+    angles, _ = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, points), geom)
     return angles
 
 

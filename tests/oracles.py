@@ -269,9 +269,7 @@ def plan_line_loop(start, end, geom):
         where = f"waypoint {i} at ({pos[0]:.3f}, {pos[1]:.3f}, {pos[2]:.3f})"
         try:
             angles, _ = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, pos), geom)
-        except UnreachableError as exc:
-            raise UnreachableError(f"{where}: {exc}") from None
-        except JointLimitError as exc:
-            raise JointLimitError(exc.joint, exc.value, *exc.limits, context=where) from None
+        except (UnreachableError, JointLimitError) as exc:
+            raise type(exc)(f"{where}: {exc}") from None
         rows.append(angles)
     return np.array(rows, dtype=float).reshape(-1, 6)

@@ -26,11 +26,13 @@ from armscan.kinematics import RobotGeometry
 from armscan.meshio import (
     PointCloud,
     load_stl,
+    load_xyz,
     save_stl,
     save_xyz,
     write_stl_binary,
 )
 from armscan.objects import make_plate
+from armscan.scanner import UnreachableGridError
 from armscan.scene import FLOOR_MODES, NoiseModel
 
 from conftest import write_stl_ascii
@@ -370,6 +372,16 @@ def test_docs_name_every_job_key():
     assert set(example) <= grammar
 
 
+def test_docs_name_every_exit_code():
+    # the module docstring, the --help epilog and the README each list
+    # exactly the codes main can return
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    expected = {EXIT_OK, *cli.EXIT_CODES.values()}
+    for text in (cli.__doc__, cli.build_parser().epilog, readme):
+        listing = re.search(r"[Ee]xit codes: (.*?)(?:\.|$)", text, re.S).group(1)
+        assert {int(n) for n in re.findall(r"(?:^|,\s+)(\d+)\s", listing)} == expected
+
+
 # ------------------------------------------------------------------ scan
 
 
@@ -416,6 +428,20 @@ def test_report_is_a_rerunnable_config(tmp_path):
     assert run_cli("scan", echoed)[0] == EXIT_OK
     second = [(tmp_path / n).read_bytes() for n in names]
     assert first == second
+
+
+def test_scan_percent_in_a_value_is_literal(tmp_path):
+    # no interpolation: a lone % is a character, and the report echoes
+    # it as written, so the report reruns too
+    config = write_job(tmp_path)
+    config.write_text(config.read_text().replace("out/scan.stl", "out/100%.stl"))
+    assert run_cli("scan", config)[0] == EXIT_OK
+    names = ["out/100%.stl", "out/scan.xyz", "out/trace.csv", "out/report.txt"]
+    first = [(tmp_path / n).read_bytes() for n in names]
+    echoed = tmp_path / "echoed.ini"
+    echoed.write_bytes(first[-1])
+    assert run_cli("scan", echoed)[0] == EXIT_OK
+    assert [(tmp_path / n).read_bytes() for n in names] == first
 
 
 def test_scan_unreachable_grid_aborts_clean(tmp_path):
@@ -605,6 +631,28 @@ def test_compare_sample_count_below_one_is_config_error(tmp_path, samples):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+        ("--samples", "0", "sample count must be at least 1, got 0"),
+    ],
+    ids=["seed", "samples"],
+)
+def test_compare_flags_checked_before_any_file_loads(
+    tmp_path, monkeypatch, flag, value, message
+):
+    # an .xyz input never reaches the sampler, so compare checks both
+    # flags itself, before it reads either file
+    cloud = tmp_path / "a.xyz"
+    save_xyz(PointCloud(np.array([[25.0, 25.0, 10.0]])), cloud)
+    loaded = []
+    monkeypatch.setattr(cli, "load_xyz", lambda path: loaded.append(path) or load_xyz(path))
+    code, out, err = run_cli("compare", cloud, cloud, flag, value)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
+    assert loaded == []
+
+
 # ------------------------------------------------------------- test-a/b
 
 
@@ -716,3 +764,30 @@ def test_cli_requires_a_subcommand():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+# ------------------------------------------------------------ exit codes
+
+
+@pytest.mark.parametrize(
+    "kind, code", list(cli.EXIT_CODES.items()), ids=[kind.__name__ for kind in cli.EXIT_CODES]
+)
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, kind, code):
+    # the first matching entry wins: StlFormatError is a ValueError, yet
+    # exits 6, not 2
+    error = kind([(1, 2)], "boom") if kind is UnreachableGridError else kind("boom")
+
+    def fail(args, out):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_ik", fail)
+    assert run_cli("ik", "300", "0", "50") == (code, "", f"error: {error}\n")
+
+
+def test_main_lets_an_unlisted_error_propagate(monkeypatch):
+    def fail(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_ik", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_cli("ik", "300", "0", "50")
