@@ -27,6 +27,10 @@ run writes echoes the fully resolved job as a valid config followed
 by the result counts as comments, so any report can be fed back to
 `armscan scan` to reproduce its artifacts byte for byte.
 
+`compare` samples each STL input at `--samples` points, at least 1 and
+at most `metrics.MAX_SAMPLE_POINTS` (10,000,000), and rejects an XYZ
+input with no points.
+
 Exit codes: 0 success, 2 bad config or arguments, 3 unreachable
 geometry, 4 joint limit violation, 5 I/O failure, 6 malformed
 geometry data.
@@ -297,7 +301,10 @@ def run_job(job: ScanJob, out=sys.stdout) -> ScanResult:
 def _load_cloud(path: Path, samples: int, seed: int):
     suffix = path.suffix.lower()
     if suffix == ".xyz":
-        return load_xyz(path)
+        cloud = load_xyz(path)
+        if len(cloud) == 0:
+            raise JobConfigError(f"{path}: no points")
+        return cloud
     if suffix == ".stl":
         return metrics.sample_mesh_surface(load_stl(path), count=samples, seed=seed)
     raise JobConfigError(f"{path}: expected a .stl or .xyz file")
@@ -310,10 +317,7 @@ def _cmd_scan(args, out) -> int:
 
 def _cmd_compare(args, out) -> int:
     # checked up front: an .xyz input never reaches the sampler's checks
-    if args.samples < 1:
-        raise ValueError(f"sample count must be at least 1, got {args.samples}")
-    if args.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {args.seed}")
+    metrics.check_sampling(args.samples, args.seed)
     a = _load_cloud(Path(args.path_a), args.samples, args.seed)
     b = _load_cloud(Path(args.path_b), args.samples, args.seed)
     out.write(metrics.chamfer_distance(a, b).key_values())

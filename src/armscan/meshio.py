@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -238,7 +237,7 @@ def write_atomic(path, data: bytes) -> None:
     failure of this process, not against power loss: nothing is synced.
     """
     path = Path(path)
-    temp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(temp, "xb") as fh:
             fh.write(data)

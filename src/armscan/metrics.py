@@ -3,7 +3,10 @@ algebraic sphere fitting, and the two probe performance tests.
 
 The Chamfer distance here is the sum of the two directed mean
 nearest-neighbor distances, not their average; both directed terms are
-reported so either convention can be recovered.
+reported so either convention can be recovered.  SciPy (its KD-tree)
+is imported on the first Chamfer call, not with this module: nothing
+else in the package uses it, and its import would otherwise be about
+two thirds of every command's start-up.
 
 The accuracy test probes nine points on a reference sphere (four on
 the equator, four at 45 degrees latitude, one at the pole) and reports
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .kinematics import (
     JointLimitError,
@@ -33,6 +35,11 @@ from .scene import NoiseModel
 
 # Points per KD-tree query in chamfer_distance.
 CHAMFER_QUERY_BLOCK = 8192
+
+# Most points sample_mesh_surface draws.  Sampling holds several float64
+# copies of the points, about 1 GB at this count; a mistyped count would
+# otherwise fail deep in numpy trying to allocate terabytes.
+MAX_SAMPLE_POINTS = 10_000_000
 
 TEST_B_DISTANCES = (120.0, 300.0, 500.0)
 TEST_B_REPEATS = 10
@@ -93,6 +100,8 @@ def chamfer_distance(p: PointCloud, q: PointCloud) -> ChamferReport:
     """
     if len(p) == 0 or len(q) == 0:
         raise ValueError("chamfer distance needs two non-empty clouds")
+    from scipy.spatial import cKDTree
+
     tree_p = cKDTree(p.points, balanced_tree=False, compact_nodes=False)
     tree_q = cKDTree(q.points, balanced_tree=False, compact_nodes=False)
     forward = _nearest_distances(tree_q, p.points, tree_p.indices).mean()
@@ -100,7 +109,7 @@ def chamfer_distance(p: PointCloud, q: PointCloud) -> ChamferReport:
     return ChamferReport(forward + backward, forward, backward, len(p), len(q))
 
 
-def _nearest_distances(tree: cKDTree, points: np.ndarray, order: np.ndarray):
+def _nearest_distances(tree, points: np.ndarray, order: np.ndarray):
     """Distance from each point to its nearest neighbor in `tree`, in
     input order, queried in blocks of the permutation `order`."""
     distances = np.empty(len(points))
@@ -111,14 +120,11 @@ def _nearest_distances(tree: cKDTree, points: np.ndarray, order: np.ndarray):
 
 
 def sample_mesh_surface(mesh: TriangleMesh, count: int, seed: int = 0) -> PointCloud:
-    """`count` (at least 1) area-weighted uniform random points on the
-    mesh surface.  Sampling is seeded by the non-negative `seed` and
-    reproducible.
+    """`count` (1 to MAX_SAMPLE_POINTS) area-weighted uniform random
+    points on the mesh surface.  Sampling is seeded by the non-negative
+    `seed` and reproducible.
     """
-    if count < 1:
-        raise ValueError(f"sample count must be at least 1, got {count}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_sampling(count, seed)
     tris = mesh.vertices
     if tris.size == 0:
         raise ValueError("cannot sample an empty mesh")
@@ -138,6 +144,16 @@ def sample_mesh_surface(mesh: TriangleMesh, count: int, seed: int = 0) -> PointC
     v[flip] = 1.0 - v[flip]
     pts = tris[chosen, 0] + u[:, None] * edge1[chosen] + v[:, None] * edge2[chosen]
     return PointCloud(pts)
+
+
+def check_sampling(count: int, seed: int) -> None:
+    """Raise ValueError unless sample_mesh_surface takes `count` and `seed`."""
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
+    if count > MAX_SAMPLE_POINTS:
+        raise ValueError(f"sample count must be at most {MAX_SAMPLE_POINTS}, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 # ------------------------------------------------------------------ sphere

@@ -31,6 +31,7 @@ from armscan.meshio import (
     save_xyz,
     write_stl_binary,
 )
+from armscan.metrics import MAX_SAMPLE_POINTS
 from armscan.objects import make_plate
 from armscan.scanner import UnreachableGridError
 from armscan.scene import FLOOR_MODES, NoiseModel
@@ -589,6 +590,18 @@ def test_compare_rejects_unknown_extension(tmp_path):
     assert code == EXIT_CONFIG and ".stl or .xyz" in err
 
 
+def test_compare_names_an_empty_xyz_before_reading_the_other_file(tmp_path, monkeypatch):
+    empty = tmp_path / "empty.xyz"
+    empty.write_text("\n")
+    plate = tmp_path / "plate.stl"
+    save_stl(make_plate(0.0, 0.0, 50.0, 50.0, 10.0), plate)
+    loaded = []
+    monkeypatch.setattr(cli, "load_stl", lambda path: loaded.append(path) or load_stl(path))
+    code, out, err = run_cli("compare", empty, plate)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: {empty}: no points\n")
+    assert loaded == []
+
+
 def test_compare_missing_file_is_io_error(tmp_path):
     code, _, _ = run_cli("compare", tmp_path / "a.xyz", tmp_path / "b.xyz")
     assert code == EXIT_IO
@@ -636,8 +649,13 @@ def test_compare_sample_count_below_one_is_config_error(tmp_path, samples):
     [
         ("--seed", "-1", "seed must be non-negative, got -1"),
         ("--samples", "0", "sample count must be at least 1, got 0"),
+        (
+            "--samples",
+            str(MAX_SAMPLE_POINTS + 1),
+            f"sample count must be at most {MAX_SAMPLE_POINTS}, got {MAX_SAMPLE_POINTS + 1}",
+        ),
     ],
-    ids=["seed", "samples"],
+    ids=["seed", "samples", "samples-ceiling"],
 )
 def test_compare_flags_checked_before_any_file_loads(
     tmp_path, monkeypatch, flag, value, message

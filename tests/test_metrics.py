@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from armscan.kinematics import UnreachableError
 from armscan.meshio import PointCloud, TriangleMesh
 from armscan.metrics import (
+    MAX_SAMPLE_POINTS,
     TEST_A_DIRECTIONS,
     AccuracyReport,
     chamfer_distance,
@@ -203,6 +204,11 @@ def test_sample_rejects_empty_and_missing_size():
         sample_mesh_surface(TriangleMesh(), count=10)
     with pytest.raises(TypeError, match="count"):
         sample_mesh_surface(make_plate(0, 0, 1, 1, 0))
+
+
+def test_sample_rejects_a_count_over_the_ceiling():
+    with pytest.raises(ValueError, match=f"at most {MAX_SAMPLE_POINTS}, got"):
+        sample_mesh_surface(make_plate(0, 0, 1, 1, 0), count=MAX_SAMPLE_POINTS + 1)
 
 
 # ------------------------------------------------------------- sphere fit

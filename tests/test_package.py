@@ -1,11 +1,81 @@
 """The package's public surface."""
 
 import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import armscan
-from armscan import NoiseModel, RobotGeometry, ScanGrid, TargetScene, make_plate, run_scan
+from armscan import (
+    NoiseModel,
+    PointCloud,
+    RobotGeometry,
+    ScanGrid,
+    TargetScene,
+    cli,
+    make_plate,
+    run_scan,
+    save_stl,
+    save_xyz,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PLATE_JOB = """\
+[scene]
+mesh = plate.stl
+[grid]
+x0 = 260
+y0 = -20
+rows = 2
+cols = 3
+row_spacing = 10
+col_spacing = 10
+safe_z = 60
+[output]
+stl = out/scan.stl
+xyz = out/scan.xyz
+trace = out/trace.csv
+report = out/report.txt
+"""
+
+# Run in a fresh interpreter: the test process has SciPy loaded already.
+# Prints one JSON object: whether SciPy was loaded at each stage, the
+# exit code of each command, and compare's output.
+SCIPY_PROBE = """\
+import io, json, sys
+import armscan.cli as cli
+
+def loaded():
+    return "scipy" in sys.modules
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(list(argv), out=out, err=err)
+    return code, out.getvalue()
+
+where = sys.argv[1]
+seen = {"import": loaded()}
+codes = [
+    run(*argv)[0]
+    for argv in (
+        ("fk", "0", "0", "0", "0", "0", "0"),
+        ("ik", "300", "0", "50"),
+        ("test-a",),
+        ("test-b", "--repeats", "3"),
+        ("scan", where + "/job.ini"),
+    )
+]
+seen["commands"] = loaded()
+code, text = run("compare", where + "/plate.stl", where + "/mid.xyz", "--samples", "200")
+print(json.dumps({"seen": seen, "codes": codes + [code], "compare": text}))
+"""
 
 
 def test_every_export_resolves():
@@ -39,3 +109,25 @@ def test_benchmark_tracer_binds_every_site():
     assert calls["motion.probe_cycle"] == calls["scene.raycast_down"] == 12
     assert calls["motion.plan_line"] == 2 * 12 - 1
     assert calls["kinematics.inverse_kinematics"] == 12 + 2 * 12 - 1
+
+
+def test_only_compare_imports_scipy(tmp_path):
+    # SciPy's import is most of start-up, and only Chamfer needs it
+    save_stl(make_plate(200.0, -100.0, 200.0, 200.0, 25.0), tmp_path / "plate.stl")
+    save_xyz(PointCloud(np.array([[250.0, 0.0, 25.0]])), tmp_path / "mid.xyz")
+    (tmp_path / "job.ini").write_text(PLATE_JOB)
+    child = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    result = json.loads(child.stdout)
+    assert result["seen"] == {"import": False, "commands": False}
+    assert result["codes"] == [0] * 6
+    out = io.StringIO()
+    argv = ["compare", str(tmp_path / "plate.stl"), str(tmp_path / "mid.xyz"), "--samples", "200"]
+    assert cli.main(argv, out=out) == 0
+    assert result["compare"] == out.getvalue()
