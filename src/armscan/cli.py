@@ -29,7 +29,10 @@ by the result counts as comments, so any report can be fed back to
 
 `compare` samples each STL input at `--samples` points, at least 1 and
 at most `metrics.MAX_SAMPLE_POINTS` (10,000,000), and rejects an XYZ
-input with no points.
+input with no points or an STL input with no facets or no area,
+naming the file.
+`test-b` takes `--repeats` from 2 to `metrics.MAX_TEST_B_REPEATS`
+(1,000,000).
 
 Exit codes: 0 success, 2 bad config or arguments, 3 unreachable
 geometry, 4 joint limit violation, 5 I/O failure, 6 malformed
@@ -268,7 +271,11 @@ def run_job(job: ScanJob, out=sys.stdout) -> ScanResult:
     for the exit-code mapping.
     """
     setup, output = job.values["scene"], job.values["output"]
-    scene = TargetScene(load_stl(setup["mesh"]), setup["table_z"], setup["floor_mode"])
+    mesh = load_stl(setup["mesh"])
+    try:
+        scene = TargetScene(mesh, setup["table_z"], setup["floor_mode"])
+    except ValueError as exc:
+        raise JobConfigError(f"[scene] mesh {setup['mesh']}: {exc}") from None
     report = "# scan job report; feed this file back to `armscan scan` to rerun\n"
     report += job.as_config()
     try:
@@ -306,7 +313,11 @@ def _load_cloud(path: Path, samples: int, seed: int):
             raise JobConfigError(f"{path}: no points")
         return cloud
     if suffix == ".stl":
-        return metrics.sample_mesh_surface(load_stl(path), count=samples, seed=seed)
+        mesh = load_stl(path)
+        try:
+            return metrics.sample_mesh_surface(mesh, count=samples, seed=seed)
+        except ValueError as exc:
+            raise JobConfigError(f"{path}: {exc}") from None
     raise JobConfigError(f"{path}: expected a .stl or .xyz file")
 
 

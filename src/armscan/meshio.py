@@ -10,7 +10,9 @@ Coordinates are held as float64 in memory and narrowed to float32 on
 write; that narrowing is the format's precision, not ours, and
 write-read-write round trips are bit-exact.
 
-ASCII STL is read transparently but never written.  Point clouds travel
+ASCII STL is read, every solid of a file into one mesh, but never
+written; a stream whose length is the 84 + 50 * count its header
+declares is binary, whatever the header says.  Point clouds travel
 as ASCII xyz text, one "x y z" triple per line with six fractional
 digits.  Files are written atomically (`write_atomic`).
 """
@@ -147,83 +149,76 @@ def _require_finite(mesh: TriangleMesh, position) -> TriangleMesh:
     raise StlFormatError(f"{position(k)}: facet {k + 1} has a non-finite coordinate")
 
 
-def _parse_floats(tokens, n, line_no, what):
-    if len(tokens) != n:
+# The lines after each "facet normal" line: keyword, count of numbers.
+STL_FACET_BODY = (
+    ("outer loop", 0),
+    ("vertex", 3),
+    ("vertex", 3),
+    ("vertex", 3),
+    ("endloop", 0),
+    ("endfacet", 0),
+)
+
+
+def _stl_numbers(no: int, line, keyword: str, count: int) -> list:
+    """The `count` numbers after `keyword` on ASCII STL line `no`, or
+    StlFormatError; a `line` of None is the end of the text."""
+    words = keyword.split()
+    tokens = (line or "").split()
+    if tokens[: len(words)] != words:
+        raise StlFormatError(f"line {no}: expected '{keyword}', got {line!r}")
+    numbers = tokens[len(words):]
+    if len(numbers) != count:
         raise StlFormatError(
-            f"line {line_no}: expected {n} numbers after '{what}', got {len(tokens)}"
+            f"line {no}: expected {count} numbers after '{keyword}', got {len(numbers)}"
         )
     try:
-        return [float(tok) for tok in tokens]
+        return [float(tok) for tok in numbers]
     except ValueError as exc:
-        raise StlFormatError(f"line {line_no}: {exc}") from None
+        raise StlFormatError(f"line {no}: {exc}") from None
 
 
 def _read_stl_ascii(text: str) -> TriangleMesh:
+    """Every `solid ... endsolid` block of `text`, in order, as one mesh."""
+    rows = text.splitlines()
+    lines = ((no, line) for no, line in enumerate(map(str.strip, rows), 1) if line)
+    end = (len(rows), None)
     normals, vertices, facet_lines = [], [], []
-    lines = text.splitlines()
-    i = 0
-
-    def next_content_line():
-        nonlocal i
-        while i < len(lines):
-            i += 1
-            stripped = lines[i - 1].strip()
-            if stripped:
-                return stripped, i
-        return None, i
-
-    line, no = next_content_line()
-    if line is None or not line.startswith("solid"):
-        raise StlFormatError(f"line {no}: expected 'solid', got {line!r}")
-    while True:
-        line, no = next_content_line()
-        if line is None:
-            raise StlFormatError(f"line {no}: unterminated solid, missing 'endsolid'")
-        if line.startswith("endsolid"):
-            break
-        tokens = line.split()
-        if tokens[:2] != ["facet", "normal"]:
-            raise StlFormatError(f"line {no}: expected 'facet normal', got {line!r}")
-        normal = _parse_floats(tokens[2:], 3, no, "facet normal")
-        facet_lines.append(no)
-        line, no = next_content_line()
-        if line != "outer loop":
-            raise StlFormatError(f"line {no}: expected 'outer loop', got {line!r}")
-        verts = []
-        for _ in range(3):
-            line, no = next_content_line()
-            tokens = (line or "").split()
-            if tokens[:1] != ["vertex"]:
-                raise StlFormatError(f"line {no}: expected 'vertex', got {line!r}")
-            verts.append(_parse_floats(tokens[1:], 3, no, "vertex"))
-        line, no = next_content_line()
-        if line != "endloop":
-            raise StlFormatError(f"line {no}: expected 'endloop', got {line!r}")
-        line, no = next_content_line()
-        if line != "endfacet":
-            raise StlFormatError(f"line {no}: expected 'endfacet', got {line!r}")
-        normals.append(normal)
-        vertices.append(verts)
+    for no, line in lines:
+        if not line.startswith("solid"):
+            raise StlFormatError(f"line {no}: expected 'solid', got {line!r}")
+        for no, line in lines:
+            if line.startswith("endsolid"):
+                break
+            normals.append(_stl_numbers(no, line, "facet normal", 3))
+            facet_lines.append(no)
+            body = [_stl_numbers(*next(lines, end), *row) for row in STL_FACET_BODY]
+            vertices.append([numbers for numbers in body if numbers])  # the vertex rows
+        else:
+            raise StlFormatError(
+                f"line {end[0]}: unterminated solid, missing 'endsolid'"
+            )
     return _require_finite(
         TriangleMesh(vertices, normals), lambda k: f"line {facet_lines[k]}"
     )
 
 
 def read_stl(data: bytes) -> TriangleMesh:
-    """Parse an STL byte stream, auto-detecting binary vs ASCII.
+    """Parse an STL byte stream, binary or ASCII.
 
-    A stream is treated as ASCII iff it decodes and follows the
-    solid/facet grammar; binary files that merely begin with the word
-    'solid' fall through to the binary reader.
+    A stream whose length is the 84 + 50 * count that its u32 at byte 80
+    declares is binary, whatever its header says (four text bytes there
+    declare over 150 million facets, 7.5 GB, so real text never does).
+    Otherwise all-ASCII text that starts with 'solid' is ASCII, and
+    every solid in it is read into one mesh; anything else fails in
+    the binary reader.
     """
-    looks_ascii = False
-    text = None
-    try:
-        text = data.decode("ascii")
-        looks_ascii = text.lstrip().startswith("solid") and "facet" in text
-    except UnicodeDecodeError:
-        pass
-    if looks_ascii:
+    if len(data) >= STL_HEADER_BYTES + 4:
+        (count,) = struct.unpack_from("<I", data, STL_HEADER_BYTES)
+        if len(data) == STL_HEADER_BYTES + 4 + STL_RECORD.itemsize * count:
+            return _read_stl_binary(data)
+    text = data.decode("ascii") if data.isascii() else ""
+    if text.lstrip().startswith("solid"):
         return _read_stl_ascii(text)
     return _read_stl_binary(data)
 

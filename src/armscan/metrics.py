@@ -43,6 +43,9 @@ MAX_SAMPLE_POINTS = 10_000_000
 
 TEST_B_DISTANCES = (120.0, 300.0, 500.0)
 TEST_B_REPEATS = 10
+# Most touches test_b makes per distance; like MAX_SAMPLE_POINTS, it
+# stops a mistyped count before it draws for hours and allocates terabytes.
+MAX_TEST_B_REPEATS = 1_000_000
 
 # (latitude, longitude) degrees: equator and 45-degree rings at four
 # equally spaced longitudes, plus the pole.
@@ -326,7 +329,8 @@ def test_b(
     distances=TEST_B_DISTANCES,
     repeats: int = TEST_B_REPEATS,
 ) -> list:
-    """Probe one table point per distance `repeats` times.
+    """Probe one table point per distance `repeats` times, 2 to
+    MAX_TEST_B_REPEATS.
 
     The point sits on the table plane at (distance, 0, 0); each touch
     is displaced vertically by the error model, consuming consecutive
@@ -335,6 +339,10 @@ def test_b(
     """
     if repeats < 2:
         raise ValueError("repeatability needs at least 2 repeats")
+    if repeats > MAX_TEST_B_REPEATS:
+        raise ValueError(
+            f"repeatability takes at most {MAX_TEST_B_REPEATS} repeats, got {repeats}"
+        )
     for distance in distances:
         if not math.isfinite(distance):
             raise ValueError(f"test distances must be finite, got {distance}")

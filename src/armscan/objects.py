@@ -1,7 +1,7 @@
 """Parametric target objects for scans and benchmarks.
 
 The wing is a cambered four-digit-style airfoil section (6% camber at
-40% chord, 9% thickness for the default), extruded along the span and
+40% chord, 9% thickness), extruded along the span and
 laid flat: the mesh is the upper surface as a height field touching
 z = 0 along its edges, which is what a top-probing scan can see.
 """
@@ -14,6 +14,14 @@ import numpy as np
 
 from .meshio import TriangleMesh
 
+# The wing's shape: span and chord in mm; camber, the camber's
+# chordwise position and thickness as fractions of the chord.
+WING_SPAN = 150.0
+WING_CHORD = 140.0
+WING_CAMBER = 0.06
+WING_CAMBER_POS = 0.4
+WING_THICKNESS = 0.09
+
 
 def make_plate(x0: float, y0: float, width: float, depth: float, z: float) -> TriangleMesh:
     """Flat rectangular plate at height z, two triangles."""
@@ -24,20 +32,20 @@ def make_plate(x0: float, y0: float, width: float, depth: float, z: float) -> Tr
     return TriangleMesh.from_vertices([[a, b, c], [a, c, d]])
 
 
-def _camber_line(s: float, camber: float, camber_pos: float) -> float:
-    if s < camber_pos:
-        return camber / camber_pos**2 * (2.0 * camber_pos * s - s * s)
+def _camber_line(s: float) -> float:
+    if s < WING_CAMBER_POS:
+        return WING_CAMBER / WING_CAMBER_POS**2 * (2.0 * WING_CAMBER_POS * s - s * s)
     return (
-        camber
-        / (1.0 - camber_pos) ** 2
-        * ((1.0 - 2.0 * camber_pos) + 2.0 * camber_pos * s - s * s)
+        WING_CAMBER
+        / (1.0 - WING_CAMBER_POS) ** 2
+        * ((1.0 - 2.0 * WING_CAMBER_POS) + 2.0 * WING_CAMBER_POS * s - s * s)
     )
 
 
-def _half_thickness(s: float, thickness: float) -> float:
+def _half_thickness(s: float) -> float:
     return (
         5.0
-        * thickness
+        * WING_THICKNESS
         * (
             0.2969 * math.sqrt(s)
             - 0.1260 * s
@@ -48,41 +56,24 @@ def _half_thickness(s: float, thickness: float) -> float:
     )
 
 
-def wing_upper_surface(
-    s: float, chord: float, camber: float = 0.06,
-    camber_pos: float = 0.4, thickness: float = 0.09,
-) -> float:
+def wing_upper_surface(s: float) -> float:
     """Upper-surface height at chordwise fraction s in [0, 1]."""
-    if s <= 0.0 or s >= 1.0:
-        s = min(1.0, max(0.0, s))
-    return chord * (
-        _camber_line(s, camber, camber_pos) + _half_thickness(s, thickness)
-    )
+    return WING_CHORD * (_camber_line(s) + _half_thickness(s))
 
 
 def make_wing(
-    x0: float,
-    y0: float,
-    span: float = 150.0,
-    chord: float = 140.0,
-    n_span: int = 61,
-    n_chord: int = 81,
-    camber: float = 0.06,
-    camber_pos: float = 0.4,
-    thickness: float = 0.09,
+    x0: float, y0: float, n_span: int = 61, n_chord: int = 81
 ) -> TriangleMesh:
-    """Wing upper surface over [x0, x0+span] x [y0, y0+chord].
+    """Wing upper surface over [x0, x0+WING_SPAN] x [y0, y0+WING_CHORD].
 
     Span stations are uniform; chord stations are cosine-spaced to
     resolve the blunt leading edge.  Heights are >= 0 everywhere and
     reach 0 at the leading edge, so the sheet rests on the table.
     """
-    xs = np.linspace(x0, x0 + span, n_span)
+    xs = np.linspace(x0, x0 + WING_SPAN, n_span)
     fractions = (1.0 - np.cos(np.linspace(0.0, math.pi, n_chord))) / 2.0
-    ys = y0 + fractions * chord
-    zs = np.array(
-        [wing_upper_surface(s, chord, camber, camber_pos, thickness) for s in fractions]
-    )
+    ys = y0 + fractions * WING_CHORD
+    zs = np.array([wing_upper_surface(s) for s in fractions])
 
     grid = np.stack(np.broadcast_arrays(xs[:, None], ys, zs), axis=-1)
     p00, p01 = grid[:-1, :-1], grid[:-1, 1:]

@@ -25,13 +25,14 @@ from armscan.cli import (
 from armscan.kinematics import RobotGeometry
 from armscan.meshio import (
     PointCloud,
+    TriangleMesh,
     load_stl,
     load_xyz,
     save_stl,
     save_xyz,
     write_stl_binary,
 )
-from armscan.metrics import MAX_SAMPLE_POINTS
+from armscan.metrics import MAX_SAMPLE_POINTS, MAX_TEST_B_REPEATS
 from armscan.objects import make_plate
 from armscan.scanner import UnreachableGridError
 from armscan.scene import FLOOR_MODES, NoiseModel
@@ -480,6 +481,24 @@ def test_scan_non_finite_mesh_is_a_data_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "mesh, why",
+    [
+        (TriangleMesh(), "scene mesh is empty"),
+        (make_plate(180.0, -120.0, 220.0, 240.0, -5.0),
+         "mesh dips 5 mm below the table plane"),
+    ],
+    ids=["empty", "below-table"],
+)
+def test_scan_mesh_content_error_names_the_mesh(tmp_path, mesh, why):
+    config = write_job(tmp_path)
+    save_stl(mesh, tmp_path / "plate.stl")
+    code, out, err = run_cli("scan", config)
+    named = f"[scene] mesh {(tmp_path / 'plate.stl').resolve()}"
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: {named}: {why}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_bad_config_exit_code(tmp_path):
     config = write_job(tmp_path)
     config.write_text(config.read_text().replace("rows = 6", "rows = six"))
@@ -602,6 +621,22 @@ def test_compare_names_an_empty_xyz_before_reading_the_other_file(tmp_path, monk
     assert loaded == []
 
 
+@pytest.mark.parametrize(
+    "mesh, why",
+    [
+        (TriangleMesh(), "cannot sample an empty mesh"),
+        (TriangleMesh(np.zeros((1, 3, 3)), [[0.0, 0.0, 1.0]]), "mesh has zero surface area"),
+    ],
+    ids=["empty", "zero-area"],
+)
+def test_compare_names_an_stl_it_cannot_sample(tmp_path, mesh, why):
+    bad, one = tmp_path / "bad.stl", tmp_path / "one.xyz"
+    save_stl(mesh, bad)
+    save_xyz(PointCloud([[1.0, 2.0, 3.0]]), one)
+    code, out, err = run_cli("compare", bad, one)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: {bad}: {why}\n")
+
+
 def test_compare_missing_file_is_io_error(tmp_path):
     code, _, _ = run_cli("compare", tmp_path / "a.xyz", tmp_path / "b.xyz")
     assert code == EXIT_IO
@@ -697,6 +732,19 @@ def test_cli_test_b_defaults_and_repeats():
     assert kv["repeats"] == "30"
     assert float(kv["repeatability_mm"]) > 0.0
     assert run_cli("test-b", "--sigma", "0.02") == run_cli("test-b", "--sigma", "0.02")
+
+
+def test_cli_test_b_repeats_over_bound_fails_before_any_draw(monkeypatch):
+    def no_draw(self, ordinal):
+        raise AssertionError("test-b drew noise for an out-of-bound repeat count")
+
+    monkeypatch.setattr(NoiseModel, "error_at", no_draw)
+    code, out, err = run_cli("test-b", "--repeats", "100000000000", "--distances", "300")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (
+        f"error: repeatability takes at most {MAX_TEST_B_REPEATS} repeats, "
+        "got 100000000000\n"
+    )
 
 
 @pytest.mark.parametrize(

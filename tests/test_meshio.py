@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from armscan import cli
 from armscan.meshio import (
@@ -204,6 +205,122 @@ def test_ascii_non_finite_facet_named(rng, token):
     lines[11] = f"      vertex 1 {token} 2"  # line 12, in facet 2 from line 9
     with pytest.raises(StlFormatError, match="line 9: facet 2 has a non-finite"):
         read_stl("\n".join(lines).encode())
+
+
+FACET = (
+    "solid x\nfacet normal 0 0 1\nouter loop\n"
+    "vertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0\nendloop\nendfacet\nendsolid x\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (FACET.replace("normal 0 0 1", "normal 0 0"),
+         "line 2: expected 3 numbers after 'facet normal', got 2"),
+        (FACET.replace("facet normal", "facet"),
+         "line 2: expected 'facet normal', got 'facet 0 0 1'"),
+        (FACET.replace("outer loop\n", ""),
+         "line 3: expected 'outer loop', got 'vertex 0 0 0'"),
+        (FACET.replace("vertex 1 0 0", "vertex 1 0 oops"),
+         "line 5: could not convert string to float: 'oops'"),
+        (FACET.replace("vertex 1 0 0", "vertex 1 0"),
+         "line 5: expected 3 numbers after 'vertex', got 2"),
+        (FACET.replace("endloop", "vertex 1 1 0\nendloop"),
+         "line 7: expected 'endloop', got 'vertex 1 1 0'"),
+        (FACET.replace("endfacet\n", ""),
+         "line 8: expected 'endfacet', got 'endsolid x'"),
+        (FACET.split("vertex 0 1 0")[0], "line 5: expected 'vertex', got None"),
+        (FACET.replace("endsolid x\n", ""),
+         "line 8: unterminated solid, missing 'endsolid'"),
+        (FACET.replace("vertex 1 0 0", "vertex 1 nan 0"),
+         "line 2: facet 1 has a non-finite coordinate"),
+        ("\n \n" + FACET.replace("\n", "\n\t \n\n"), 1),
+    ],
+    ids=[
+        "normal-2-numbers", "facet-without-normal", "missing-outer-loop",
+        "vertex-oops", "vertex-2-numbers", "fourth-vertex", "missing-endfacet",
+        "ends-inside-facet", "missing-endsolid", "nan-vertex", "blank-lines",
+    ],
+)
+def test_ascii_messages_and_counts(text, expected):
+    if isinstance(expected, int):
+        assert len(read_stl(text.encode())) == expected
+    else:
+        with pytest.raises(StlFormatError) as info:
+            read_stl(text.encode())
+        assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(
+    "data, facets",
+    [
+        ((FACET + FACET.replace(" x", " y")).encode(), 2),
+        (b"solid part exported by facet-tool".ljust(80) + bytes(4), 0),
+        (b"solid x\nendsolid x\n", 0),
+        (FACET.replace("outer loop", "outer  loop").encode(), 1),
+    ],
+    ids=["two-solids", "binary-solid-facet-header", "ascii-no-facets", "outer-2-spaces"],
+)
+def test_stl_flavour_by_length_and_every_solid_read(data, facets):
+    assert len(read_stl(data)) == facets
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (FACET + "\n junk after\n", "line 11: expected 'solid', got 'junk after'"),
+        (FACET.replace("endloop", "endloop x"),
+         "line 7: expected 0 numbers after 'endloop', got 1"),
+    ],
+    ids=["text-after-endsolid", "endloop-with-number"],
+)
+def test_ascii_stray_text_raises(text, message):
+    with pytest.raises(StlFormatError) as info:
+        read_stl(text.encode())
+    assert str(info.value) == message
+
+
+def facet_rows(numbers, max_size):
+    """Lists of 12 numbers per facet: a normal, then three vertices."""
+    return st.lists(st.lists(numbers, min_size=12, max_size=12), max_size=max_size)
+
+
+def mesh_of(rows):
+    rows = np.array(rows, dtype=float).reshape(-1, 12)
+    return TriangleMesh(rows[:, 3:], rows[:, :3])
+
+
+TEXT_HEADERS = st.builds(
+    lambda pad, words: f"{pad}solid {words} facet".encode().ljust(80),
+    st.sampled_from(["", "  ", "\n"]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=60),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    header=st.binary(min_size=80, max_size=80) | TEXT_HEADERS,
+    rows=facet_rows(st.floats(width=32, allow_nan=False, allow_infinity=False), 5),
+)
+def test_binary_with_any_header_reads_back(header, rows):
+    mesh = mesh_of(rows)
+    data = header + write_stl_binary(mesh)[80:]
+    back = read_stl(data)
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.normals, mesh.normals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(solids=st.lists(facet_rows(st.integers(-1000, 1000), 4), min_size=1, max_size=3))
+def test_ascii_solids_read_back_in_order(solids):
+    text = "".join(
+        write_stl_ascii(mesh_of(rows), name=f"part{i}") for i, rows in enumerate(solids)
+    )
+    back = read_stl(text.encode())
+    whole = mesh_of([row for rows in solids for row in rows])
+    assert np.array_equal(back.vertices, whole.vertices)
+    assert np.array_equal(back.normals, whole.normals)
 
 
 # ------------------------------------------------------------------ xyz

@@ -338,7 +338,7 @@ def test_height_map_single_cover(geom, rng):
 
 
 def test_scan_wing_measures_surface_heights(geom):
-    wing = make_wing(220.0, -70.0, span=150.0, chord=140.0)
+    wing = make_wing(220.0, -70.0)
     scene = TargetScene(wing)
     grid = ScanGrid(240.0, -40.0, 5, 6, 6.0, 6.0, safe_z=60.0)
     result = run_scan(grid, geom, scene, NoiseModel())
