@@ -387,7 +387,7 @@ def _cmd_fk(args, out) -> int:
 def _cmd_ik(args, out) -> int:
     if not all(map(math.isfinite, args.point)):
         raise ValueError(f"point X Y Z must be finite, got {args.point}")
-    solution, _ = inverse_kinematics(Pose.tool_down(*args.point), _geometry_from(args))
+    solution = inverse_kinematics(Pose.tool_down(*args.point), _geometry_from(args))
     for name, value in solution._asdict().items():
         out.write(f"{name}_deg = {np.degrees(value):.6f}\n")
     return EXIT_OK

@@ -31,9 +31,10 @@ solved: the elbow always sits above the shoulder-to-wrist chord.
 
 `inverse_kinematics` solves one pose or a whole path of points under one
 rotation with one closed form (Pieper's spherical-wrist decoupling) in
-scalar `math` code.  A path is that closed form applied point by point,
-after one rotation check for the whole path; its error is the first
-failing point's, the message prefixed `waypoint i at (x, y, z): `.
+scalar `math` code, and returns the joint angles alone.  A path is that
+closed form applied point by point, after one rotation check for the
+whole path; its error is the first failing point's, the message
+prefixed `waypoint i at (x, y, z): `.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ ELBOW_STRAIGHT_INTERIOR = math.pi
 ACOS_CLAMP_TOL = 1e-12
 
 # Below this |sin(theta5)| the wrist roll axes align and theta4 is
-# indeterminate; it is pinned to 0 and the solution flagged.
+# indeterminate; it is pinned to 0, with theta5 exactly 0 or pi.
 WRIST_SINGULAR_TOL = 1e-12
 
 # Grace on limit checks: solved angles may sit an epsilon past a limit
@@ -182,28 +183,6 @@ class Pose:
         )
 
 
-@dataclass(frozen=True)
-class IkTrace:
-    """Intermediate quantities of the position solve, r-z plane view.
-
-    Each field is a float for one pose, an array of one entry per point
-    for a path.
-
-    z        wrist-center elevation above the shoulder (mm)
-    radial   in-plane distance from the shoulder to the wrist center (mm)
-    chord    straight-line shoulder-to-wrist-center distance (mm)
-    alpha    elevation of the chord above the horizontal (rad)
-    beta     angle at the shoulder between chord and upper arm (rad)
-    """
-
-    z: float
-    radial: float
-    chord: float
-    alpha: float
-    beta: float
-    wrist_singular: bool = False
-
-
 def _rotz(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -247,7 +226,9 @@ def _solve_branch(
 ) -> tuple:
     """One yaw branch of the closed form; `rot` is the rotation as nested floats.
 
-    Returns the six joint angles and the IkTrace fields, both as tuples.
+    Returns the six joint angles as a tuple.  `radial` is the wrist
+    center's in-plane distance from the shoulder along `theta1`'s
+    direction, `z` its height above the shoulder (mm).
     """
     chord = math.hypot(radial, z)
     if chord < MIN_CHORD:
@@ -286,8 +267,7 @@ def _solve_branch(
     # round tiny tilts to zero and drop a d6-scaled tip offset
     sin5 = math.hypot(m13, m23)
     theta5 = math.atan2(sin5, m33)
-    wrist_singular = sin5 <= WRIST_SINGULAR_TOL
-    if wrist_singular:
+    if sin5 <= WRIST_SINGULAR_TOL:
         theta4 = 0.0
         if m33 > 0.0:
             theta5 = 0.0
@@ -296,19 +276,25 @@ def _solve_branch(
             theta5 = math.pi
             theta6 = math.atan2(m21, -m11)
     else:
-        theta4 = math.atan2(m23, m13)
+        theta4 = normalize_angle(math.atan2(m23, m13))
         theta6 = math.atan2(m32, -m31)
+    theta6 = normalize_angle(theta6)
 
-    angles = (
-        theta1,
-        theta2,
-        theta3,
-        normalize_angle(theta4),
-        theta5,
-        normalize_angle(theta6),
-    )
-    check_limits(angles)
-    return angles, (z, radial, chord, alpha, beta, wrist_singular)
+    # One chained comparison per joint, read from JOINT_LIMITS on every
+    # call; a NaN fails it, and check_limits names the offending joint.
+    g = LIMIT_GRACE
+    (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4), (lo5, hi5), (lo6, hi6) = JOINT_LIMITS
+    angles = (theta1, theta2, theta3, theta4, theta5, theta6)
+    if not (
+        lo1 - g <= theta1 <= hi1 + g
+        and lo2 - g <= theta2 <= hi2 + g
+        and lo3 - g <= theta3 <= hi3 + g
+        and lo4 - g <= theta4 <= hi4 + g
+        and lo5 - g <= theta5 <= hi5 + g
+        and lo6 - g <= theta6 <= hi6 + g
+    ):
+        check_limits(angles)
+    return angles
 
 
 def _solve_point(
@@ -333,18 +319,18 @@ def _solve_point(
             raise aimed_error from None
 
 
-def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> tuple:
+def inverse_kinematics(pose: Pose, geom: RobotGeometry):
     """Solve the elbow-up joint tuple reproducing `pose`.
 
-    Returns (JointAngles, IkTrace) for a one-point pose.  A path, an
-    (N, 3) position, is the same closed form solved point by point
-    after one rotation check; it returns an (N, 6) angle array and an
-    IkTrace of arrays, and a failure raises the first unsolvable
-    point's error, its message prefixed ``waypoint i at (x, y, z): ``.
+    Returns the JointAngles of a one-point pose.  A path, an (N, 3)
+    position, is the same closed form solved point by point after one
+    rotation check; it returns an (N, 6) angle array, and a failure
+    raises the first unsolvable point's error, its message prefixed
+    ``waypoint i at (x, y, z): ``.
 
     All quadrant-sensitive inverse tangents are two-argument.  A
     straight-down (or straight-up) tool makes joint 4 indeterminate; it
-    is pinned to 0 and the trace flags ``wrist_singular``.
+    is pinned to 0, with joint 5 exactly 0 or pi.
 
     The base yaw aims at the wrist center.  Postures that carry the
     wrist center across the base axis (upper arm pitched past vertical)
@@ -363,21 +349,16 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> tuple:
         raise ValueError(f"pose rotation is not orthonormal (error {error:.2e})")
     rot = pose.rotation.tolist()
     if pose.position.ndim == 1:
-        angles, trace = _solve_point(rot, geom, *pose.position.tolist())
-        return JointAngles(*angles), IkTrace(*trace)
+        return JointAngles(*_solve_point(rot, geom, *pose.position.tolist()))
 
-    rows, traces = [], []
+    rows = []
     for i, (x, y, z) in enumerate(pose.position.tolist()):
         try:
-            angles, trace = _solve_point(rot, geom, x, y, z)
+            rows.append(_solve_point(rot, geom, x, y, z))
         except (UnreachableError, JointLimitError) as exc:
             where = f"waypoint {i} at ({x:.3f}, {y:.3f}, {z:.3f})"
             raise type(exc)(f"{where}: {exc}") from None
-        rows.append(angles)
-        traces.append(trace)
-    *fields, singular = np.array(traces, dtype=float).reshape(-1, 6).T
-    trace = IkTrace(*fields, singular.astype(bool))
-    return np.array(rows, dtype=float).reshape(-1, 6), trace
+    return np.array(rows, dtype=float).reshape(-1, 6)
 
 
 def is_reachable(point, geom: RobotGeometry) -> tuple:

@@ -14,9 +14,11 @@ in reverse back to the safe height, with no further IK.  Contact
 heights come from the scene's exact raycast; the descent step size only
 shapes the joint log, never the measurement.
 
-Legs and cycles join by slicing off shared seam rows and concatenating.
-A scan's rows become one `JointTrace`, whose CSV waypoint column is
-simply the row number.
+Within a cycle the legs share their seam row once.  Cycles are
+concatenated whole: each lateral leg starts with the row the previous
+cycle ended on, so that row appears twice.  A scan's rows become one
+`JointTrace`, whose CSV waypoint column is simply the row number; the
+CSV formats each distinct row once.
 """
 
 from __future__ import annotations
@@ -53,13 +55,13 @@ def line_waypoints(start, end) -> np.ndarray:
     extra interval through float rounding.
     """
     start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    length = float(np.linalg.norm(end - start))
+    d = np.asarray(end, dtype=float) - start
+    length = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic on a vector
     if length < 1e-12:
         return start[None, :].copy()
     intervals = max(1, math.ceil(length / STEP - 1e-9))
     t = np.arange(intervals + 1) / intervals
-    return start + t[:, None] * (end - start)
+    return start + t[:, None] * d
 
 
 @dataclass
@@ -78,9 +80,18 @@ class JointTrace:
         return len(self.angles)
 
     def to_csv(self) -> str:
-        table = np.column_stack([np.arange(len(self)), np.degrees(self.angles)])
-        row = "%d" + ",%.6f" * 6 + "\n"
-        return CSV_HEADER + (row * len(self)) % tuple(table.ravel().tolist())
+        # Rows repeat (a retract replays its descent): format each
+        # distinct row once.  Rows are told apart by their bits, so
+        # -0.0 and 0.0 print apart as they must.
+        rows = np.ascontiguousarray(self.angles).view(np.void(48)).ravel()
+        distinct, index = np.unique(rows, return_inverse=True)
+        texts = [
+            ",%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n" % tuple(row)
+            for row in np.degrees(distinct.view(float).reshape(-1, 6)).tolist()
+        ]
+        return CSV_HEADER + "".join(
+            [f"{i}{texts[j]}" for i, j in enumerate(index.ravel().tolist())]
+        )
 
 
 def plan_line(start, end, geom: RobotGeometry) -> np.ndarray:
@@ -90,9 +101,7 @@ def plan_line(start, end, geom: RobotGeometry) -> np.ndarray:
     UnreachableError or JointLimitError naming the first offending
     waypoint's index and position.
     """
-    points = line_waypoints(start, end)
-    angles, _ = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, points), geom)
-    return angles
+    return inverse_kinematics(Pose(TOOL_DOWN_ROTATION, line_waypoints(start, end)), geom)
 
 
 def probe_cycle(

@@ -1,7 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from armscan.kinematics import JOINT_LIMITS, RobotGeometry
+
+# Hypothesis imports its failure-explanation module the first time a
+# test fails, and that import raises a DeprecationWarning from a
+# dependency, which the session's warning filters make an error that
+# ends the whole run.  Importing it once here, with that warning
+# ignored, keeps one failing test from hiding the tests after it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from armscan.kinematics import (
     UnreachableError,
     inverse_kinematics,
 )
-from armscan.motion import line_waypoints
+from armscan.motion import CSV_HEADER, line_waypoints
 from armscan.scene import BBOX_PAD, DEGENERATE_DET, EDGE_TOL
 
 
@@ -85,6 +85,16 @@ def wrist_center_reference(angles, geom):
     m = m @ _h_roty(t3)
     m = m @ _h_trans(0.0, 0.0, geom.d4)
     return m[:3, 3]
+
+
+def radial_reference(angles, geom):
+    """In-plane distance (mm) from the shoulder to the wrist center along
+    the base yaw: the `wrist_center_reference` point projected on theta1's
+    direction, minus `l1`.  Negative on the back-reaching branch, where
+    the wrist center lies behind the shoulder."""
+    t1 = angles[0]
+    center = wrist_center_reference(angles, geom)
+    return center[0] * math.cos(t1) + center[1] * math.sin(t1) - geom.l1
 
 
 def chamfer_brute(p, q):
@@ -268,8 +278,16 @@ def plan_line_loop(start, end, geom):
     for i, pos in enumerate(line_waypoints(start, end)):
         where = f"waypoint {i} at ({pos[0]:.3f}, {pos[1]:.3f}, {pos[2]:.3f})"
         try:
-            angles, _ = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, pos), geom)
+            rows.append(inverse_kinematics(Pose(TOOL_DOWN_ROTATION, pos), geom))
         except (UnreachableError, JointLimitError) as exc:
             raise type(exc)(f"{where}: {exc}") from None
-        rows.append(angles)
     return np.array(rows, dtype=float).reshape(-1, 6)
+
+
+def trace_csv_reference(angles):
+    """`JointTrace.to_csv` as one format string over the whole table,
+    every row formatted where it stands, waypoint column included."""
+    angles = np.asarray(angles, dtype=float).reshape(-1, 6)
+    table = np.column_stack([np.arange(len(angles)), np.degrees(angles)])
+    row = "%d" + ",%.6f" * 6 + "\n"
+    return CSV_HEADER + (row * len(angles)) % tuple(table.ravel().tolist())

@@ -76,7 +76,7 @@ def test_criterion_1_ik_round_trip_10k(rng):
     started = time.perf_counter()
     for row in tuples:
         pose = forward_kinematics(row, GEOM)
-        solution, _ = inverse_kinematics(pose, GEOM)
+        solution = inverse_kinematics(pose, GEOM)
         assert solution.theta3 >= -1e-12  # elbow-up branch, always
         back = forward_kinematics(solution, GEOM)
         worst_pos = max(worst_pos, np.linalg.norm(back.position - pose.position))

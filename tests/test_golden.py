@@ -19,7 +19,6 @@ import numpy as np
 from armscan.cli import main
 from armscan.kinematics import (
     JOINT_LIMITS,
-    IkTrace,
     JointAngles,
     Pose,
     RobotGeometry,
@@ -30,6 +29,8 @@ from armscan.kinematics import (
 from armscan.meshio import TriangleMesh, write_stl_binary
 from armscan.metrics import chamfer_distance, sample_mesh_surface
 from armscan.objects import make_plate, make_wing
+
+from oracles import radial_reference
 
 ARTIFACTS = ("scan.stl", "scan.xyz", "trace.csv", "report.txt")
 
@@ -107,9 +108,10 @@ PLATE_JOB_SHA256 = {
 
 # Six wrist orientations (tool-down first, then five drawn in limits),
 # each combined with the same 40 arm postures drawn in limits: 240 poses,
-# two of each 40 on the back-reaching branch.
-IK_POSES_SHA256 = "929d90f80411a3fcd1d7528d78f7c41e574a623fe1a49011abb22e5d890b619e"
-IK_PATHS_SHA256 = "df38d2e6bb69a93fbc1904987c02f25d378aaaddff79caf0dfa70271eec7857a"
+# two of each 40 on the back-reaching branch.  The hashes cover the
+# solved angles' bytes alone.
+IK_POSES_SHA256 = "ca400c1955b31b444f931be0664e6247cf45ac6dac23c32ca4e9eae9db268cb2"
+IK_PATHS_SHA256 = "0a24ccf31633f77b8eba3d37883faba86dfb9ff9c81a924f2bcccabaf5b97c85"
 
 # 20,000 samples of the wing, 1,500 of two plates at different heights
 # over it, and float.hex of (cd, forward_mean, backward_mean) between them.
@@ -181,15 +183,10 @@ def ik_pose_groups():
     ]
 
 
-def solve_bytes(angles, trace) -> bytes:
-    fields = (getattr(trace, name) for name in IkTrace.__dataclass_fields__)
-    return b"".join(np.asarray(v).tobytes() for v in (angles, *fields))
-
-
 def test_golden_ik_single_poses():
     geom, groups = ik_pose_groups()
     data = b"".join(
-        solve_bytes(*inverse_kinematics(pose, geom)) for poses in groups for pose in poses
+        np.array(inverse_kinematics(pose, geom)).tobytes() for poses in groups for pose in poses
     )
     assert sha256(data) == IK_POSES_SHA256
 
@@ -199,9 +196,10 @@ def test_golden_ik_paths():
     data = b""
     for poses in groups:
         path = Pose(poses[0].rotation, np.array([p.position for p in poses]))
-        angles, trace = inverse_kinematics(path, geom)
-        assert angles.shape == (40, 6) and (trace.radial < 0.0).any()
-        data += solve_bytes(angles, trace)
+        angles = inverse_kinematics(path, geom)
+        radial = [radial_reference(row, geom) for row in angles]
+        assert angles.shape == (40, 6) and min(radial) < 0.0
+        data += angles.tobytes()
     assert sha256(data) == IK_PATHS_SHA256
 
 

@@ -7,14 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 from armscan import kinematics
 from armscan.kinematics import (
     JOINT_LIMITS,
+    LIMIT_GRACE,
     SHOULDER_ELEVATION_OFFSET,
     TOOL_DOWN_ROTATION,
-    IkTrace,
     JointAngles,
     JointLimitError,
     Pose,
     RobotGeometry,
     UnreachableError,
+    check_limits,
     forward_kinematics,
     inverse_kinematics,
     is_reachable,
@@ -22,18 +23,42 @@ from armscan.kinematics import (
 )
 
 from conftest import random_joint_tuples
-from oracles import fk_reference, wrist_center_reference
+from oracles import fk_reference, radial_reference, wrist_center_reference
 
 DEG = math.pi / 180.0
 
 
 def ik_roundtrip_errors(q, geom):
     pose = forward_kinematics(q, geom)
-    sol, trace = inverse_kinematics(pose, geom)
+    sol = inverse_kinematics(pose, geom)
     back = forward_kinematics(sol, geom)
     pos_err = np.abs(back.position - pose.position).max()
     rot_err = np.abs(back.rotation - pose.rotation).max()
-    return pos_err, rot_err, sol, trace
+    return pos_err, rot_err, sol
+
+
+def oracle_chord(sol, geom):
+    """(chord, alpha) of a solution from the reference chain: the
+    shoulder-to-wrist-center distance (mm) in the yaw plane and its
+    elevation above the horizontal (rad)."""
+    radial = radial_reference(sol, geom)
+    z = wrist_center_reference(sol, geom)[2] - geom.d1
+    return math.hypot(radial, z), math.atan2(z, radial)
+
+
+def assert_elbow_up(sol, geom):
+    """The upper arm's elevation is alpha + beta (modulo 2 pi), beta the
+    triangle's shoulder angle in [0, pi]: the elbow sits on or above the
+    chord, and an upper arm of l2 at beta from a chord of that length
+    leaves d4 to the wrist center."""
+    chord, alpha = oracle_chord(sol, geom)
+    assert abs(geom.l2 - geom.d4) - 1e-9 <= chord <= geom.l2 + geom.d4 + 1e-9
+    beta = normalize_angle(sol.theta2 + SHOULDER_ELEVATION_OFFSET - alpha)
+    assert -1e-9 <= beta <= math.pi + 1e-9
+    forearm = math.sqrt(
+        geom.l2**2 + chord**2 - 2.0 * geom.l2 * chord * math.cos(beta)
+    )
+    assert forearm == pytest.approx(geom.d4, abs=1e-9)
 
 
 # ---------------------------------------------------------------- angles
@@ -148,7 +173,7 @@ def test_wrist_center_independent_of_wrist_joints(geom, rng):
 
 def test_ik_round_trip_random(geom, rng):
     for q in random_joint_tuples(2000, rng):
-        pos_err, rot_err, _, _ = ik_roundtrip_errors(JointAngles(*q), geom)
+        pos_err, rot_err, _ = ik_roundtrip_errors(JointAngles(*q), geom)
         assert pos_err < 1e-9
         assert rot_err < 1e-9
 
@@ -166,21 +191,16 @@ def test_ik_round_trip_random(geom, rng):
 @example(t1=0.0, t2=2.3125, t3=2.75, t4=0.0, t5=0.0, t6=0.0)
 def test_ik_round_trip_property(t1, t2, t3, t4, t5, t6):
     geom = RobotGeometry()
-    pos_err, rot_err, sol, trace = ik_roundtrip_errors(
-        JointAngles(t1, t2, t3, t4, t5, t6), geom
-    )
+    pos_err, rot_err, sol = ik_roundtrip_errors(JointAngles(t1, t2, t3, t4, t5, t6), geom)
     assert pos_err < 1e-9
     assert rot_err < 1e-9
     # elbow-up branch only: upper-arm elevation equals alpha + beta, as
     # angles (modulo 2 pi)
-    elevation = sol.theta2 + SHOULDER_ELEVATION_OFFSET
-    assert normalize_angle(elevation - (trace.alpha + trace.beta)) == pytest.approx(
-        0.0, abs=1e-9
-    )
+    assert_elbow_up(sol, geom)
 
 
 def test_ik_theta1_zero_on_positive_x_axis(geom):
-    sol, _ = inverse_kinematics(Pose.tool_down(300.0, 0.0, 50.0), geom)
+    sol = inverse_kinematics(Pose.tool_down(300.0, 0.0, 50.0), geom)
     assert sol.theta1 == pytest.approx(0.0, abs=1e-12)
 
 
@@ -188,23 +208,27 @@ def test_ik_fully_stretched_target(geom):
     # wrist center at (l1 + l2 + d4, 0, d1): chord equals l2 + d4 exactly
     reach = geom.l2 + geom.d4
     pose = Pose.tool_down(geom.l1 + reach, 0.0, geom.d1 - geom.d6)
-    sol, trace = inverse_kinematics(pose, geom)
-    assert trace.chord == pytest.approx(reach, abs=1e-9)
-    assert trace.beta == pytest.approx(0.0, abs=1e-6)
+    sol = inverse_kinematics(pose, geom)
+    chord, alpha = oracle_chord(sol, geom)
+    beta = normalize_angle(sol.theta2 + SHOULDER_ELEVATION_OFFSET - alpha)
+    assert chord == pytest.approx(reach, abs=1e-9)
+    assert beta == pytest.approx(0.0, abs=1e-6)
     assert sol.theta3 == pytest.approx(0.0, abs=1e-6)  # interior angle = pi
     back = forward_kinematics(sol, geom)
     assert np.abs(back.position - pose.position).max() < 1e-9
 
 
 def test_ik_wrist_singular_flag(geom):
-    sol, trace = inverse_kinematics(Pose.tool_down(280.0, 60.0, 40.0), geom)
-    assert trace.wrist_singular
+    # a straight-down tool pins joint 4 to 0 and joint 5 to exactly pi
+    sol = inverse_kinematics(Pose.tool_down(280.0, 60.0, 40.0), geom)
     assert sol.theta4 == 0.0
-    assert sol.theta5 == pytest.approx(math.pi)
+    assert sol.theta5 in (0.0, math.pi)
+    assert sol.theta5 == math.pi
 
     q = JointAngles(0.2, -0.4, 0.9, 0.3, 1.0, -0.2)
-    _, trace = inverse_kinematics(forward_kinematics(q, geom), geom)
-    assert not trace.wrist_singular
+    sol = inverse_kinematics(forward_kinematics(q, geom), geom)
+    assert sol.theta5 not in (0.0, math.pi)
+    assert sol.theta4 == pytest.approx(0.3, abs=1e-9)
 
 
 def test_ik_back_reaching_branch(geom):
@@ -213,10 +237,10 @@ def test_ik_back_reaching_branch(geom):
     q = JointAngles(0.0, 134.0 * DEG, 169.0 * DEG, 0.5, 1.0, -0.3)
     pose = forward_kinematics(q, geom)
     assert pose.position[0] < 0.0 or math.hypot(*pose.position[:2]) < geom.l1
-    pos_err, rot_err, sol, trace = ik_roundtrip_errors(q, geom)
+    pos_err, rot_err, sol = ik_roundtrip_errors(q, geom)
     assert pos_err < 1e-9
     assert rot_err < 1e-9
-    assert trace.radial < 0.0
+    assert radial_reference(sol, geom) < 0.0
 
 
 def test_ik_unreachable_beyond_max_extension(geom):
@@ -242,6 +266,98 @@ def test_ik_joint_limit_violation_reports_joint(geom, monkeypatch):
     with pytest.raises(JointLimitError) as err:
         inverse_kinematics(Pose.tool_down(150.0, 0.0, 30.0), geom)
     assert str(err.value).startswith("joint 3 angle ")
+
+
+# Far enough out that the back-reaching branch is beyond the reach, so
+# a limit failure of the aimed branch is the error raised.
+LIMIT_PROBE = JointAngles(0.2, -0.4, 0.9, 0.3, 1.0, -0.2)
+
+
+def limit_for(angle, grace_sign):
+    """The limit L with L + grace_sign * LIMIT_GRACE == angle in floats."""
+    bound = angle - grace_sign * LIMIT_GRACE
+    for _ in range(8):
+        reached = bound + grace_sign * LIMIT_GRACE
+        if reached == angle:
+            return bound
+        bound = np.nextafter(bound, math.inf if reached < angle else -math.inf)
+    raise AssertionError(f"no limit puts {angle!r} on the bound")
+
+
+def limit_message(j, angle, lo, hi):
+    return (
+        f"joint {j} angle {math.degrees(angle):.3f} deg outside "
+        f"[{math.degrees(lo):.3f}, {math.degrees(hi):.3f}] deg"
+    )
+
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+@pytest.mark.parametrize("j", range(1, 7))
+def test_ik_limit_bound_is_inclusive(geom, monkeypatch, j, side):
+    # an angle exactly on lo - LIMIT_GRACE or hi + LIMIT_GRACE solves;
+    # the next float past the bound fails, naming the joint
+    pose = forward_kinematics(LIMIT_PROBE, geom)
+    solved = inverse_kinematics(pose, geom)
+    angle = solved[j - 1]
+    beyond = np.nextafter(angle, math.inf if side == "lo" else -math.inf)
+    for target in (angle, beyond):
+        lo, hi = JOINT_LIMITS[j - 1]
+        if side == "lo":
+            lo = limit_for(target, -1.0)
+        else:
+            hi = limit_for(target, 1.0)
+        limits = JOINT_LIMITS[: j - 1] + ((lo, hi),) + JOINT_LIMITS[j:]
+        monkeypatch.setattr(kinematics, "JOINT_LIMITS", limits)
+        if target == angle:
+            assert inverse_kinematics(pose, geom) == solved
+        else:
+            with pytest.raises(JointLimitError) as err:
+                inverse_kinematics(pose, geom)
+            assert str(err.value) == limit_message(j, angle, lo, hi)
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_check_limits_names_nan_joint(j):
+    angles = [(lo + hi) / 2.0 for lo, hi in JOINT_LIMITS]
+    angles[j - 1] = math.nan
+    lo, hi = JOINT_LIMITS[j - 1]
+    with pytest.raises(JointLimitError) as err:
+        check_limits(JointAngles(*angles))
+    assert str(err.value) == limit_message(j, math.nan, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "j, entry, value",
+    [
+        # at zero yaw an infinite r13 gives m13 = inf and m23 = NaN:
+        # theta5 is pi/2, theta4 alone is NaN
+        (4, (0, 2), math.inf),
+        (5, (2, 2), math.nan),
+        (6, (2, 0), math.nan),
+    ],
+)
+def test_ik_nan_wrist_angle_fails_the_limit_check(geom, j, entry, value):
+    # a NaN fails the one comparison per joint, and the joint is named.
+    # Joints 1 and 2 are checked through the public solve below; a NaN
+    # theta3 always comes with a NaN theta2.
+    rot = forward_kinematics(LIMIT_PROBE, geom).rotation.tolist()  # wrist not singular
+    row, col = entry
+    rot[row][col] = value
+    with pytest.raises(JointLimitError) as err:
+        kinematics._solve_branch(rot, geom, 0.0, 300.0, -100.0)
+    lo, hi = JOINT_LIMITS[j - 1]
+    assert str(err.value) == limit_message(j, math.nan, lo, hi)
+
+
+def test_ik_nan_position_names_the_joint(geom):
+    # a NaN x is a NaN yaw, which turns the wrist angles NaN too, and
+    # joint 1 is named first; a NaN z is a NaN height: theta3 clamps to
+    # 0 and theta2 alone is NaN
+    for point, j in (((math.nan, 0.0, 50.0), 1), ((300.0, 0.0, math.nan), 2)):
+        with pytest.raises(JointLimitError) as err:
+            inverse_kinematics(Pose.tool_down(*point), geom)
+        lo, hi = JOINT_LIMITS[j - 1]
+        assert str(err.value) == limit_message(j, math.nan, lo, hi)
 
 
 def test_ik_rejects_non_orthonormal_rotation(geom):
@@ -281,24 +397,25 @@ def test_rotation_error_matches_matrix_form(geom, rng):
 
 
 def test_ik_trace_internal_consistency(geom, rng):
+    # the solution's chord, from the reference chain, is the target's:
+    # its wrist center seen in the plane of the solved base yaw
     for q in random_joint_tuples(200, rng):
         pose = forward_kinematics(JointAngles(*q), geom)
-        sol, trace = inverse_kinematics(pose, geom)
-        assert trace.chord == pytest.approx(
-            math.hypot(trace.radial, trace.z), abs=1e-9
-        )
-        assert trace.alpha == math.atan2(trace.z, trace.radial)
-        assert abs(geom.l2 - geom.d4) - 1e-9 <= trace.chord <= geom.l2 + geom.d4 + 1e-9
+        sol = inverse_kinematics(pose, geom)
+        cx, cy, cz = backed_off(pose, geom)
+        c1, s1 = math.cos(sol.theta1), math.sin(sol.theta1)
+        radial, z = cx * c1 + cy * s1 - geom.l1, cz - geom.d1
+        assert -cx * s1 + cy * c1 == pytest.approx(0.0, abs=1e-9)
+        chord, alpha = oracle_chord(sol, geom)
+        assert chord == pytest.approx(math.hypot(radial, z), abs=1e-9)
+        assert alpha == pytest.approx(math.atan2(z, radial), abs=1e-9)
         # elbow-up: elevation of the upper arm is alpha + beta (modulo 2 pi)
-        elevation = sol.theta2 + SHOULDER_ELEVATION_OFFSET
-        assert normalize_angle(
-            elevation - (trace.alpha + trace.beta)
-        ) == pytest.approx(0.0, abs=1e-9)
+        assert_elbow_up(sol, geom)
 
 
 def test_ik_theta1_equivariance_under_base_rotation(geom):
     pose = Pose.tool_down(310.0, 20.0, 60.0)
-    base, _ = inverse_kinematics(pose, geom)
+    base = inverse_kinematics(pose, geom)
     for phi in (-2.0, -0.7, 0.4, 1.9):
         rz = np.array(
             [
@@ -308,7 +425,7 @@ def test_ik_theta1_equivariance_under_base_rotation(geom):
             ]
         )
         turned = Pose(rz @ pose.rotation, rz @ pose.position)
-        sol, _ = inverse_kinematics(turned, geom)
+        sol = inverse_kinematics(turned, geom)
         assert normalize_angle(sol.theta1 - base.theta1 - phi) == pytest.approx(
             0.0, abs=1e-9
         )
@@ -344,20 +461,18 @@ def legs(draw):
 
 def scalar_solves(rotation, points, geom):
     """Scalar IK row by row up to the first failure:
-    (angles, traces, failing row or None, its error or None)."""
-    rows, traces = [], []
+    (angles, failing row or None, its error or None)."""
+    rows = []
     for i, point in enumerate(points):
         try:
-            angles, trace = inverse_kinematics(Pose(rotation, point), geom)
+            rows.append(inverse_kinematics(Pose(rotation, point), geom))
         except (UnreachableError, JointLimitError) as exc:
-            return rows, traces, i, exc
-        rows.append(angles)
-        traces.append(trace)
-    return rows, traces, None, None
+            return rows, i, exc
+    return rows, None, None
 
 
 def assert_path_solve_matches_scalar(rotation, points, geom):
-    rows, traces, bad_row, error = scalar_solves(rotation, points, geom)
+    rows, bad_row, error = scalar_solves(rotation, points, geom)
     path = Pose(rotation, points)
     if bad_row is not None:
         with pytest.raises((UnreachableError, JointLimitError)) as caught:
@@ -367,12 +482,9 @@ def assert_path_solve_matches_scalar(rotation, points, geom):
         where = f"waypoint {bad_row} at ({x:.3f}, {y:.3f}, {z:.3f})"
         assert str(caught.value) == f"{where}: {error}"
         return
-    angles, trace = inverse_kinematics(path, geom)
+    angles = inverse_kinematics(path, geom)
     # bit for bit, signed zeros included: the trace CSV prints these
     assert angles.tobytes() == np.array(rows, dtype=float).reshape(-1, 6).tobytes()
-    for name in IkTrace.__dataclass_fields__:
-        expected = np.array([getattr(t, name) for t in traces])
-        assert getattr(trace, name).tobytes() == expected.tobytes(), name
 
 
 def tool_down_leg(start, end, count):
@@ -394,18 +506,15 @@ def test_ik_path_matches_scalar_solves(leg):
 
 def test_ik_path_branch_changes_mid_leg(geom):
     rotation, points = tool_down_leg([100.0, 0.0, 300.0], [-100.0, 0.0, 300.0], 21)
-    _, trace = inverse_kinematics(Pose(rotation, points), geom)
-    back = trace.radial < 0.0
+    angles = inverse_kinematics(Pose(rotation, points), geom)
+    back = np.array([radial_reference(row, geom) for row in angles]) < 0.0
     assert back[5:16].all() and not back[:3].any() and not back[-3:].any()
     assert_path_solve_matches_scalar(rotation, points, geom)
 
 
 def test_ik_empty_path(geom):
-    angles, trace = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, np.zeros((0, 3))), geom)
+    angles = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, np.zeros((0, 3))), geom)
     assert angles.shape == (0, 6) and angles.dtype == float
-    for name in IkTrace.__dataclass_fields__:
-        assert getattr(trace, name).shape == (0,), name
-    assert trace.z.dtype == float and trace.wrist_singular.dtype == bool
 
 
 # ---------------------------------------------------------------- reachability

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from armscan import motion
 from armscan.kinematics import (
@@ -16,6 +17,8 @@ from armscan.kinematics import (
 from armscan.meshio import TriangleMesh
 from armscan.motion import JointTrace, line_waypoints, plan_line, probe_cycle
 from armscan.scene import CONTACT_MESH, CONTACT_TABLE, CONTACT_UNREACHABLE, NoiseModel, TargetScene
+
+from oracles import trace_csv_reference
 
 
 def plate_scene(z=25.0, size=200.0, x0=200.0, y0=-100.0, **kw):
@@ -202,9 +205,9 @@ def test_probe_cycle_retract_replays_descent(geom, monkeypatch):
     solved = []
 
     def counting_ik(pose, g):
-        angles, trace = inverse_kinematics(pose, g)
+        angles = inverse_kinematics(pose, g)
         solved.append(angles)
-        return angles, trace
+        return angles
 
     monkeypatch.setattr(motion, "inverse_kinematics", counting_ik)
     scene = plate_scene(25.0)
@@ -258,3 +261,66 @@ def test_trace_csv_waypoints_are_row_numbers():
     assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2, 3, 4]
     assert lines[3] == "2,12.000000,13.000000,14.000000,15.000000,16.000000,17.000000"
     assert JointTrace().to_csv() == lines[0] + "\n"
+
+
+ANGLE = st.sampled_from([0.0, -0.0]) | st.floats(-2.0 * math.pi, 2.0 * math.pi)
+
+
+@st.composite
+def repeating_traces(draw):
+    """(N, 6) rows drawn from a small pool, so rows repeat; beside each
+    drawn row the pool holds one with its zeros' signs flipped and one
+    with an entry moved by one np.nextafter step."""
+    pool = []
+    for row in draw(st.lists(st.tuples(*[ANGLE] * 6), min_size=1, max_size=4)):
+        row = np.array(row)
+        flipped, stepped = row.copy(), row.copy()
+        zero = row == 0.0
+        flipped[zero] = -row[zero]
+        j = draw(st.integers(0, 5))
+        stepped[j] = np.nextafter(row[j], draw(st.sampled_from([-math.inf, math.inf])))
+        pool += [row, flipped, stepped]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    return np.array([pool[i] for i in picks]).reshape(-1, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles=repeating_traces())
+@example(angles=np.zeros((0, 6)))
+def test_trace_csv_matches_one_format_string(angles):
+    assert JointTrace(angles).to_csv() == trace_csv_reference(angles)
+    # a reversed view, as the retract slices its descent
+    assert JointTrace(angles[::-1]).to_csv() == trace_csv_reference(angles[::-1])
+
+
+def test_trace_csv_tells_rows_apart_by_bits():
+    # -0.0 == 0.0 as values, so rows told apart by value would print
+    # one of these rows for all three
+    angles = np.array([[0.0] * 6, [-0.0] * 6, [0.0, -0.0, 0.0, 0.0, 0.0, 0.0]])
+    lines = JointTrace(angles).to_csv().splitlines()
+    assert lines[1:] == [
+        "0,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000",
+        "1,-0.000000,-0.000000,-0.000000,-0.000000,-0.000000,-0.000000",
+        "2,0.000000,-0.000000,0.000000,0.000000,0.000000,0.000000",
+    ]
+    assert JointTrace(angles).to_csv() == trace_csv_reference(angles)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.tuples(*[st.floats(-1000.0, 1000.0)] * 3),
+    end=st.tuples(*[st.floats(-1000.0, 1000.0)] * 3),
+)
+def test_waypoints_leg_length_is_the_vector_norm(start, end):
+    # the leg's length decides its interval count: bit for bit the
+    # length np.linalg.norm gives
+    start, end = np.array(start), np.array(end)
+    d = end - start
+    length = float(np.linalg.norm(d))
+    pts = line_waypoints(start, end)
+    if length < 1e-12:
+        assert pts.tobytes() == start[None, :].tobytes()
+        return
+    intervals = max(1, math.ceil(length / motion.STEP - 1e-9))
+    t = np.arange(intervals + 1) / intervals
+    assert pts.tobytes() == (start + t[:, None] * d).tobytes()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from armscan import motion
+from armscan import motion, scanner
+from armscan.kinematics import RobotGeometry
 from armscan.meshio import write_stl_binary
 from armscan.objects import make_plate, make_wing
 from armscan.scanner import (
@@ -186,6 +187,29 @@ def test_coordinates_match_grid_points_bit_for_bit(geom, monkeypatch):
     assert 0 < no_height.sum() < grid.point_count
     assert np.array_equal(np.isnan(q[..., 2]), no_height)
     assert q[..., 2][~no_height].tobytes() == points.z_measured.T[~no_height].tobytes()
+
+
+def test_scan_seam_rows_repeat_at_cycle_boundaries(monkeypatch):
+    # Legs within a cycle share their seam row once, but cycles do not:
+    # each lateral leg starts on the row the previous cycle ended on.
+    # The golden trace hashes and the report's waypoint count pin these
+    # rows; this pins where they are (the 3x4 plate of the benchmark
+    # tracer test).
+    lengths = []
+
+    def recording_probe_cycle(*args, **kwargs):
+        contact, angles = motion.probe_cycle(*args, **kwargs)
+        lengths.append(len(angles))
+        return contact, angles
+
+    monkeypatch.setattr(scanner, "probe_cycle", recording_probe_cycle)
+    grid = ScanGrid(260.0, -20.0, 3, 4, 10.0, 10.0, safe_z=60.0)
+    scene = TargetScene(make_plate(200.0, -100.0, 200.0, 200.0, 25.0))
+    rows = run_scan(grid, RobotGeometry(), scene, NoiseModel()).trace.angles
+    assert len(rows) == 211 and len(lengths) == 12
+    repeats = np.nonzero((rows[1:] == rows[:-1]).all(axis=1))[0] + 1
+    assert repeats.tolist() == np.cumsum(lengths)[:-1].tolist()
+    assert len(repeats) == 11
 
 
 def test_scan_deterministic(geom):
