@@ -36,7 +36,9 @@ naming the file.
 
 Exit codes: 0 success, 2 bad config or arguments, 3 unreachable
 geometry, 4 joint limit violation, 5 I/O failure, 6 malformed
-geometry data.
+geometry data.  `ik` or `fk` stopped at a joint limit exits 4; a scan
+grid or a test-a/test-b point out of reach, for any kinematic reason,
+exits 3.
 """
 
 from __future__ import annotations
@@ -88,14 +90,13 @@ class JobConfigError(Exception):
 
 
 # The error each exit code reports, in precedence order: `main` exits
-# with the first entry the error is an instance of, so the geometry-data
-# errors come before ValueError, their base class.
+# with the first entry the error is an instance of, so each subclass
+# comes before its base class.
 EXIT_CODES = {
     StlFormatError: EXIT_DATA,
     XyzFormatError: EXIT_DATA,
-    UnreachableError: EXIT_UNREACHABLE,
-    UnreachableGridError: EXIT_UNREACHABLE,
     JointLimitError: EXIT_JOINT_LIMIT,
+    UnreachableError: EXIT_UNREACHABLE,
     JobConfigError: EXIT_CONFIG,
     ValueError: EXIT_CONFIG,
     OSError: EXIT_IO,

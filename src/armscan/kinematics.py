@@ -35,6 +35,11 @@ scalar `math` code, and returns the joint angles alone.  A path is that
 closed form applied point by point, after one rotation check for the
 whole path; its error is the first failing point's, the message
 prefixed `waypoint i at (x, y, z): `.
+
+A pose the arm cannot take raises `UnreachableError`; a solved angle
+past its stop is one kind of it, the subclass `JointLimitError`, so one
+`except UnreachableError` covers both.  A NaN target coordinate is a
+`ValueError`.
 """
 
 from __future__ import annotations
@@ -85,10 +90,10 @@ TOOL_DOWN_ROTATION = np.array(
 
 
 class UnreachableError(Exception):
-    """Target pose lies outside the position workspace."""
+    """The arm cannot take the target pose, for any kinematic reason."""
 
 
-class JointLimitError(Exception):
+class JointLimitError(UnreachableError):
     """A solved joint angle violates its interval in JOINT_LIMITS."""
 
 
@@ -237,7 +242,9 @@ def _solve_branch(
 
     l2, d4 = geom.l2, geom.d4
     cosine = (l2 * l2 + d4 * d4 - chord * chord) / (2.0 * l2 * d4)
-    if cosine > 1.0 + ACOS_CLAMP_TOL or cosine < -1.0 - ACOS_CLAMP_TOL:
+    if not -1.0 - ACOS_CLAMP_TOL <= cosine <= 1.0 + ACOS_CLAMP_TOL:
+        if math.isnan(cosine):  # a NaN coordinate; an infinite one is out of reach
+            raise ValueError("target position is not finite")
         raise UnreachableError(
             f"elbow triangle (chord {chord:.3f} mm, annulus "
             f"[{abs(l2 - d4):.3f}, {l2 + d4:.3f}]): "
@@ -310,12 +317,12 @@ def _solve_point(
 
     try:
         return _solve_branch(rot, geom, azimuth, planar - geom.l1, height)
-    except (UnreachableError, JointLimitError) as aimed_error:
+    except UnreachableError as aimed_error:
         try:
             return _solve_branch(
                 rot, geom, normalize_angle(azimuth + math.pi), -planar - geom.l1, height
             )
-        except (UnreachableError, JointLimitError):
+        except UnreachableError:
             raise aimed_error from None
 
 
@@ -339,10 +346,11 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry):
     behind the shoulder (negative radial).  Both branches are elbow-up;
     the aimed branch wins when it exists.
 
-    Raises UnreachableError when the wrist center falls outside the
-    two-link annulus in both branches, JointLimitError when a solved
-    angle violates its interval, ValueError on a non-orthonormal
-    rotation.
+    Raises UnreachableError when neither branch can take the pose: the
+    wrist center falls outside the two-link annulus, or a solved angle
+    violates its interval, which raises the subclass JointLimitError.
+    Raises ValueError on a non-orthonormal rotation or a NaN target
+    coordinate.
     """
     error = pose.rotation_error()
     if not error <= 1e-9:  # a NaN error fails too
@@ -355,7 +363,7 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry):
     for i, (x, y, z) in enumerate(pose.position.tolist()):
         try:
             rows.append(_solve_point(rot, geom, x, y, z))
-        except (UnreachableError, JointLimitError) as exc:
+        except UnreachableError as exc:
             where = f"waypoint {i} at ({x:.3f}, {y:.3f}, {z:.3f})"
             raise type(exc)(f"{where}: {exc}") from None
     return np.array(rows, dtype=float).reshape(-1, 6)
@@ -369,6 +377,6 @@ def is_reachable(point, geom: RobotGeometry) -> tuple:
     x, y, z = (float(v) for v in point)
     try:
         inverse_kinematics(Pose.tool_down(x, y, z), geom)
-    except (UnreachableError, JointLimitError) as exc:
+    except UnreachableError as exc:
         return False, str(exc)
     return True, "reachable"

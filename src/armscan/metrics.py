@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import (
-    JointLimitError,
     Pose,
     RobotGeometry,
     UnreachableError,
@@ -281,7 +280,7 @@ def test_a(
         nominal = center + radius * outward
         try:
             inverse_kinematics(_approach_pose(nominal, outward), geom)
-        except (UnreachableError, JointLimitError) as exc:
+        except UnreachableError as exc:
             raise UnreachableError(
                 f"sphere probe point {index + 1} at "
                 f"({nominal[0]:.3f}, {nominal[1]:.3f}, {nominal[2]:.3f}): {exc}"

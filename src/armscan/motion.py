@@ -30,7 +30,6 @@ import numpy as np
 
 from .kinematics import (
     TOOL_DOWN_ROTATION,
-    JointLimitError,
     Pose,
     RobotGeometry,
     UnreachableError,
@@ -98,8 +97,8 @@ def plan_line(start, end, geom: RobotGeometry) -> np.ndarray:
     """Solve tool-down IK for every waypoint of the segment in one call.
 
     Returns the (N, 6) joint angles, a row per waypoint.  Raises
-    UnreachableError or JointLimitError naming the first offending
-    waypoint's index and position.
+    UnreachableError (JointLimitError past a joint stop) naming the
+    first offending waypoint's index and position.
     """
     return inverse_kinematics(Pose(TOOL_DOWN_ROTATION, line_waypoints(start, end)), geom)
 
@@ -135,7 +134,7 @@ def probe_cycle(
         z_measured = contact[2]
         z_stop = scene.table_z if math.isnan(z_measured) else z_measured
         descend = plan_line((x, y, safe_z), (x, y, z_stop), geom)
-    except (UnreachableError, JointLimitError):
+    except UnreachableError:
         # the angles hold at most the lateral leg, still at the safe height
         return (CONTACT_UNREACHABLE, math.nan, math.nan), lateral
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import RobotGeometry, is_reachable
+from .kinematics import RobotGeometry, UnreachableError, is_reachable
 from .meshio import DEGENERATE_NORM, PointCloud, TriangleMesh
 from .motion import JointTrace, probe_cycle
 from .scene import (
@@ -42,7 +42,7 @@ DEFAULT_SAFE_Z = 60.0
 MAX_GRID_POINTS = 1_000_000
 
 
-class UnreachableGridError(Exception):
+class UnreachableGridError(UnreachableError):
     """Grid points the arm cannot pose over at the safe height.
 
     Raised before any probing happens; indices are 1-based (row, col)
@@ -217,10 +217,13 @@ def run_scan(
 ) -> ScanResult:
     """Probe the whole lattice and tessellate the measured heights.
 
-    The safe height must clear the highest mesh vertex (ValueError
-    otherwise), and every grid point must be reachable at the safe
-    height before any probing starts; otherwise UnreachableGridError
-    lists the offenders and no motion is logged.  Per-point descent
+    The safe height must clear the highest mesh vertex, and the table
+    plane must not lie below the lowest tip height a tool-down pose can
+    take, `d1 - l2 - d4 - d6` (ValueError otherwise: a miss would plan
+    a descent through waypoints it can never reach).  Every grid
+    point must be reachable at the safe height before any probing
+    starts; otherwise UnreachableGridError lists the offenders and no
+    motion is logged.  Per-point descent
     failures during the scan do not abort it: they mark the cell
     unreachable, with NaN heights, and leave holes in the mesh.
     """
@@ -228,6 +231,12 @@ def run_scan(
     if grid.safe_z < top:
         raise ValueError(
             f"safe height {grid.safe_z:g} mm is below the scene top at {top:g} mm"
+        )
+    lowest = geom.d1 - geom.l2 - geom.d4 - geom.d6
+    if scene.table_z < lowest:
+        raise ValueError(
+            f"table plane at {scene.table_z:g} mm is below the lowest tool-down "
+            f"tip height {lowest:g} mm"
         )
     xs, ys = (a.tolist() for a in grid.axes())
     bad = []

@@ -20,7 +20,15 @@ from armscan.kinematics import (
     inverse_kinematics,
 )
 from armscan.motion import CSV_HEADER, line_waypoints
-from armscan.scene import BBOX_PAD, DEGENERATE_DET, EDGE_TOL
+from armscan.scene import (
+    BBOX_PAD,
+    CONTACT_MESH,
+    CONTACT_NONE,
+    CONTACT_TABLE,
+    CONTACT_UNREACHABLE,
+    DEGENERATE_DET,
+    EDGE_TOL,
+)
 
 
 def _h_rotz(a):
@@ -118,22 +126,22 @@ def raycast_brute(x, y, triangles):
     """Highest z hit by the vertical ray at (x, y), or None.
 
     Scans every triangle with the 2D barycentric test; edge and vertex
-    grazes (within 1e-12) count as hits.
+    grazes (within 1e-12) count as hits.  Each triangle is three
+    (x, y, z) triples; nested lists of floats run fastest.
     """
     best = None
-    for tri in triangles:
-        v1, v2, v3 = (np.asarray(v, dtype=float) for v in tri)
-        d1 = v2[:2] - v1[:2]
-        d2 = v3[:2] - v1[:2]
-        det = d1[0] * d2[1] - d1[1] * d2[0]
+    for (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) in triangles:
+        d1x, d1y = x2 - x1, y2 - y1
+        d2x, d2y = x3 - x1, y3 - y1
+        det = d1x * d2y - d1y * d2x
         if abs(det) <= 1e-12:
             continue
-        rx, ry = x - v1[0], y - v1[1]
-        u = (rx * d2[1] - ry * d2[0]) / det
-        v = (ry * d1[0] - rx * d1[1]) / det
+        rx, ry = x - x1, y - y1
+        u = (rx * d2y - ry * d2x) / det
+        v = (ry * d1x - rx * d1y) / det
         if u < -1e-12 or v < -1e-12 or u + v > 1.0 + 1e-12:
             continue
-        z = v1[2] + u * (v2[2] - v1[2]) + v * (v3[2] - v1[2])
+        z = z1 + u * (z2 - z1) + v * (z3 - z1)
         if best is None or z > best:
             best = z
     return best
@@ -282,6 +290,62 @@ def plan_line_loop(start, end, geom):
         except (UnreachableError, JointLimitError) as exc:
             raise type(exc)(f"{where}: {exc}") from None
     return np.array(rows, dtype=float).reshape(-1, 6)
+
+
+def scan_reference(grid, geom, scene, noise, flip_normals=False):
+    """`scanner.run_scan` cell by cell, for a grid that passes its checks.
+
+    Returns (kinds, z_true, z_measured, angles, facets): the three
+    (n_rows, n_cols) cell arrays, the trace's (N, 6) joint angles and
+    the mesh's (F, 3, 3) facet vertices.  Each cell, in column-major
+    order, takes its contact from `raycast_all_facets` (a miss is the
+    table in table mode, no height in skip mode) plus the noise at its
+    ordinal, then plans the lateral leg from the previous cell and the
+    descent to the contact (the table on a skip-mode miss) with
+    `plan_line_loop`.  The retract is the descent reversed less its
+    contact row.  The descent drops the row it shares with the lateral
+    leg; the lateral leg keeps the row the previous cell ended on.  A
+    leg that fails marks the cell unreachable with no heights, and the
+    cell keeps only its lateral rows.
+    """
+    xs, ys = (a.tolist() for a in grid.axes())
+    order = list(grid.probe_order())
+    hits = raycast_all_facets(scene.mesh.vertices, [(xs[i], ys[k]) for i, k in order])
+    shape = (grid.n_rows, grid.n_cols)
+    kinds = np.full(shape, CONTACT_UNREACHABLE)
+    z_true, z_measured = np.full(shape, np.nan), np.full(shape, np.nan)
+    cells = [[None] * grid.n_cols for _ in range(grid.n_rows)]
+    rows = []
+    previous = None
+    for (i, k), z in zip(order, hits):
+        x, y, safe_z = xs[i], ys[k], grid.safe_z
+        if z is not None:
+            kind = CONTACT_MESH
+        elif scene.floor_mode == "table":
+            kind, z = CONTACT_TABLE, scene.table_z
+        else:
+            kind = CONTACT_NONE
+        measured = math.nan if z is None else z + noise.error_at(k * grid.n_rows + i)
+        try:
+            lateral = np.zeros((0, 6))
+            if previous is not None:
+                lateral = plan_line_loop((*previous, safe_z), (x, y, safe_z), geom)
+            bottom = scene.table_z if z is None else measured
+            descent = plan_line_loop((x, y, safe_z), (x, y, bottom), geom)
+        except (UnreachableError, JointLimitError):
+            rows.append(lateral)
+        else:
+            kinds[i, k] = kind
+            if z is not None:
+                z_true[i, k], z_measured[i, k] = z, measured
+                cells[i][k] = (x, y, measured)
+            first = 0 if previous is None else 1
+            rows += [lateral, descent[first:], descent[-2::-1]]
+        previous = (x, y)
+    facets = triangulate_loop(cells, grid.n_rows, grid.n_cols)
+    if flip_normals:
+        facets = facets[:, [0, 2, 1]]
+    return kinds, z_true, z_measured, np.concatenate(rows), facets
 
 
 def trace_csv_reference(angles):

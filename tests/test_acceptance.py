@@ -277,7 +277,7 @@ def test_criterion_8_raycast_oracle_equivalence(rng):
                 continue
             tris.append(v)
         scene = TargetScene(TriangleMesh.from_vertices(tris))
-        raw = [tuple(t) for t in tris]
+        raw = np.array(tris).tolist()
         for _ in range(2000):
             x = float(rng.uniform(-5.0, 65.0))
             y = float(rng.uniform(-5.0, 65.0))

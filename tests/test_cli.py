@@ -3,6 +3,7 @@ exit codes, and the report-echo rerun invariant."""
 
 import configparser
 import io
+import math
 import re
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from armscan import cli
+from armscan import cli, kinematics
 from armscan.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -22,7 +23,7 @@ from armscan.cli import (
     load_job,
     main,
 )
-from armscan.kinematics import RobotGeometry
+from armscan.kinematics import JOINT_LIMITS, RobotGeometry
 from armscan.meshio import (
     PointCloud,
     TriangleMesh,
@@ -516,6 +517,20 @@ def test_scan_safe_height_below_scene_top_is_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_scan_table_below_the_lowest_tip_height_is_config_error(tmp_path):
+    # a finite but deep table used to plan a descent of millions of
+    # waypoints on a miss; every cell here hits the plate, and the job
+    # still fails before any motion
+    config = write_job(tmp_path)
+    config.write_text(config.read_text().replace("table_z = 0", "table_z = -428"))
+    code, out, err = run_cli("scan", config)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (
+        "error: table plane at -428 mm is below the lowest tool-down tip height -427 mm\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_non_finite_number_is_config_error(tmp_path):
     # a NaN sigma would otherwise scan with no noise and exit 0
     config = write_job(tmp_path, sigma="nan")
@@ -722,6 +737,17 @@ def test_cli_test_a_seeded_and_unreachable():
     assert a == b and a[0] == EXIT_OK
     code, _, err = run_cli("test-a", "--center", "900", "0", "50")
     assert code == EXIT_UNREACHABLE and "probe point" in err
+
+
+def test_cli_test_a_joint_limit_is_unreachable(monkeypatch):
+    # a probe pose past a joint stop is out of reach like any other: exit 3
+    tight_elbow = (0.0, math.radians(60.0))
+    monkeypatch.setattr(
+        kinematics, "JOINT_LIMITS", JOINT_LIMITS[:2] + (tight_elbow,) + JOINT_LIMITS[3:]
+    )
+    code, out, err = run_cli("test-a")
+    assert (code, out) == (EXIT_UNREACHABLE, "")
+    assert err.startswith("error: sphere probe point ") and "joint 3 angle " in err
 
 
 def test_cli_test_b_defaults_and_repeats():

@@ -268,6 +268,17 @@ def test_ik_joint_limit_violation_reports_joint(geom, monkeypatch):
     assert str(err.value).startswith("joint 3 angle ")
 
 
+def test_joint_limit_failure_is_an_unreachable_pose(geom, monkeypatch):
+    # one except clause covers both: past a stop, the arm cannot take the pose
+    assert issubclass(JointLimitError, UnreachableError)
+    tight_elbow = (0.0, math.radians(60.0))
+    monkeypatch.setattr(
+        kinematics, "JOINT_LIMITS", JOINT_LIMITS[:2] + (tight_elbow,) + JOINT_LIMITS[3:]
+    )
+    ok, why = is_reachable((150.0, 0.0, 30.0), geom)
+    assert not ok and why.startswith("joint 3 angle ")
+
+
 # Far enough out that the back-reaching branch is beyond the reach, so
 # a limit failure of the aimed branch is the error raised.
 LIMIT_PROBE = JointAngles(0.2, -0.4, 0.9, 0.3, 1.0, -0.2)
@@ -338,8 +349,8 @@ def test_check_limits_names_nan_joint(j):
 )
 def test_ik_nan_wrist_angle_fails_the_limit_check(geom, j, entry, value):
     # a NaN fails the one comparison per joint, and the joint is named.
-    # Joints 1 and 2 are checked through the public solve below; a NaN
-    # theta3 always comes with a NaN theta2.
+    # Joint 1 is checked below; a NaN theta2 or theta3 needs a NaN wrist
+    # position, which the reach comparison rejects as bad input first.
     rot = forward_kinematics(LIMIT_PROBE, geom).rotation.tolist()  # wrist not singular
     row, col = entry
     rot[row][col] = value
@@ -349,15 +360,26 @@ def test_ik_nan_wrist_angle_fails_the_limit_check(geom, j, entry, value):
     assert str(err.value) == limit_message(j, math.nan, lo, hi)
 
 
-def test_ik_nan_position_names_the_joint(geom):
-    # a NaN x is a NaN yaw, which turns the wrist angles NaN too, and
-    # joint 1 is named first; a NaN z is a NaN height: theta3 clamps to
-    # 0 and theta2 alone is NaN
-    for point, j in (((math.nan, 0.0, 50.0), 1), ((300.0, 0.0, math.nan), 2)):
-        with pytest.raises(JointLimitError) as err:
+def test_ik_nan_yaw_fails_the_limit_check(geom):
+    rot = forward_kinematics(LIMIT_PROBE, geom).rotation.tolist()
+    with pytest.raises(JointLimitError) as err:
+        kinematics._solve_branch(rot, geom, math.nan, 300.0, -100.0)
+    lo, hi = JOINT_LIMITS[0]
+    assert str(err.value) == limit_message(1, math.nan, lo, hi)
+
+
+def test_ik_nan_position_is_value_error(geom):
+    # a NaN coordinate makes the elbow cosine NaN, which fails the reach
+    # comparison; it is bad input, not a pose past a joint stop
+    for point in ((math.nan, 0.0, 50.0), (300.0, 0.0, math.nan), (300.0, math.nan, 50.0)):
+        with pytest.raises(ValueError, match="^target position is not finite$"):
             inverse_kinematics(Pose.tool_down(*point), geom)
-        lo, hi = JOINT_LIMITS[j - 1]
-        assert str(err.value) == limit_message(j, math.nan, lo, hi)
+    path = Pose(TOOL_DOWN_ROTATION, [[300.0, 0.0, 50.0], [300.0, 0.0, math.nan]])
+    with pytest.raises(ValueError, match="^target position is not finite$"):
+        inverse_kinematics(path, geom)
+    # an infinite coordinate stays out of reach
+    with pytest.raises(UnreachableError, match="chord inf mm"):
+        inverse_kinematics(Pose.tool_down(math.inf, 0.0, 50.0), geom)
 
 
 def test_ik_rejects_non_orthonormal_rotation(geom):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from armscan import motion, scanner
-from armscan.kinematics import RobotGeometry
+from armscan.kinematics import RobotGeometry, UnreachableError
 from armscan.meshio import write_stl_binary
 from armscan.objects import make_plate, make_wing
 from armscan.scanner import (
@@ -24,7 +24,7 @@ from armscan.scene import (
     probe_contact,
 )
 
-from oracles import plan_line_loop, triangulate_loop
+from oracles import plan_line_loop, scan_reference, triangulate_loop
 
 
 def plate_scene(z=25.0, **kw):
@@ -129,8 +129,23 @@ def test_scan_unreachable_grid_aborts_before_probing(geom):
     grid = ScanGrid(500.0, -30.0, 4, 4, 40.0, 6.0, safe_z=60.0)
     with pytest.raises(UnreachableGridError) as err:
         run_scan(grid, geom, plate_scene(), NoiseModel())
+    assert isinstance(err.value, UnreachableError)
     assert err.value.indices  # 1-based offenders listed
     assert all(1 <= i <= 4 and 1 <= k <= 4 for i, k in err.value.indices)
+
+
+def test_scan_rejects_a_table_below_the_lowest_tip_height():
+    # d1 - l2 - d4 - d6 = 170 - 305 - 222 - 70: the wrist center hangs
+    # straight below the shoulder, the tip d6 under it
+    geom = RobotGeometry()
+    grid = small_grid(2, 2)
+    result = run_scan(grid, geom, plate_scene(table_z=-427.0), NoiseModel())
+    assert (result.points.kinds == CONTACT_MESH).all()
+    with pytest.raises(
+        ValueError,
+        match=r"^table plane at -428 mm is below the lowest tool-down tip height -427 mm$",
+    ):
+        run_scan(grid, geom, plate_scene(table_z=-428.0), NoiseModel())
 
 
 def test_scan_with_failing_descents_matches_waypoint_loop(geom, monkeypatch):
@@ -152,6 +167,39 @@ def test_scan_with_failing_descents_matches_waypoint_loop(geom, monkeypatch):
     assert legs.trace.angles.shape == loop.trace.angles.shape
     assert legs.trace.angles.tobytes() == loop.trace.angles.tobytes()
     assert write_stl_binary(legs.mesh) == write_stl_binary(loop.mesh)
+
+
+@pytest.mark.parametrize(
+    "grid, scene, noise, flip",
+    [
+        # the 3x4 plate of the seam-row test
+        (ScanGrid(260.0, -20.0, 3, 4, 10.0, 10.0, safe_z=60.0),
+         TargetScene(make_plate(200.0, -100.0, 200.0, 200.0, 25.0)),
+         NoiseModel(sigma_contact=0.02, drift_per_contact=0.001, seed=5), False),
+        # the failing descents of the waypoint-loop test
+        (ScanGrid(-150.0, -150.0, 7, 7, 50.0, 50.0, safe_z=200.0),
+         TargetScene(make_plate(0.0, -100.0, 200.0, 200.0, 25.0)),
+         NoiseModel(sigma_contact=0.01, seed=3), False),
+        # a wing patch over its trailing corner: misses leave holes
+        (ScanGrid(350.0, 46.0, 5, 6, 6.0, 6.0, safe_z=60.0),
+         TargetScene(make_wing(220.0, -70.0), floor_mode="skip"),
+         NoiseModel(sigma_contact=0.05, seed=2), True),
+    ],
+    ids=["plate-3x4", "failing-descents-7x7", "wing-skip-misses"],
+)
+def test_scan_matches_cell_by_cell_reference(geom, grid, scene, noise, flip):
+    result = run_scan(grid, geom, scene, noise, flip_normals=flip)
+    kinds, z_true, z_measured, angles, facets = scan_reference(
+        grid, geom, scene, noise, flip_normals=flip
+    )
+    points = result.points
+    assert points.kinds.tobytes() == kinds.tobytes()
+    assert points.z_true.tobytes() == z_true.tobytes()
+    assert points.z_measured.tobytes() == z_measured.tobytes()
+    assert result.trace.angles.shape == angles.shape
+    assert result.trace.angles.tobytes() == angles.tobytes()
+    assert result.mesh.vertices.shape == facets.shape
+    assert result.mesh.vertices.tobytes() == facets.tobytes()
 
 
 def test_grid_spacing_below_corner_resolution_rejected():
