@@ -33,6 +33,10 @@ input with no points or an STL input with no facets or no area,
 naming the file.
 `test-b` takes `--repeats` from 2 to `metrics.MAX_TEST_B_REPEATS`
 (1,000,000).
+`fk`, `ik`, `test-a` and `test-b` take the `[robot]` keys as the flags
+`--d1 --l1 --l2 --d4 --d6`, and `test-a` and `test-b` take the `[noise]`
+keys as `--sigma` (sigma_contact), `--drift` (drift_per_contact) and
+`--seed`; each flag has its key's type, default and checks.
 
 Exit codes: 0 success, 2 bad config or arguments, 3 unreachable
 geometry, 4 joint limit violation, 5 I/O failure, 6 malformed
@@ -336,19 +340,17 @@ def _cmd_compare(args, out) -> int:
     return EXIT_OK
 
 
-def _geometry_from(args) -> RobotGeometry:
-    return RobotGeometry(d1=args.d1, l1=args.l1, l2=args.l2, d4=args.d4, d6=args.d6)
-
-
-def _noise_from(args) -> NoiseModel:
-    return NoiseModel(
-        sigma_contact=args.sigma, drift_per_contact=args.drift, seed=args.seed
-    )
+def _job_values(args, section) -> dict:
+    """The `JOB_KEYS[section]` values `_add_job_flags` parsed, by key."""
+    return {key: getattr(args, key) for key, *_ in JOB_KEYS[section]}
 
 
 def _cmd_test_a(args, out) -> int:
     report = metrics.test_a(
-        tuple(args.center), args.diameter, _geometry_from(args), _noise_from(args)
+        tuple(args.center),
+        args.diameter,
+        RobotGeometry(**_job_values(args, "robot")),
+        NoiseModel(**_job_values(args, "noise")),
     )
     out.write(report.table())
     out.write("\n")
@@ -358,8 +360,8 @@ def _cmd_test_a(args, out) -> int:
 
 def _cmd_test_b(args, out) -> int:
     reports = metrics.test_b(
-        _geometry_from(args),
-        _noise_from(args),
+        RobotGeometry(**_job_values(args, "robot")),
+        NoiseModel(**_job_values(args, "noise")),
         distances=tuple(args.distances),
         repeats=args.repeats,
     )
@@ -373,7 +375,7 @@ def _cmd_test_b(args, out) -> int:
 def _cmd_fk(args, out) -> int:
     if not all(map(math.isfinite, args.angles)):
         raise ValueError(f"joint angles must be finite, got {args.angles}")
-    geom = _geometry_from(args)
+    geom = RobotGeometry(**_job_values(args, "robot"))
     angles = JointAngles(*np.radians(args.angles).tolist())
     check_limits(angles)
     pose = forward_kinematics(angles, geom)
@@ -386,9 +388,11 @@ def _cmd_fk(args, out) -> int:
 
 
 def _cmd_ik(args, out) -> int:
-    if not all(map(math.isfinite, args.point)):
-        raise ValueError(f"point X Y Z must be finite, got {args.point}")
-    solution = inverse_kinematics(Pose.tool_down(*args.point), _geometry_from(args))
+    point = [args.X, args.Y, args.Z]
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"point X Y Z must be finite, got {point}")
+    geom = RobotGeometry(**_job_values(args, "robot"))
+    solution = inverse_kinematics(Pose.tool_down(*point), geom)
     for name, value in solution._asdict().items():
         out.write(f"{name}_deg = {np.degrees(value):.6f}\n")
     return EXIT_OK
@@ -397,25 +401,19 @@ def _cmd_ik(args, out) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _add_geometry_flags(sub):
-    arm = RobotGeometry()
-    sub.add_argument("--d1", type=float, default=arm.d1, help="base height, mm")
-    sub.add_argument("--l1", type=float, default=arm.l1, help="shoulder offset, mm")
-    sub.add_argument("--l2", type=float, default=arm.l2, help="upper arm, mm")
-    sub.add_argument("--d4", type=float, default=arm.d4, help="forearm, mm")
-    sub.add_argument("--d6", type=float, default=arm.d6, help="tool offset, mm")
+# The flags of job keys spelt other than `--{key}`.
+FLAG_NAMES = {"sigma_contact": "--sigma", "drift_per_contact": "--drift"}
 
 
-def _add_noise_flags(sub):
-    off = NoiseModel()
-    sub.add_argument(
-        "--sigma", type=float, default=off.sigma_contact, help="contact noise, mm"
-    )
-    sub.add_argument(
-        "--drift", type=float, default=off.drift_per_contact,
-        help="drift per contact, mm",
-    )
-    sub.add_argument("--seed", type=int, default=off.seed, help="noise seed")
+def _add_job_flags(sub, *sections):
+    """One flag per key of each `JOB_KEYS` section, with its type and default."""
+    for section in sections:
+        for key, kind, default in JOB_KEYS[section]:
+            flag = FLAG_NAMES.get(key, f"--{key}")
+            sub.add_argument(
+                flag, dest=key, type=kind, default=default, metavar=flag[2:].upper(),
+                help=f"[{section}] {key} of a scan job",
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("X", "Y", "Z"),
     )
     test_a.add_argument("--diameter", type=float, default=25.0, help="sphere, mm")
-    _add_noise_flags(test_a)
-    _add_geometry_flags(test_a)
+    _add_job_flags(test_a, "noise", "robot")
     test_a.set_defaults(func=_cmd_test_a)
 
     test_b = subs.add_parser("test-b", help="single-point repeatability test")
@@ -460,18 +457,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--distances", type=float, nargs="+", default=list(metrics.TEST_B_DISTANCES)
     )
     test_b.add_argument("--repeats", type=int, default=metrics.TEST_B_REPEATS)
-    _add_noise_flags(test_b)
-    _add_geometry_flags(test_b)
+    _add_job_flags(test_b, "noise", "robot")
     test_b.set_defaults(func=_cmd_test_b)
 
     fk = subs.add_parser("fk", help="forward kinematics of six joint angles")
     fk.add_argument("angles", type=float, nargs=6, metavar="DEG")
-    _add_geometry_flags(fk)
+    _add_job_flags(fk, "robot")
     fk.set_defaults(func=_cmd_fk)
 
     ik = subs.add_parser("ik", help="tool-down inverse kinematics of x y z")
-    ik.add_argument("point", type=float, nargs=3, metavar=("X", "Y", "Z"))
-    _add_geometry_flags(ik)
+    # one positional per axis: argparse's help cannot list a tuple metavar
+    for axis in "XYZ":
+        ik.add_argument(axis, type=float, help="tip position, mm")
+    _add_job_flags(ik, "robot")
     ik.set_defaults(func=_cmd_ik)
 
     return parser

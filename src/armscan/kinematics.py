@@ -39,7 +39,8 @@ prefixed `waypoint i at (x, y, z): `.
 A pose the arm cannot take raises `UnreachableError`; a solved angle
 past its stop is one kind of it, the subclass `JointLimitError`, so one
 `except UnreachableError` covers both.  A NaN target coordinate is a
-`ValueError`.
+`ValueError`, even beside an infinite one; an infinite coordinate alone
+is out of reach.
 """
 
 from __future__ import annotations
@@ -243,8 +244,6 @@ def _solve_branch(
     l2, d4 = geom.l2, geom.d4
     cosine = (l2 * l2 + d4 * d4 - chord * chord) / (2.0 * l2 * d4)
     if not -1.0 - ACOS_CLAMP_TOL <= cosine <= 1.0 + ACOS_CLAMP_TOL:
-        if math.isnan(cosine):  # a NaN coordinate; an infinite one is out of reach
-            raise ValueError("target position is not finite")
         raise UnreachableError(
             f"elbow triangle (chord {chord:.3f} mm, annulus "
             f"[{abs(l2 - d4):.3f}, {l2 + d4:.3f}]): "
@@ -323,6 +322,9 @@ def _solve_point(
                 rot, geom, normalize_angle(azimuth + math.pi), -planar - geom.l1, height
             )
         except UnreachableError:
+            # a NaN fails the reach test, beside an infinite coordinate too
+            if math.isnan(x) or math.isnan(y) or math.isnan(z):
+                raise ValueError("target position is not finite") from None
             raise aimed_error from None
 
 
@@ -350,7 +352,7 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry):
     wrist center falls outside the two-link annulus, or a solved angle
     violates its interval, which raises the subclass JointLimitError.
     Raises ValueError on a non-orthonormal rotation or a NaN target
-    coordinate.
+    coordinate, even beside an infinite one.
     """
     error = pose.rotation_error()
     if not error <= 1e-9:  # a NaN error fails too
@@ -373,6 +375,8 @@ def is_reachable(point, geom: RobotGeometry) -> tuple:
     """Whether a straight-down probe pose at `point` (mm) is solvable.
 
     Returns (ok, diagnostic); the diagnostic names the failing check.
+    The ValueError of a NaN coordinate, even beside an infinite one,
+    propagates.
     """
     x, y, z = (float(v) for v in point)
     try:

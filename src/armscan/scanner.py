@@ -36,7 +36,7 @@ from .scene import (
 )
 
 DEFAULT_SAFE_Z = 60.0
-# Most probe points a grid may have.  A scan costs about 0.4 ms per
+# Most probe points a grid may have.  A scan costs about 0.3 ms per
 # point, so this is minutes of work; a mistyped 100000 x 100000 grid
 # would otherwise spend days in the precheck before any motion.
 MAX_GRID_POINTS = 1_000_000

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: job parsing, artifact writing,
 exit codes, and the report-echo rerun invariant."""
 
+import argparse
 import configparser
 import io
 import math
@@ -383,6 +384,27 @@ def test_docs_name_every_exit_code():
     for text in (cli.__doc__, cli.build_parser().epilog, readme):
         listing = re.search(r"[Ee]xit codes: (.*?)(?:\.|$)", text, re.S).group(1)
         assert {int(n) for n in re.findall(r"(?:^|,\s+)(\d+)\s", listing)} == expected
+
+
+def utility_flags():
+    """Every option string of fk, ik, test-a and test-b but --help."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        flag
+        for command in ("fk", "ik", "test-a", "test-b")
+        for action in subs.choices[command]._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+
+
+def test_docs_name_every_utility_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flags = utility_flags()
+    assert {flag for flag, _ in JOB_KEY_FLAGS.values()} <= flags
+    missing = [f for f in sorted(flags) if not re.search(rf"(?<![\w-]){f}(?![\w-])", readme)]
+    assert missing == []
 
 
 # ------------------------------------------------------------------ scan
@@ -815,6 +837,84 @@ def test_cli_negative_seed_is_config_error(tmp_path, command):
     assert out == ""
 
 
+# ------------------------------------------------------- utility flags
+
+# Each [robot] and [noise] key's flag, with a value other than its default.
+JOB_KEY_FLAGS = {
+    ("robot", "d1"): ("--d1", "180"),
+    ("robot", "l1"): ("--l1", "70"),
+    ("robot", "l2"): ("--l2", "300"),
+    ("robot", "d4"): ("--d4", "230"),
+    ("robot", "d6"): ("--d6", "65"),
+    ("noise", "sigma_contact"): ("--sigma", "0.02"),
+    ("noise", "drift_per_contact"): ("--drift", "0.001"),
+    ("noise", "seed"): ("--seed", "7"),
+}
+
+# Each utility command's arguments, the module `cli` finds its callee
+# in, and the callee's name there.
+UTILITY_CALLEES = {
+    "fk": (["fk", "0", "0", "30", "0", "90", "0"], cli, "forward_kinematics"),
+    "ik": (["ik", "300", "0", "50"], cli, "inverse_kinematics"),
+    "test-a": (["test-a"], cli.metrics, "test_a"),
+    "test-b": (["test-b"], cli.metrics, "test_b"),
+}
+
+
+class Captured(Exception):
+    """Carries the arm and noise models a callee was handed."""
+
+
+def captured_models(monkeypatch, command, *flags):
+    """The RobotGeometry and NoiseModel arguments `command` passes its callee."""
+    argv, owner, name = UTILITY_CALLEES[command]
+
+    def capture(*args, **kwargs):
+        raise Captured([a for a in args if isinstance(a, (RobotGeometry, NoiseModel))])
+
+    monkeypatch.setattr(owner, name, capture)
+    with pytest.raises(Captured) as caught:
+        main([*argv, *flags])
+    return caught.value.args[0]
+
+
+def test_utility_flags_cover_the_robot_and_noise_keys():
+    grammar = {(s, key) for s in ("robot", "noise") for key, *_ in cli.JOB_KEYS[s]}
+    assert set(JOB_KEY_FLAGS) == grammar
+
+
+@pytest.mark.parametrize("command", list(UTILITY_CALLEES))
+def test_cli_utility_defaults_are_the_job_defaults(monkeypatch, command):
+    expected = [RobotGeometry()]
+    if command.startswith("test"):
+        expected.append(NoiseModel())
+    assert captured_models(monkeypatch, command) == expected
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        (command, section, key)
+        for command in UTILITY_CALLEES
+        for section, key in JOB_KEY_FLAGS
+        if section == "robot" or command.startswith("test")
+    ],
+)
+def test_cli_utility_flag_sets_its_job_key(tmp_path, monkeypatch, command, section, key):
+    flag, value = JOB_KEY_FLAGS[section, key]
+    config = write_job(tmp_path)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(config)
+    parser.remove_section("noise")
+    parser[section] = {key: value}
+    with open(config, "w") as handle:
+        parser.write(handle)
+    job = load_job(config)
+    expected = [job.geom, job.noise] if command.startswith("test") else [job.geom]
+    assert expected != [RobotGeometry(), NoiseModel()][: len(expected)]
+    assert captured_models(monkeypatch, command, flag, value) == expected
+
+
 # ----------------------------------------------------------------- fk/ik
 
 
@@ -850,6 +950,23 @@ def test_cli_ik_round_trips_through_fk():
 def test_cli_ik_unreachable_exit_code():
     code, _, err = run_cli("ik", "900", "0", "50")
     assert code == EXIT_UNREACHABLE and "error:" in err
+
+
+@pytest.mark.parametrize("command", ["scan", "compare", "test-a", "test-b", "fk", "ik"])
+def test_cli_help_exits_zero(capsys, command):
+    # argparse %-formats help strings and cannot list a positional's
+    # tuple metavar: either fault raises here instead
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: armscan {command} ")
+
+
+def test_cli_ik_missing_coordinate_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ik", "300", "0"])
+    assert excinfo.value.code == 2
+    assert "the following arguments are required: Z" in capsys.readouterr().err
 
 
 def test_cli_requires_a_subcommand():

@@ -350,7 +350,7 @@ def test_check_limits_names_nan_joint(j):
 def test_ik_nan_wrist_angle_fails_the_limit_check(geom, j, entry, value):
     # a NaN fails the one comparison per joint, and the joint is named.
     # Joint 1 is checked below; a NaN theta2 or theta3 needs a NaN wrist
-    # position, which the reach comparison rejects as bad input first.
+    # position, which fails the reach comparison first.
     rot = forward_kinematics(LIMIT_PROBE, geom).rotation.tolist()  # wrist not singular
     row, col = entry
     rot[row][col] = value
@@ -380,6 +380,36 @@ def test_ik_nan_position_is_value_error(geom):
     # an infinite coordinate stays out of reach
     with pytest.raises(UnreachableError, match="chord inf mm"):
         inverse_kinematics(Pose.tool_down(math.inf, 0.0, 50.0), geom)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        (math.inf, math.nan, 50.0),
+        (300.0, math.inf, math.nan),
+        (math.nan, math.inf, 50.0),
+        (-math.inf, 0.0, math.nan),
+    ],
+)
+def test_ik_nan_beside_an_infinite_coordinate_is_value_error(geom, point):
+    # hypot(inf, nan) is inf, so the chord alone reads out of reach
+    with pytest.raises(ValueError, match="^target position is not finite$"):
+        inverse_kinematics(Pose.tool_down(*point), geom)
+    path = Pose(TOOL_DOWN_ROTATION, [[300.0, 0.0, 50.0], point])
+    with pytest.raises(ValueError, match="^target position is not finite$"):
+        inverse_kinematics(path, geom)
+    with pytest.raises(ValueError, match="^target position is not finite$"):
+        is_reachable(point, geom)
+
+
+@pytest.mark.parametrize(
+    "point", [(math.inf, 0.0, 50.0), (math.inf, -math.inf, 50.0), (300.0, 0.0, math.inf)]
+)
+def test_ik_infinite_coordinates_without_nan_are_out_of_reach(geom, point):
+    # inf + -inf is NaN, yet no coordinate is: still out of reach
+    with pytest.raises(UnreachableError, match="chord inf mm"):
+        inverse_kinematics(Pose.tool_down(*point), geom)
+    assert is_reachable(point, geom)[0] is False
 
 
 def test_ik_rejects_non_orthonormal_rotation(geom):

@@ -169,25 +169,44 @@ def test_scan_with_failing_descents_matches_waypoint_loop(geom, monkeypatch):
     assert write_stl_binary(legs.mesh) == write_stl_binary(loop.mesh)
 
 
+def lateral_leg_fails(grid, geom) -> bool:
+    """Whether `plan_line_loop` fails a leg between consecutive cells."""
+    xs, ys = (a.tolist() for a in grid.axes())
+    cells = [(xs[i], ys[k], grid.safe_z) for i, k in grid.probe_order()]
+    for start, end in zip(cells, cells[1:]):
+        try:
+            plan_line_loop(start, end, geom)
+        except UnreachableError:
+            return True
+    return False
+
+
 @pytest.mark.parametrize(
-    "grid, scene, noise, flip",
+    "grid, scene, noise, flip, lateral_fails",
     [
         # the 3x4 plate of the seam-row test
         (ScanGrid(260.0, -20.0, 3, 4, 10.0, 10.0, safe_z=60.0),
          TargetScene(make_plate(200.0, -100.0, 200.0, 200.0, 25.0)),
-         NoiseModel(sigma_contact=0.02, drift_per_contact=0.001, seed=5), False),
+         NoiseModel(sigma_contact=0.02, drift_per_contact=0.001, seed=5), False, False),
         # the failing descents of the waypoint-loop test
         (ScanGrid(-150.0, -150.0, 7, 7, 50.0, 50.0, safe_z=200.0),
          TargetScene(make_plate(0.0, -100.0, 200.0, 200.0, 25.0)),
-         NoiseModel(sigma_contact=0.01, seed=3), False),
+         NoiseModel(sigma_contact=0.01, seed=3), False, False),
         # a wing patch over its trailing corner: misses leave holes
         (ScanGrid(350.0, 46.0, 5, 6, 6.0, 6.0, safe_z=60.0),
          TargetScene(make_wing(220.0, -70.0), floor_mode="skip"),
-         NoiseModel(sigma_contact=0.05, seed=2), True),
+         NoiseModel(sigma_contact=0.05, seed=2), True, False),
+        # cells on both sides of the base: lateral legs across it fail
+        (ScanGrid(-200.0, -10.0, 2, 3, 400.0, 200.0, safe_z=60.0),
+         TargetScene(make_plate(-300.0, -300.0, 600.0, 800.0, 25.0)),
+         NoiseModel(sigma_contact=0.02, drift_per_contact=0.001, seed=3), False, True),
     ],
-    ids=["plate-3x4", "failing-descents-7x7", "wing-skip-misses"],
+    ids=["plate-3x4", "failing-descents-7x7", "wing-skip-misses", "failing-laterals"],
 )
-def test_scan_matches_cell_by_cell_reference(geom, grid, scene, noise, flip):
+def test_scan_matches_cell_by_cell_reference(
+    geom, grid, scene, noise, flip, lateral_fails
+):
+    assert lateral_leg_fails(grid, geom) == lateral_fails
     result = run_scan(grid, geom, scene, noise, flip_normals=flip)
     kinds, z_true, z_measured, angles, facets = scan_reference(
         grid, geom, scene, noise, flip_normals=flip
