@@ -7,6 +7,7 @@ accuracy/repeatability probe tests.
 """
 
 from .kinematics import (
+    ConfigError,
     JointAngles,
     JointLimitError,
     Pose,
@@ -17,10 +18,9 @@ from .kinematics import (
     is_reachable,
 )
 from .meshio import (
+    FormatError,
     PointCloud,
-    StlFormatError,
     TriangleMesh,
-    XyzFormatError,
     load_stl,
     load_xyz,
     read_stl,
@@ -58,6 +58,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyReport",
     "ChamferReport",
+    "ConfigError",
+    "FormatError",
     "JointAngles",
     "JointLimitError",
     "JointTrace",
@@ -70,12 +72,10 @@ __all__ = [
     "ScanGrid",
     "ScanResult",
     "SphereFit",
-    "StlFormatError",
     "TargetScene",
     "TriangleMesh",
     "UnreachableError",
     "UnreachableGridError",
-    "XyzFormatError",
     "chamfer_distance",
     "fit_sphere",
     "forward_kinematics",

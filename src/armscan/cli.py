@@ -40,9 +40,11 @@ keys as `--sigma` (sigma_contact), `--drift` (drift_per_contact) and
 
 Exit codes: 0 success, 2 bad config or arguments, 3 unreachable
 geometry, 4 joint limit violation, 5 I/O failure, 6 malformed
-geometry data.  `ik` or `fk` stopped at a joint limit exits 4; a scan
-grid or a test-a/test-b point out of reach, for any kinematic reason,
-exits 3.
+geometry data.  Exit 2 is a `ConfigError`: a job, flag or input-file
+value was rejected.  Exit 6 is a `FormatError`.  `ik` or `fk` stopped
+at a joint limit exits 4; a scan grid or a test-a/test-b point out of
+reach, for any kinematic reason, exits 3.  Any other error is a bug
+and ends with a traceback.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import numpy as np
 
 from . import metrics
 from .kinematics import (
+    ConfigError,
     JointAngles,
     JointLimitError,
     Pose,
@@ -68,8 +71,7 @@ from .kinematics import (
     inverse_kinematics,
 )
 from .meshio import (
-    StlFormatError,
-    XyzFormatError,
+    FormatError,
     load_stl,
     load_xyz,
     save_stl,
@@ -89,20 +91,14 @@ EXIT_DATA = 6
 DEFAULT_COMPARE_SAMPLES = 10000
 
 
-class JobConfigError(Exception):
-    """Scan-job file is missing, unparsable, or fails validation."""
-
-
 # The error each exit code reports, in precedence order: `main` exits
 # with the first entry the error is an instance of, so each subclass
-# comes before its base class.
+# comes before its base class.  Any other error is a bug: it propagates.
 EXIT_CODES = {
-    StlFormatError: EXIT_DATA,
-    XyzFormatError: EXIT_DATA,
+    FormatError: EXIT_DATA,
     JointLimitError: EXIT_JOINT_LIMIT,
     UnreachableError: EXIT_UNREACHABLE,
-    JobConfigError: EXIT_CONFIG,
-    ValueError: EXIT_CONFIG,
+    ConfigError: EXIT_CONFIG,
     OSError: EXIT_IO,
 }
 
@@ -179,24 +175,24 @@ def load_job(path) -> ScanJob:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle, source=str(path))
     except FileNotFoundError:
-        raise JobConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
-        raise JobConfigError(f"{path}: not UTF-8 text: {exc}") from None
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     except configparser.Error as exc:
-        raise JobConfigError(f"config parse error: {exc}") from None
+        raise ConfigError(f"config parse error: {exc}") from None
 
     where = str(path)
     for section, keys in JOB_KEYS.items():
         if not parser.has_section(section) and any(d is None for *_, d in keys):
-            raise JobConfigError(f"{where}: missing section [{section}]")
+            raise ConfigError(f"{where}: missing section [{section}]")
     # a misspelt name would otherwise run with the default it shadows
     for section, raw in parser.items():
         if section not in JOB_KEYS and section != parser.default_section:
-            raise JobConfigError(f"{where}: unknown section [{section}]")
+            raise ConfigError(f"{where}: unknown section [{section}]")
         known = [key for key, *_ in JOB_KEYS.get(section, ())]
         for key in raw:
             if key not in known:
-                raise JobConfigError(f"{where}: [{section}] has no key '{key}'")
+                raise ConfigError(f"{where}: [{section}] has no key '{key}'")
 
     base = path.resolve().parent
 
@@ -204,18 +200,20 @@ def load_job(path) -> ScanJob:
         """One value read as `kind`, or its default when the key is absent."""
         if not parser.has_option(section, key):
             if default is None:
-                raise JobConfigError(f"{where}: section [{section}] needs key '{key}'")
+                raise ConfigError(f"{where}: section [{section}] needs key '{key}'")
             return default
         text = parser[section][key]
-        if kind is Path:
-            return (base / text).resolve()
         bad = f"{where}: [{section}] {key} = {text!r} is not"
+        if kind is Path:
+            if "\0" in text:  # no file name holds one, and resolve() fails on it
+                raise ConfigError(f"{bad} a valid path")
+            return (base / text).resolve()
         try:
             value = parser.BOOLEAN_STATES[text.lower()] if kind is bool else kind(text)
         except (ValueError, KeyError):
-            raise JobConfigError(f"{bad} a valid {kind.__name__}") from None
+            raise ConfigError(f"{bad} a valid {kind.__name__}") from None
         if kind is float and not math.isfinite(value):
-            raise JobConfigError(f"{bad} finite")
+            raise ConfigError(f"{bad} finite")
         return value
 
     values = {
@@ -226,17 +224,17 @@ def load_job(path) -> ScanJob:
         geom = RobotGeometry(**values["robot"])
         grid = ScanGrid(*values["grid"].values())
         noise = NoiseModel(**values["noise"])
-    except ValueError as exc:
-        raise JobConfigError(f"{where}: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
     scene = values["scene"]
     if scene["floor_mode"] not in FLOOR_MODES:
-        raise JobConfigError(
+        raise ConfigError(
             f"{where}: [scene] floor_mode must be one of {'/'.join(FLOOR_MODES)}, "
             f"got {scene['floor_mode']!r}"
         )
     if not scene["mesh"].is_file():
-        raise JobConfigError(f"{where}: [scene] mesh file not found: {scene['mesh']}")
+        raise ConfigError(f"{where}: [scene] mesh file not found: {scene['mesh']}")
     # each file the job reads or writes is a distinct path that can be a
     # file: not a directory, and under no existing file
     paths = [
@@ -248,13 +246,13 @@ def load_job(path) -> ScanJob:
     owner = {}
     for name, file in paths:
         if file in owner:
-            raise JobConfigError(f"{where}: {owner[file]} and {name} are both {file}")
+            raise ConfigError(f"{where}: {owner[file]} and {name} are both {file}")
         owner[file] = name
         if file.is_dir():
-            raise JobConfigError(f"{where}: {name} is a directory: {file}")
+            raise ConfigError(f"{where}: {name} is a directory: {file}")
         nearest = next(parent for parent in file.parents if parent.exists())
         if not nearest.is_dir():
-            raise JobConfigError(f"{where}: {name} is under a file: {nearest}")
+            raise ConfigError(f"{where}: {name} is under a file: {nearest}")
 
     return ScanJob(geom, grid, noise, values)
 
@@ -279,8 +277,8 @@ def run_job(job: ScanJob, out=sys.stdout) -> ScanResult:
     mesh = load_stl(setup["mesh"])
     try:
         scene = TargetScene(mesh, setup["table_z"], setup["floor_mode"])
-    except ValueError as exc:
-        raise JobConfigError(f"[scene] mesh {setup['mesh']}: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"[scene] mesh {setup['mesh']}: {exc}") from None
     report = "# scan job report; feed this file back to `armscan scan` to rerun\n"
     report += job.as_config()
     try:
@@ -315,15 +313,15 @@ def _load_cloud(path: Path, samples: int, seed: int):
     if suffix == ".xyz":
         cloud = load_xyz(path)
         if len(cloud) == 0:
-            raise JobConfigError(f"{path}: no points")
+            raise ConfigError(f"{path}: no points")
         return cloud
     if suffix == ".stl":
         mesh = load_stl(path)
         try:
             return metrics.sample_mesh_surface(mesh, count=samples, seed=seed)
-        except ValueError as exc:
-            raise JobConfigError(f"{path}: {exc}") from None
-    raise JobConfigError(f"{path}: expected a .stl or .xyz file")
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    raise ConfigError(f"{path}: expected a .stl or .xyz file")
 
 
 def _cmd_scan(args, out) -> int:
@@ -374,7 +372,7 @@ def _cmd_test_b(args, out) -> int:
 
 def _cmd_fk(args, out) -> int:
     if not all(map(math.isfinite, args.angles)):
-        raise ValueError(f"joint angles must be finite, got {args.angles}")
+        raise ConfigError(f"joint angles must be finite, got {args.angles}")
     geom = RobotGeometry(**_job_values(args, "robot"))
     angles = JointAngles(*np.radians(args.angles).tolist())
     check_limits(angles)
@@ -390,7 +388,7 @@ def _cmd_fk(args, out) -> int:
 def _cmd_ik(args, out) -> int:
     point = [args.X, args.Y, args.Z]
     if not all(map(math.isfinite, point)):
-        raise ValueError(f"point X Y Z must be finite, got {point}")
+        raise ConfigError(f"point X Y Z must be finite, got {point}")
     geom = RobotGeometry(**_job_values(args, "robot"))
     solution = inverse_kinematics(Pose.tool_down(*point), geom)
     for name, value in solution._asdict().items():

@@ -40,7 +40,8 @@ A pose the arm cannot take raises `UnreachableError`; a solved angle
 past its stop is one kind of it, the subclass `JointLimitError`, so one
 `except UnreachableError` covers both.  A NaN target coordinate is a
 `ValueError`, even beside an infinite one; an infinite coordinate alone
-is out of reach.
+is out of reach.  A rejected length, like every rejected value from
+outside the program across the package, raises `ConfigError`.
 """
 
 from __future__ import annotations
@@ -90,6 +91,10 @@ TOOL_DOWN_ROTATION = np.array(
 )
 
 
+class ConfigError(ValueError):
+    """A value from outside the program (job file, flag or input file) is invalid."""
+
+
 class UnreachableError(Exception):
     """The arm cannot take the target pose, for any kinematic reason."""
 
@@ -117,7 +122,8 @@ class JointAngles(NamedTuple):
 
 @dataclass(frozen=True)
 class RobotGeometry:
-    """Link lengths (mm)."""
+    """Link lengths (mm): finite, positive but l1 >= 0, and with a sum
+    whose square is finite."""
 
     d1: float = 170.0
     l1: float = 65.0
@@ -128,12 +134,16 @@ class RobotGeometry:
     def __post_init__(self):
         for name in ("d1", "l1", "l2", "d4", "d6"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("d1", "l2", "d4", "d6"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.l1 < 0.0:
-            raise ValueError(f"l1 must be non-negative, got {self.l1}")
+            raise ConfigError(f"l1 must be non-negative, got {self.l1}")
+        # bounds every product the closed forms take of the lengths
+        total = self.d1 + self.l1 + self.l2 + self.d4 + self.d6
+        if not math.isfinite(total * total):
+            raise ConfigError(f"link lengths sum to {total:g} mm, too long to square")
 
 
 def check_limits(angles: JointAngles) -> None:

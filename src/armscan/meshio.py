@@ -14,7 +14,8 @@ ASCII STL is read, every solid of a file into one mesh, but never
 written; a stream whose length is the 84 + 50 * count its header
 declares is binary, whatever the header says.  Point clouds travel
 as ASCII xyz text, one "x y z" triple per line with six fractional
-digits.  Files are written atomically (`write_atomic`).
+digits.  Malformed data in either format raises `FormatError`.  Files
+are written atomically (`write_atomic`).
 """
 
 from __future__ import annotations
@@ -40,12 +41,8 @@ DEGENERATE_NORM = 1e-12
 XYZ_DECIMALS = 6
 
 
-class StlFormatError(ValueError):
-    """Malformed STL data; the message carries the byte or line position."""
-
-
-class XyzFormatError(ValueError):
-    """Malformed xyz text; the message carries the line number."""
+class FormatError(ValueError):
+    """Malformed STL or xyz data; the message carries the byte or line position."""
 
 
 @dataclass
@@ -105,7 +102,7 @@ class PointCloud:
 def write_stl_binary(mesh: TriangleMesh) -> bytes:
     count = len(mesh)
     if count > 0xFFFFFFFF:
-        raise StlFormatError(f"triangle count {count} exceeds the u32 field")
+        raise FormatError(f"triangle count {count} exceeds the u32 field")
     records = np.zeros(count, dtype=STL_RECORD)
     records["normal"] = mesh.normals
     records["vertices"] = mesh.vertices
@@ -118,13 +115,13 @@ def write_stl_binary(mesh: TriangleMesh) -> bytes:
 
 def _read_stl_binary(data: bytes) -> TriangleMesh:
     if len(data) < STL_HEADER_BYTES + 4:
-        raise StlFormatError(
+        raise FormatError(
             f"file is {len(data)} bytes, shorter than the 84-byte binary minimum"
         )
     (count,) = struct.unpack_from("<I", data, STL_HEADER_BYTES)
     expected = STL_HEADER_BYTES + 4 + STL_RECORD.itemsize * count
     if len(data) != expected:
-        raise StlFormatError(
+        raise FormatError(
             f"size mismatch: header declares {count} triangles "
             f"({expected} bytes) but the file holds {len(data)} bytes"
         )
@@ -138,7 +135,7 @@ def _read_stl_binary(data: bytes) -> TriangleMesh:
 
 
 def _require_finite(mesh: TriangleMesh, position) -> TriangleMesh:
-    """`mesh`, or StlFormatError naming its first facet with a NaN or
+    """`mesh`, or FormatError naming its first facet with a NaN or
     infinite coordinate; `position(k)` says where facet k starts."""
     # one flat reduction first: a per-facet one doubles a binary read
     if np.isfinite(mesh.vertices).all() and np.isfinite(mesh.normals).all():
@@ -146,7 +143,7 @@ def _require_finite(mesh: TriangleMesh, position) -> TriangleMesh:
     finite = np.isfinite(mesh.vertices).all(axis=(1, 2))
     finite &= np.isfinite(mesh.normals).all(axis=1)
     k = int(np.argmin(finite))
-    raise StlFormatError(f"{position(k)}: facet {k + 1} has a non-finite coordinate")
+    raise FormatError(f"{position(k)}: facet {k + 1} has a non-finite coordinate")
 
 
 # The lines after each "facet normal" line: keyword, count of numbers.
@@ -162,20 +159,20 @@ STL_FACET_BODY = (
 
 def _stl_numbers(no: int, line, keyword: str, count: int) -> list:
     """The `count` numbers after `keyword` on ASCII STL line `no`, or
-    StlFormatError; a `line` of None is the end of the text."""
+    FormatError; a `line` of None is the end of the text."""
     words = keyword.split()
     tokens = (line or "").split()
     if tokens[: len(words)] != words:
-        raise StlFormatError(f"line {no}: expected '{keyword}', got {line!r}")
+        raise FormatError(f"line {no}: expected '{keyword}', got {line!r}")
     numbers = tokens[len(words):]
     if len(numbers) != count:
-        raise StlFormatError(
+        raise FormatError(
             f"line {no}: expected {count} numbers after '{keyword}', got {len(numbers)}"
         )
     try:
         return [float(tok) for tok in numbers]
     except ValueError as exc:
-        raise StlFormatError(f"line {no}: {exc}") from None
+        raise FormatError(f"line {no}: {exc}") from None
 
 
 def _read_stl_ascii(text: str) -> TriangleMesh:
@@ -186,7 +183,7 @@ def _read_stl_ascii(text: str) -> TriangleMesh:
     normals, vertices, facet_lines = [], [], []
     for no, line in lines:
         if not line.startswith("solid"):
-            raise StlFormatError(f"line {no}: expected 'solid', got {line!r}")
+            raise FormatError(f"line {no}: expected 'solid', got {line!r}")
         for no, line in lines:
             if line.startswith("endsolid"):
                 break
@@ -195,7 +192,7 @@ def _read_stl_ascii(text: str) -> TriangleMesh:
             body = [_stl_numbers(*next(lines, end), *row) for row in STL_FACET_BODY]
             vertices.append([numbers for numbers in body if numbers])  # the vertex rows
         else:
-            raise StlFormatError(
+            raise FormatError(
                 f"line {end[0]}: unterminated solid, missing 'endsolid'"
             )
     return _require_finite(
@@ -251,8 +248,8 @@ def load_stl(path) -> TriangleMesh:
         data = fh.read()
     try:
         return read_stl(data)
-    except StlFormatError as exc:
-        raise StlFormatError(f"{path}: {exc}") from None
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ------------------------------------------------------------------ xyz
@@ -271,15 +268,15 @@ def read_xyz(text: str) -> PointCloud:
             continue
         tokens = stripped.split()
         if len(tokens) != 3:
-            raise XyzFormatError(
+            raise FormatError(
                 f"line {no}: expected 3 coordinates, got {len(tokens)}"
             )
         try:
             row = [float(tok) for tok in tokens]
         except ValueError as exc:
-            raise XyzFormatError(f"line {no}: {exc}") from None
+            raise FormatError(f"line {no}: {exc}") from None
         if not all(map(math.isfinite, row)):
-            raise XyzFormatError(f"line {no}: non-finite coordinate in {stripped!r}")
+            raise FormatError(f"line {no}: non-finite coordinate in {stripped!r}")
         rows.append(row)
     return PointCloud(np.array(rows).reshape(-1, 3))
 
@@ -296,6 +293,6 @@ def load_xyz(path) -> PointCloud:
     except UnicodeDecodeError as exc:
         no = data.count(b"\n", 0, exc.start) + 1
         bad = data[exc.start]
-        raise XyzFormatError(f"{path}: line {no}: byte 0x{bad:02x} is not ASCII") from None
-    except XyzFormatError as exc:
-        raise XyzFormatError(f"{path}: {exc}") from None
+        raise FormatError(f"{path}: line {no}: byte 0x{bad:02x} is not ASCII") from None
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None

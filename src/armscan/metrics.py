@@ -13,6 +13,8 @@ the equator, four at 45 degrees latitude, one at the pole) and reports
 each point's diameter-equivalent deviation from the fitted sphere.
 The repeatability test probes one point many times at several reach
 distances and reports the worst deviation from the centroid.
+Rejected inputs, and fits and tests they make impossible, raise
+`ConfigError`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import (
+    ConfigError,
     Pose,
     RobotGeometry,
     UnreachableError,
@@ -129,13 +132,16 @@ def sample_mesh_surface(mesh: TriangleMesh, count: int, seed: int = 0) -> PointC
     check_sampling(count, seed)
     tris = mesh.vertices
     if tris.size == 0:
-        raise ValueError("cannot sample an empty mesh")
-    edge1 = tris[:, 1] - tris[:, 0]
-    edge2 = tris[:, 2] - tris[:, 0]
-    areas = 0.5 * np.linalg.norm(np.cross(edge1, edge2), axis=1)
-    total = areas.sum()
+        raise ConfigError("cannot sample an empty mesh")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        edge1 = tris[:, 1] - tris[:, 0]
+        edge2 = tris[:, 2] - tris[:, 0]
+        areas = 0.5 * np.linalg.norm(np.cross(edge1, edge2), axis=1)
+        total = areas.sum()
     if total <= 0.0:
-        raise ValueError("mesh has zero surface area")
+        raise ConfigError("mesh has zero surface area")
+    if not math.isfinite(total):
+        raise ConfigError("mesh surface area overflows")
 
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(areas), size=count, p=areas / total)
@@ -149,13 +155,13 @@ def sample_mesh_surface(mesh: TriangleMesh, count: int, seed: int = 0) -> PointC
 
 
 def check_sampling(count: int, seed: int) -> None:
-    """Raise ValueError unless sample_mesh_surface takes `count` and `seed`."""
+    """Raise ConfigError unless sample_mesh_surface takes `count` and `seed`."""
     if count < 1:
-        raise ValueError(f"sample count must be at least 1, got {count}")
+        raise ConfigError(f"sample count must be at least 1, got {count}")
     if count > MAX_SAMPLE_POINTS:
-        raise ValueError(f"sample count must be at most {MAX_SAMPLE_POINTS}, got {count}")
+        raise ConfigError(f"sample count must be at most {MAX_SAMPLE_POINTS}, got {count}")
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
 # ------------------------------------------------------------------ sphere
@@ -176,21 +182,25 @@ def fit_sphere(points: PointCloud) -> SphereFit:
     via the standard linear system in (c, r^2 - ||c||^2).  Each point's
     deviation is reported as the diameter-equivalent 2 |dist - radius|.
 
-    Raises ValueError for fewer than 4 points or a coplanar/degenerate
-    set (singular system).
+    Raises ConfigError for fewer than 4 points, a coordinate that is
+    not finite when doubled, or a coplanar/degenerate set (singular
+    system).
     """
     pts = points.points
     if len(pts) < 4:
-        raise ValueError(f"sphere fit needs at least 4 points, got {len(pts)}")
-    a = np.column_stack([2.0 * pts, np.ones(len(pts))])
+        raise ConfigError(f"sphere fit needs at least 4 points, got {len(pts)}")
+    with np.errstate(over="ignore"):
+        a = np.column_stack([2.0 * pts, np.ones(len(pts))])
+    if not np.isfinite(a).all():  # LAPACK's solve may never return on one
+        raise ConfigError("sphere fit overflows: a doubled coordinate is not finite")
     b = (pts * pts).sum(axis=1)
     solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < 4:
-        raise ValueError("sphere fit is singular: points are coplanar or coincident")
+        raise ConfigError("sphere fit is singular: points are coplanar or coincident")
     center = solution[:3]
     square = solution[3] + center @ center
     if square <= 0.0:
-        raise ValueError("sphere fit collapsed to non-positive radius")
+        raise ConfigError("sphere fit collapsed to non-positive radius")
     radius = math.sqrt(square)
     dd = 2.0 * np.abs(np.linalg.norm(pts - center, axis=1) - radius)
     return SphereFit(center, radius, dd, float(dd.mean()))
@@ -266,12 +276,12 @@ def test_a(
     it cannot reach raise UnreachableError.
     """
     if not 10.0 <= diameter <= 50.0:
-        raise ValueError(
+        raise ConfigError(
             f"reference sphere diameter must be within [10, 50] mm, got {diameter}"
         )
     center = np.asarray(center, dtype=float).reshape(3)
     if not np.isfinite(center).all():
-        raise ValueError(f"sphere center must be finite, got {center.tolist()}")
+        raise ConfigError(f"sphere center must be finite, got {center.tolist()}")
     radius = diameter / 2.0
     dirs = probe_directions()
 
@@ -334,17 +344,18 @@ def test_b(
     The point sits on the table plane at (distance, 0, 0); each touch
     is displaced vertically by the error model, consuming consecutive
     contact ordinals across the whole test.  Repeatability is the
-    worst distance of any touch from the centroid of its group.
+    worst distance of any touch from the centroid of its group; a
+    group whose heights or repeatability overflow raises ConfigError.
     """
     if repeats < 2:
-        raise ValueError("repeatability needs at least 2 repeats")
+        raise ConfigError("repeatability needs at least 2 repeats")
     if repeats > MAX_TEST_B_REPEATS:
-        raise ValueError(
+        raise ConfigError(
             f"repeatability takes at most {MAX_TEST_B_REPEATS} repeats, got {repeats}"
         )
     for distance in distances:
         if not math.isfinite(distance):
-            raise ValueError(f"test distances must be finite, got {distance}")
+            raise ConfigError(f"test distances must be finite, got {distance}")
     reports = []
     for which, distance in enumerate(distances):
         ok, why = is_reachable((distance, 0.0, 0.0), geom)
@@ -359,7 +370,14 @@ def test_b(
         pts = np.column_stack(
             [np.full(repeats, distance), np.zeros(repeats), zs]
         )
-        deviation = np.linalg.norm(pts - pts.mean(axis=0), axis=1).max()
+        # a touch height that is not finite makes the deviation NaN or inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            deviation = np.linalg.norm(pts - pts.mean(axis=0), axis=1).max()
+        if not math.isfinite(deviation):
+            raise ConfigError(
+                f"test point at {distance} mm: the contact errors overflow "
+                f"its touch heights or their repeatability"
+            )
         reports.append(
             RepeatabilityReport(distance, repeats, float(deviation), pts)
         )

@@ -133,6 +133,13 @@ def probe_cycle(
         contact = probe_contact(x, y, contact_index, scene, noise)
         z_measured = contact[2]
         z_stop = scene.table_z if math.isnan(z_measured) else z_measured
+        # A tool-down tip at z_stop puts the wrist center z_stop + d6 - d1
+        # above the shoulder, out of reach past l2 + d4: that descent fails
+        # anyway, and toward a huge drifted height it would plan unboundedly
+        # many waypoints.  STEP of slack leaves the boundary to the IK.
+        reach = geom.l2 + geom.d4 + STEP
+        if not -reach <= z_stop + geom.d6 - geom.d1 <= reach:
+            raise UnreachableError(f"contact height {z_stop:g} mm is out of reach")
         descend = plan_line((x, y, safe_z), (x, y, z_stop), geom)
     except UnreachableError:
         # the angles hold at most the lateral leg, still at the safe height

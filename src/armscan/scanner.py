@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import RobotGeometry, UnreachableError, is_reachable
+from .kinematics import ConfigError, RobotGeometry, UnreachableError, is_reachable
 from .meshio import DEGENERATE_NORM, PointCloud, TriangleMesh
 from .motion import JointTrace, probe_cycle
 from .scene import (
@@ -88,17 +88,17 @@ class ScanGrid:
     def __post_init__(self):
         for name in ("x0", "y0", "row_spacing", "col_spacing", "safe_z"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("grid needs at least one row and one column")
+            raise ConfigError("grid needs at least one row and one column")
         if self.n_rows * self.n_cols > MAX_GRID_POINTS:
-            raise ValueError(
+            raise ConfigError(
                 f"grid of {self.n_rows} rows x {self.n_cols} cols is "
                 f"{self.n_rows * self.n_cols} points, over the bound of "
                 f"{MAX_GRID_POINTS}"
             )
         if self.row_spacing <= 0.0 or self.col_spacing <= 0.0:
-            raise ValueError("grid spacings must be positive")
+            raise ConfigError("grid spacings must be positive")
         # A tessellated facet's cross product is at least the cell area,
         # taken between the coordinates `axes` gives: a spacing below
         # the float resolution of the corner rounds away entirely.
@@ -106,7 +106,7 @@ class ScanGrid:
         row_step = _smallest_step(xs, self.row_spacing)
         col_step = _smallest_step(ys, self.col_spacing)
         if not row_step * col_step >= DEGENERATE_NORM:
-            raise ValueError(
+            raise ConfigError(
                 f"grid cell {row_step:g} x {col_step:g} mm between probe "
                 f"coordinates (spacing {self.row_spacing:g} x "
                 f"{self.col_spacing:g} mm) is below {DEGENERATE_NORM:g} mm^2: "
@@ -219,7 +219,7 @@ def run_scan(
 
     The safe height must clear the highest mesh vertex, and the table
     plane must not lie below the lowest tip height a tool-down pose can
-    take, `d1 - l2 - d4 - d6` (ValueError otherwise: a miss would plan
+    take, `d1 - l2 - d4 - d6` (ConfigError otherwise: a miss would plan
     a descent through waypoints it can never reach).  Every grid
     point must be reachable at the safe height before any probing
     starts; otherwise UnreachableGridError lists the offenders and no
@@ -229,12 +229,12 @@ def run_scan(
     """
     top = scene.mesh.vertices[:, :, 2].max()
     if grid.safe_z < top:
-        raise ValueError(
+        raise ConfigError(
             f"safe height {grid.safe_z:g} mm is below the scene top at {top:g} mm"
         )
     lowest = geom.d1 - geom.l2 - geom.d4 - geom.d6
     if scene.table_z < lowest:
-        raise ValueError(
+        raise ConfigError(
             f"table plane at {scene.table_z:g} mm is below the lowest tool-down "
             f"tip height {lowest:g} mm"
         )

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kinematics import ConfigError
 from .meshio import TriangleMesh
 
 # A parallel-projection triangle thinner than this is never hit.
@@ -61,19 +62,19 @@ class TargetScene:
 
     def __post_init__(self):
         if self.floor_mode not in FLOOR_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"floor_mode must be one of {FLOOR_MODES}, got {self.floor_mode!r}"
             )
         if not math.isfinite(self.table_z):
-            raise ValueError(f"table_z must be finite, got {self.table_z}")
+            raise ConfigError(f"table_z must be finite, got {self.table_z}")
         tris = self.mesh.vertices
         if tris.size == 0:
-            raise ValueError("scene mesh is empty")
+            raise ConfigError("scene mesh is empty")
         if not np.isfinite(tris).all():
-            raise ValueError("scene mesh contains non-finite coordinates")
+            raise ConfigError("scene mesh contains non-finite coordinates")
         low = tris[:, :, 2].min()
         if low < self.table_z - 1e-6:
-            raise ValueError(
+            raise ConfigError(
                 f"mesh dips {self.table_z - low:.6g} mm below the table plane"
             )
         # The facet index (see the module docstring); `_start[c]` is where
@@ -173,11 +174,11 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("sigma_contact", "drift_per_contact"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_contact < 0.0:
-            raise ValueError("sigma_contact must be non-negative")
+            raise ConfigError("sigma_contact must be non-negative")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def error_at(self, contact_index: int) -> float:
         gauss = 0.0

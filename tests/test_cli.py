@@ -20,11 +20,10 @@ from armscan.cli import (
     EXIT_JOINT_LIMIT,
     EXIT_OK,
     EXIT_UNREACHABLE,
-    JobConfigError,
     load_job,
     main,
 )
-from armscan.kinematics import JOINT_LIMITS, RobotGeometry
+from armscan.kinematics import JOINT_LIMITS, ConfigError, RobotGeometry
 from armscan.meshio import (
     PointCloud,
     TriangleMesh,
@@ -105,7 +104,7 @@ def test_load_job_resolves_paths_and_defaults(tmp_path):
 
 
 def test_load_job_missing_file(tmp_path):
-    with pytest.raises(JobConfigError, match="not found"):
+    with pytest.raises(ConfigError, match="not found"):
         load_job(tmp_path / "nope.ini")
 
 
@@ -113,14 +112,14 @@ def test_load_job_missing_section(tmp_path):
     config = write_job(tmp_path)
     text = config.read_text().replace("[grid]", "[grff]")
     config.write_text(text)
-    with pytest.raises(JobConfigError, match=r"\[grid\]"):
+    with pytest.raises(ConfigError, match=r"\[grid\]"):
         load_job(config)
 
 
 def test_load_job_missing_key(tmp_path):
     config = write_job(tmp_path)
     config.write_text(config.read_text().replace("rows = 6\n", ""))
-    with pytest.raises(JobConfigError, match="needs key 'rows'"):
+    with pytest.raises(ConfigError, match="needs key 'rows'"):
         load_job(config)
 
 
@@ -167,26 +166,35 @@ def test_load_job_bad_number(tmp_path, old, new, match):
     text = config.read_text()
     assert old in text
     config.write_text(text.replace(old, new))
-    with pytest.raises(JobConfigError, match=match):
+    with pytest.raises(ConfigError, match=match):
         load_job(config)
 
 
+def test_scan_path_with_a_nul_byte_is_config_error(tmp_path):
+    # no file name holds a NUL byte; resolving one raised a plain ValueError
+    config = write_job(tmp_path)
+    config.write_text(config.read_text().replace("mesh = plate.stl", "mesh = pla\0te.stl"))
+    code, out, err = run_cli("scan", config)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"error: {config}: [scene] mesh = 'pla\\x00te.stl' is not a valid path\n"
+
+
 def test_load_job_bad_floor_mode(tmp_path):
-    with pytest.raises(JobConfigError, match="floor_mode"):
+    with pytest.raises(ConfigError, match="floor_mode"):
         load_job(write_job(tmp_path, floor_mode="lava"))
 
 
 def test_load_job_missing_mesh(tmp_path):
     config = write_job(tmp_path)
     (tmp_path / "plate.stl").unlink()
-    with pytest.raises(JobConfigError, match="mesh file not found"):
+    with pytest.raises(ConfigError, match="mesh file not found"):
         load_job(config)
 
 
 def test_load_job_not_utf8_is_config_error(tmp_path):
     config = write_job(tmp_path)
     config.write_bytes(config.read_bytes().replace(b"table_z = 0", b"table_z = 0 # \xff"))
-    with pytest.raises(JobConfigError, match="not UTF-8"):
+    with pytest.raises(ConfigError, match="not UTF-8"):
         load_job(config)
     code, _, err = run_cli("scan", config)
     assert code == EXIT_CONFIG
@@ -222,7 +230,7 @@ def test_scan_colliding_files_rejected_at_job_load(tmp_path, monkeypatch, old, n
 def test_load_job_invalid_geometry_value(tmp_path):
     config = write_job(tmp_path)
     config.write_text("[robot]\nl2 = -5\n" + config.read_text())
-    with pytest.raises(JobConfigError, match="l2"):
+    with pytest.raises(ConfigError, match="l2"):
         load_job(config)
 
 
@@ -280,16 +288,23 @@ def finite(**bounds):
     return st.floats(allow_nan=False, allow_infinity=False, **bounds)
 
 
-# positive, non-negative and unbounded values as their types validate them
-POSITIVE = finite(min_value=0.0, exclude_min=True)
+# non-negative and unbounded values as their types validate them; arm
+# lengths are at most 1e150 mm, so that their sum squares to a finite number
 NON_NEGATIVE = finite(min_value=0.0) | st.just(-0.0)
 ANY = finite() | st.just(-0.0)
+LENGTH = finite(min_value=0.0, max_value=1e150, exclude_min=True)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     robot=st.none() | st.fixed_dictionaries(
-        {"d1": POSITIVE, "l1": NON_NEGATIVE, "l2": POSITIVE, "d4": POSITIVE, "d6": POSITIVE}
+        {
+            "d1": LENGTH,
+            "l1": finite(min_value=0.0, max_value=1e150) | st.just(-0.0),
+            "l2": LENGTH,
+            "d4": LENGTH,
+            "d6": LENGTH,
+        }
     ),
     scene=st.fixed_dictionaries(
         {"table_z": ANY, "floor_mode": st.sampled_from(FLOOR_MODES)}
@@ -553,6 +568,22 @@ def test_scan_table_below_the_lowest_tip_height_is_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_scan_contact_past_the_reach_is_unreachable(tmp_path):
+    # a huge drift lifts every contact after the first far past the arm's
+    # reach; planning a descent toward one used to overflow the waypoint
+    # count and end the run with a traceback
+    config = write_job(tmp_path)
+    config.write_text(
+        config.read_text()
+        .replace("rows = 6", "rows = 2")
+        .replace("cols = 7", "cols = 2")
+        .replace("seed = 11", "seed = 11\ndrift_per_contact = 1e308")
+    )
+    code, out, err = run_cli("scan", config)
+    assert (code, err) == (EXIT_OK, "")
+    assert "mesh contacts   1\n" in out and "unreachable     3\n" in out
+
+
 def test_scan_non_finite_number_is_config_error(tmp_path):
     # a NaN sigma would otherwise scan with no noise and exit 0
     config = write_job(tmp_path, sigma="nan")
@@ -581,7 +612,7 @@ def test_scan_degenerate_cell_rejected_at_job_load(tmp_path):
         text.replace("row_spacing = 6", "row_spacing = 1e-7")
         .replace("col_spacing = 6", "col_spacing = 1e-7")
     )
-    with pytest.raises(JobConfigError, match="degenerate"):
+    with pytest.raises(ConfigError, match="degenerate"):
         load_job(config)
     code, _, err = run_cli("scan", config)
     assert code == EXIT_CONFIG and "degenerate" in err
@@ -605,7 +636,7 @@ def test_scan_spacing_below_corner_resolution_rejected_at_job_load(tmp_path):
         .replace("row_spacing = 6", "row_spacing = 1e-14")
         .replace("col_spacing = 6", "col_spacing = 100")
     )
-    with pytest.raises(JobConfigError, match="degenerate"):
+    with pytest.raises(ConfigError, match="degenerate"):
         load_job(config)
     code, _, err = run_cli("scan", config)
     assert code == EXIT_CONFIG and "degenerate" in err
@@ -672,6 +703,17 @@ def test_compare_names_an_stl_it_cannot_sample(tmp_path, mesh, why):
     save_xyz(PointCloud([[1.0, 2.0, 3.0]]), one)
     code, out, err = run_cli("compare", bad, one)
     assert (code, out, err) == (EXIT_CONFIG, "", f"error: {bad}: {why}\n")
+
+
+def test_compare_names_an_stl_whose_area_overflows(tmp_path):
+    # ASCII coordinates are float64, and their area can pass the float
+    # range; the sampler's probabilities then held a NaN
+    mesh = TriangleMesh([[[0.0, 0.0, 0.0], [1e300, 0.0, 0.0], [0.0, 1e300, 0.0]]], [[0.0, 0.0, 1.0]])
+    bad, one = tmp_path / "bad.stl", tmp_path / "one.xyz"
+    bad.write_text(write_stl_ascii(mesh))
+    save_xyz(PointCloud([[1.0, 2.0, 3.0]]), one)
+    code, out, err = run_cli("compare", bad, one)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: {bad}: mesh surface area overflows\n")
 
 
 def test_compare_missing_file_is_io_error(tmp_path):
@@ -793,6 +835,40 @@ def test_cli_test_b_repeats_over_bound_fails_before_any_draw(monkeypatch):
         f"error: repeatability takes at most {MAX_TEST_B_REPEATS} repeats, "
         "got 100000000000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "drift, repeats", [("1e308", "3"), ("1e200", "10")], ids=["heights", "repeatability"]
+)
+def test_cli_test_b_overflowing_contact_errors_are_config_error(drift, repeats):
+    # 1e308 overflows the touch heights and 1e200 their repeatability; the
+    # table used to print nan or inf and exit 0
+    code, out, err = run_cli("test-b", "--drift", drift, "--repeats", repeats)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (
+        "error: test point at 120.0 mm: the contact errors overflow its touch "
+        "heights or their repeatability\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fk", "0", "0", "0", "0", "0", "0", "--d1", "1e308", "--l2", "1e308"],
+        ["ik", "300", "0", "50", "--l2", "1e200", "--d4", "1e200"],
+        ["scan", "job.ini"],
+    ],
+    ids=["fk", "ik", "scan"],
+)
+def test_cli_link_lengths_too_long_to_square_are_config_error(tmp_path, monkeypatch, argv):
+    # fk used to print z_mm = inf, and ik failed on a NaN elbow cosine
+    config = write_job(tmp_path)
+    config.write_text("[robot]\nl2 = 1e200\n" + config.read_text())
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "mm, too long to square\n" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -982,8 +1058,8 @@ def test_cli_requires_a_subcommand():
     "kind, code", list(cli.EXIT_CODES.items()), ids=[kind.__name__ for kind in cli.EXIT_CODES]
 )
 def test_main_maps_each_error_to_its_exit_code(monkeypatch, kind, code):
-    # the first matching entry wins: StlFormatError is a ValueError, yet
-    # exits 6, not 2
+    # one case per entry; the first matching entry wins, so a
+    # JointLimitError, an UnreachableError too, exits 4, not 3
     error = kind([(1, 2)], "boom") if kind is UnreachableGridError else kind("boom")
 
     def fail(args, out):
@@ -993,10 +1069,12 @@ def test_main_maps_each_error_to_its_exit_code(monkeypatch, kind, code):
     assert run_cli("ik", "300", "0", "50") == (code, "", f"error: {error}\n")
 
 
-def test_main_lets_an_unlisted_error_propagate(monkeypatch):
+@pytest.mark.parametrize("kind", [RuntimeError, ValueError], ids=lambda kind: kind.__name__)
+def test_main_lets_an_unlisted_error_propagate(monkeypatch, kind):
+    # a plain ValueError is a bug, not a rejected input: it gets no exit code
     def fail(args, out):
-        raise RuntimeError("boom")
+        raise kind("boom")
 
     monkeypatch.setattr(cli, "_cmd_ik", fail)
-    with pytest.raises(RuntimeError, match="boom"):
+    with pytest.raises(kind, match="boom"):
         run_cli("ik", "300", "0", "50")

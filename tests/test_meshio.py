@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from armscan import cli
 from armscan.meshio import (
     STL_RECORD,
+    FormatError,
     PointCloud,
-    StlFormatError,
     TriangleMesh,
-    XyzFormatError,
     read_stl,
     read_xyz,
     save_stl,
@@ -101,14 +100,14 @@ def test_write_narrows_to_float32(rng):
 
 def test_binary_truncated_raises():
     data = write_stl_binary(TriangleMesh())
-    with pytest.raises(StlFormatError, match="84-byte"):
+    with pytest.raises(FormatError, match="84-byte"):
         read_stl(data[:50])
 
 
 def test_binary_count_mismatch_raises(rng):
     data = bytearray(write_stl_binary(random_mesh(rng, 3)))
     struct.pack_into("<I", data, 80, 7)
-    with pytest.raises(StlFormatError, match="size mismatch"):
+    with pytest.raises(FormatError, match="size mismatch"):
         read_stl(bytes(data))
 
 
@@ -129,7 +128,7 @@ def test_binary_non_finite_facet_named(rng, field, value):
     records = np.frombuffer(data, dtype=STL_RECORD, offset=84)
     records[field][2].flat[1] = value
     records[field][4].flat[0] = value
-    with pytest.raises(StlFormatError, match="byte 184: facet 3 has a non-finite"):
+    with pytest.raises(FormatError, match="byte 184: facet 3 has a non-finite"):
         read_stl(bytes(data))
 
 
@@ -189,13 +188,13 @@ def test_ascii_writer_output_parses_back(rng):
 
 def test_ascii_malformed_token_reports_line():
     text = "solid x\nfacet normal 0 0 1\nouter loop\nvertex 0 0 oops\n"
-    with pytest.raises(StlFormatError, match="line 4"):
+    with pytest.raises(FormatError, match="line 4"):
         read_stl(text.encode())
 
 
 def test_ascii_missing_endsolid_raises():
     text = "solid x\nfacet normal 0 0 1\nouter loop\nvertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0\nendloop\nendfacet\n"
-    with pytest.raises(StlFormatError, match="endsolid"):
+    with pytest.raises(FormatError, match="endsolid"):
         read_stl(text.encode())
 
 
@@ -203,7 +202,7 @@ def test_ascii_missing_endsolid_raises():
 def test_ascii_non_finite_facet_named(rng, token):
     lines = write_stl_ascii(random_mesh(rng, 3)).splitlines()
     lines[11] = f"      vertex 1 {token} 2"  # line 12, in facet 2 from line 9
-    with pytest.raises(StlFormatError, match="line 9: facet 2 has a non-finite"):
+    with pytest.raises(FormatError, match="line 9: facet 2 has a non-finite"):
         read_stl("\n".join(lines).encode())
 
 
@@ -247,7 +246,7 @@ def test_ascii_messages_and_counts(text, expected):
     if isinstance(expected, int):
         assert len(read_stl(text.encode())) == expected
     else:
-        with pytest.raises(StlFormatError) as info:
+        with pytest.raises(FormatError) as info:
             read_stl(text.encode())
         assert str(info.value) == expected
 
@@ -276,7 +275,7 @@ def test_stl_flavour_by_length_and_every_solid_read(data, facets):
     ids=["text-after-endsolid", "endloop-with-number"],
 )
 def test_ascii_stray_text_raises(text, message):
-    with pytest.raises(StlFormatError) as info:
+    with pytest.raises(FormatError) as info:
         read_stl(text.encode())
     assert str(info.value) == message
 
@@ -359,15 +358,15 @@ def test_xyz_tolerates_extra_whitespace():
 
 
 def test_xyz_malformed_line_numbered():
-    with pytest.raises(XyzFormatError, match="line 2"):
+    with pytest.raises(FormatError, match="line 2"):
         read_xyz("1 2 3\n4 5\n")
-    with pytest.raises(XyzFormatError, match="line 3"):
+    with pytest.raises(FormatError, match="line 3"):
         read_xyz("1 2 3\n4 5 6\n7 eight 9\n")
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_xyz_non_finite_coordinate_numbered(token):
-    with pytest.raises(XyzFormatError, match="line 3: non-finite coordinate"):
+    with pytest.raises(FormatError, match="line 3: non-finite coordinate"):
         read_xyz(f"1 2 3\n\n4 {token} 6\n")
 
 

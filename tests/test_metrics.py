@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armscan.kinematics import UnreachableError
+from armscan.kinematics import ConfigError, UnreachableError
 from armscan.meshio import PointCloud, TriangleMesh
 from armscan.metrics import (
     MAX_SAMPLE_POINTS,
@@ -265,6 +265,16 @@ def test_fit_sphere_rejects_degenerate_input(rng):
         fit_sphere(PointCloud(flat))
     with pytest.raises(ValueError, match="at least 4"):
         fit_sphere(PointCloud(flat[:3]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
+def test_fit_sphere_rejects_a_coordinate_that_overflows(value):
+    # LAPACK's least-squares solve never returns on a non-finite entry;
+    # 1e308 is finite, but the system holds twice each coordinate
+    pts = np.eye(4, 3) * 10.0
+    pts[0, 0] = value
+    with pytest.raises(ConfigError, match="^sphere fit overflows"):
+        fit_sphere(PointCloud(pts))
 
 
 # ----------------------------------------------------------------- test A

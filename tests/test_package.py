@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import importlib.util
 import io
 import json
@@ -131,3 +132,45 @@ def test_only_compare_imports_scipy(tmp_path):
     argv = ["compare", str(tmp_path / "plate.stl"), str(tmp_path / "mid.xyz"), "--samples", "200"]
     assert cli.main(argv, out=out) == 0
     assert result["compare"] == out.getvalue()
+
+
+# The plain ValueErrors of src/armscan, as (module, function): each is an
+# invariant that the command line guards before it can break.  A rejected
+# value from outside the program is a ConfigError, which exits 2; a plain
+# ValueError would instead end the command with a traceback.
+INVARIANT_VALUE_ERRORS = {
+    ("meshio", "TriangleMesh.__post_init__"),  # normals count
+    ("meshio", "TriangleMesh.from_vertices"),  # degenerate facet
+    ("kinematics", "inverse_kinematics"),  # rotation not orthonormal
+    ("kinematics", "_solve_point"),  # NaN target
+    ("metrics", "chamfer_distance"),  # empty cloud
+}
+
+
+def plain_value_error_sites(package: Path) -> list:
+    """(module, qualified function name) of each `raise ValueError(...)`."""
+    sites = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Raise)
+                and isinstance(child.exc, ast.Call)
+                and isinstance(child.exc.func, ast.Name)
+                and child.exc.func.id == "ValueError"
+            ):
+                sites.append((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, [])
+    return sites
+
+
+def test_only_invariants_raise_plain_value_error():
+    sites = plain_value_error_sites(SRC / "armscan")
+    assert set(sites) == INVARIANT_VALUE_ERRORS
+    assert len(sites) == len(INVARIANT_VALUE_ERRORS)

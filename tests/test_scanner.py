@@ -200,8 +200,17 @@ def lateral_leg_fails(grid, geom) -> bool:
         (ScanGrid(-200.0, -10.0, 2, 3, 400.0, 200.0, safe_z=60.0),
          TargetScene(make_plate(-300.0, -300.0, 600.0, 800.0, 25.0)),
          NoiseModel(sigma_contact=0.02, drift_per_contact=0.001, seed=3), False, True),
+        # the 3x4 plate under a drift that lifts 9 of the 12 contacts past
+        # the arm's reach: those cells are unreachable before their descents
+        # are planned, and the trace holds 275 rows
+        (ScanGrid(260.0, -20.0, 3, 4, 10.0, 10.0, safe_z=60.0),
+         TargetScene(make_plate(200.0, -100.0, 200.0, 200.0, 25.0)),
+         NoiseModel(sigma_contact=0.02, drift_per_contact=200.0, seed=5), False, False),
     ],
-    ids=["plate-3x4", "failing-descents-7x7", "wing-skip-misses", "failing-laterals"],
+    ids=[
+        "plate-3x4", "failing-descents-7x7", "wing-skip-misses", "failing-laterals",
+        "contacts-past-reach",
+    ],
 )
 def test_scan_matches_cell_by_cell_reference(
     geom, grid, scene, noise, flip, lateral_fails
