@@ -34,7 +34,10 @@ rotation with one closed form (Pieper's spherical-wrist decoupling) in
 scalar `math` code, and returns the joint angles alone.  A path is that
 closed form applied point by point, after one rotation check for the
 whole path; its error is the first failing point's, the message
-prefixed `waypoint i at (x, y, z): `.
+prefixed `waypoint i at (x, y, z): `.  Each call sets the closed form
+up once (`_closed_form`): the link lengths, the tip-to-wrist offset,
+the rotation entries and the widened joint limits are read per call,
+not per point, so a long path spreads that set-up over its points.
 
 A pose the arm cannot take raises `UnreachableError`; a solved angle
 past its stop is one kind of it, the subclass `JointLimitError`, so one
@@ -237,113 +240,118 @@ def forward_kinematics(angles: JointAngles, geom: RobotGeometry) -> Pose:
 MIN_CHORD = 1e-9
 
 
-def _solve_branch(
-    rot: list, geom: RobotGeometry, theta1: float, radial: float, z: float
-) -> tuple:
-    """One yaw branch of the closed form; `rot` is the rotation as nested floats.
+def _closed_form(rot: list, geom: RobotGeometry) -> tuple:
+    """The closed form set up once for one rotation; `rot` is it as nested floats.
 
-    Returns the six joint angles as a tuple.  `radial` is the wrist
-    center's in-plane distance from the shoulder along `theta1`'s
-    direction, `z` its height above the shoulder (mm).
+    Reads the link lengths, the tip-to-wrist offset along the approach
+    (column 3) and the joint limits widened by LIMIT_GRACE once, the
+    limits from JOINT_LIMITS as it stands now.  Returns (solve, branch):
+
+    - ``solve(x, y, z)`` gives the six joint angles of the tip at
+      (x, y, z) as a tuple, from both yaw branches, the aimed one winning;
+    - ``branch(theta1, radial, z)`` is one yaw branch, `radial` being the
+      wrist center's in-plane distance from the shoulder along
+      `theta1`'s direction and `z` its height above the shoulder (mm).
     """
-    chord = math.hypot(radial, z)
-    if chord < MIN_CHORD:
-        raise UnreachableError("wrist center coincides with the shoulder")
-    alpha = math.atan2(z, radial)
-
-    l2, d4 = geom.l2, geom.d4
-    cosine = (l2 * l2 + d4 * d4 - chord * chord) / (2.0 * l2 * d4)
-    if not -1.0 - ACOS_CLAMP_TOL <= cosine <= 1.0 + ACOS_CLAMP_TOL:
-        raise UnreachableError(
-            f"elbow triangle (chord {chord:.3f} mm, annulus "
-            f"[{abs(l2 - d4):.3f}, {l2 + d4:.3f}]): "
-            f"cosine argument {cosine:.6f} outside [-1, 1]"
-        )
-    interior = math.acos(min(1.0, max(-1.0, cosine)))
-    theta3 = ELBOW_STRAIGHT_INTERIOR - interior
-    # Shoulder angle from the solved elbow angle rather than a second
-    # acos: the pair then closes the triangle exactly, which keeps the
-    # round trip tight even at the stretched (interior = pi) boundary
-    # where independent acos calls are ill-conditioned.
-    beta = math.atan2(
-        d4 * math.sin(theta3), l2 + d4 * math.cos(theta3)
-    )
-
-    theta2 = normalize_angle(alpha + beta - SHOULDER_ELEVATION_OFFSET)
-
-    # Wrist: ZYZ angles of the rotation seen from the (vertical-z) carrier.
+    d1, l1, l2, d4 = geom.d1, geom.l1, geom.l2, geom.d4
+    sides, twice = l2 * l2 + d4 * d4, 2.0 * l2 * d4
     (r11, _, r13), (r21, _, r23), (m31, m32, m33) = rot
-    c1, s1 = math.cos(theta1), math.sin(theta1)
-    m13 = c1 * r13 + s1 * r23
-    m23 = -s1 * r13 + c1 * r23
-    m11 = c1 * r11 + s1 * r21
-    m21 = -s1 * r11 + c1 * r21
-
-    # atan2 keeps the tilt relative-accurate where acos(m33) would
-    # round tiny tilts to zero and drop a d6-scaled tip offset
-    sin5 = math.hypot(m13, m23)
-    theta5 = math.atan2(sin5, m33)
-    if sin5 <= WRIST_SINGULAR_TOL:
-        theta4 = 0.0
-        if m33 > 0.0:
-            theta5 = 0.0
-            theta6 = math.atan2(m21, m11)
-        else:
-            theta5 = math.pi
-            theta6 = math.atan2(m21, -m11)
-    else:
-        theta4 = normalize_angle(math.atan2(m23, m13))
-        theta6 = math.atan2(m32, -m31)
-    theta6 = normalize_angle(theta6)
-
-    # One chained comparison per joint, read from JOINT_LIMITS on every
-    # call; a NaN fails it, and check_limits names the offending joint.
+    off_x, off_y, off_z = geom.d6 * r13, geom.d6 * r23, geom.d6 * m33
     g = LIMIT_GRACE
-    (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4), (lo5, hi5), (lo6, hi6) = JOINT_LIMITS
-    angles = (theta1, theta2, theta3, theta4, theta5, theta6)
-    if not (
-        lo1 - g <= theta1 <= hi1 + g
-        and lo2 - g <= theta2 <= hi2 + g
-        and lo3 - g <= theta3 <= hi3 + g
-        and lo4 - g <= theta4 <= hi4 + g
-        and lo5 - g <= theta5 <= hi5 + g
-        and lo6 - g <= theta6 <= hi6 + g
-    ):
-        check_limits(angles)
-    return angles
+    (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4), (lo5, hi5), (lo6, hi6) = [
+        (lo - g, hi + g) for lo, hi in JOINT_LIMITS
+    ]
 
+    def branch(theta1: float, radial: float, z: float) -> tuple:
+        chord = math.hypot(radial, z)
+        if chord < MIN_CHORD:
+            raise UnreachableError("wrist center coincides with the shoulder")
+        alpha = math.atan2(z, radial)
 
-def _solve_point(
-    rot: list, geom: RobotGeometry, x: float, y: float, z: float
-) -> tuple:
-    """Both yaw branches for the tip at (x, y, z); the aimed one wins."""
-    # wrist center: the tip backed off d6 along the approach (column 3)
-    xc = x - geom.d6 * rot[0][2]
-    yc = y - geom.d6 * rot[1][2]
-    height = z - geom.d6 * rot[2][2] - geom.d1  # above the shoulder
-    azimuth = math.atan2(yc, xc)
-    planar = math.hypot(xc, yc)
-
-    try:
-        return _solve_branch(rot, geom, azimuth, planar - geom.l1, height)
-    except UnreachableError as aimed_error:
-        try:
-            return _solve_branch(
-                rot, geom, normalize_angle(azimuth + math.pi), -planar - geom.l1, height
+        cosine = (sides - chord * chord) / twice
+        if not -1.0 - ACOS_CLAMP_TOL <= cosine <= 1.0 + ACOS_CLAMP_TOL:
+            raise UnreachableError(
+                f"elbow triangle (chord {chord:.3f} mm, annulus "
+                f"[{abs(l2 - d4):.3f}, {l2 + d4:.3f}]): "
+                f"cosine argument {cosine:.6f} outside [-1, 1]"
             )
-        except UnreachableError:
-            # a NaN fails the reach test, beside an infinite coordinate too
-            if math.isnan(x) or math.isnan(y) or math.isnan(z):
-                raise ValueError("target position is not finite") from None
-            raise aimed_error from None
+        interior = math.acos(min(1.0, max(-1.0, cosine)))
+        theta3 = ELBOW_STRAIGHT_INTERIOR - interior
+        # Shoulder angle from the solved elbow angle rather than a second
+        # acos: the pair then closes the triangle exactly, which keeps the
+        # round trip tight even at the stretched (interior = pi) boundary
+        # where independent acos calls are ill-conditioned.
+        beta = math.atan2(d4 * math.sin(theta3), l2 + d4 * math.cos(theta3))
+
+        theta2 = normalize_angle(alpha + beta - SHOULDER_ELEVATION_OFFSET)
+
+        # Wrist: ZYZ angles of the rotation seen from the (vertical-z) carrier.
+        c1, s1 = math.cos(theta1), math.sin(theta1)
+        m13 = c1 * r13 + s1 * r23
+        m23 = -s1 * r13 + c1 * r23
+        m11 = c1 * r11 + s1 * r21
+        m21 = -s1 * r11 + c1 * r21
+
+        # atan2 keeps the tilt relative-accurate where acos(m33) would
+        # round tiny tilts to zero and drop a d6-scaled tip offset
+        sin5 = math.hypot(m13, m23)
+        theta5 = math.atan2(sin5, m33)
+        if sin5 <= WRIST_SINGULAR_TOL:
+            theta4 = 0.0
+            if m33 > 0.0:
+                theta5 = 0.0
+                theta6 = math.atan2(m21, m11)
+            else:
+                theta5 = math.pi
+                theta6 = math.atan2(m21, -m11)
+        else:
+            theta4 = normalize_angle(math.atan2(m23, m13))
+            theta6 = math.atan2(m32, -m31)
+        theta6 = normalize_angle(theta6)
+
+        # One chained comparison per joint; a NaN fails it, and
+        # check_limits names the offending joint.
+        angles = (theta1, theta2, theta3, theta4, theta5, theta6)
+        if not (
+            lo1 <= theta1 <= hi1
+            and lo2 <= theta2 <= hi2
+            and lo3 <= theta3 <= hi3
+            and lo4 <= theta4 <= hi4
+            and lo5 <= theta5 <= hi5
+            and lo6 <= theta6 <= hi6
+        ):
+            check_limits(angles)
+        return angles
+
+    def solve(x: float, y: float, z: float) -> tuple:
+        # wrist center: the tip backed off d6 along the approach
+        xc = x - off_x
+        yc = y - off_y
+        height = z - off_z - d1  # above the shoulder
+        azimuth = math.atan2(yc, xc)
+        planar = math.hypot(xc, yc)
+
+        try:
+            return branch(azimuth, planar - l1, height)
+        except UnreachableError as aimed_error:
+            try:
+                return branch(normalize_angle(azimuth + math.pi), -planar - l1, height)
+            except UnreachableError:
+                # a NaN fails the reach test, beside an infinite coordinate too
+                if math.isnan(x) or math.isnan(y) or math.isnan(z):
+                    raise ValueError("target position is not finite") from None
+                raise aimed_error from None
+
+    return solve, branch
 
 
 def inverse_kinematics(pose: Pose, geom: RobotGeometry):
     """Solve the elbow-up joint tuple reproducing `pose`.
 
     Returns the JointAngles of a one-point pose.  A path, an (N, 3)
-    position, is the same closed form solved point by point after one
-    rotation check; it returns an (N, 6) angle array, and a failure
+    position, is the same closed form, set up once, solved point by
+    point after one rotation check; it returns an (N, 6) angle array
+    built once from one flat list of angles, and a failure
     raises the first unsolvable point's error, its message prefixed
     ``waypoint i at (x, y, z): ``.
 
@@ -367,16 +375,16 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry):
     error = pose.rotation_error()
     if not error <= 1e-9:  # a NaN error fails too
         raise ValueError(f"pose rotation is not orthonormal (error {error:.2e})")
-    rot = pose.rotation.tolist()
+    solve, _ = _closed_form(pose.rotation.tolist(), geom)
     if pose.position.ndim == 1:
-        return JointAngles(*_solve_point(rot, geom, *pose.position.tolist()))
+        return JointAngles(*solve(*pose.position.tolist()))
 
-    rows = []
-    for i, (x, y, z) in enumerate(pose.position.tolist()):
+    rows = []  # flat: six angles per point
+    for x, y, z in pose.position.tolist():
         try:
-            rows.append(_solve_point(rot, geom, x, y, z))
+            rows += solve(x, y, z)
         except UnreachableError as exc:
-            where = f"waypoint {i} at ({x:.3f}, {y:.3f}, {z:.3f})"
+            where = f"waypoint {len(rows) // 6} at ({x:.3f}, {y:.3f}, {z:.3f})"
             raise type(exc)(f"{where}: {exc}") from None
     return np.array(rows, dtype=float).reshape(-1, 6)
 

@@ -183,17 +183,20 @@ def fit_sphere(points: PointCloud) -> SphereFit:
     deviation is reported as the diameter-equivalent 2 |dist - radius|.
 
     Raises ConfigError for fewer than 4 points, a coordinate that is
-    not finite when doubled, or a coplanar/degenerate set (singular
-    system).
+    not finite when doubled, a point whose squared norm is not finite,
+    or a coplanar/degenerate set (singular system).
     """
     pts = points.points
     if len(pts) < 4:
         raise ConfigError(f"sphere fit needs at least 4 points, got {len(pts)}")
     with np.errstate(over="ignore"):
         a = np.column_stack([2.0 * pts, np.ones(len(pts))])
-    if not np.isfinite(a).all():  # LAPACK's solve may never return on one
-        raise ConfigError("sphere fit overflows: a doubled coordinate is not finite")
-    b = (pts * pts).sum(axis=1)
+        b = (pts * pts).sum(axis=1)
+    # LAPACK's solve may never return on a non-finite entry
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ConfigError(
+            "sphere fit overflows: a doubled coordinate or a squared norm is not finite"
+        )
     solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < 4:
         raise ConfigError("sphere fit is singular: points are coplanar or coincident")

@@ -2,17 +2,19 @@
 
 Planning is quasi-static: a leg is a uniform chain of position
 waypoints at most `STEP` apart (`line_waypoints`) under the tool-down
-orientation.  `plan_line` solves a leg in one IK call over all its
-waypoints (an (N, 3) position): the rotation is checked once, then the
-one closed form solves waypoint by waypoint, and the leg comes back as
-an (N, 6) angle array, a row per waypoint.  No velocity profile exists;
-the rows are the sequence an open-loop controller would stream.
+orientation.  `plan_line` solves a path of waypoints (an (N, 3)
+position) in one IK call: the rotation is checked and the closed form
+set up once, then it solves waypoint by waypoint, and the path comes
+back as an (N, 6) angle array, a row per waypoint.  No velocity profile
+exists; the rows are the sequence an open-loop controller would stream.
 
 A probe cycle is two such lines, lateral travel at the safe height and
 descent to the contact, then the retract: the descent's rows replayed
-in reverse back to the safe height, with no further IK.  Contact
-heights come from the scene's exact raycast; the descent step size only
-shapes the joint log, never the measurement.
+in reverse back to the safe height, with no further IK.  The cycle
+takes its contact first and solves both legs end to end in one
+`plan_line` call; only when that fails is the lateral leg solved again
+alone.  Contact heights come from the scene's exact raycast; the
+descent step size only shapes the joint log, never the measurement.
 
 Within a cycle the legs share their seam row once.  Cycles are
 concatenated whole: each lateral leg starts with the row the previous
@@ -93,14 +95,15 @@ class JointTrace:
         )
 
 
-def plan_line(start, end, geom: RobotGeometry) -> np.ndarray:
-    """Solve tool-down IK for every waypoint of the segment in one call.
+def plan_line(waypoints, geom: RobotGeometry) -> np.ndarray:
+    """Solve tool-down IK for every waypoint of a path in one call.
 
-    Returns the (N, 6) joint angles, a row per waypoint.  Raises
-    UnreachableError (JointLimitError past a joint stop) naming the
-    first offending waypoint's index and position.
+    `waypoints` is an (N, 3) array of positions (mm), such as
+    `line_waypoints` gives.  Returns the (N, 6) joint angles, a row per
+    waypoint.  Raises UnreachableError (JointLimitError past a joint
+    stop) naming the first offending waypoint's index and position.
     """
-    return inverse_kinematics(Pose(TOOL_DOWN_ROTATION, line_waypoints(start, end)), geom)
+    return inverse_kinematics(Pose(TOOL_DOWN_ROTATION, waypoints), geom)
 
 
 def probe_cycle(
@@ -119,33 +122,42 @@ def probe_cycle(
     Returns ((kind, z_true, z_measured), angles), the contact as
     `probe_contact` gives it and the cycle's (N, 6) joint angles.  The
     angles start and end at the safe height; seam waypoints shared
-    between legs appear once.  The retract replays the descent's rows in
-    reverse, so only the lateral leg or the descent can fail; then the
-    contact is (CONTACT_UNREACHABLE, nan, nan), a kind distinct from a
-    no-contact miss, and the angles hold only the lateral travel, still
-    ending at the safe height.
+    between legs appear once.  The contact is taken first, then both
+    legs are solved end to end in one `plan_line` call; the retract
+    replays the descent's rows in reverse, so only the lateral leg or
+    the descent can fail.  Then the contact is (CONTACT_UNREACHABLE,
+    nan, nan), a kind distinct from a no-contact miss, and the angles
+    hold only the lateral travel, re-planned alone and still ending at
+    the safe height, or nothing if that leg fails.
     """
-    lateral = np.zeros((0, 6))
-    try:
-        if from_xy is not None:
-            lateral = plan_line((*from_xy, safe_z), (x, y, safe_z), geom)
-
-        contact = probe_contact(x, y, contact_index, scene, noise)
-        z_measured = contact[2]
-        z_stop = scene.table_z if math.isnan(z_measured) else z_measured
-        # A tool-down tip at z_stop puts the wrist center z_stop + d6 - d1
-        # above the shoulder, out of reach past l2 + d4: that descent fails
-        # anyway, and toward a huge drifted height it would plan unboundedly
-        # many waypoints.  STEP of slack leaves the boundary to the IK.
-        reach = geom.l2 + geom.d4 + STEP
-        if not -reach <= z_stop + geom.d6 - geom.d1 <= reach:
-            raise UnreachableError(f"contact height {z_stop:g} mm is out of reach")
-        descend = plan_line((x, y, safe_z), (x, y, z_stop), geom)
-    except UnreachableError:
-        # the angles hold at most the lateral leg, still at the safe height
-        return (CONTACT_UNREACHABLE, math.nan, math.nan), lateral
-
-    retract = descend[-2::-1]  # back up the same line, less the contact row
+    contact = probe_contact(x, y, contact_index, scene, noise)
+    z_measured = contact[2]
+    z_stop = scene.table_z if math.isnan(z_measured) else z_measured
+    lateral = np.zeros((0, 3))
     if from_xy is not None:
-        descend = descend[1:]
-    return contact, np.concatenate([lateral, descend, retract])
+        lateral = line_waypoints((*from_xy, safe_z), (x, y, safe_z))
+    # A tool-down tip at z_stop puts the wrist center z_stop + d6 - d1
+    # above the shoulder, out of reach past l2 + d4: that descent fails
+    # anyway, and toward a huge drifted height it would plan unboundedly
+    # many waypoints.  STEP of slack leaves the boundary to the IK.
+    reach = geom.l2 + geom.d4 + STEP
+    if -reach <= z_stop + geom.d6 - geom.d1 <= reach:
+        descent = line_waypoints((x, y, safe_z), (x, y, z_stop))
+        try:
+            rows = plan_line(np.concatenate([lateral, descent]), geom)
+        except UnreachableError:
+            pass
+        else:
+            # Descent row 0 is solved too, though it sits where the
+            # lateral leg ends: the retract ends on it, and the lateral's
+            # last row need not equal it bit for bit.
+            n = len(lateral)
+            descend = rows[n:]
+            retract = descend[-2::-1]  # back up the same line, less the contact row
+            return contact, np.concatenate([rows[:n], descend[1:] if n else descend, retract])
+
+    try:
+        lateral_rows = plan_line(lateral, geom)
+    except UnreachableError:
+        lateral_rows = np.zeros((0, 6))
+    return (CONTACT_UNREACHABLE, math.nan, math.nan), lateral_rows

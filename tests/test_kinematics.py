@@ -355,7 +355,7 @@ def test_ik_nan_wrist_angle_fails_the_limit_check(geom, j, entry, value):
     row, col = entry
     rot[row][col] = value
     with pytest.raises(JointLimitError) as err:
-        kinematics._solve_branch(rot, geom, 0.0, 300.0, -100.0)
+        kinematics._closed_form(rot, geom)[1](0.0, 300.0, -100.0)
     lo, hi = JOINT_LIMITS[j - 1]
     assert str(err.value) == limit_message(j, math.nan, lo, hi)
 
@@ -363,7 +363,7 @@ def test_ik_nan_wrist_angle_fails_the_limit_check(geom, j, entry, value):
 def test_ik_nan_yaw_fails_the_limit_check(geom):
     rot = forward_kinematics(LIMIT_PROBE, geom).rotation.tolist()
     with pytest.raises(JointLimitError) as err:
-        kinematics._solve_branch(rot, geom, math.nan, 300.0, -100.0)
+        kinematics._closed_form(rot, geom)[1](math.nan, 300.0, -100.0)
     lo, hi = JOINT_LIMITS[0]
     assert str(err.value) == limit_message(1, math.nan, lo, hi)
 

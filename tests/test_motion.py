@@ -9,6 +9,7 @@ from armscan.kinematics import (
     TOOL_DOWN_ROTATION,
     JointAngles,
     JointLimitError,
+    RobotGeometry,
     UnreachableError,
     check_limits,
     forward_kinematics,
@@ -18,7 +19,7 @@ from armscan.meshio import TriangleMesh
 from armscan.motion import JointTrace, line_waypoints, plan_line, probe_cycle
 from armscan.scene import CONTACT_MESH, CONTACT_TABLE, CONTACT_UNREACHABLE, NoiseModel, TargetScene
 
-from oracles import trace_csv_reference
+from oracles import probe_cycle_per_leg, trace_csv_reference
 
 
 def plate_scene(z=25.0, size=200.0, x0=200.0, y0=-100.0, **kw):
@@ -77,7 +78,7 @@ def test_waypoints_exact_multiple_no_phantom_interval(monkeypatch):
 def test_plan_line_trace_positions_on_segment(geom, monkeypatch):
     monkeypatch.setattr(motion, "STEP", 8.0)
     start, end = [240, -30, 40], [320, 60, 40]
-    rows = plan_line(start, end, geom)
+    rows = plan_line(line_waypoints(start, end), geom)
     pts = line_waypoints(start, end)
     assert rows.shape == (len(pts), 6)
     for angles, target in zip(rows, pts):
@@ -87,7 +88,7 @@ def test_plan_line_trace_positions_on_segment(geom, monkeypatch):
 
 
 def test_plan_line_limits_respected(geom):
-    for angles in plan_line([250, 0, 30], [300, 0, 30], geom):
+    for angles in plan_line(line_waypoints([250, 0, 30], [300, 0, 30]), geom):
         check_limits(JointAngles(*angles))
 
 
@@ -95,7 +96,7 @@ def test_plan_line_unreachable_names_waypoint(geom, monkeypatch):
     # end far outside the workspace: failure happens mid-path
     monkeypatch.setattr(motion, "STEP", 50.0)
     with pytest.raises(UnreachableError) as err:
-        plan_line([300, 0, 50], [900, 0, 50], geom)
+        plan_line(line_waypoints([300, 0, 50], [900, 0, 50]), geom)
     assert str(err.value) == (
         "waypoint 6 at (600.000, 0.000, 50.000): elbow triangle (chord "
         "537.331 mm, annulus [83.000, 527.000]): cosine argument -1.081199 "
@@ -107,7 +108,7 @@ def test_plan_line_joint_limit_names_waypoint(geom, monkeypatch):
     # straight over the base: theta2 runs past its stop near the axis
     monkeypatch.setattr(motion, "STEP", 25.0)
     with pytest.raises(JointLimitError) as err:
-        plan_line([250, 0, 0], [0, 0, 0], geom)
+        plan_line(line_waypoints([250, 0, 0], [0, 0, 0]), geom)
     assert str(err.value) == (
         "waypoint 7 at (75.000, 0.000, 0.000): joint 2 angle -145.722 deg "
         "outside [-135.000, 135.000] deg"
@@ -200,8 +201,9 @@ def test_probe_cycle_noise_applied(geom):
 
 
 def test_probe_cycle_retract_replays_descent(geom, monkeypatch):
-    # two IK solves per cycle (lateral, descent); the retract is the
-    # descent's rows reversed bit for bit, less the contact row
+    # one IK solve per cycle, the lateral waypoints then the descent's;
+    # the retract is the descent's rows reversed bit for bit, less the
+    # contact row
     solved = []
 
     def counting_ik(pose, g):
@@ -223,13 +225,58 @@ def test_probe_cycle_retract_replays_descent(geom, monkeypatch):
         )
         assert kind == CONTACT_MESH
         calls.append(len(solved))
-        lateral, descend = solved[:2]
+        n = len(line_waypoints((x - 7.0, y - 5.0, 73.0), (x, y, 73.0)))
+        lateral, descend = solved[0][:n], solved[0][n:]
         bottom = len(lateral) - 1 + len(descend)
         assert np.array_equal(rows[len(lateral) - 1 : bottom], descend)
         if not np.array_equal(rows[bottom:], descend[-2::-1]):
             not_reversed.append((x, y))
-    assert calls == [2] * 77
+    assert calls == [1] * 77
     assert not_reversed == []
+
+
+COORD = st.floats(-450.0, 450.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=COORD,
+    y=COORD,
+    from_xy=st.none() | st.tuples(COORD, COORD),
+    plate_z=st.sampled_from([25.0, 60.0]),
+    floor_mode=st.sampled_from(["table", "skip"]),
+    sigma=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
+    drift=st.sampled_from([0.0, 1e308]) | st.floats(-1000.0, 1000.0),
+    seed=st.integers(0, 2**32),
+    index=st.integers(0, 10_000),
+)
+# a lateral leg that fails, a descent that fails after a lateral that
+# does not, a contact past the reach, and a zero-length descent onto a
+# plate at the safe height
+@example(x=123.0, y=-207.0, from_xy=(-413.0, -435.0), plate_z=25.0, floor_mode="table",
+         sigma=0.0, drift=0.0, seed=0, index=1)
+@example(x=-382.0, y=-442.0, from_xy=(-187.0, -89.0), plate_z=25.0, floor_mode="table",
+         sigma=0.0, drift=0.0, seed=0, index=1)
+@example(x=300.0, y=0.0, from_xy=(290.0, 5.0), plate_z=25.0, floor_mode="table",
+         sigma=0.0, drift=1e308, seed=0, index=2)
+@example(x=300.0, y=0.0, from_xy=(290.0, 5.0), plate_z=60.0, floor_mode="table",
+         sigma=0.0, drift=0.0, seed=0, index=0)
+def test_probe_cycle_matches_one_solve_per_leg(
+    x, y, from_xy, plate_z, floor_mode, sigma, drift, seed, index
+):
+    # the one-call cycle against the two-call one it replaced: the same
+    # contact and the same rows, bit for bit
+    kw = dict(
+        safe_z=60.0, geom=RobotGeometry(), scene=plate_scene(plate_z, floor_mode=floor_mode),
+        noise=NoiseModel(sigma_contact=sigma, drift_per_contact=drift, seed=seed),
+        contact_index=index, from_xy=from_xy,
+    )
+    (kind, z_true, z_measured), rows = probe_cycle(x, y, **kw)
+    (ref_kind, ref_true, ref_measured), ref_rows = probe_cycle_per_leg(x, y, **kw)
+    assert kind == ref_kind
+    assert np.array([z_true, z_measured]).tobytes() == np.array([ref_true, ref_measured]).tobytes()
+    assert rows.shape == ref_rows.shape
+    assert rows.tobytes() == ref_rows.tobytes()
 
 
 def test_probe_cycle_deterministic(geom):

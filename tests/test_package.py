@@ -105,11 +105,11 @@ def test_benchmark_tracer_binds_every_site():
     finally:
         tracer.restore()
     calls = Counter(span[0] for span in tracer.spans)
-    # one cycle and one raycast per cell; every cell but the first has
-    # a lateral leg before its descent; one precheck solve per cell
+    # one cycle, one raycast and one solve of both legs per cell; one
+    # precheck solve per column
     assert calls["motion.probe_cycle"] == calls["scene.raycast_down"] == 12
-    assert calls["motion.plan_line"] == 2 * 12 - 1
-    assert calls["kinematics.inverse_kinematics"] == 12 + 2 * 12 - 1
+    assert calls["motion.plan_line"] == 12
+    assert calls["kinematics.inverse_kinematics"] == 4 + 12
 
 
 def test_only_compare_imports_scipy(tmp_path):
@@ -142,7 +142,7 @@ INVARIANT_VALUE_ERRORS = {
     ("meshio", "TriangleMesh.__post_init__"),  # normals count
     ("meshio", "TriangleMesh.from_vertices"),  # degenerate facet
     ("kinematics", "inverse_kinematics"),  # rotation not orthonormal
-    ("kinematics", "_solve_point"),  # NaN target
+    ("kinematics", "_closed_form.solve"),  # NaN target
     ("metrics", "chamfer_distance"),  # empty cloud
 }
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from armscan import motion, scanner
-from armscan.kinematics import RobotGeometry, UnreachableError
+from armscan import scene as scene_module
+from armscan.kinematics import ConfigError, RobotGeometry, UnreachableError, is_reachable
 from armscan.meshio import write_stl_binary
+from armscan.motion import line_waypoints
 from armscan.objects import make_plate, make_wing
 from armscan.scanner import (
     PointGrid,
@@ -22,6 +24,7 @@ from armscan.scene import (
     NoiseModel,
     TargetScene,
     probe_contact,
+    raycast_down,
 )
 
 from oracles import plan_line_loop, scan_reference, triangulate_loop
@@ -64,6 +67,24 @@ def test_grid_rejects_non_finite_number(name, value):
     fields[name] = value
     with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
         ScanGrid(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields, corner",
+    [
+        ((1e308, 0.0, 2, 1, 1e308, 1.0), r"\(2, 1\) is at \(inf, 0\) mm"),
+        ((0.0, -1e308, 1, 3, 1.0, 1.5e308), r"\(1, 3\) is at \(0, inf\) mm"),
+    ],
+    ids=["rows", "cols"],
+)
+def test_grid_rejects_coordinates_that_overflow(fields, corner):
+    # the lattice used to build with an inf coordinate and a numpy
+    # RuntimeWarning, and its job failed later as an unreachable grid
+    with pytest.raises(ConfigError, match=f"^grid coordinates overflow: the far corner {corner}$"):
+        ScanGrid(*fields)
+    # a far corner near the top of the float range still builds
+    xs, _ = ScanGrid(8e307, 0.0, 2, 1, 8e307, 1.0).axes()
+    assert xs.tolist() == [8e307, 1.6e308]
 
 
 def test_grid_point_bound_checked_before_axes(monkeypatch):
@@ -134,6 +155,26 @@ def test_scan_unreachable_grid_aborts_before_probing(geom):
     assert all(1 <= i <= 4 and 1 <= k <= 4 for i, k in err.value.indices)
 
 
+def test_scan_unreachable_grid_lists_every_offender(geom, monkeypatch):
+    # the precheck solves a column per call; once one fails, each point is
+    # checked alone, so the error lists every offender with the first
+    # one's reason, as a point-by-point precheck does
+    grid = ScanGrid(470.0, -200.0, 6, 5, 30.0, 100.0, safe_z=60.0)
+    xs, ys = (a.tolist() for a in grid.axes())
+    checks = [
+        ((i + 1, k + 1), is_reachable((xs[i], ys[k], grid.safe_z), geom))
+        for i, k in grid.probe_order()
+    ]
+    offenders = [ik for ik, (ok, _) in checks if not ok]
+    first_reason = next(why for _, (ok, why) in checks if not ok)
+    assert 8 < len(offenders) < grid.point_count
+    monkeypatch.setattr(scanner, "probe_cycle", lambda *a, **k: pytest.fail("probing started"))
+    with pytest.raises(UnreachableGridError) as err:
+        run_scan(grid, geom, plate_scene(), NoiseModel())
+    assert err.value.indices == offenders
+    assert str(err.value) == str(UnreachableGridError(offenders, first_reason))
+
+
 def test_scan_rejects_a_table_below_the_lowest_tip_height():
     # d1 - l2 - d4 - d6 = 170 - 305 - 222 - 70: the wrist center hangs
     # straight below the shoulder, the tip d6 under it
@@ -175,10 +216,19 @@ def lateral_leg_fails(grid, geom) -> bool:
     cells = [(xs[i], ys[k], grid.safe_z) for i, k in grid.probe_order()]
     for start, end in zip(cells, cells[1:]):
         try:
-            plan_line_loop(start, end, geom)
+            plan_line_loop(line_waypoints(start, end), geom)
         except UnreachableError:
             return True
     return False
+
+
+# (grid, scene, noise) with cells on both sides of the base, so that
+# lateral legs across it fail
+FAILING_LATERALS = (
+    ScanGrid(-200.0, -10.0, 2, 3, 400.0, 200.0, safe_z=60.0),
+    TargetScene(make_plate(-300.0, -300.0, 600.0, 800.0, 25.0)),
+    NoiseModel(sigma_contact=0.02, drift_per_contact=0.001, seed=3),
+)
 
 
 @pytest.mark.parametrize(
@@ -197,9 +247,7 @@ def lateral_leg_fails(grid, geom) -> bool:
          TargetScene(make_wing(220.0, -70.0), floor_mode="skip"),
          NoiseModel(sigma_contact=0.05, seed=2), True, False),
         # cells on both sides of the base: lateral legs across it fail
-        (ScanGrid(-200.0, -10.0, 2, 3, 400.0, 200.0, safe_z=60.0),
-         TargetScene(make_plate(-300.0, -300.0, 600.0, 800.0, 25.0)),
-         NoiseModel(sigma_contact=0.02, drift_per_contact=0.001, seed=3), False, True),
+        (*FAILING_LATERALS, False, True),
         # the 3x4 plate under a drift that lifts 9 of the 12 contacts past
         # the arm's reach: those cells are unreachable before their descents
         # are planned, and the trace holds 275 rows
@@ -228,6 +276,29 @@ def test_scan_matches_cell_by_cell_reference(
     assert result.trace.angles.tobytes() == angles.tobytes()
     assert result.mesh.vertices.shape == facets.shape
     assert result.mesh.vertices.tobytes() == facets.tobytes()
+
+
+def test_scan_takes_one_contact_per_cell_when_a_lateral_leg_fails(geom, monkeypatch):
+    # a cell whose lateral leg fails still casts its ray, so the rays
+    # equal the points probed and the cycles' rows sum to the trace
+    grid, scene, noise = FAILING_LATERALS
+    rays, rows = [], []
+
+    def counting_raycast(*args):
+        rays.append(args[:2])
+        return raycast_down(*args)
+
+    def counting_probe_cycle(*args, **kwargs):
+        contact, angles = motion.probe_cycle(*args, **kwargs)
+        rows.append(len(angles))
+        return contact, angles
+
+    monkeypatch.setattr(scene_module, "raycast_down", counting_raycast)
+    monkeypatch.setattr(scanner, "probe_cycle", counting_probe_cycle)
+    result = run_scan(grid, geom, scene, noise)
+    assert (result.points.kinds == CONTACT_UNREACHABLE).any()
+    assert len(rays) == len(rows) == grid.point_count == 6
+    assert sum(rows) == len(result.trace)
 
 
 def test_grid_spacing_below_corner_resolution_rejected():
