@@ -31,13 +31,17 @@ solved: the elbow always sits above the shoulder-to-wrist chord.
 
 `inverse_kinematics` solves one pose or a whole path of points under one
 rotation with one closed form (Pieper's spherical-wrist decoupling) in
-scalar `math` code, and returns the joint angles alone.  A path is that
-closed form applied point by point, after one rotation check for the
-whole path; its error is the first failing point's, the message
-prefixed `waypoint i at (x, y, z): `.  Each call sets the closed form
-up once (`_closed_form`): the link lengths, the tip-to-wrist offset,
-the rotation entries and the widened joint limits are read per call,
-not per point, so a long path spreads that set-up over its points.
+scalar `math` code, and returns the joint angles alone.  A path is
+`solve_path`, the one path loop, after one rotation check for the whole
+path.  `solve_path` takes the points as (x, y, z) float triples and the
+rotation as nested floats, and gives a tuple of six angles per point;
+its error is the first failing point's, the message prefixed
+`waypoint i at (x, y, z): `.  It sets the closed form up once
+(`_closed_form`): the link lengths, the tip-to-wrist offset, the
+rotation entries and the widened joint limits are read per call, not
+per point, so a long path spreads that set-up over its points.
+Straight-line legs (`motion.plan_line`) call it directly under the
+tool-down rotation, with no `Pose` and no array.
 
 A pose the arm cannot take raises `UnreachableError`; a solved angle
 past its stop is one kind of it, the subclass `JointLimitError`, so one
@@ -349,11 +353,9 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry):
     """Solve the elbow-up joint tuple reproducing `pose`.
 
     Returns the JointAngles of a one-point pose.  A path, an (N, 3)
-    position, is the same closed form, set up once, solved point by
-    point after one rotation check; it returns an (N, 6) angle array
-    built once from one flat list of angles, and a failure
-    raises the first unsolvable point's error, its message prefixed
-    ``waypoint i at (x, y, z): ``.
+    position, is `solve_path` after one rotation check; it returns an
+    (N, 6) angle array, and a failure raises the first unsolvable
+    point's error, its message prefixed ``waypoint i at (x, y, z): ``.
 
     All quadrant-sensitive inverse tangents are two-argument.  A
     straight-down (or straight-up) tool makes joint 4 indeterminate; it
@@ -375,18 +377,32 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry):
     error = pose.rotation_error()
     if not error <= 1e-9:  # a NaN error fails too
         raise ValueError(f"pose rotation is not orthonormal (error {error:.2e})")
-    solve, _ = _closed_form(pose.rotation.tolist(), geom)
     if pose.position.ndim == 1:
+        solve, _ = _closed_form(pose.rotation.tolist(), geom)
         return JointAngles(*solve(*pose.position.tolist()))
-
-    rows = []  # flat: six angles per point
-    for x, y, z in pose.position.tolist():
-        try:
-            rows += solve(x, y, z)
-        except UnreachableError as exc:
-            where = f"waypoint {len(rows) // 6} at ({x:.3f}, {y:.3f}, {z:.3f})"
-            raise type(exc)(f"{where}: {exc}") from None
+    rows = solve_path(pose.position.tolist(), pose.rotation.tolist(), geom)
     return np.array(rows, dtype=float).reshape(-1, 6)
+
+
+def solve_path(points, rot: list, geom: RobotGeometry) -> list:
+    """The closed form set up once under `rot` (nested floats, unchecked),
+    then solved point by point.
+
+    `points` is a sequence of (x, y, z) float triples.  Returns a list
+    with a tuple of six joint angles per point.  The first point neither
+    branch solves raises its error, the message prefixed
+    ``waypoint i at (x, y, z): ``; a NaN coordinate's ValueError
+    propagates as it is.
+    """
+    solve, _ = _closed_form(rot, geom)
+    rows = []
+    for x, y, z in points:
+        try:
+            rows.append(solve(x, y, z))
+        except UnreachableError as exc:
+            where = f"waypoint {len(rows)} at ({x:.3f}, {y:.3f}, {z:.3f})"
+            raise type(exc)(f"{where}: {exc}") from None
+    return rows
 
 
 def is_reachable(point, geom: RobotGeometry) -> tuple:

@@ -289,6 +289,7 @@ def test_a(
     dirs = probe_directions()
 
     measured = []
+    errors = noise.errors(range(len(dirs))).tolist()
     for index, outward in enumerate(dirs):
         nominal = center + radius * outward
         try:
@@ -298,7 +299,7 @@ def test_a(
                 f"sphere probe point {index + 1} at "
                 f"({nominal[0]:.3f}, {nominal[1]:.3f}, {nominal[2]:.3f}): {exc}"
             ) from None
-        measured.append(nominal + noise.error_at(index) * outward)
+        measured.append(nominal + errors[index] * outward)
 
     fit = fit_sphere(PointCloud(np.array(measured)))
     rows = tuple(
@@ -364,12 +365,7 @@ def test_b(
         ok, why = is_reachable((distance, 0.0, 0.0), geom)
         if not ok:
             raise UnreachableError(f"test point at {distance} mm: {why}")
-        zs = np.array(
-            [
-                noise.error_at(which * repeats + j)
-                for j in range(repeats)
-            ]
-        )
+        zs = noise.errors(range(which * repeats, (which + 1) * repeats))
         pts = np.column_stack(
             [np.full(repeats, distance), np.zeros(repeats), zs]
         )

@@ -1,20 +1,23 @@
 """Straight-line Cartesian planning and the touch-probe motion cycle.
 
 Planning is quasi-static: a leg is a uniform chain of position
-waypoints at most `STEP` apart (`line_waypoints`) under the tool-down
-orientation.  `plan_line` solves a path of waypoints (an (N, 3)
-position) in one IK call: the rotation is checked and the closed form
-set up once, then it solves waypoint by waypoint, and the path comes
-back as an (N, 6) angle array, a row per waypoint.  No velocity profile
-exists; the rows are the sequence an open-loop controller would stream.
+waypoints at most `STEP` apart (`line_waypoints`, a list of (x, y, z)
+float triples) under the tool-down orientation.  `plan_line` solves a
+path of such waypoints in one `kinematics.solve_path` call, the closed
+form set up once under the tool-down rotation, with no `Pose`, no
+rotation check and no array; the path comes back as a list with a tuple
+of six angles per waypoint.  No velocity profile exists; the rows are
+the sequence an open-loop controller would stream.
 
 A probe cycle is two such lines, lateral travel at the safe height and
 descent to the contact, then the retract: the descent's rows replayed
 in reverse back to the safe height, with no further IK.  The cycle
-takes its contact first and solves both legs end to end in one
-`plan_line` call; only when that fails is the lateral leg solved again
-alone.  Contact heights come from the scene's exact raycast; the
-descent step size only shapes the joint log, never the measurement.
+takes its contact first, with the error its caller drew for it, and
+solves both legs end to end in one `plan_line` call; only when that
+fails is the lateral leg solved again alone.  The legs are joined as
+lists of row tuples, and each cycle builds one (N, 6) array.  Contact
+heights come from the scene's exact raycast; the descent step size
+only shapes the joint log, never the measurement.
 
 Within a cycle the legs share their seam row once.  Cycles are
 concatenated whole: each lateral leg starts with the row the previous
@@ -30,14 +33,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import (
+# inverse_kinematics is not called here; it stays bound by name because
+# armbench/tracer.py wraps every module's binding of it.
+from .kinematics import (  # noqa: F401
     TOOL_DOWN_ROTATION,
-    Pose,
     RobotGeometry,
     UnreachableError,
     inverse_kinematics,
+    solve_path,
 )
-from .scene import CONTACT_UNREACHABLE, NoiseModel, TargetScene, probe_contact
+from .scene import CONTACT_NONE, CONTACT_UNREACHABLE, TargetScene, probe_contact
 
 # Longest gap (mm) between consecutive waypoints of a leg.
 STEP = 5.0
@@ -46,23 +51,30 @@ CSV_HEADER = (
     "waypoint,theta1_deg,theta2_deg,theta3_deg,theta4_deg,theta5_deg,theta6_deg\n"
 )
 
+_TOOL_DOWN = TOOL_DOWN_ROTATION.tolist()
 
-def line_waypoints(start, end) -> np.ndarray:
-    """(N, 3) uniform interpolation of a segment, endpoints exact,
-    spacing <= STEP.
+
+def line_waypoints(start, end) -> list:
+    """Uniform interpolation of a segment as (x, y, z) float triples,
+    endpoints included, spacing <= STEP.
 
     A degenerate segment yields the single start point.  The 1e-9
     slack keeps an exact multiple of STEP from picking up a phantom
-    extra interval through float rounding.
+    extra interval through float rounding.  Waypoint j of n intervals
+    is `start + (j / n) * (end - start)`, per coordinate in IEEE
+    doubles, the operations of the array form `start + t[:, None] * d`.
     """
-    start = np.asarray(start, dtype=float)
-    d = np.asarray(end, dtype=float) - start
-    length = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic on a vector
+    sx, sy, sz = (float(v) for v in start)
+    ex, ey, ez = (float(v) for v in end)
+    dx, dy, dz = ex - sx, ey - sy, ez - sz
+    d = np.array((dx, dy, dz))
+    # np.linalg.norm's arithmetic on a vector: a BLAS dot may fuse its
+    # products, so a Python sum of squares can round differently
+    length = math.sqrt(d.dot(d))
     if length < 1e-12:
-        return start[None, :].copy()
-    intervals = max(1, math.ceil(length / STEP - 1e-9))
-    t = np.arange(intervals + 1) / intervals
-    return start + t[:, None] * d
+        return [(sx, sy, sz)]
+    n = max(1, math.ceil(length / STEP - 1e-9))
+    return [(sx + t * dx, sy + t * dy, sz + t * dz) for t in [j / n for j in range(n + 1)]]
 
 
 @dataclass
@@ -95,15 +107,16 @@ class JointTrace:
         )
 
 
-def plan_line(waypoints, geom: RobotGeometry) -> np.ndarray:
+def plan_line(waypoints, geom: RobotGeometry) -> list:
     """Solve tool-down IK for every waypoint of a path in one call.
 
-    `waypoints` is an (N, 3) array of positions (mm), such as
-    `line_waypoints` gives.  Returns the (N, 6) joint angles, a row per
-    waypoint.  Raises UnreachableError (JointLimitError past a joint
-    stop) naming the first offending waypoint's index and position.
+    `waypoints` is a sequence of (x, y, z) float triples (mm), such as
+    `line_waypoints` gives.  Returns a list with a tuple of six joint
+    angles per waypoint.  Raises UnreachableError (JointLimitError past
+    a joint stop) naming the first offending waypoint's index and
+    position.
     """
-    return inverse_kinematics(Pose(TOOL_DOWN_ROTATION, waypoints), geom)
+    return solve_path(waypoints, _TOOL_DOWN, geom)
 
 
 def probe_cycle(
@@ -113,38 +126,40 @@ def probe_cycle(
     safe_z: float,
     geom: RobotGeometry,
     scene: TargetScene,
-    noise: NoiseModel,
-    contact_index: int,
+    error: float,
     from_xy=None,
 ) -> tuple:
     """One touch: travel over (x, y), descend to contact, retract.
 
-    Returns ((kind, z_true, z_measured), angles), the contact as
-    `probe_contact` gives it and the cycle's (N, 6) joint angles.  The
-    angles start and end at the safe height; seam waypoints shared
-    between legs appear once.  The contact is taken first, then both
-    legs are solved end to end in one `plan_line` call; the retract
-    replays the descent's rows in reverse, so only the lateral leg or
-    the descent can fail.  Then the contact is (CONTACT_UNREACHABLE,
-    nan, nan), a kind distinct from a no-contact miss, and the angles
+    `error` is the contact's measurement error, drawn by the caller
+    (`NoiseModel.errors` at the contact's ordinal).  Returns
+    ((kind, z_true, z_measured), angles), the contact as `probe_contact`
+    gives it and the cycle's (N, 6) joint angles.  The angles start and
+    end at the safe height; seam waypoints shared between legs appear
+    once.  The contact is taken first; the descent stops at the table
+    on a miss (kind "none") and at the measured height otherwise.  Both
+    legs are then solved end to end in one `plan_line` call; the
+    retract replays the descent's rows in reverse, so only the lateral
+    leg or the descent can fail.  A measured height that is not finite,
+    or lies more than STEP past the tool-down tip band, fails with no
+    descent planned.  A failed cycle's contact is (CONTACT_UNREACHABLE,
+    nan, nan), a kind distinct from a no-contact miss, and its angles
     hold only the lateral travel, re-planned alone and still ending at
     the safe height, or nothing if that leg fails.
     """
-    contact = probe_contact(x, y, contact_index, scene, noise)
-    z_measured = contact[2]
-    z_stop = scene.table_z if math.isnan(z_measured) else z_measured
-    lateral = np.zeros((0, 3))
-    if from_xy is not None:
-        lateral = line_waypoints((*from_xy, safe_z), (x, y, safe_z))
+    contact = probe_contact(x, y, scene, error)
+    z_stop = scene.table_z if contact[0] == CONTACT_NONE else contact[2]
+    lateral = [] if from_xy is None else line_waypoints((*from_xy, safe_z), (x, y, safe_z))
     # A tool-down tip at z_stop puts the wrist center z_stop + d6 - d1
     # above the shoulder, out of reach past l2 + d4: that descent fails
     # anyway, and toward a huge drifted height it would plan unboundedly
-    # many waypoints.  STEP of slack leaves the boundary to the IK.
+    # many waypoints.  STEP of slack leaves the boundary to the IK.  A
+    # NaN height fails the comparison too.
     reach = geom.l2 + geom.d4 + STEP
     if -reach <= z_stop + geom.d6 - geom.d1 <= reach:
         descent = line_waypoints((x, y, safe_z), (x, y, z_stop))
         try:
-            rows = plan_line(np.concatenate([lateral, descent]), geom)
+            rows = plan_line(lateral + descent, geom)
         except UnreachableError:
             pass
         else:
@@ -154,10 +169,10 @@ def probe_cycle(
             n = len(lateral)
             descend = rows[n:]
             retract = descend[-2::-1]  # back up the same line, less the contact row
-            return contact, np.concatenate([rows[:n], descend[1:] if n else descend, retract])
+            return contact, np.array(rows[:n] + (descend[1:] if n else descend) + retract)
 
     try:
         lateral_rows = plan_line(lateral, geom)
     except UnreachableError:
-        lateral_rows = np.zeros((0, 6))
-    return (CONTACT_UNREACHABLE, math.nan, math.nan), lateral_rows
+        lateral_rows = []
+    return (CONTACT_UNREACHABLE, math.nan, math.nan), np.array(lateral_rows).reshape(-1, 6)

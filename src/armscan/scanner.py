@@ -5,7 +5,9 @@ Probing visits column after column, ascending row within each column,
 so the contact ordinal of cell (i, k) is k * n_rows + i (0-based).  The
 error model's cumulative drift therefore compounds along the scan
 exactly in probe order.  Before any probing, a precheck solves the
-safe-height points of each column in one IK call.
+safe-height points of each column in one path solve, and every
+contact's error is drawn in one `NoiseModel.errors` batch; the per-cell
+loop then does only per-cell work: one raycast and one probe cycle.
 
 Each completed cell (i, k) with all four corners contacted yields two
 triangles with a fixed vertex sequence:
@@ -37,10 +39,11 @@ from .scene import (
 )
 
 DEFAULT_SAFE_Z = 60.0
-# Most probe points a grid may have.  A scan costs about 0.2 ms per
-# point (a 51 x 47 grid over the wing, trace CSV included, on a 2-core
-# x86 host), so this is minutes of work; a mistyped 100000 x 100000 grid
-# would otherwise spend hours in the precheck before any motion.
+# Most probe points a grid may have.  A scan costs about 0.1 ms per
+# point (0.105 ms on a 51 x 47 grid over the wing, trace CSV included,
+# on a 2-core x86 Xeon host), so this is minutes of work; a mistyped
+# 100000 x 100000 grid would otherwise spend hours in the precheck
+# before any motion.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -249,8 +252,10 @@ def run_scan(
     take, `d1 - l2 - d4 - d6` (ConfigError otherwise: a miss would plan
     a descent through waypoints it can never reach).  Every grid
     point must be reachable at the safe height before any probing
-    starts, solved one IK call per lattice column; otherwise
+    starts, solved one path per lattice column; otherwise
     UnreachableGridError lists the offenders and no motion is logged.
+    The contact errors are drawn once for the whole lattice, in probe
+    order, and each cycle gets its own.
     Per-point descent failures during the scan do not abort it: they
     mark the cell unreachable, with NaN heights, and leave holes in the
     mesh.
@@ -266,20 +271,18 @@ def run_scan(
             f"table plane at {scene.table_z:g} mm is below the lowest tool-down "
             f"tip height {lowest:g} mm"
         )
-    xs, ys = grid.axes()
+    xs, ys = (a.tolist() for a in grid.axes())
     # One solve per column; a column, not the whole grid, bounds the
     # angles a solve holds.  A failure re-checks every point alone, so
     # the error lists each offender.
-    column = np.empty((grid.n_rows, 3))
-    column[:, 0], column[:, 2] = xs, grid.safe_z
     try:
-        for y in ys.tolist():
-            column[:, 1] = y
-            plan_line(column, geom)
+        for y in ys:
+            plan_line([(x, y, grid.safe_z) for x in xs], geom)
     except UnreachableError:
         raise UnreachableGridError(*_unreachable_points(grid, geom)) from None
-    xs, ys = xs.tolist(), ys.tolist()
 
+    # every contact's error, in probe order: the probe index is the ordinal
+    errors = noise.errors(range(grid.point_count))
     shape = (grid.n_rows, grid.n_cols)
     kinds = np.full(shape, CONTACT_UNREACHABLE)  # the longest kind name sets the width
     z_true, z_measured = np.full(shape, np.nan), np.full(shape, np.nan)
@@ -293,8 +296,7 @@ def run_scan(
             safe_z=grid.safe_z,
             geom=geom,
             scene=scene,
-            noise=noise,
-            contact_index=grid.contact_ordinal(i, k),
+            error=errors.item(grid.contact_ordinal(i, k)),
             from_xy=last_xy,
         )
         legs.append(cycle)

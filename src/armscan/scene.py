@@ -6,6 +6,8 @@ come from exact ray-triangle intersection, never from stepping, so
 measurement accuracy is independent of any motion step size.  The error
 model adds a per-contact Gaussian term plus a cumulative linear drift,
 reproducing a hard-stop trigger whose deviation compounds over a scan.
+A scan draws every contact's error in one `NoiseModel.errors` batch
+before it probes, and hands each touch its own.
 
 A contact is a (kind, z_true, z_measured) triple of plain values; NaN
 is the only encoding of "no height", for a miss and for a point the arm
@@ -165,13 +167,97 @@ def raycast_down(x: float, y: float, scene: TargetScene):
     return best
 
 
+# numpy's SeedSequence hash constants and PCG64 multiplier (NEP 19 keeps
+# them stable): `_pcg64_states` repeats `default_rng`'s seeding with them.
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Ordinals hashed together: a block, never a whole grid, sets the size
+# of the uint32 columns and the Python-int lists.
+NOISE_BLOCK = 4096
+
+
+def _width(n: int) -> int:
+    """How many 32-bit words SeedSequence reads from the int `n`: at
+    least one, least significant first."""
+    return max(1, (n.bit_length() + 31) // 32)
+
+
+def _pcg64_states(seed: int, ordinals: list) -> list:
+    """The PCG64 (state, inc) that `default_rng((seed, i))` starts from,
+    for each ordinal i.
+
+    SeedSequence's hashmix and mix run in uint32 columns, one per
+    ordinal, over the ordinals with the same number of words; numpy
+    arrays wrap without a warning where scalars would warn.  Then
+    PCG64's set-seed runs in Python ints: state 0, one step, add the
+    initial state, one step.
+    """
+    states = [None] * len(ordinals)
+    groups = {}
+    for j, i in enumerate(ordinals):
+        groups.setdefault(_width(i), []).append(j)
+    for width, columns in groups.items():
+        entropy = [
+            np.full(len(columns), seed >> 32 * q & _MASK32, dtype=np.uint32)
+            for q in range(_width(seed))
+        ]
+        entropy += [
+            np.array([ordinals[j] >> 32 * q & _MASK32 for j in columns], dtype=np.uint32)
+            for q in range(width)
+        ]
+        # a pool word with no entropy word hashes a zero
+        entropy += [np.zeros(len(columns), dtype=np.uint32)] * (4 - len(entropy))
+        const = _INIT_A
+
+        def hashmix(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * _MULT_A & _MASK32
+            value = value * np.uint32(const)
+            return value ^ (value >> 16)
+
+        def mix(x, y):
+            value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+            return value ^ (value >> 16)
+
+        pool = [hashmix(value) for value in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for value in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(value))
+
+        # generate_state(4, uint64): eight words, paired little-endian
+        # into the seed's and the stream's high and low halves
+        const, words = _INIT_B, []
+        for q in range(8):
+            value = pool[q % 4] ^ np.uint32(const)
+            const = const * _MULT_B & _MASK32
+            value = value * np.uint32(const)
+            words.append((value ^ (value >> 16)).astype(np.uint64))
+        halves = [(words[q + 1] << np.uint64(32) | words[q]).tolist() for q in range(0, 8, 2)]
+        for j, high, low, inc_high, inc_low in zip(columns, *halves):
+            inc = (inc_high << 65 | inc_low << 1 | 1) & _MASK128
+            states[j] = (((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128, inc)
+    return states
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Contact measurement error: z = true + sigma*N(0,1) + drift*index.
 
-    Draws are keyed by (seed, contact_index), so the error at a given
-    contact ordinal is a pure function of the configuration: reruns are
-    bit-identical and errors at earlier indices never shift later ones.
+    Draws are keyed by (seed, contact_index): the Gaussian is the first
+    `standard_normal()` of `default_rng((seed, contact_index))`, so the
+    error at a given contact ordinal is a pure function of the
+    configuration: reruns are bit-identical and errors at earlier
+    indices never shift later ones.  `errors` takes many ordinals at
+    once and seeds no generator per ordinal; `error_at` is its
+    one-ordinal case.
     """
 
     sigma_contact: float = 0.0
@@ -187,25 +273,48 @@ class NoiseModel:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
+    def errors(self, ordinals) -> np.ndarray:
+        """The error at each of `ordinals` (a sequence of non-negative
+        ints, such as a range), as a float64 array in the same order.
+
+        Each is `sigma * g + drift * i` in Python floats, g the draw of
+        ordinal i, or `0.0 + drift * i` with no draw when sigma is 0;
+        an overflow gives inf or NaN without a warning.  The ordinals
+        are seeded NOISE_BLOCK at a time.  One generator serves the
+        call: it is set to each ordinal's PCG64 state in turn.
+        """
+        sigma, drift = self.sigma_contact, self.drift_per_contact
+        out = np.empty(len(ordinals))
+        generator = np.random.Generator(np.random.PCG64(0))
+        bits = generator.bit_generator
+        for start in range(0, len(ordinals), NOISE_BLOCK):
+            block = [int(i) for i in ordinals[start : start + NOISE_BLOCK]]
+            if sigma > 0.0:
+                values = []
+                for i, (state, inc) in zip(block, _pcg64_states(int(self.seed), block)):
+                    bits.state = {
+                        "bit_generator": "PCG64",
+                        "state": {"state": state, "inc": inc},
+                        "has_uint32": 0,
+                        "uinteger": 0,
+                    }
+                    values.append(sigma * generator.standard_normal() + drift * i)
+            else:
+                values = [0.0 + drift * i for i in block]
+            out[start : start + len(block)] = values
+        return out
+
     def error_at(self, contact_index: int) -> float:
-        gauss = 0.0
-        if self.sigma_contact > 0.0:
-            rng = np.random.default_rng((self.seed, contact_index))
-            gauss = self.sigma_contact * rng.standard_normal()
-        return gauss + self.drift_per_contact * contact_index
+        return self.errors((contact_index,)).item(0)
 
 
-def probe_contact(
-    x: float,
-    y: float,
-    contact_index: int,
-    scene: TargetScene,
-    noise: NoiseModel,
-) -> tuple:
-    """Simulate one touch at (x, y), the contact_index-th of its scan.
+def probe_contact(x: float, y: float, scene: TargetScene, error: float) -> tuple:
+    """Simulate one touch at (x, y) whose measurement is off by `error`.
 
     Returns (kind, z_true, z_measured): kind is "mesh" or "table" with
-    both heights, or "none" (a skip-mode miss) with both heights NaN.
+    the height found and that height plus `error`, or "none" (a
+    skip-mode miss) with both heights NaN.  The measured height is not
+    finite where the error is not.
     """
     z = raycast_down(x, y, scene)
     if z is not None:
@@ -215,4 +324,4 @@ def probe_contact(
         kind = CONTACT_TABLE
     else:
         return CONTACT_NONE, math.nan, math.nan
-    return kind, z, z + noise.error_at(contact_index)
+    return kind, z, z + error

@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
+from armscan import motion
 from armscan.kinematics import (
     TOOL_DOWN_ROTATION,
     JointLimitError,
@@ -19,7 +20,7 @@ from armscan.kinematics import (
     UnreachableError,
     inverse_kinematics,
 )
-from armscan.motion import CSV_HEADER, STEP, line_waypoints
+from armscan.motion import CSV_HEADER
 from armscan.scene import (
     BBOX_PAD,
     CONTACT_MESH,
@@ -277,8 +278,33 @@ def triangulate_loop(cells, n_rows, n_cols):
     return np.array(facets, dtype=float).reshape(-1, 3, 3)
 
 
+def noise_reference(noise, index):
+    """`NoiseModel.error_at` with a generator seeded per contact: the
+    first `standard_normal()` of `default_rng((seed, index))`, scaled,
+    plus the drift, all in Python floats; no draw when sigma is 0."""
+    gauss = 0.0
+    if noise.sigma_contact > 0.0:
+        rng = np.random.default_rng((noise.seed, index))
+        gauss = noise.sigma_contact * rng.standard_normal()
+    return gauss + noise.drift_per_contact * index
+
+
+def line_waypoints_reference(start, end):
+    """`motion.line_waypoints` as an (N, 3) array: `start + t * d` over
+    `t = arange(n + 1) / n`, with `motion.STEP` read at the call."""
+    start = np.asarray(start, dtype=float)
+    d = np.asarray(end, dtype=float) - start
+    length = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic on a vector
+    if length < 1e-12:
+        return start[None, :].copy()
+    intervals = max(1, math.ceil(length / motion.STEP - 1e-9))
+    t = np.arange(intervals + 1) / intervals
+    return start + t[:, None] * d
+
+
 def plan_line_loop(waypoints, geom):
-    """`motion.plan_line` one waypoint at a time through the scalar IK.
+    """`motion.plan_line` one waypoint at a time through the scalar IK:
+    a list with the JointAngles of each waypoint.
 
     The first waypoint neither branch solves raises the scalar error,
     prefixed with the waypoint's index and position.
@@ -290,28 +316,43 @@ def plan_line_loop(waypoints, geom):
             rows.append(inverse_kinematics(Pose(TOOL_DOWN_ROTATION, pos), geom))
         except (UnreachableError, JointLimitError) as exc:
             raise type(exc)(f"{where}: {exc}") from None
+    return rows
+
+
+def _leg(start, end, geom):
+    """The (N, 6) angles of one straight leg, waypoint by waypoint."""
+    rows = plan_line_loop(line_waypoints_reference(start, end), geom)
     return np.array(rows, dtype=float).reshape(-1, 6)
 
 
-def probe_cycle_per_leg(x, y, *, safe_z, geom, scene, noise, contact_index, from_xy=None):
+def _tip_band(geom):
+    """(lowest, highest) tool-down tip height the descent may aim at:
+    the wrist center d6 above the tip, at most l2 + d4 from the
+    shoulder's height d1, widened by `motion.STEP`."""
+    slack = geom.l2 + geom.d4 + motion.STEP
+    return geom.d1 - geom.d6 - slack, geom.d1 - geom.d6 + slack
+
+
+def probe_cycle_per_leg(x, y, *, safe_z, geom, scene, error, from_xy=None):
     """`motion.probe_cycle` as two solves, one per leg, through `plan_line_loop`.
 
     The lateral leg is planned first and its failure ends the cycle
     before the contact is taken; then the contact, the reach bound on
-    its height, and the descent.  The retract is the descent reversed
+    its height, and the descent: to the table on a miss, to the
+    measured height on a touch.  The retract is the descent reversed
     less its contact row; a failed cycle is (CONTACT_UNREACHABLE, nan,
     nan) with the lateral rows alone.
     """
     lateral = np.zeros((0, 6))
     try:
         if from_xy is not None:
-            lateral = plan_line_loop(line_waypoints((*from_xy, safe_z), (x, y, safe_z)), geom)
-        contact = probe_contact(x, y, contact_index, scene, noise)
-        z_stop = scene.table_z if math.isnan(contact[2]) else contact[2]
-        reach = geom.l2 + geom.d4 + STEP
-        if not -reach <= z_stop + geom.d6 - geom.d1 <= reach:
+            lateral = _leg((*from_xy, safe_z), (x, y, safe_z), geom)
+        contact = probe_contact(x, y, scene, error)
+        z_stop = scene.table_z if contact[0] == CONTACT_NONE else contact[2]
+        low, high = _tip_band(geom)
+        if not low <= z_stop <= high:
             raise UnreachableError(f"contact height {z_stop:g} mm is out of reach")
-        descend = plan_line_loop(line_waypoints((x, y, safe_z), (x, y, z_stop)), geom)
+        descend = _leg((x, y, safe_z), (x, y, z_stop), geom)
     except UnreachableError:
         return (CONTACT_UNREACHABLE, math.nan, math.nan), lateral
     retract = descend[-2::-1]
@@ -327,18 +368,21 @@ def scan_reference(grid, geom, scene, noise, flip_normals=False):
     (n_rows, n_cols) cell arrays, the trace's (N, 6) joint angles and
     the mesh's (F, 3, 3) facet vertices.  Each cell, in column-major
     order, takes its contact from `raycast_all_facets` (a miss is the
-    table in table mode, no height in skip mode) plus the noise at its
-    ordinal, then plans the lateral leg from the previous cell and the
-    descent to the contact (the table on a skip-mode miss) with
-    `plan_line_loop`.  The retract is the descent reversed less its
-    contact row.  The descent drops the row it shares with the lateral
-    leg; the lateral leg keeps the row the previous cell ended on.  A
-    leg that fails marks the cell unreachable with no heights, and the
-    cell keeps only its lateral rows.
+    table in table mode, no height in skip mode) plus `noise_reference`
+    at its ordinal, then plans the lateral leg from the previous cell
+    and the descent to the contact (the table on a skip-mode miss) with
+    `plan_line_loop`.  A descent aimed outside the tool-down tip band,
+    or at a height that is not finite, fails unplanned.  The retract is
+    the descent reversed less its contact row.  The descent drops the
+    row it shares with the lateral leg; the lateral leg keeps the row
+    the previous cell ended on.  A leg that fails marks the cell
+    unreachable with no heights, and the cell keeps only its lateral
+    rows.
     """
     xs, ys = (a.tolist() for a in grid.axes())
     order = list(grid.probe_order())
     hits = raycast_all_facets(scene.mesh.vertices, [(xs[i], ys[k]) for i, k in order])
+    low, high = _tip_band(geom)
     shape = (grid.n_rows, grid.n_cols)
     kinds = np.full(shape, CONTACT_UNREACHABLE)
     z_true, z_measured = np.full(shape, np.nan), np.full(shape, np.nan)
@@ -353,13 +397,15 @@ def scan_reference(grid, geom, scene, noise, flip_normals=False):
             kind, z = CONTACT_TABLE, scene.table_z
         else:
             kind = CONTACT_NONE
-        measured = math.nan if z is None else z + noise.error_at(k * grid.n_rows + i)
+        measured = math.nan if z is None else z + noise_reference(noise, k * grid.n_rows + i)
         try:
             lateral = np.zeros((0, 6))
             if previous is not None:
-                lateral = plan_line_loop(line_waypoints((*previous, safe_z), (x, y, safe_z)), geom)
-            bottom = scene.table_z if z is None else measured
-            descent = plan_line_loop(line_waypoints((x, y, safe_z), (x, y, bottom)), geom)
+                lateral = _leg((*previous, safe_z), (x, y, safe_z), geom)
+            bottom = scene.table_z if kind == CONTACT_NONE else measured
+            if not low <= bottom <= high:
+                raise UnreachableError(f"descent to {bottom} mm is out of reach")
+            descent = _leg((x, y, safe_z), (x, y, bottom), geom)
         except (UnreachableError, JointLimitError):
             rows.append(lateral)
         else:

@@ -845,6 +845,7 @@ def test_cli_test_b_repeats_over_bound_fails_before_any_draw(monkeypatch):
         raise AssertionError("test-b drew noise for an out-of-bound repeat count")
 
     monkeypatch.setattr(NoiseModel, "error_at", no_draw)
+    monkeypatch.setattr(NoiseModel, "errors", no_draw)
     code, out, err = run_cli("test-b", "--repeats", "100000000000", "--distances", "300")
     assert (code, out) == (EXIT_CONFIG, "")
     assert err == (

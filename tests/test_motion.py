@@ -13,13 +13,12 @@ from armscan.kinematics import (
     UnreachableError,
     check_limits,
     forward_kinematics,
-    inverse_kinematics,
 )
 from armscan.meshio import TriangleMesh
 from armscan.motion import JointTrace, line_waypoints, plan_line, probe_cycle
 from armscan.scene import CONTACT_MESH, CONTACT_TABLE, CONTACT_UNREACHABLE, NoiseModel, TargetScene
 
-from oracles import probe_cycle_per_leg, trace_csv_reference
+from oracles import line_waypoints_reference, probe_cycle_per_leg, trace_csv_reference
 
 
 def plate_scene(z=25.0, size=200.0, x0=200.0, y0=-100.0, **kw):
@@ -39,14 +38,14 @@ def plate_scene(z=25.0, size=200.0, x0=200.0, y0=-100.0, **kw):
 
 def test_waypoints_count_100mm_by_10mm(monkeypatch):
     monkeypatch.setattr(motion, "STEP", 10.0)
-    pts = line_waypoints([0, 0, 0], [100, 0, 0])
+    pts = np.array(line_waypoints([0, 0, 0], [100, 0, 0]))
     assert len(pts) == 11
     assert np.allclose(np.diff(pts[:, 0]), 10.0)
 
 
 def test_waypoints_degenerate_segment(monkeypatch):
     monkeypatch.setattr(motion, "STEP", 10.0)
-    pts = line_waypoints([5, 5, 5], [5, 5, 5])
+    pts = np.array(line_waypoints([5, 5, 5], [5, 5, 5]))
     assert pts.shape == (1, 3)
     assert np.allclose(pts[0], [5, 5, 5])
 
@@ -54,7 +53,7 @@ def test_waypoints_degenerate_segment(monkeypatch):
 def test_waypoints_endpoints_exact_and_collinear(monkeypatch):
     monkeypatch.setattr(motion, "STEP", 7.0)
     start, end = np.array([230.0, -40.0, 60.0]), np.array([310.0, 55.0, 60.0])
-    pts = line_waypoints(start, end)
+    pts = np.array(line_waypoints(start, end))
     assert np.allclose(pts[0], start, atol=1e-12)
     assert np.allclose(pts[-1], end, atol=1e-12)
     seg = end - start
@@ -72,13 +71,51 @@ def test_waypoints_exact_multiple_no_phantom_interval(monkeypatch):
     assert len(pts) == 4
 
 
+SIGNED = st.sampled_from([0.0, -0.0]) | st.floats(-1000.0, 1000.0)
+POINT = st.tuples(SIGNED, SIGNED, SIGNED)
+
+
+@st.composite
+def segments(draw):
+    """(start, end): random, a whole number of STEPs long (along an axis
+    or a 3-4-5 diagonal), or degenerate with its zeros' signs flipped."""
+    start = draw(POINT)
+    shape = draw(st.sampled_from(["random", "axis", "diagonal", "degenerate"]))
+    if shape == "random":
+        return start, draw(POINT)
+    if shape == "degenerate":
+        return start, tuple(-v if v == 0.0 else v for v in start)
+    j = draw(st.integers(-40, 40))
+    m = j * motion.STEP
+    # 3j, 4j: a diagonal exactly 5j = j STEPs long
+    steps = {"axis": [(m, 0.0, 0.0), (0.0, m, 0.0), (0.0, 0.0, m)],
+             "diagonal": [(3.0 * j, 4.0 * j, 0.0), (0.0, 3.0 * j, -4.0 * j)]}[shape]
+    step = draw(st.sampled_from(steps))
+    return start, tuple(a + b for a, b in zip(start, step))
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment=segments())
+@example(segment=((0.0, -0.0, 60.0), (-0.0, 0.0, 60.0)))
+@example(segment=((300.0, -0.0, 60.0), (300.0, -0.0, 25.0)))
+@example(segment=((0.0, 0.0, 0.0), (0.3, 0.0, 0.0)))
+def test_waypoints_match_the_array_form_bit_for_bit(segment):
+    start, end = segment
+    expected = line_waypoints_reference(start, end)
+    for a, b in ((start, end), (list(start), np.array(end))):
+        pts = line_waypoints(a, b)
+        assert all(type(v) is float for p in pts for v in p)
+        assert np.array(pts).shape == expected.shape
+        assert np.array(pts).tobytes() == expected.tobytes()
+
+
 # ------------------------------------------------------------------ planning
 
 
 def test_plan_line_trace_positions_on_segment(geom, monkeypatch):
     monkeypatch.setattr(motion, "STEP", 8.0)
     start, end = [240, -30, 40], [320, 60, 40]
-    rows = plan_line(line_waypoints(start, end), geom)
+    rows = np.array(plan_line(line_waypoints(start, end), geom))
     pts = line_waypoints(start, end)
     assert rows.shape == (len(pts), 6)
     for angles, target in zip(rows, pts):
@@ -122,7 +159,7 @@ def test_probe_cycle_hits_plate(geom):
     scene = plate_scene(25.0)
     (kind, z_true, _), rows = probe_cycle(
         300.0, 0.0, safe_z=80.0, geom=geom, scene=scene,
-        noise=NoiseModel(), contact_index=0,
+        error=NoiseModel().error_at(0),
     )
     assert kind == CONTACT_MESH
     assert z_true == 25.0
@@ -139,7 +176,7 @@ def test_probe_cycle_descent_monotone(geom):
     scene = plate_scene(25.0)
     _, rows = probe_cycle(
         280.0, 20.0, safe_z=70.0, geom=geom, scene=scene,
-        noise=NoiseModel(), contact_index=0, from_xy=(260.0, -10.0),
+        error=NoiseModel().error_at(0), from_xy=(260.0, -10.0),
     )
     z = np.array([forward_kinematics(a, geom).position[2] for a in rows])
     lateral = np.nonzero(np.abs(z - 70.0) > 1e-9)[0]
@@ -159,7 +196,7 @@ def test_probe_cycle_lateral_leg_at_safe_height(geom):
     scene = plate_scene(25.0)
     _, rows = probe_cycle(
         300.0, 30.0, safe_z=75.0, geom=geom, scene=scene,
-        noise=NoiseModel(), contact_index=0, from_xy=(250.0, -40.0),
+        error=NoiseModel().error_at(0), from_xy=(250.0, -40.0),
     )
     pts = np.array([forward_kinematics(a, geom).position for a in rows])
     over = np.isclose(pts[:, 2], 75.0, atol=1e-9)
@@ -172,7 +209,7 @@ def test_probe_cycle_miss_table_mode(geom):
     scene = plate_scene(25.0, floor_mode="table")
     (kind, z_true, _), rows = probe_cycle(
         420.0, 0.0, safe_z=60.0, geom=geom, scene=scene,
-        noise=NoiseModel(), contact_index=3,
+        error=NoiseModel().error_at(3),
     )
     assert kind == CONTACT_TABLE
     assert z_true == 0.0
@@ -184,7 +221,7 @@ def test_probe_cycle_unreachable_marked(geom):
     scene = plate_scene(25.0, size=600.0, x0=0.0, y0=-300.0)
     (kind, z_true, z_measured), rows = probe_cycle(
         590.0, 0.0, safe_z=60.0, geom=geom, scene=scene,
-        noise=NoiseModel(), contact_index=0,
+        error=NoiseModel().error_at(0),
     )
     assert kind == CONTACT_UNREACHABLE
     assert math.isnan(z_true) and math.isnan(z_measured)
@@ -195,23 +232,23 @@ def test_probe_cycle_noise_applied(geom):
     noise = NoiseModel(sigma_contact=0.03, drift_per_contact=0.001, seed=5)
     (_, z_true, z_measured), _ = probe_cycle(
         290.0, 10.0, safe_z=70.0, geom=geom, scene=scene,
-        noise=noise, contact_index=12,
+        error=noise.error_at(12),
     )
     assert z_measured == z_true + noise.error_at(12)
 
 
 def test_probe_cycle_retract_replays_descent(geom, monkeypatch):
-    # one IK solve per cycle, the lateral waypoints then the descent's;
+    # one path solve per cycle, the lateral waypoints then the descent's;
     # the retract is the descent's rows reversed bit for bit, less the
     # contact row
     solved = []
 
-    def counting_ik(pose, g):
-        angles = inverse_kinematics(pose, g)
+    def counting_plan_line(waypoints, g):
+        angles = plan_line(waypoints, g)
         solved.append(angles)
         return angles
 
-    monkeypatch.setattr(motion, "inverse_kinematics", counting_ik)
+    monkeypatch.setattr(motion, "plan_line", counting_plan_line)
     scene = plate_scene(25.0)
     noise = NoiseModel(sigma_contact=0.03, drift_per_contact=0.001, seed=11)
     calls, not_reversed = [], []
@@ -220,8 +257,8 @@ def test_probe_cycle_retract_replays_descent(geom, monkeypatch):
     ):
         solved.clear()
         (kind, _, _), rows = probe_cycle(
-            x, y, safe_z=73.0, geom=geom, scene=scene, noise=noise,
-            contact_index=index, from_xy=(x - 7.0, y - 5.0),
+            x, y, safe_z=73.0, geom=geom, scene=scene, error=noise.error_at(index),
+            from_xy=(x - 7.0, y - 5.0),
         )
         assert kind == CONTACT_MESH
         calls.append(len(solved))
@@ -268,8 +305,8 @@ def test_probe_cycle_matches_one_solve_per_leg(
     # contact and the same rows, bit for bit
     kw = dict(
         safe_z=60.0, geom=RobotGeometry(), scene=plate_scene(plate_z, floor_mode=floor_mode),
-        noise=NoiseModel(sigma_contact=sigma, drift_per_contact=drift, seed=seed),
-        contact_index=index, from_xy=from_xy,
+        error=NoiseModel(sigma_contact=sigma, drift_per_contact=drift, seed=seed).error_at(index),
+        from_xy=from_xy,
     )
     (kind, z_true, z_measured), rows = probe_cycle(x, y, **kw)
     (ref_kind, ref_true, ref_measured), ref_rows = probe_cycle_per_leg(x, y, **kw)
@@ -282,7 +319,7 @@ def test_probe_cycle_matches_one_solve_per_leg(
 def test_probe_cycle_deterministic(geom):
     scene = plate_scene(25.0)
     noise = NoiseModel(sigma_contact=0.05, seed=99)
-    kw = dict(safe_z=70.0, geom=geom, scene=scene, noise=noise, contact_index=7,
+    kw = dict(safe_z=70.0, geom=geom, scene=scene, error=noise.error_at(7),
               from_xy=(250.0, 0.0))
     c1, t1 = probe_cycle(300.0, 20.0, **kw)
     c2, t2 = probe_cycle(300.0, 20.0, **kw)
@@ -364,7 +401,7 @@ def test_waypoints_leg_length_is_the_vector_norm(start, end):
     start, end = np.array(start), np.array(end)
     d = end - start
     length = float(np.linalg.norm(d))
-    pts = line_waypoints(start, end)
+    pts = np.array(line_waypoints(start, end))
     if length < 1e-12:
         assert pts.tobytes() == start[None, :].tobytes()
         return

@@ -278,6 +278,30 @@ def test_scan_matches_cell_by_cell_reference(
     assert result.mesh.vertices.tobytes() == facets.tobytes()
 
 
+def test_scan_marks_a_contact_without_a_finite_height_unreachable(geom):
+    # sigma 1e308 and drift -1e308 overflow to opposite infinities at
+    # ordinal 78, cell (8, 7): a touch with a NaN measured height, which
+    # the descent must not take for a miss and probe through the mesh
+    grid = ScanGrid(260, -20, 10, 8, 5, 5, 60)
+    scene = TargetScene(make_plate(250, -30, 80, 80, 25))
+    noise = NoiseModel(1e308, -1e308, 0)
+    assert math.isnan(noise.errors(range(80))[78])
+    result = run_scan(grid, geom, scene, noise)
+    points = result.points
+    assert points.kinds[8, 7] == CONTACT_UNREACHABLE
+    assert math.isnan(points.z_true[8, 7]) and math.isnan(points.z_measured[8, 7])
+    assert "mesh contacts   1\n" not in result.summary()
+    # a touch has two finite heights; a cell without one has two NaNs
+    touched = np.isin(points.kinds, [CONTACT_MESH, CONTACT_TABLE])
+    assert np.isfinite(points.z_true[touched]).all()
+    assert np.isfinite(points.z_measured[touched]).all()
+    assert np.isnan(points.z_true[~touched]).all() and np.isnan(points.z_measured[~touched]).all()
+    kinds, z_true, z_measured, angles, _ = scan_reference(grid, geom, scene, noise)
+    assert points.kinds.tobytes() == kinds.tobytes()
+    assert points.z_measured.tobytes() == z_measured.tobytes()
+    assert result.trace.angles.tobytes() == angles.tobytes()
+
+
 def test_scan_takes_one_contact_per_cell_when_a_lateral_leg_fails(geom, monkeypatch):
     # a cell whose lateral leg fails still casts its ray, so the rays
     # equal the points probed and the cycles' rows sum to the trace

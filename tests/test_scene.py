@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from armscan import scene as scene_module
 from armscan.meshio import TriangleMesh
 from armscan.objects import make_plate, make_wing
+from armscan.scanner import MAX_GRID_POINTS
 from armscan.scene import (
     CONTACT_MESH,
     CONTACT_NONE,
@@ -15,7 +18,7 @@ from armscan.scene import (
     raycast_down,
 )
 
-from oracles import raycast_all_facets, raycast_brute
+from oracles import noise_reference, raycast_all_facets, raycast_brute
 
 
 def soup(rng, count, span=100.0, zmax=50.0):
@@ -267,7 +270,7 @@ def test_noise_drift_alone_is_linear():
 
 def test_noise_sample_std(rng):
     noise = NoiseModel(sigma_contact=0.02, seed=42)
-    errs = np.array([noise.error_at(i) for i in range(10000)])
+    errs = noise.errors(range(10000))
     assert errs.std() == pytest.approx(0.02, rel=0.05)
     assert abs(errs.mean()) < 0.001
 
@@ -278,6 +281,52 @@ def test_noise_keyed_determinism():
     assert [a.error_at(i) for i in range(20)] == [b.error_at(i) for i in range(20)]
     c = NoiseModel(sigma_contact=0.1, seed=8)
     assert a.error_at(3) != c.error_at(3)
+
+
+# Seeds of one to seven entropy words: past 2^64, seed and ordinal take
+# more than SeedSequence's four pool words, and a zero word no longer
+# hashes like a missing one.
+SEEDS = (
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**200])
+    | st.integers(0, 2**16).map(lambda k: 2**64 + k)
+    | st.integers(0, 2**70)
+)
+# 2^32 - 1 and 2^32 straddle the ordinal's second word
+ORDINALS = st.lists(
+    st.sampled_from([0, 2**32 - 1, 2**32, MAX_GRID_POINTS - 1]) | st.integers(0, 2**33),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=SEEDS,
+    ordinals=ORDINALS,
+    sigma=st.sampled_from([0.0, 1e308]) | st.floats(0.0, 1e308),
+    drift=st.sampled_from([0.0, -0.0, 1e308, -1e308]) | st.floats(-1e308, 1e308),
+)
+# the Gaussian and drift terms overflow to opposite infinities at 78
+@example(seed=0, ordinals=[77, 78, 79], sigma=1e308, drift=-1e308)
+def test_noise_batch_matches_a_generator_per_contact(seed, ordinals, sigma, drift):
+    noise = NoiseModel(sigma_contact=sigma, drift_per_contact=drift, seed=seed)
+    expected = np.array([noise_reference(noise, i) for i in ordinals], dtype=float)
+    assert noise.errors(ordinals).tobytes() == expected.tobytes()
+    assert noise.errors(tuple(ordinals)).dtype == np.float64
+    for i, value in zip(ordinals, expected.tolist()):
+        assert np.float64(noise.error_at(i)).tobytes() == np.float64(value).tobytes()
+
+
+def test_noise_blocks_join_seamlessly(monkeypatch):
+    # blocks of three across one- and two-word ordinals, out of order
+    ordinals = [5, 2**32, 0, 2**32 - 1, 7, 2**32 + 9, 1, 2, 3, 2**40, 4]
+    noise = NoiseModel(sigma_contact=0.5, drift_per_contact=0.25, seed=2**32 + 3)
+    whole = noise.errors(ordinals)
+    monkeypatch.setattr(scene_module, "NOISE_BLOCK", 3)
+    assert noise.errors(ordinals).tobytes() == whole.tobytes()
+    expected = [noise_reference(noise, i) for i in ordinals]
+    assert whole.tobytes() == np.array(expected).tobytes()
+    assert noise.errors(range(10)).tobytes() == noise.errors(list(range(10))).tobytes()
+    assert noise.errors([]).shape == (0,)
 
 
 def test_noise_rejects_negative_sigma():
@@ -296,7 +345,7 @@ def test_noise_rejects_negative_seed():
 
 def test_probe_hits_plate():
     scene = TargetScene(plane_patch(25.0))
-    kind, z_true, z_measured = probe_contact(3.0, 4.0, 0, scene, NoiseModel())
+    kind, z_true, z_measured = probe_contact(3.0, 4.0, scene, NoiseModel().error_at(0))
     assert kind == CONTACT_MESH
     assert z_true == 25.0
     assert z_measured == 25.0
@@ -304,7 +353,7 @@ def test_probe_hits_plate():
 
 def test_probe_miss_table_mode():
     scene = TargetScene(plane_patch(25.0), table_z=0.0, floor_mode="table")
-    kind, z_true, z_measured = probe_contact(50.0, 50.0, 0, scene, NoiseModel())
+    kind, z_true, z_measured = probe_contact(50.0, 50.0, scene, NoiseModel().error_at(0))
     assert kind == CONTACT_TABLE
     assert z_true == 0.0
     assert z_measured == 0.0
@@ -312,7 +361,7 @@ def test_probe_miss_table_mode():
 
 def test_probe_miss_skip_mode():
     scene = TargetScene(plane_patch(25.0), floor_mode="skip")
-    kind, z_true, z_measured = probe_contact(50.0, 50.0, 0, scene, NoiseModel())
+    kind, z_true, z_measured = probe_contact(50.0, 50.0, scene, NoiseModel().error_at(0))
     assert kind == CONTACT_NONE
     assert math.isnan(z_true) and math.isnan(z_measured)
 
@@ -320,7 +369,7 @@ def test_probe_miss_skip_mode():
 def test_probe_applies_noise_exactly():
     scene = TargetScene(plane_patch(25.0))
     noise = NoiseModel(sigma_contact=0.05, drift_per_contact=0.002, seed=11)
-    _, z_true, z_measured = probe_contact(2.0, 2.0, 37, scene, noise)
+    _, z_true, z_measured = probe_contact(2.0, 2.0, scene, noise.error_at(37))
     assert z_measured == z_true + noise.error_at(37)
 
 
@@ -337,7 +386,7 @@ def test_probe_heights_nan_exactly_without_contact(floor_mode):
         (-1.0, 5.0, miss),
     ]
     for index, (x, y, expected) in enumerate(cases):
-        kind, z_true, z_measured = probe_contact(x, y, index, scene, noise)
+        kind, z_true, z_measured = probe_contact(x, y, scene, noise.error_at(index))
         assert kind == expected
         no_height = kind == CONTACT_NONE
         assert math.isnan(z_true) == math.isnan(z_measured) == no_height
