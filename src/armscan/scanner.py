@@ -8,6 +8,11 @@ exactly in probe order.  Before any probing, a precheck solves the
 safe-height points of each column in one path solve, and every
 contact's error is drawn in one `NoiseModel.errors` batch; the per-cell
 loop then does only per-cell work: one raycast and one probe cycle.
+The precheck's rows open the scan's one table of solved rows, grid
+point (i, k) at row k * n_rows + i, so a cycle whose descent start or
+lateral leg end is a grid point takes its row and solves only the rest;
+each grid point is solved once.  The trace is that table and the row
+index of every waypoint, not a copy of the rows.
 
 Each completed cell (i, k) with all four corners contacted yields two
 triangles with a fixed vertex sequence:
@@ -22,13 +27,14 @@ for positive spacings; flip_normals re-orients every facet.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kinematics import ConfigError, RobotGeometry, UnreachableError, is_reachable
 from .meshio import DEGENERATE_NORM, PointCloud, TriangleMesh
-from .motion import JointTrace, plan_line, probe_cycle
+from .motion import JointTrace, append_rows, plan_line, probe_cycle
 from .scene import (
     CONTACT_MESH,
     CONTACT_NONE,
@@ -40,7 +46,7 @@ from .scene import (
 
 DEFAULT_SAFE_Z = 60.0
 # Most probe points a grid may have.  A scan costs about 0.1 ms per
-# point (0.105 ms on a 51 x 47 grid over the wing, trace CSV included,
+# point (0.09 ms on a 51 x 47 grid over the wing, trace CSV included,
 # on a 2-core x86 Xeon host), so this is minutes of work; a mistyped
 # 100000 x 100000 grid would otherwise spend hours in the precheck
 # before any motion.
@@ -254,6 +260,8 @@ def run_scan(
     point must be reachable at the safe height before any probing
     starts, solved one path per lattice column; otherwise
     UnreachableGridError lists the offenders and no motion is logged.
+    Those rows start the table of solved rows that every cycle reuses
+    and appends to; the trace joins the cycles' row indices.
     The contact errors are drawn once for the whole lattice, in probe
     order, and each cycle gets its own.
     Per-point descent failures during the scan do not abort it: they
@@ -272,12 +280,13 @@ def run_scan(
             f"tip height {lowest:g} mm"
         )
     xs, ys = (a.tolist() for a in grid.axes())
-    # One solve per column; a column, not the whole grid, bounds the
-    # angles a solve holds.  A failure re-checks every point alone, so
-    # the error lists each offender.
+    # One solve per column, its rows kept: grid point (i, k) is table row
+    # k * n_rows + i, its contact ordinal.  A failure re-checks every
+    # point alone, so the error lists each offender.
+    table = array("d")
     try:
         for y in ys:
-            plan_line([(x, y, grid.safe_z) for x in xs], geom)
+            append_rows(table, plan_line([(x, y, grid.safe_z) for x in xs], geom))
     except UnreachableError:
         raise UnreachableGridError(*_unreachable_points(grid, geom)) from None
 
@@ -286,22 +295,26 @@ def run_scan(
     shape = (grid.n_rows, grid.n_cols)
     kinds = np.full(shape, CONTACT_UNREACHABLE)  # the longest kind name sets the width
     z_true, z_measured = np.full(shape, np.nan), np.full(shape, np.nan)
-    legs = []
+    index = array("q")
     last_xy = None
     for i, k in grid.probe_order():
         x, y = xs[i], ys[k]
-        (kinds[i, k], z_true[i, k], z_measured[i, k]), cycle = probe_cycle(
+        ordinal = grid.contact_ordinal(i, k)
+        (kinds[i, k], z_true[i, k], z_measured[i, k]), rows = probe_cycle(
             x,
             y,
             safe_z=grid.safe_z,
             geom=geom,
             scene=scene,
-            error=errors.item(grid.contact_ordinal(i, k)),
+            error=errors.item(ordinal),
+            table=table,
             from_xy=last_xy,
+            # the previous grid point's row; the first cell has no lateral leg
+            safe_rows=(ordinal - 1, ordinal),
         )
-        legs.append(cycle)
+        index.fromlist(rows)
         last_xy = (x, y)
 
     points = PointGrid(grid, kinds, z_true, z_measured)
     mesh = triangulate(points, flip_normals=flip_normals)
-    return ScanResult(points, mesh, JointTrace(np.concatenate(legs)))
+    return ScanResult(points, mesh, JointTrace(table, index))

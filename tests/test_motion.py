@@ -1,4 +1,6 @@
 import math
+from array import array
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -31,6 +33,13 @@ def plate_scene(z=25.0, size=200.0, x0=200.0, y0=-100.0, **kw):
         ),
         **kw,
     )
+
+
+def cycle_angles(x, y, **kw):
+    """`probe_cycle` into a fresh table: its contact and its (N, 6) angles."""
+    table = array("d")
+    contact, rows = probe_cycle(x, y, table=table, **kw)
+    return contact, JointTrace(table, rows).angles
 
 
 # ------------------------------------------------------------------ path
@@ -157,7 +166,7 @@ def test_plan_line_joint_limit_names_waypoint(geom, monkeypatch):
 
 def test_probe_cycle_hits_plate(geom):
     scene = plate_scene(25.0)
-    (kind, z_true, _), rows = probe_cycle(
+    (kind, z_true, _), rows = cycle_angles(
         300.0, 0.0, safe_z=80.0, geom=geom, scene=scene,
         error=NoiseModel().error_at(0),
     )
@@ -174,7 +183,7 @@ def test_probe_cycle_hits_plate(geom):
 
 def test_probe_cycle_descent_monotone(geom):
     scene = plate_scene(25.0)
-    _, rows = probe_cycle(
+    _, rows = cycle_angles(
         280.0, 20.0, safe_z=70.0, geom=geom, scene=scene,
         error=NoiseModel().error_at(0), from_xy=(260.0, -10.0),
     )
@@ -194,7 +203,7 @@ def test_probe_cycle_descent_monotone(geom):
 
 def test_probe_cycle_lateral_leg_at_safe_height(geom):
     scene = plate_scene(25.0)
-    _, rows = probe_cycle(
+    _, rows = cycle_angles(
         300.0, 30.0, safe_z=75.0, geom=geom, scene=scene,
         error=NoiseModel().error_at(0), from_xy=(250.0, -40.0),
     )
@@ -207,7 +216,7 @@ def test_probe_cycle_lateral_leg_at_safe_height(geom):
 
 def test_probe_cycle_miss_table_mode(geom):
     scene = plate_scene(25.0, floor_mode="table")
-    (kind, z_true, _), rows = probe_cycle(
+    (kind, z_true, _), rows = cycle_angles(
         420.0, 0.0, safe_z=60.0, geom=geom, scene=scene,
         error=NoiseModel().error_at(3),
     )
@@ -219,7 +228,7 @@ def test_probe_cycle_miss_table_mode(geom):
 
 def test_probe_cycle_unreachable_marked(geom):
     scene = plate_scene(25.0, size=600.0, x0=0.0, y0=-300.0)
-    (kind, z_true, z_measured), rows = probe_cycle(
+    (kind, z_true, z_measured), rows = cycle_angles(
         590.0, 0.0, safe_z=60.0, geom=geom, scene=scene,
         error=NoiseModel().error_at(0),
     )
@@ -230,7 +239,7 @@ def test_probe_cycle_unreachable_marked(geom):
 def test_probe_cycle_noise_applied(geom):
     scene = plate_scene(25.0)
     noise = NoiseModel(sigma_contact=0.03, drift_per_contact=0.001, seed=5)
-    (_, z_true, z_measured), _ = probe_cycle(
+    (_, z_true, z_measured), _ = cycle_angles(
         290.0, 10.0, safe_z=70.0, geom=geom, scene=scene,
         error=noise.error_at(12),
     )
@@ -256,7 +265,7 @@ def test_probe_cycle_retract_replays_descent(geom, monkeypatch):
         (x, y) for x in np.linspace(220.0, 380.0, 11) for y in np.linspace(-60.0, 60.0, 7)
     ):
         solved.clear()
-        (kind, _, _), rows = probe_cycle(
+        (kind, _, _), rows = cycle_angles(
             x, y, safe_z=73.0, geom=geom, scene=scene, error=noise.error_at(index),
             from_xy=(x - 7.0, y - 5.0),
         )
@@ -308,7 +317,7 @@ def test_probe_cycle_matches_one_solve_per_leg(
         error=NoiseModel(sigma_contact=sigma, drift_per_contact=drift, seed=seed).error_at(index),
         from_xy=from_xy,
     )
-    (kind, z_true, z_measured), rows = probe_cycle(x, y, **kw)
+    (kind, z_true, z_measured), rows = cycle_angles(x, y, **kw)
     (ref_kind, ref_true, ref_measured), ref_rows = probe_cycle_per_leg(x, y, **kw)
     assert kind == ref_kind
     assert np.array([z_true, z_measured]).tobytes() == np.array([ref_true, ref_measured]).tobytes()
@@ -316,13 +325,88 @@ def test_probe_cycle_matches_one_solve_per_leg(
     assert rows.tobytes() == ref_rows.tobytes()
 
 
+def presolved_table(points, geom):
+    """A table holding the tool-down solve of each point that has one,
+    as the scan's precheck fills it, and each point's row (None where
+    the point has no solve)."""
+    table, rows = array("d"), []
+    for point in points:
+        try:
+            table.extend(chain.from_iterable(plan_line([point], geom)))
+        except UnreachableError:
+            rows.append(None)
+        else:
+            rows.append(len(table) // 6 - 1)
+    return table, tuple(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=COORD,
+    y=COORD,
+    from_xy=st.tuples(COORD, COORD),
+    plate_z=st.sampled_from([25.0, 60.0]),
+    floor_mode=st.sampled_from(["table", "skip"]),
+    drift=st.sampled_from([0.0, 1e308]) | st.floats(-1000.0, 1000.0),
+    index=st.integers(0, 10_000),
+)
+# a negative zero: the lateral leg's first waypoint is +0.0 and is solved
+@example(x=300.0, y=0.0, from_xy=(290.0, -0.0), plate_z=25.0, floor_mode="table",
+         drift=0.0, index=0)
+# from_xy bit-equal to (x, y): a one-waypoint lateral leg
+@example(x=300.0, y=10.0, from_xy=(300.0, 10.0), plate_z=25.0, floor_mode="skip",
+         drift=0.0, index=0)
+def test_probe_cycle_reuses_safe_height_rows(x, y, from_xy, plate_z, floor_mode, drift, index):
+    # the cycle's safe-height ends solved ahead, as the scan's precheck
+    # does: the cycle takes their rows for the leg ends with their bits,
+    # solves fewer points, and its angles stay those of a cycle that
+    # solves every waypoint, bit for bit
+    geom = RobotGeometry()
+    kw = dict(
+        safe_z=60.0, geom=geom, scene=plate_scene(plate_z, floor_mode=floor_mode),
+        error=NoiseModel(drift_per_contact=drift).error_at(index), from_xy=from_xy,
+    )
+    table, safe_rows = presolved_table([(*from_xy, 60.0), (x, y, 60.0)], geom)
+    ahead = len(table) // 6
+    (kind, z_true, z_measured), rows = probe_cycle(x, y, table=table, safe_rows=safe_rows, **kw)
+    fresh = array("d")
+    (ref_kind, ref_true, ref_measured), ref_rows = probe_cycle(x, y, table=fresh, **kw)
+    assert kind == ref_kind
+    assert np.array([z_true, z_measured]).tobytes() == np.array([ref_true, ref_measured]).tobytes()
+    assert JointTrace(table, rows).angles.tobytes() == JointTrace(fresh, ref_rows).angles.tobytes()
+    # each safe row taken stands for at least one waypoint left unsolved
+    reused = {row for row in rows if row < ahead}
+    assert len(table) // 6 - ahead + len(reused) <= len(fresh) // 6
+
+
+def test_probe_cycle_solves_nothing_already_solved(geom, monkeypatch):
+    # a lateral leg of two waypoints between solved safe-height points,
+    # and a contact at the safe height: the cycle's one plan_line call
+    # has nothing left to solve, and the table does not grow
+    calls = []
+
+    def recording_plan_line(waypoints, g):
+        calls.append(list(waypoints))
+        return plan_line(waypoints, g)
+
+    table, safe_rows = presolved_table([(297.0, 4.0, 60.0), (300.0, 0.0, 60.0)], geom)
+    monkeypatch.setattr(motion, "plan_line", recording_plan_line)
+    (kind, _, _), rows = probe_cycle(
+        300.0, 0.0, safe_z=60.0, geom=geom, scene=plate_scene(60.0),
+        error=0.0, table=table, from_xy=(297.0, 4.0), safe_rows=safe_rows,
+    )
+    assert kind == CONTACT_MESH
+    assert calls == [[]]
+    assert rows == [0, 1] and len(table) == 12
+
+
 def test_probe_cycle_deterministic(geom):
     scene = plate_scene(25.0)
     noise = NoiseModel(sigma_contact=0.05, seed=99)
     kw = dict(safe_z=70.0, geom=geom, scene=scene, error=noise.error_at(7),
               from_xy=(250.0, 0.0))
-    c1, t1 = probe_cycle(300.0, 20.0, **kw)
-    c2, t2 = probe_cycle(300.0, 20.0, **kw)
+    c1, t1 = cycle_angles(300.0, 20.0, **kw)
+    c2, t2 = cycle_angles(300.0, 20.0, **kw)
     assert c1 == c2
     assert t1.tobytes() == t2.tobytes()
 

@@ -1,7 +1,10 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from armscan import motion, scanner
 from armscan import scene as scene_module
@@ -27,7 +30,10 @@ from armscan.scene import (
     raycast_down,
 )
 
-from oracles import plan_line_loop, scan_reference, triangulate_loop
+from oracles import line_waypoints_reference, plan_line_loop, scan_reference, triangulate_loop
+
+
+POINT_BITS = struct.Struct("3d").pack
 
 
 def plate_scene(z=25.0, **kw):
@@ -231,6 +237,20 @@ FAILING_LATERALS = (
 )
 
 
+OFF_BITS_GRID = ScanGrid(-120.3, 250.7, 4, 3, 110.9, 13.1, safe_z=60.0)
+
+
+def test_off_bits_grid_has_lateral_ends_off_their_grid_points():
+    xs, ys = (a.tolist() for a in OFF_BITS_GRID.axes())
+    cells = [(xs[i], ys[k], 60.0) for i, k in OFF_BITS_GRID.probe_order()]
+    ends = [line_waypoints(start, end)[-1] for start, end in zip(cells, cells[1:])]
+    off = [end for end, cell in zip(ends, cells[1:]) if POINT_BITS(*end) != POINT_BITS(*cell)]
+    assert len(ends) == 11 and len(off) == 2
+    scene = TargetScene(make_plate(-200.0, 200.0, 400.0, 150.0, 25.0))
+    kinds = run_scan(OFF_BITS_GRID, RobotGeometry(), scene, NoiseModel()).points.kinds
+    assert CONTACT_UNREACHABLE not in kinds
+
+
 @pytest.mark.parametrize(
     "grid, scene, noise, flip, lateral_fails",
     [
@@ -254,10 +274,15 @@ FAILING_LATERALS = (
         (ScanGrid(260.0, -20.0, 3, 4, 10.0, 10.0, safe_z=60.0),
          TargetScene(make_plate(200.0, -100.0, 200.0, 200.0, 25.0)),
          NoiseModel(sigma_contact=0.02, drift_per_contact=200.0, seed=5), False, False),
+        # decimal corner and spacings: on 2 of the 11 lateral legs the
+        # last waypoint is not bit-equal to its grid point, so it is
+        # solved, not taken from the precheck
+        (OFF_BITS_GRID, TargetScene(make_plate(-200.0, 200.0, 400.0, 150.0, 25.0)),
+         NoiseModel(sigma_contact=0.02, drift_per_contact=0.001, seed=4), False, False),
     ],
     ids=[
         "plate-3x4", "failing-descents-7x7", "wing-skip-misses", "failing-laterals",
-        "contacts-past-reach",
+        "contacts-past-reach", "off-bits-laterals",
     ],
 )
 def test_scan_matches_cell_by_cell_reference(
@@ -302,6 +327,95 @@ def test_scan_marks_a_contact_without_a_finite_height_unreachable(geom):
     assert result.trace.angles.tobytes() == angles.tobytes()
 
 
+def decimals(lo: int, hi: int):
+    """Numbers of one decimal place in [lo, hi]; most are not binary
+    fractions, so lattice coordinates pick up rounding."""
+    return st.integers(10 * lo, 10 * hi).map(lambda tenths: tenths / 10)
+
+
+# a plate over part of the workspace and a wing patch of 240 facets
+PLATE, WING_PATCH = make_plate(-300.0, -300.0, 600.0, 500.0, 25.0), make_wing(220.0, -70.0, 11, 13)
+
+
+@st.composite
+def scan_cases(draw):
+    """(mesh, grid): a grid of at most 6 x 6 points over the plate, its
+    corner in the workspace's annulus at any bearing or just behind the
+    y axis, so that some laterals cross x = 0, or around the wing patch,
+    so that some probes miss.  Some cells lie out of reach, some whole
+    grids too."""
+    mesh = draw(st.sampled_from([PLATE, WING_PATCH]))
+    if mesh is PLATE and draw(st.booleans()):
+        radius, bearing = draw(decimals(150, 500)), math.radians(draw(st.integers(0, 359)))
+        x0, y0 = round(radius * math.cos(bearing), 1), round(radius * math.sin(bearing), 1)
+    elif mesh is PLATE:  # across the y axis, in front of or behind the base
+        x0, y0 = draw(decimals(-150, -1)), draw(st.sampled_from([-1, 1])) * draw(decimals(180, 330))
+    else:
+        x0, y0 = draw(decimals(190, 380)), draw(decimals(-100, 80))
+    grid = ScanGrid(
+        x0=x0,
+        y0=y0,
+        n_rows=draw(st.integers(1, 6)),
+        n_cols=draw(st.integers(1, 6)),
+        row_spacing=draw(decimals(1, 60)),
+        col_spacing=draw(decimals(1, 60)),
+        safe_z=draw(st.sampled_from([60.0]) | decimals(30, 150)),
+    )
+    return mesh, grid
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    case=scan_cases(),
+    floor_mode=st.sampled_from(["table", "skip"]),
+    table_z=st.sampled_from([0.0, -427.0]) | decimals(-427, 0),
+    sigma=st.sampled_from([0.0, 1e308]) | st.floats(0.0, 1.0),
+    drift=st.sampled_from([0.0, 1e308, -1e308]) | st.floats(-1000.0, 1000.0),
+    seed=st.integers(0, 2**32),
+)
+# sigma and drift overflow to opposite infinities at ordinal 78: a touch
+# with a NaN measured height, which used to come back `mesh`
+@example(case=(make_plate(250, -30, 80, 80, 25), ScanGrid(260, -20, 10, 8, 5, 5, 60)),
+         floor_mode="table", table_z=0.0, sigma=1e308, drift=-1e308, seed=0)
+# a wing patch past its trailing corner: skip-mode misses leave holes
+@example(case=(WING_PATCH, ScanGrid(340.3, 41.7, 5, 6, 7.3, 6.1, 60.0)), floor_mode="skip",
+         table_z=0.0, sigma=0.05, drift=0.0, seed=2)
+# cells on both sides of the base
+@example(case=(PLATE, ScanGrid(-200.0, -10.0, 2, 3, 400.0, 200.0, 60.0)), floor_mode="table",
+         table_z=-50.0, sigma=0.02, drift=0.001, seed=3)
+def test_scan_matches_cell_by_cell_reference_on_random_grids(
+    case, floor_mode, table_z, sigma, drift, seed
+):
+    mesh, grid = case
+    geom = RobotGeometry()
+    scene = TargetScene(mesh, table_z=table_z, floor_mode=floor_mode)
+    noise = NoiseModel(sigma_contact=sigma, drift_per_contact=drift, seed=seed)
+    xs, ys = (a.tolist() for a in grid.axes())
+    if not all(is_reachable((xs[i], ys[k], grid.safe_z), geom)[0] for i, k in grid.probe_order()):
+        event("unreachable at the safe height")
+        with pytest.raises(UnreachableGridError):
+            run_scan(grid, geom, scene, noise)
+        return
+    if xs[0] < 0.0 < xs[-1]:
+        event("laterals cross x = 0")
+    result = run_scan(grid, geom, scene, noise)
+    kinds, z_true, z_measured, angles, facets = scan_reference(grid, geom, scene, noise)
+    points = result.points
+    for kind in set(points.kinds.ravel()):
+        event(f"some cells {kind}")
+    assert points.kinds.tobytes() == kinds.tobytes()
+    assert points.z_true.tobytes() == z_true.tobytes()
+    assert points.z_measured.tobytes() == z_measured.tobytes()
+    assert result.trace.angles.shape == angles.shape
+    assert result.trace.angles.tobytes() == angles.tobytes()
+    assert result.mesh.vertices.tobytes() == facets.tobytes()
+    # a touch has two finite heights; a cell without one has two NaNs
+    touched = np.isin(points.kinds, [CONTACT_MESH, CONTACT_TABLE])
+    assert np.isfinite(points.z_true[touched]).all()
+    assert np.isfinite(points.z_measured[touched]).all()
+    assert np.isnan(points.z_true[~touched]).all() and np.isnan(points.z_measured[~touched]).all()
+
+
 def test_scan_takes_one_contact_per_cell_when_a_lateral_leg_fails(geom, monkeypatch):
     # a cell whose lateral leg fails still casts its ray, so the rays
     # equal the points probed and the cycles' rows sum to the trace
@@ -323,6 +437,64 @@ def test_scan_takes_one_contact_per_cell_when_a_lateral_leg_fails(geom, monkeypa
     assert (result.points.kinds == CONTACT_UNREACHABLE).any()
     assert len(rays) == len(rows) == grid.point_count == 6
     assert sum(rows) == len(result.trace)
+
+
+def test_scan_solves_each_distinct_point_once(monkeypatch):
+    # the precheck's safe-height rows serve the descent starts and the
+    # lateral legs' ends with the same bits: every point is solved once,
+    # and each cycle still makes one plan_line call
+    grid = ScanGrid(260.0, -20.0, 3, 4, 10.0, 10.0, safe_z=60.0)
+    scene = TargetScene(make_plate(200.0, -100.0, 200.0, 200.0, 25.0))
+    noise = NoiseModel(sigma_contact=0.02, drift_per_contact=0.001, seed=5)
+    solved, cycle_calls = [], []
+    solve_path, plan_line = motion.solve_path, motion.plan_line
+
+    def counting_solve_path(points, rot, geom):
+        solved.extend(points)
+        return solve_path(points, rot, geom)
+
+    def counting_plan_line(waypoints, geom):
+        cycle_calls.append(len(waypoints))
+        return plan_line(waypoints, geom)
+
+    monkeypatch.setattr(motion, "solve_path", counting_solve_path)
+    monkeypatch.setattr(motion, "plan_line", counting_plan_line)
+    points = run_scan(grid, RobotGeometry(), scene, noise).points
+    assert (points.kinds == CONTACT_MESH).all()
+
+    xs, ys = (a.tolist() for a in grid.axes())
+    cells = [(xs[i], ys[k], 60.0) for i, k in grid.probe_order()]
+    legs = [line_waypoints_reference(a, b) for a, b in zip(cells, cells[1:])]
+    legs += [
+        line_waypoints_reference(cell, (*cell[:2], points.z_measured[i, k]))
+        for (i, k), cell in zip(grid.probe_order(), cells)
+    ]
+    every = [tuple(p) for p in cells] + [tuple(p) for leg in legs for p in leg.tolist()]
+    solved_bits = [POINT_BITS(*p) for p in solved]
+    assert len(solved_bits) == len(set(solved_bits))  # no point twice
+    assert set(solved_bits) == {POINT_BITS(*p) for p in every}
+    # the 12 descent starts and the 11 laterals' 22 ends are grid points
+    assert len(solved) == len(every) - 12 - 22
+    assert len(cycle_calls) == grid.point_count
+
+
+def test_scan_peak_memory_per_trace_row():
+    # the trace is one table of solved rows and one row index; the scan
+    # used to hold each cycle's (N, 6) array and then their concatenation,
+    # 121 bytes per trace row at peak on this grid against 65 now
+    grid = ScanGrid(230.0, -60.0, 20, 20, 6.0, 6.0, safe_z=60.0)
+    scene = TargetScene(make_plate(200.0, -100.0, 200.0, 200.0, 25.0))
+    geom, noise = RobotGeometry(), NoiseModel(sigma_contact=0.02, drift_per_contact=0.001, seed=5)
+    run_scan(small_grid(2, 2), geom, scene, noise)  # first-call set-up, outside the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_scan(grid, geom, scene, noise)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(result.trace) == 7207
+    assert peak / len(result.trace) < 80.0
 
 
 def test_grid_spacing_below_corner_resolution_rejected():
