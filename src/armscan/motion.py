@@ -26,7 +26,22 @@ Within a cycle the legs share their seam row once.  Cycles are
 concatenated whole: each lateral leg starts with the row the previous
 cycle ended on, so that row appears twice.  A scan's table and row
 index become one `JointTrace`, whose CSV waypoint column is simply the
-row number; the CSV formats each table row once.
+row number.
+
+The CSV is written in numpy passes over blocks of `CSV_BLOCK` rows,
+with the bytes of Python's `%.6f`.  Each table row is formatted once,
+into 72 bytes: per angle a comma, the sign, the whole degrees and the
+point from a 1000-entry table of `b"%3d."`, and the six fraction
+digits from three lookups in a table of digit pairs, all blanks held
+as NUL.  The rounding is exact: below 1000 degrees, `v * 1e6` is within
+6e-8 of its exact value, so its nearest integer is the correctly
+rounded one unless it lies within `TIE_BAND` of a half; those few
+values are rounded one by one by `%.6f` itself.  Each waypoint is then
+its number, from the same tables, and its row's bytes, and one
+`translate` per block drops the NUL pads.  A table holding a value that
+is not finite or prints as 1000 degrees or more, which no scan makes
+(the joint limits stop every angle near 180), is written by the `%`
+operator row by row instead.
 """
 
 from __future__ import annotations
@@ -56,12 +71,42 @@ CSV_HEADER = (
     "waypoint,theta1_deg,theta2_deg,theta3_deg,theta4_deg,theta5_deg,theta6_deg\n"
 )
 
+# Rows of the trace CSV per numpy pass.
+CSV_BLOCK = 4096
+# Distance from a half within which `v * 1e6`, off its exact value by
+# under 6e-8 for |v| < 1000, may round the other way: `%.6f` decides.
+TIE_BAND = 1e-6
+# `b"%3d."` of 0..999, and the digit pairs `b"%02d"` of 0..99, blanks
+# as NUL
+_WHOLE = np.frombuffer(
+    b"".join([b"%3d." % k for k in range(1000)]).replace(b" ", b"\0"), dtype="<u4"
+)
+_PAIRS = np.frombuffer(b"".join([b"%02d" % k for k in range(100)]), dtype="<u2")
+# One angle of a CSV row: a comma, "-" or NUL, the whole part and the
+# point, three pairs of fraction digits
+_ANGLE = np.dtype(
+    [("comma", "u1"), ("sign", "u1"), ("whole", "<u4"), ("f0", "<u2"), ("f1", "<u2"), ("f2", "<u2")]
+)
+
 _TOOL_DOWN = TOOL_DOWN_ROTATION.tolist()
 
 # A point's bits, for reusing a solved row: `a + 1.0 * (b - a)` need not
 # equal `b`, and 0.0 == -0.0 although they may solve apart.
 _BITS = struct.Struct("3d").pack
 _ROW = struct.Struct("6d").pack
+
+
+def leg_length(dx: float, dy: float, dz: float) -> float:
+    """Length of the vector (dx, dy, dz), bit for bit np.linalg.norm's."""
+    if dy == 0.0 == dz or dx == 0.0 == dz or dx == 0.0 == dy:
+        # one non-zero component at most, as on every descent: the other
+        # squares are exact zeros, so in any order, fused or not, the sum
+        # is that one rounded square
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
+    # np.linalg.norm's arithmetic on a vector: a BLAS dot may fuse its
+    # products, so a Python sum of squares can round differently
+    d = np.array((dx, dy, dz))
+    return math.sqrt(d.dot(d))
 
 
 def line_waypoints(start, end) -> list:
@@ -77,10 +122,7 @@ def line_waypoints(start, end) -> list:
     sx, sy, sz = (float(v) for v in start)
     ex, ey, ez = (float(v) for v in end)
     dx, dy, dz = ex - sx, ey - sy, ez - sz
-    d = np.array((dx, dy, dz))
-    # np.linalg.norm's arithmetic on a vector: a BLAS dot may fuse its
-    # products, so a Python sum of squares can round differently
-    length = math.sqrt(d.dot(d))
+    length = leg_length(dx, dy, dz)
     if length < 1e-12:
         return [(sx, sy, sz)]
     n = max(1, math.ceil(length / STEP - 1e-9))
@@ -116,15 +158,86 @@ class JointTrace:
         return len(self.index)
 
     def to_csv(self) -> str:
-        # Waypoints repeat rows (a retract replays its descent): format
-        # each table row once and write every waypoint by its row.
-        texts = [
-            ",%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n" % tuple(row)
-            for row in np.degrees(self.table).tolist()
-        ]
-        return CSV_HEADER + "".join(
-            [f"{i}{texts[j]}" for i, j in enumerate(self.index.tolist())]
-        )
+        """The trace as CSV text: the header, then per waypoint its
+        number and its six angles in degrees, `%.6f` each.
+
+        Waypoints repeat rows (a retract replays its descent), so each
+        table row is formatted once, `CSV_BLOCK` rows per pass, and every
+        waypoint is written by its row; the module docstring gives the
+        digit tables and the tie band.  The blocks' bytes, pads dropped,
+        go into one buffer that is decoded once, so the peak is about
+        twice the text.
+        """
+        table, index = self.table, self.index
+        # np.degrees scales by one positive constant, so it keeps order
+        top = np.degrees(max(table.max(), -table.min())) if len(table) else math.nan
+        if not float("%.6f" % top) < 1000.0:
+            # past the whole-part table (or no rows): the `%` operator
+            texts = [
+                ",%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n" % tuple(row)
+                for row in np.degrees(table).tolist()
+            ]
+            return CSV_HEADER + "".join([f"{i}{texts[j]}" for i, j in enumerate(index.tolist())])
+        rows = np.empty((len(table), 6), dtype=_ANGLE)
+        for a in range(0, len(table), CSV_BLOCK):
+            _format_angles(np.degrees(table[a : a + CSV_BLOCK]), rows[a : a + CSV_BLOCK])
+        rows = rows.view(np.uint8).reshape(len(table), 72)
+        data = bytearray(CSV_HEADER.encode())
+        for a in range(0, len(index), CSV_BLOCK):
+            b = min(a + CSV_BLOCK, len(index))
+            digits = waypoint_digits(a, b)
+            width = digits.shape[1]
+            text = bytearray((b - a) * (width + 73))
+            view = np.frombuffer(text, np.uint8).reshape(b - a, width + 73)
+            view[:, :width] = digits
+            view[:, width:-1] = rows[index[a:b]]
+            view[:, -1] = ord("\n")
+            data += text.translate(None, b"\0")
+        del rows
+        return data.decode("ascii")
+
+
+def _format_angles(deg: np.ndarray, out: np.ndarray) -> None:
+    """Write `%.6f` of every entry of `deg` into the `_ANGLE` records
+    `out` of the same shape; every |value| must print below 1000."""
+    p = deg * 1e6
+    q = np.rint(p)
+    tie = np.abs(np.abs(p - q) - 0.5) < TIE_BAND
+    np.abs(q, out=q)
+    if tie.any():
+        q[tie] = [abs(int(("%.6f" % v).replace(".", ""))) for v in deg[tie].tolist()]
+    frac = q.astype(np.int32)
+    whole = frac // 1000000
+    frac -= whole * 1000000
+    out["comma"] = ord(",")
+    # signbit, not < 0: -0.0 and negatives that round to 0 print "-0.000000"
+    out["sign"] = np.signbit(deg) * np.uint8(ord("-"))
+    out["whole"] = _WHOLE[whole]
+    pair = frac // 10000
+    out["f0"] = _PAIRS[pair]
+    frac -= pair * 10000
+    pair = frac // 100
+    out["f1"] = _PAIRS[pair]
+    frac -= pair * 100
+    out["f2"] = _PAIRS[frac]
+
+
+def waypoint_digits(start: int, stop: int) -> np.ndarray:
+    """The numbers start..stop-1 as an (n, 3g) uint8 array of decimal
+    digits, right-aligned, NUL-padded on the left: g groups of three
+    digits from the `b"%3d."` table, zero-filled below a non-zero group
+    and blank above the first one."""
+    numbers = np.arange(start, stop, dtype=np.int64)
+    n, groups = len(numbers), (len(str(max(stop - 1, 0))) + 2) // 3
+    digits = np.empty((n, groups), dtype="<u4")
+    for g in range(groups):
+        head = numbers // 1000 ** (groups - 1 - g)  # this group and those above
+        # OR-ing "000" into "%3d" turns its NUL blanks into zeros
+        group = _WHOLE[head % 1000] | np.where(head >= 1000, np.uint32(0x303030), np.uint32(0))
+        if g < groups - 1:
+            group *= head > 0
+        digits[:, g] = group
+    return digits.view(np.uint8).reshape(n, groups, 4)[:, :, :3].reshape(n, 3 * groups)
 
 
 def plan_line(waypoints, geom: RobotGeometry) -> list:

@@ -45,8 +45,8 @@ from .scene import (
 )
 
 DEFAULT_SAFE_Z = 60.0
-# Most probe points a grid may have.  A scan costs about 0.1 ms per
-# point (0.09 ms on a 51 x 47 grid over the wing, trace CSV included,
+# Most probe points a grid may have.  A scan costs under 0.1 ms per
+# point (0.077 ms on a 51 x 47 grid over the wing, trace CSV included,
 # on a 2-core x86 Xeon host), so this is minutes of work; a mistyped
 # 100000 x 100000 grid would otherwise spend hours in the precheck
 # before any motion.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from array import array
 from itertools import chain
 
@@ -474,17 +475,134 @@ def test_trace_csv_tells_rows_apart_by_bits():
     assert JointTrace(angles).to_csv() == trace_csv_reference(angles)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    start=st.tuples(*[st.floats(-1000.0, 1000.0)] * 3),
-    end=st.tuples(*[st.floats(-1000.0, 1000.0)] * 3),
+def angle_texts(deg) -> list:
+    """Each entry of `deg` as `to_csv` writes it: its comma and `%.6f`."""
+    deg = np.asarray(deg, dtype=float)
+    records = np.empty(deg.shape, dtype=motion._ANGLE)
+    motion._format_angles(deg, records)
+    return [bytes(r).replace(b"\0", b"").decode() for r in records.view(np.uint8).reshape(-1, 12)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(-10**9, 10**9))
+# exact ties: dyadic values whose sixth decimal is followed by a 5
+@example(k=7812)
+@example(k=999_992_187)
+@example(k=-999_992_188)
+def test_trace_csv_rounds_near_ties_as_percent_f(k):
+    tie = (k + 0.5) / 1e6
+    up, down = np.nextafter(tie, math.inf), np.nextafter(tie, -math.inf)
+    values = [tie, -tie, up, down, np.nextafter(up, math.inf), np.nextafter(down, -math.inf)]
+    within = [v for v in values if float("%.6f" % abs(v)) < 1000.0]
+    assert angle_texts(within) == [",%.6f" % v for v in within]
+    # and through a trace, whose degrees come back within the band
+    angles = np.radians([values])
+    assert JointTrace(angles).to_csv() == trace_csv_reference(angles)
+
+
+def test_trace_csv_signed_zeros_subnormals_and_the_thousand():
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
+    halves = [-4e-7, 5e-7, -5e-7, -1.5e-6, 0.9999995, 999.9999994, -999.9999994]
+    assert angle_texts(tiny + halves) == [",%.6f" % v for v in tiny + halves]
+    below = np.nextafter(1000.0, 0.0)
+    # in radians, as a table holds them; the last row prints as 1000
+    for row in (halves[:6], halves[1:], [below, -below, 999.9999995, -1.0, 0.0, -0.0]):
+        angles = np.array([tiny, np.radians(row)])
+        assert JointTrace(angles).to_csv() == trace_csv_reference(angles)
+    line = JointTrace([tiny]).to_csv().splitlines()[1]
+    assert line == "0,0.000000,-0.000000,0.000000,-0.000000,0.000000,-0.000000"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1000.0, -1000.0, 1e300])
+def test_trace_csv_past_the_digit_tables_takes_the_percent_loop(value):
+    angles = np.radians(
+        [[1.0, -2.0, 3.5, 0.0, -0.0, 6.0], [0.5, value, -1e-7, 7e-7, 179.9, -180.0]]
+    )
+    trace = JointTrace(angles, [1, 0, 1])
+    assert trace.to_csv() == trace_csv_reference(trace.angles)
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_trace_csv_across_blocks(monkeypatch, block):
+    # 1,010 waypoints: the numbers cross 999/1000 within a block and at
+    # the blocks' seams
+    monkeypatch.setattr(motion, "CSV_BLOCK", block)
+    rng = np.random.default_rng(5)
+    table = rng.uniform(-math.pi, math.pi, (40, 6))
+    table[3] = -0.0
+    trace = JointTrace(table, rng.integers(0, 40, 1010))
+    assert trace.to_csv() == trace_csv_reference(trace.angles)
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [
+        (0, 12), (0, 1), (5, 5), (990, 1010), (999, 1001), (999_990, 1_000_010),
+        (123_456_780, 123_456_790),
+    ],
 )
-def test_waypoints_leg_length_is_the_vector_norm(start, end):
+def test_waypoint_digits_are_the_numbers(start, stop):
+    digits = motion.waypoint_digits(start, stop)
+    groups = -(-len(str(max(stop - 1, 0))) // 3)
+    assert digits.dtype == np.uint8 and digits.shape == (stop - start, 3 * groups)
+    # right-aligned: the NUL pads are on the left only
+    assert [bytes(row).lstrip(b"\0") for row in digits] == [b"%d" % i for i in range(start, stop)]
+
+
+def test_trace_csv_peak_memory_per_waypoint():
+    # the text and its one copy at the decode, 2 x 71 B per waypoint here
+    # (148 measured); built by `%` and str.join it peaked at 262 B
+    rng = np.random.default_rng(3)
+    table = rng.uniform(-math.pi, math.pi, (30_000, 6))
+    # a near tie is rounded by `%.6f` alone, not the whole trace
+    table[0, 0] = np.radians(0.0078125)
+    p = np.degrees(table[0, 0]) * 1e6
+    assert abs(abs(p - np.rint(p)) - 0.5) < motion.TIE_BAND
+    trace = JointTrace(table, rng.permutation(np.repeat(np.arange(30_000), 2)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        csv = trace.to_csv()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 60_000 and len(csv) > 70 * len(trace)
+    assert peak / len(trace) < 160.0
+
+
+@st.composite
+def legs(draw):
+    """(start, end): general legs, and legs along one or two axes whose
+    other differences are +-0.0, moving by tiny to huge amounts."""
+    start = draw(st.tuples(*[st.floats(-1000.0, 1000.0)] * 3))
+    if draw(st.booleans()):
+        return start, draw(st.tuples(*[st.floats(-1000.0, 1000.0)] * 3))
+    moving = draw(st.sets(st.integers(0, 2), min_size=1, max_size=2))
+    end = list(start)
+    for j in range(3):
+        if j in moving:
+            end[j] += draw(
+                st.floats(-1e-6, 1e-6)
+                | st.floats(-2000.0, 2000.0)
+                | st.sampled_from([1e100, -1e155, 1e200, -1.7e308])
+            )
+        elif start[j] == 0.0:
+            end[j] = draw(st.sampled_from([0.0, -0.0]))
+    return start, tuple(end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(leg=legs())
+def test_waypoints_leg_length_is_the_vector_norm(leg):
     # the leg's length decides its interval count: bit for bit the
     # length np.linalg.norm gives
-    start, end = np.array(start), np.array(end)
+    start, end = np.array(leg[0]), np.array(leg[1])
     d = end - start
-    length = float(np.linalg.norm(d))
+    with np.errstate(over="ignore"):  # a huge two-axis leg's square
+        length = float(np.linalg.norm(d))
+        assert np.float64(motion.leg_length(*d.tolist())).tobytes() == np.float64(length).tobytes()
+    if not length < 1e4:  # too many waypoints to list
+        return
     pts = np.array(line_waypoints(start, end))
     if length < 1e-12:
         assert pts.tobytes() == start[None, :].tobytes()

@@ -102,9 +102,14 @@ def test_benchmark_tracer_binds_every_site():
         grid = ScanGrid(260.0, -20.0, 3, 4, 10.0, 10.0, safe_z=60.0)
         scene = TargetScene(make_plate(200.0, -100.0, 200.0, 200.0, 25.0))
         result = run_scan(grid, RobotGeometry(), scene, NoiseModel())
+        csv = result.trace.to_csv()
     finally:
         tracer.restore()
     calls = Counter(span[0] for span in tracer.spans)
+    # the tracer counts the CSV's bytes from a str: a bytes return would
+    # fail every traced op
+    assert calls["motion.to_csv"] == 1
+    assert tracer.counts[None]["motion.trace_csv_bytes"] == len(csv.encode())
     # one cycle, one raycast and one solve of both legs per cell; the
     # legs and the precheck solve paths without `inverse_kinematics`,
     # and the noise is drawn in one batch, not by `error_at`

@@ -30,7 +30,13 @@ from armscan.scene import (
     raycast_down,
 )
 
-from oracles import line_waypoints_reference, plan_line_loop, scan_reference, triangulate_loop
+from oracles import (
+    line_waypoints_reference,
+    plan_line_loop,
+    scan_reference,
+    trace_csv_reference,
+    triangulate_loop,
+)
 
 
 POINT_BITS = struct.Struct("3d").pack
@@ -398,7 +404,17 @@ def test_scan_matches_cell_by_cell_reference_on_random_grids(
         return
     if xs[0] < 0.0 < xs[-1]:
         event("laterals cross x = 0")
-    result = run_scan(grid, geom, scene, noise)
+    rays = []
+
+    def counting_raycast(*args):
+        rays.append(args[:2])
+        return raycast_down(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scene_module, "raycast_down", counting_raycast)
+        result = run_scan(grid, geom, scene, noise)
+    # one ray per cell, whether or not its legs solve
+    assert len(rays) == grid.point_count
     kinds, z_true, z_measured, angles, facets = scan_reference(grid, geom, scene, noise)
     points = result.points
     for kind in set(points.kinds.ravel()):
@@ -408,6 +424,7 @@ def test_scan_matches_cell_by_cell_reference_on_random_grids(
     assert points.z_measured.tobytes() == z_measured.tobytes()
     assert result.trace.angles.shape == angles.shape
     assert result.trace.angles.tobytes() == angles.tobytes()
+    assert result.trace.to_csv() == trace_csv_reference(angles)
     assert result.mesh.vertices.tobytes() == facets.tobytes()
     # a touch has two finite heights; a cell without one has two NaNs
     touched = np.isin(points.kinds, [CONTACT_MESH, CONTACT_TABLE])
