@@ -257,9 +257,10 @@ def load_job(path) -> ScanJob:
     return ScanJob(geom, grid, noise, values)
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text) -> None:
+    """Write `text`, a str or an iterable of encoded blocks, atomically."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, text.encode("utf-8"))
+    write_atomic(path, text.encode("utf-8") if isinstance(text, str) else text)
 
 
 def _comment_block(text: str) -> str:
@@ -295,7 +296,7 @@ def run_job(job: ScanJob, out=sys.stdout) -> ScanResult:
         artifact.parent.mkdir(parents=True, exist_ok=True)
     save_stl(result.mesh, output["stl"])
     save_xyz(result.points.measured_cloud(), output["xyz"])
-    _write_text(output["trace"], result.trace.to_csv())
+    _write_text(output["trace"], result.trace.csv_blocks())
     report += "\n# results\n" + _comment_block(result.summary())
     _write_text(output["report"], report)
 

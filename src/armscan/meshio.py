@@ -220,19 +220,22 @@ def read_stl(data: bytes) -> TriangleMesh:
     return _read_stl_binary(data)
 
 
-def write_atomic(path, data: bytes) -> None:
+def write_atomic(path, data) -> None:
     """Replace the file at `path` with `data` in one rename.
 
-    The bytes go to a fresh file beside the target, which `os.replace`
-    then moves over it, so a failed write leaves the old file (or no
-    file) in place and removes its temporary.  This guards against a
-    failure of this process, not against power loss: nothing is synced.
+    `data` is bytes, or an iterable of byte chunks that are written as
+    they come, so a long text never has to be held whole.  The bytes go
+    to a fresh file beside the target, which `os.replace` then moves
+    over it, so a failed write, or a chunk source that raises part way,
+    leaves the old file (or no file) in place and removes its
+    temporary.  This guards against a failure of this process, not
+    against power loss: nothing is synced.
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(temp, "xb") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, (bytes, bytearray)) else data)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

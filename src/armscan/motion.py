@@ -38,7 +38,9 @@ as NUL.  The rounding is exact: below 1000 degrees, `v * 1e6` is within
 rounded one unless it lies within `TIE_BAND` of a half; those few
 values are rounded one by one by `%.6f` itself.  Each waypoint is then
 its number, from the same tables, and its row's bytes, and one
-`translate` per block drops the NUL pads.  A table holding a value that
+`translate` per block drops the NUL pads.  The blocks are yielded one
+by one (`JointTrace.csv_blocks`), so a writer streams them into its
+file and never holds the whole text.  A table holding a value that
 is not finite or prints as 1000 degrees or more, which no scan makes
 (the joint limits stop every angle near 180), is written by the `%`
 operator row by row instead.
@@ -157,18 +159,19 @@ class JointTrace:
     def __len__(self) -> int:
         return len(self.index)
 
-    def to_csv(self) -> str:
-        """The trace as CSV text: the header, then per waypoint its
-        number and its six angles in degrees, `%.6f` each.
+    def csv_blocks(self):
+        """The trace as CSV, in ASCII byte blocks: the header, then per
+        waypoint its number and its six angles in degrees, `%.6f` each,
+        `CSV_BLOCK` waypoints a block.
 
         Waypoints repeat rows (a retract replays its descent), so each
         table row is formatted once, `CSV_BLOCK` rows per pass, and every
         waypoint is written by its row; the module docstring gives the
-        digit tables and the tie band.  The blocks' bytes, pads dropped,
-        go into one buffer that is decoded once, so the peak is about
-        twice the text.
+        digit tables and the tie band.  Only the formatted rows and one
+        block are held at a time, never the whole text.
         """
         table, index = self.table, self.index
+        yield CSV_HEADER.encode()
         # np.degrees scales by one positive constant, so it keeps order
         top = np.degrees(max(table.max(), -table.min())) if len(table) else math.nan
         if not float("%.6f" % top) < 1000.0:
@@ -177,12 +180,14 @@ class JointTrace:
                 ",%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n" % tuple(row)
                 for row in np.degrees(table).tolist()
             ]
-            return CSV_HEADER + "".join([f"{i}{texts[j]}" for i, j in enumerate(index.tolist())])
+            for a in range(0, len(index), CSV_BLOCK):
+                picks = enumerate(index[a : a + CSV_BLOCK].tolist(), a)
+                yield "".join([f"{i}{texts[j]}" for i, j in picks]).encode()
+            return
         rows = np.empty((len(table), 6), dtype=_ANGLE)
         for a in range(0, len(table), CSV_BLOCK):
             _format_angles(np.degrees(table[a : a + CSV_BLOCK]), rows[a : a + CSV_BLOCK])
         rows = rows.view(np.uint8).reshape(len(table), 72)
-        data = bytearray(CSV_HEADER.encode())
         for a in range(0, len(index), CSV_BLOCK):
             b = min(a + CSV_BLOCK, len(index))
             digits = waypoint_digits(a, b)
@@ -192,8 +197,13 @@ class JointTrace:
             view[:, :width] = digits
             view[:, width:-1] = rows[index[a:b]]
             view[:, -1] = ord("\n")
-            data += text.translate(None, b"\0")
-        del rows
+            yield text.translate(None, b"\0")
+
+    def to_csv(self) -> str:
+        """The whole CSV of `csv_blocks` as one string."""
+        data = bytearray()
+        for block in self.csv_blocks():
+            data += block
         return data.decode("ascii")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from armscan import cli, kinematics
+from armscan import cli, kinematics, motion
 from armscan.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -39,6 +39,7 @@ from armscan.scanner import UnreachableGridError
 from armscan.scene import FLOOR_MODES, NoiseModel
 
 from conftest import write_stl_ascii
+from oracles import trace_csv_reference
 
 JOB_TEMPLATE = """\
 [scene]
@@ -440,6 +441,15 @@ def test_scan_writes_all_artifacts(tmp_path):
     assert trace.startswith("waypoint,theta1_deg")
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "# results" in report and "mesh contacts   42" in report
+
+
+def test_scan_trace_file_is_the_reference_csv(tmp_path, monkeypatch):
+    # the file is streamed in blocks; its bytes are the one-string CSV's
+    monkeypatch.setattr(motion, "CSV_BLOCK", 100)
+    result = cli.run_job(load_job(write_job(tmp_path, sigma=0.05)), out=io.StringIO())
+    data = (tmp_path / "out" / "trace.csv").read_bytes()
+    assert len(result.trace) > 3 * motion.CSV_BLOCK
+    assert data == trace_csv_reference(result.trace.angles).encode()
 
 
 def test_scan_is_byte_deterministic(tmp_path):

@@ -15,9 +15,11 @@ from armscan.meshio import (
     read_xyz,
     save_stl,
     save_xyz,
+    write_atomic,
     write_stl_binary,
     write_xyz,
 )
+from armscan.motion import JointTrace
 
 from conftest import write_stl_ascii
 
@@ -379,8 +381,9 @@ def test_xyz_non_finite_coordinate_numbered(token):
         lambda path: save_stl(TriangleMesh.from_vertices([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), path),
         lambda path: save_xyz(PointCloud([[1.0, 2.0, 3.0]]), path),
         lambda path: cli._write_text(path, "# report\n"),
+        lambda path: cli._write_text(path, JointTrace(np.ones((3, 6))).csv_blocks()),
     ],
-    ids=["stl", "xyz", "text"],
+    ids=["stl", "xyz", "text", "trace"],
 )
 def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, write):
     target = tmp_path / "artifact"
@@ -399,6 +402,23 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, w
     write(target)
     assert target.read_bytes() != b"old contents\n"
     assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_chunk_source_failing_part_way_keeps_old_file(tmp_path):
+    target = tmp_path / "trace.csv"
+    target.write_bytes(b"old contents\n")
+    first = b"x" * 100_000  # past the file's buffer, so written at once
+
+    def chunks():
+        yield first
+        (temp,) = [p for p in tmp_path.iterdir() if p != target]
+        assert temp.name.startswith(".trace.csv.") and temp.stat().st_size == len(first)
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_atomic(target, chunks())
+    assert target.read_bytes() == b"old contents\n"
+    assert os.listdir(tmp_path) == ["trace.csv"]
 
 
 def test_unencodable_report_keeps_old_file(tmp_path):

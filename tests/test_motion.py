@@ -17,7 +17,7 @@ from armscan.kinematics import (
     check_limits,
     forward_kinematics,
 )
-from armscan.meshio import TriangleMesh
+from armscan.meshio import TriangleMesh, write_atomic
 from armscan.motion import JointTrace, line_waypoints, plan_line, probe_cycle
 from armscan.scene import CONTACT_MESH, CONTACT_TABLE, CONTACT_UNREACHABLE, NoiseModel, TargetScene
 
@@ -513,13 +513,26 @@ def test_trace_csv_signed_zeros_subnormals_and_the_thousand():
     assert line == "0,0.000000,-0.000000,0.000000,-0.000000,0.000000,-0.000000"
 
 
+def streamed_csv(trace) -> bytes:
+    """The blocks `csv_blocks` yields, joined; each must equal the
+    `to_csv` text and hold at most CSV_BLOCK waypoints."""
+    blocks = list(trace.csv_blocks())
+    assert all(isinstance(block, (bytes, bytearray)) for block in blocks)
+    assert len(blocks) == 1 + -(-len(trace) // motion.CSV_BLOCK)
+    data = b"".join(blocks)
+    assert data == trace.to_csv().encode("ascii")
+    return data
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1000.0, -1000.0, 1e300])
-def test_trace_csv_past_the_digit_tables_takes_the_percent_loop(value):
+def test_trace_csv_past_the_digit_tables_takes_the_percent_loop(monkeypatch, value):
+    # two blocks, so the `%` loop streams too
+    monkeypatch.setattr(motion, "CSV_BLOCK", 2)
     angles = np.radians(
         [[1.0, -2.0, 3.5, 0.0, -0.0, 6.0], [0.5, value, -1e-7, 7e-7, 179.9, -180.0]]
     )
     trace = JointTrace(angles, [1, 0, 1])
-    assert trace.to_csv() == trace_csv_reference(trace.angles)
+    assert streamed_csv(trace) == trace_csv_reference(trace.angles).encode()
 
 
 @pytest.mark.parametrize("block", [1, 7, 4096])
@@ -531,7 +544,7 @@ def test_trace_csv_across_blocks(monkeypatch, block):
     table = rng.uniform(-math.pi, math.pi, (40, 6))
     table[3] = -0.0
     trace = JointTrace(table, rng.integers(0, 40, 1010))
-    assert trace.to_csv() == trace_csv_reference(trace.angles)
+    assert streamed_csv(trace) == trace_csv_reference(trace.angles).encode()
 
 
 @pytest.mark.parametrize(
@@ -568,6 +581,25 @@ def test_trace_csv_peak_memory_per_waypoint():
         tracemalloc.stop()
     assert len(trace) == 60_000 and len(csv) > 70 * len(trace)
     assert peak / len(trace) < 160.0
+
+
+def test_trace_csv_streams_into_its_file_below_a_multiple_of_the_table(tmp_path):
+    # 2.22 x table.nbytes measured (3.19 MB for a 1.44 MB table): the
+    # formatted rows, 72 B per 48 B table row, and one block at a time.
+    # Joining the text before the write measured 6.30 x.
+    rng = np.random.default_rng(3)
+    table = rng.uniform(-math.pi, math.pi, (30_000, 6))
+    trace = JointTrace(table, rng.permutation(np.repeat(np.arange(30_000), 2)))
+    target = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_atomic(target, trace.csv_blocks())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size > 70 * len(trace) == 70 * 60_000
+    assert peak < 2.5 * table.nbytes
 
 
 @st.composite
