@@ -31,17 +31,20 @@ solved: the elbow always sits above the shoulder-to-wrist chord.
 
 `inverse_kinematics` solves one pose or a whole path of points under one
 rotation with one closed form (Pieper's spherical-wrist decoupling) in
-scalar `math` code, and returns the joint angles alone.  A path is
-`solve_path`, the one path loop, after one rotation check for the whole
+scalar `math` code, and returns the joint angles alone.  The closed form
+is one path kernel, `_path_kernel`; a single pose is a path of one
+point.  It reads the link lengths, the tip-to-wrist offset, the rotation
+entries and the widened joint limits once per call.  The base yaw, the
+wrist angles and their limit checks depend on the point's (x, y) alone,
+so a run of points whose (x, y) bits match, such as a vertical descent,
+works them out once; each point then solves only its height and the
+elbow.  A path is `solve_path` after one rotation check for the whole
 path.  `solve_path` takes the points as (x, y, z) float triples and the
 rotation as nested floats, and gives a tuple of six angles per point;
 its error is the first failing point's, the message prefixed
-`waypoint i at (x, y, z): `.  It sets the closed form up once
-(`_closed_form`): the link lengths, the tip-to-wrist offset, the
-rotation entries and the widened joint limits are read per call, not
-per point, so a long path spreads that set-up over its points.
-Straight-line legs (`motion.plan_line`) call it directly under the
-tool-down rotation, with no `Pose` and no array.
+`waypoint i at (x, y, z): `.  Straight-line legs (`motion.plan_line`)
+call it directly under the tool-down rotation, with no `Pose` and no
+array.
 
 A pose the arm cannot take raises `UnreachableError`; a solved angle
 past its stop is one kind of it, the subclass `JointLimitError`, so one
@@ -54,6 +57,7 @@ outside the program across the package, raises `ConfigError`.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -243,19 +247,26 @@ def forward_kinematics(angles: JointAngles, geom: RobotGeometry) -> Pose:
 # direction to solve along.
 MIN_CHORD = 1e-9
 
+# A run of path points shares its wrist half while these bits of (x, y) match.
+_XY = struct.Struct("<2d")
 
-def _closed_form(rot: list, geom: RobotGeometry) -> tuple:
-    """The closed form set up once for one rotation; `rot` is it as nested floats.
 
-    Reads the link lengths, the tip-to-wrist offset along the approach
-    (column 3) and the joint limits widened by LIMIT_GRACE once, the
-    limits from JOINT_LIMITS as it stands now.  Returns (solve, branch):
+def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
+    """The closed form: solve the tip at each (x, y, z) of `points` under
+    `rot` (nested floats, unchecked), appending the six joint angles of
+    each point to `rows` as a tuple.
 
-    - ``solve(x, y, z)`` gives the six joint angles of the tip at
-      (x, y, z) as a tuple, from both yaw branches, the aimed one winning;
-    - ``branch(theta1, radial, z)`` is one yaw branch, `radial` being the
-      wrist center's in-plane distance from the shoulder along
-      `theta1`'s direction and `z` its height above the shoulder (mm).
+    The link lengths, the tip-to-wrist offset along the approach (column
+    3) and the joint limits widened by LIMIT_GRACE are read once, the
+    limits from JOINT_LIMITS as they stand now.  A run of points whose
+    (x, y) bits match (so 0.0 and -0.0 differ) shares the wrist center's
+    azimuth and planar distance, and each yaw branch's wrist half: the
+    yaw, joints 4-6 and whether those four pass their limits.  Per point
+    only the height and the elbow half are solved.  The aimed branch
+    wins; the back-reaching one, its wrist half worked out once per run
+    when first needed, is tried where it fails.  The first point neither
+    branch solves, at index `len(rows)`, raises the aimed branch's
+    error with no prefix, or ValueError for a NaN coordinate.
     """
     d1, l1, l2, d4 = geom.d1, geom.l1, geom.l2, geom.d4
     sides, twice = l2 * l2 + d4 * d4, 2.0 * l2 * d4
@@ -265,32 +276,19 @@ def _closed_form(rot: list, geom: RobotGeometry) -> tuple:
     (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4), (lo5, hi5), (lo6, hi6) = [
         (lo - g, hi + g) for lo, hi in JOINT_LIMITS
     ]
+    # bound to locals: the loop below runs once per point
+    atan2, hypot, acos, sin, cos, fmod = (
+        math.atan2, math.hypot, math.acos, math.sin, math.cos, math.fmod
+    )
+    pi, tau = math.pi, 2.0 * math.pi
 
-    def branch(theta1: float, radial: float, z: float) -> tuple:
-        chord = math.hypot(radial, z)
-        if chord < MIN_CHORD:
-            raise UnreachableError("wrist center coincides with the shoulder")
-        alpha = math.atan2(z, radial)
-
-        cosine = (sides - chord * chord) / twice
-        if not -1.0 - ACOS_CLAMP_TOL <= cosine <= 1.0 + ACOS_CLAMP_TOL:
-            raise UnreachableError(
-                f"elbow triangle (chord {chord:.3f} mm, annulus "
-                f"[{abs(l2 - d4):.3f}, {l2 + d4:.3f}]): "
-                f"cosine argument {cosine:.6f} outside [-1, 1]"
-            )
-        interior = math.acos(min(1.0, max(-1.0, cosine)))
-        theta3 = ELBOW_STRAIGHT_INTERIOR - interior
-        # Shoulder angle from the solved elbow angle rather than a second
-        # acos: the pair then closes the triangle exactly, which keeps the
-        # round trip tight even at the stretched (interior = pi) boundary
-        # where independent acos calls are ill-conditioned.
-        beta = math.atan2(d4 * math.sin(theta3), l2 + d4 * math.cos(theta3))
-
-        theta2 = normalize_angle(alpha + beta - SHOULDER_ELEVATION_OFFSET)
-
-        # Wrist: ZYZ angles of the rotation seen from the (vertical-z) carrier.
-        c1, s1 = math.cos(theta1), math.sin(theta1)
+    def wrist(theta1: float, radial: float) -> tuple:
+        """One yaw branch's half shared by a run: (theta1, radial,
+        theta4, theta5, theta6, whether theta1 and theta4-6 pass their
+        limits), `radial` being the wrist center's in-plane distance
+        from the shoulder along theta1's direction (mm)."""
+        # ZYZ angles of the rotation seen from the (vertical-z) carrier.
+        c1, s1 = cos(theta1), sin(theta1)
         m13 = c1 * r13 + s1 * r23
         m23 = -s1 * r13 + c1 * r23
         m11 = c1 * r11 + s1 * r21
@@ -298,55 +296,94 @@ def _closed_form(rot: list, geom: RobotGeometry) -> tuple:
 
         # atan2 keeps the tilt relative-accurate where acos(m33) would
         # round tiny tilts to zero and drop a d6-scaled tip offset
-        sin5 = math.hypot(m13, m23)
-        theta5 = math.atan2(sin5, m33)
+        sin5 = hypot(m13, m23)
+        theta5 = atan2(sin5, m33)
         if sin5 <= WRIST_SINGULAR_TOL:
             theta4 = 0.0
             if m33 > 0.0:
                 theta5 = 0.0
-                theta6 = math.atan2(m21, m11)
+                theta6 = atan2(m21, m11)
             else:
-                theta5 = math.pi
-                theta6 = math.atan2(m21, -m11)
+                theta5 = pi
+                theta6 = atan2(m21, -m11)
         else:
-            theta4 = normalize_angle(math.atan2(m23, m13))
-            theta6 = math.atan2(m32, -m31)
+            theta4 = normalize_angle(atan2(m23, m13))
+            theta6 = atan2(m32, -m31)
         theta6 = normalize_angle(theta6)
-
-        # One chained comparison per joint; a NaN fails it, and
-        # check_limits names the offending joint.
-        angles = (theta1, theta2, theta3, theta4, theta5, theta6)
-        if not (
+        # one chained comparison per joint; a NaN fails it
+        ok = (
             lo1 <= theta1 <= hi1
-            and lo2 <= theta2 <= hi2
-            and lo3 <= theta3 <= hi3
             and lo4 <= theta4 <= hi4
             and lo5 <= theta5 <= hi5
             and lo6 <= theta6 <= hi6
-        ):
-            check_limits(angles)
-        return angles
+        )
+        return theta1, radial, theta4, theta5, theta6, ok
 
-    def solve(x: float, y: float, z: float) -> tuple:
-        # wrist center: the tip backed off d6 along the approach
-        xc = x - off_x
-        yc = y - off_y
+    append = rows.append
+    pack = _XY.pack
+    run = None
+    for x, y, z in points:
+        key = pack(x, y)
+        if key != run:
+            run = key
+            # wrist center: the tip backed off d6 along the approach
+            xc = x - off_x
+            yc = y - off_y
+            azimuth = atan2(yc, xc)
+            planar = hypot(xc, yc)
+            aimed = wrist(azimuth, planar - l1)
+            back = None
         height = z - off_z - d1  # above the shoulder
-        azimuth = math.atan2(yc, xc)
-        planar = math.hypot(xc, yc)
-
-        try:
-            return branch(azimuth, planar - l1, height)
-        except UnreachableError as aimed_error:
-            try:
-                return branch(normalize_angle(azimuth + math.pi), -planar - l1, height)
-            except UnreachableError:
-                # a NaN fails the reach test, beside an infinite coordinate too
-                if math.isnan(x) or math.isnan(y) or math.isnan(z):
-                    raise ValueError("target position is not finite") from None
-                raise aimed_error from None
-
-    return solve, branch
+        branch = aimed
+        while True:
+            theta1, radial, theta4, theta5, theta6, wrist_ok = branch
+            chord = hypot(radial, height)
+            if chord < MIN_CHORD:
+                error = UnreachableError("wrist center coincides with the shoulder")
+            else:
+                alpha = atan2(height, radial)
+                cosine = (sides - chord * chord) / twice
+                if not -1.0 - ACOS_CLAMP_TOL <= cosine <= 1.0 + ACOS_CLAMP_TOL:
+                    error = UnreachableError(
+                        f"elbow triangle (chord {chord:.3f} mm, annulus "
+                        f"[{abs(l2 - d4):.3f}, {l2 + d4:.3f}]): "
+                        f"cosine argument {cosine:.6f} outside [-1, 1]"
+                    )
+                else:
+                    # acos(min(1.0, max(-1.0, cosine))), written out
+                    interior = acos(
+                        1.0 if cosine > 1.0 else -1.0 if cosine < -1.0 else cosine
+                    )
+                    theta3 = ELBOW_STRAIGHT_INTERIOR - interior
+                    # Shoulder angle from the solved elbow angle rather
+                    # than a second acos: the pair then closes the
+                    # triangle exactly, which keeps the round trip tight
+                    # even at the stretched (interior = pi) boundary where
+                    # independent acos calls are ill-conditioned.
+                    beta = atan2(d4 * sin(theta3), l2 + d4 * cos(theta3))
+                    # normalize_angle(alpha + beta - SHOULDER_ELEVATION_OFFSET)
+                    theta2 = fmod(alpha + beta - SHOULDER_ELEVATION_OFFSET + pi, tau)
+                    if theta2 <= 0.0:
+                        theta2 += tau
+                    theta2 -= pi
+                    angles = (theta1, theta2, theta3, theta4, theta5, theta6)
+                    if wrist_ok and lo2 <= theta2 <= hi2 and lo3 <= theta3 <= hi3:
+                        append(angles)
+                        break
+                    try:  # names the first joint outside its interval
+                        check_limits(angles)
+                    except JointLimitError as exc:
+                        error = exc
+            if branch is aimed:
+                aimed_error = error
+                if back is None:
+                    back = wrist(normalize_angle(azimuth + pi), -planar - l1)
+                branch = back
+                continue
+            # a NaN fails the reach test, beside an infinite coordinate too
+            if math.isnan(x) or math.isnan(y) or math.isnan(z):
+                raise ValueError("target position is not finite")
+            raise aimed_error
 
 
 def inverse_kinematics(pose: Pose, geom: RobotGeometry):
@@ -378,15 +415,16 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry):
     if not error <= 1e-9:  # a NaN error fails too
         raise ValueError(f"pose rotation is not orthonormal (error {error:.2e})")
     if pose.position.ndim == 1:
-        solve, _ = _closed_form(pose.rotation.tolist(), geom)
-        return JointAngles(*solve(*pose.position.tolist()))
+        rows = []
+        _path_kernel((pose.position.tolist(),), pose.rotation.tolist(), geom, rows)
+        return JointAngles(*rows[0])
     rows = solve_path(pose.position.tolist(), pose.rotation.tolist(), geom)
     return np.array(rows, dtype=float).reshape(-1, 6)
 
 
 def solve_path(points, rot: list, geom: RobotGeometry) -> list:
-    """The closed form set up once under `rot` (nested floats, unchecked),
-    then solved point by point.
+    """The closed form (`_path_kernel`) under `rot` (nested floats,
+    unchecked) over a path.
 
     `points` is a sequence of (x, y, z) float triples.  Returns a list
     with a tuple of six joint angles per point.  The first point neither
@@ -394,14 +432,13 @@ def solve_path(points, rot: list, geom: RobotGeometry) -> list:
     ``waypoint i at (x, y, z): ``; a NaN coordinate's ValueError
     propagates as it is.
     """
-    solve, _ = _closed_form(rot, geom)
     rows = []
-    for x, y, z in points:
-        try:
-            rows.append(solve(x, y, z))
-        except UnreachableError as exc:
-            where = f"waypoint {len(rows)} at ({x:.3f}, {y:.3f}, {z:.3f})"
-            raise type(exc)(f"{where}: {exc}") from None
+    try:
+        _path_kernel(points, rot, geom, rows)
+    except UnreachableError as exc:
+        x, y, z = points[len(rows)]
+        where = f"waypoint {len(rows)} at ({x:.3f}, {y:.3f}, {z:.3f})"
+        raise type(exc)(f"{where}: {exc}") from None
     return rows
 
 

@@ -3,11 +3,13 @@
 Planning is quasi-static: a leg is a uniform chain of position
 waypoints at most `STEP` apart (`line_waypoints`, a list of (x, y, z)
 float triples) under the tool-down orientation.  `plan_line` solves a
-path of such waypoints in one `kinematics.solve_path` call, the closed
-form set up once under the tool-down rotation, with no `Pose`, no
-rotation check and no array; the path comes back as a list with a tuple
-of six angles per waypoint.  No velocity profile exists; the rows are
-the sequence an open-loop controller would stream.
+path of such waypoints in one `kinematics.solve_path` call under the
+tool-down rotation, with no `Pose`, no rotation check and no array; the
+path comes back as a list with a tuple of six angles per waypoint.  The
+kernel works out the yaw and wrist angles once per run of waypoints
+over the same (x, y), so a descent, one such run, costs its elbow
+solves alone.  No velocity profile exists; the rows are the sequence
+an open-loop controller would stream.
 
 A probe cycle is two such lines, lateral travel at the safe height and
 descent to the contact, then the retract: the descent's rows replayed

@@ -46,14 +46,14 @@ from .scene import (
 
 DEFAULT_SAFE_Z = 60.0
 # Most probe points a grid may have.  A scan costs under 0.1 ms per
-# point (0.077 ms on a 51 x 47 grid over the wing, trace CSV included,
-# on a 2-core x86 Xeon host), so this is minutes of work; a mistyped
-# 100000 x 100000 grid would otherwise spend hours in the precheck
-# before any motion.  Memory fits too: a 400 x 400 grid at 0.5 mm over
-# a plate (2,575,560 trace rows) reached 190 MB of max RSS after the
-# scan and 274 MB after streaming the trace CSV, from 29 MB at start,
-# about 1.5 KB per point: about 1.6 GB at 1,000,000 points, a fifth
-# of an 8 GB host.
+# point (0.069 ms on a 51 x 47 grid over the wing, trace CSV included,
+# best of 7 on a 2-core x86 Xeon host), so this is minutes of work; a
+# mistyped 100000 x 100000 grid would otherwise spend hours in the
+# precheck before any motion.  Memory fits too: a 400 x 400 grid at
+# 0.5 mm over a plate (2,575,560 trace rows) reached 190 MB of max RSS
+# after the scan and 274 MB after streaming the trace CSV, from 29 MB
+# at start, about 1.5 KB per point: about 1.6 GB at 1,000,000 points,
+# a fifth of an 8 GB host.
 MAX_GRID_POINTS = 1_000_000
 
 

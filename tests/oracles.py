@@ -14,11 +14,20 @@ from scipy.spatial import cKDTree
 
 from armscan import motion
 from armscan.kinematics import (
+    ACOS_CLAMP_TOL,
+    ELBOW_STRAIGHT_INTERIOR,
+    JOINT_LIMITS,
+    LIMIT_GRACE,
+    MIN_CHORD,
+    SHOULDER_ELEVATION_OFFSET,
     TOOL_DOWN_ROTATION,
+    WRIST_SINGULAR_TOL,
+    JointAngles,
     JointLimitError,
-    Pose,
+    RobotGeometry,
     UnreachableError,
-    inverse_kinematics,
+    check_limits,
+    normalize_angle,
 )
 from armscan.motion import CSV_HEADER
 from armscan.scene import (
@@ -289,6 +298,113 @@ def noise_reference(noise, index):
     return gauss + noise.drift_per_contact * index
 
 
+def ik_point_reference(rot: list, geom: RobotGeometry) -> tuple:
+    """The closed form point by point, as `kinematics` solved it before its
+    path kernel shared a run's wrist half: set up once for one rotation,
+    `rot` as nested floats.
+
+    Reads the link lengths, the tip-to-wrist offset along the approach
+    (column 3) and the joint limits widened by LIMIT_GRACE once, the
+    limits from JOINT_LIMITS as it stands now.  Returns (solve, branch):
+
+    - ``solve(x, y, z)`` gives the six joint angles of the tip at
+      (x, y, z) as a tuple, from both yaw branches, the aimed one winning;
+    - ``branch(theta1, radial, z)`` is one yaw branch, `radial` being the
+      wrist center's in-plane distance from the shoulder along
+      `theta1`'s direction and `z` its height above the shoulder (mm).
+    """
+    d1, l1, l2, d4 = geom.d1, geom.l1, geom.l2, geom.d4
+    sides, twice = l2 * l2 + d4 * d4, 2.0 * l2 * d4
+    (r11, _, r13), (r21, _, r23), (m31, m32, m33) = rot
+    off_x, off_y, off_z = geom.d6 * r13, geom.d6 * r23, geom.d6 * m33
+    g = LIMIT_GRACE
+    (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4), (lo5, hi5), (lo6, hi6) = [
+        (lo - g, hi + g) for lo, hi in JOINT_LIMITS
+    ]
+
+    def branch(theta1: float, radial: float, z: float) -> tuple:
+        chord = math.hypot(radial, z)
+        if chord < MIN_CHORD:
+            raise UnreachableError("wrist center coincides with the shoulder")
+        alpha = math.atan2(z, radial)
+
+        cosine = (sides - chord * chord) / twice
+        if not -1.0 - ACOS_CLAMP_TOL <= cosine <= 1.0 + ACOS_CLAMP_TOL:
+            raise UnreachableError(
+                f"elbow triangle (chord {chord:.3f} mm, annulus "
+                f"[{abs(l2 - d4):.3f}, {l2 + d4:.3f}]): "
+                f"cosine argument {cosine:.6f} outside [-1, 1]"
+            )
+        interior = math.acos(min(1.0, max(-1.0, cosine)))
+        theta3 = ELBOW_STRAIGHT_INTERIOR - interior
+        # Shoulder angle from the solved elbow angle rather than a second
+        # acos: the pair then closes the triangle exactly, which keeps the
+        # round trip tight even at the stretched (interior = pi) boundary
+        # where independent acos calls are ill-conditioned.
+        beta = math.atan2(d4 * math.sin(theta3), l2 + d4 * math.cos(theta3))
+
+        theta2 = normalize_angle(alpha + beta - SHOULDER_ELEVATION_OFFSET)
+
+        # Wrist: ZYZ angles of the rotation seen from the (vertical-z) carrier.
+        c1, s1 = math.cos(theta1), math.sin(theta1)
+        m13 = c1 * r13 + s1 * r23
+        m23 = -s1 * r13 + c1 * r23
+        m11 = c1 * r11 + s1 * r21
+        m21 = -s1 * r11 + c1 * r21
+
+        # atan2 keeps the tilt relative-accurate where acos(m33) would
+        # round tiny tilts to zero and drop a d6-scaled tip offset
+        sin5 = math.hypot(m13, m23)
+        theta5 = math.atan2(sin5, m33)
+        if sin5 <= WRIST_SINGULAR_TOL:
+            theta4 = 0.0
+            if m33 > 0.0:
+                theta5 = 0.0
+                theta6 = math.atan2(m21, m11)
+            else:
+                theta5 = math.pi
+                theta6 = math.atan2(m21, -m11)
+        else:
+            theta4 = normalize_angle(math.atan2(m23, m13))
+            theta6 = math.atan2(m32, -m31)
+        theta6 = normalize_angle(theta6)
+
+        # One chained comparison per joint; a NaN fails it, and
+        # check_limits names the offending joint.
+        angles = (theta1, theta2, theta3, theta4, theta5, theta6)
+        if not (
+            lo1 <= theta1 <= hi1
+            and lo2 <= theta2 <= hi2
+            and lo3 <= theta3 <= hi3
+            and lo4 <= theta4 <= hi4
+            and lo5 <= theta5 <= hi5
+            and lo6 <= theta6 <= hi6
+        ):
+            check_limits(angles)
+        return angles
+
+    def solve(x: float, y: float, z: float) -> tuple:
+        # wrist center: the tip backed off d6 along the approach
+        xc = x - off_x
+        yc = y - off_y
+        height = z - off_z - d1  # above the shoulder
+        azimuth = math.atan2(yc, xc)
+        planar = math.hypot(xc, yc)
+
+        try:
+            return branch(azimuth, planar - l1, height)
+        except UnreachableError as aimed_error:
+            try:
+                return branch(normalize_angle(azimuth + math.pi), -planar - l1, height)
+            except UnreachableError:
+                # a NaN fails the reach test, beside an infinite coordinate too
+                if math.isnan(x) or math.isnan(y) or math.isnan(z):
+                    raise ValueError("target position is not finite") from None
+                raise aimed_error from None
+
+    return solve, branch
+
+
 def line_waypoints_reference(start, end):
     """`motion.line_waypoints` as an (N, 3) array: `start + t * d` over
     `t = arange(n + 1) / n`, with `motion.STEP` read at the call."""
@@ -303,17 +419,18 @@ def line_waypoints_reference(start, end):
 
 
 def plan_line_loop(waypoints, geom):
-    """`motion.plan_line` one waypoint at a time through the scalar IK:
-    a list with the JointAngles of each waypoint.
+    """`motion.plan_line` one waypoint at a time through
+    `ik_point_reference`: a list with the JointAngles of each waypoint.
 
     The first waypoint neither branch solves raises the scalar error,
     prefixed with the waypoint's index and position.
     """
+    solve, _ = ik_point_reference(TOOL_DOWN_ROTATION.tolist(), geom)
     rows = []
     for i, pos in enumerate(np.asarray(waypoints, dtype=float).reshape(-1, 3)):
         where = f"waypoint {i} at ({pos[0]:.3f}, {pos[1]:.3f}, {pos[2]:.3f})"
         try:
-            rows.append(inverse_kinematics(Pose(TOOL_DOWN_ROTATION, pos), geom))
+            rows.append(JointAngles(*solve(*pos.tolist())))
         except (UnreachableError, JointLimitError) as exc:
             raise type(exc)(f"{where}: {exc}") from None
     return rows

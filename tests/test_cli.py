@@ -1060,6 +1060,17 @@ def test_cli_ik_round_trips_through_fk():
     assert kv["rotation_row_3"].split()[2] == "-1.000000000"
 
 
+def test_cli_ik_signed_zeros_aim_the_yaw_apart():
+    # 0.0 and -0.0 are equal but aim the yaw half a turn apart, so IK
+    # tells (x, y) apart by their bits
+    sixths = []
+    for x, y in (("0", "0"), ("-0.0", "-0.0")):
+        code, out, _ = run_cli("ik", x, y, "400")
+        assert code == EXIT_OK
+        sixths.append(parse_kv(out)["theta6_deg"])
+    assert sixths == ["180.000000", "0.000000"]
+
+
 def test_cli_ik_unreachable_exit_code():
     code, _, err = run_cli("ik", "900", "0", "50")
     assert code == EXIT_UNREACHABLE and "error:" in err

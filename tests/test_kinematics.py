@@ -23,7 +23,12 @@ from armscan.kinematics import (
 )
 
 from conftest import random_joint_tuples
-from oracles import fk_reference, radial_reference, wrist_center_reference
+from oracles import (
+    fk_reference,
+    ik_point_reference,
+    radial_reference,
+    wrist_center_reference,
+)
 
 DEG = math.pi / 180.0
 
@@ -340,32 +345,31 @@ def test_check_limits_names_nan_joint(j):
 @pytest.mark.parametrize(
     "j, entry, value",
     [
-        # at zero yaw an infinite r13 gives m13 = inf and m23 = NaN:
-        # theta5 is pi/2, theta4 alone is NaN
-        (4, (0, 2), math.inf),
-        (5, (2, 2), math.nan),
+        # under the tool-down rotation the wrist is singular and theta6
+        # reads r11 and r21; under LIMIT_PROBE's it reads m31 and m32
+        (6, (0, 0), math.nan),
+        (6, (1, 0), math.nan),
         (6, (2, 0), math.nan),
     ],
 )
 def test_ik_nan_wrist_angle_fails_the_limit_check(geom, j, entry, value):
-    # a NaN fails the one comparison per joint, and the joint is named.
-    # Joint 1 is checked below; a NaN theta2 or theta3 needs a NaN wrist
-    # position, which fails the reach comparison first.
-    rot = forward_kinematics(LIMIT_PROBE, geom).rotation.tolist()  # wrist not singular
+    # a NaN fails the one comparison per joint in the run's wrist half,
+    # on both branches, and the joint is named.  Only theta6 can be NaN
+    # at a finite wrist center: r13, r23 and m33 place the wrist center
+    # too, and a non-finite one takes it out of reach first.  A NaN yaw
+    # needs a NaN coordinate, which is a ValueError.
     row, col = entry
+    pose = forward_kinematics(LIMIT_PROBE, geom)
+    if row < 2:
+        pose = Pose.tool_down(300.0, 20.0, 50.0)
+    rot = pose.rotation.tolist()
     rot[row][col] = value
+    x, y, z = pose.position.tolist()
     with pytest.raises(JointLimitError) as err:
-        kinematics._closed_form(rot, geom)[1](0.0, 300.0, -100.0)
+        kinematics.solve_path([(x, y, z), (x, y, z - 1.0)], rot, geom)
     lo, hi = JOINT_LIMITS[j - 1]
-    assert str(err.value) == limit_message(j, math.nan, lo, hi)
-
-
-def test_ik_nan_yaw_fails_the_limit_check(geom):
-    rot = forward_kinematics(LIMIT_PROBE, geom).rotation.tolist()
-    with pytest.raises(JointLimitError) as err:
-        kinematics._closed_form(rot, geom)[1](math.nan, 300.0, -100.0)
-    lo, hi = JOINT_LIMITS[0]
-    assert str(err.value) == limit_message(1, math.nan, lo, hi)
+    where = f"waypoint 0 at ({x:.3f}, {y:.3f}, {z:.3f})"
+    assert str(err.value) == f"{where}: {limit_message(j, math.nan, lo, hi)}"
 
 
 def test_ik_nan_position_is_value_error(geom):
@@ -494,53 +498,102 @@ IN_LIMITS = st.tuples(*(st.floats(lo, hi) for lo, hi in JOINT_LIMITS))
 
 @st.composite
 def legs(draw):
-    """(rotation, points): a straight leg from the tip of an in-limit
-    posture (back-reaching ones included) under that posture's rotation
-    or the tool-down one, to the tip of another posture or to a point
-    anywhere around the arm: outside the reach, in the inner hole, or
-    over the base where joint limits stop the aimed branch."""
+    """(rotation, points), one of two kinds.
+
+    A straight leg from the tip of an in-limit posture (back-reaching
+    ones included) under that posture's rotation or the tool-down one,
+    to the tip of another posture or to a point anywhere around the arm:
+    outside the reach, in the inner hole, or over the base where joint
+    limits stop the aimed branch.
+
+    Or a vertical leg, whose points share their (x, y): a posture's tip
+    or a point near the yaw axis, where the aimed branch gives way to
+    the back-reaching one part way down.  A zero coordinate takes a sign
+    drawn per point, so runs of equal (x, y) bits end where 0.0 and -0.0
+    alternate."""
     start = forward_kinematics(JointAngles(*draw(IN_LIMITS)), GEOM)
     rotation = TOOL_DOWN_ROTATION if draw(st.booleans()) else start.rotation
+    count = draw(st.integers(1, 40))
     if draw(st.booleans()):
-        end = forward_kinematics(JointAngles(*draw(IN_LIMITS)), GEOM).position
-    else:
-        end = np.array(
-            draw(st.tuples(st.floats(-700.0, 700.0), st.floats(-700.0, 700.0),
-                           st.floats(-400.0, 800.0)))
-        )
-    return rotation, np.linspace(start.position, end, draw(st.integers(1, 40)))
+        if draw(st.booleans()):
+            end = forward_kinematics(JointAngles(*draw(IN_LIMITS)), GEOM).position
+        else:
+            end = np.array(
+                draw(st.tuples(st.floats(-700.0, 700.0), st.floats(-700.0, 700.0),
+                               st.floats(-400.0, 800.0)))
+            )
+        return rotation, np.linspace(start.position, end, count)
+    near_axis = st.sampled_from([0.0, 30.0, -30.0]) | st.floats(-100.0, 100.0)
+    x, y = start.position[:2] if draw(st.booleans()) else draw(st.tuples(near_axis, near_axis))
+    signs = st.lists(st.sampled_from([1.0, -1.0]), min_size=count, max_size=count)
+    zs = np.linspace(start.position[2], draw(st.floats(-400.0, 800.0)), count)
+    points = [
+        (signed(x, sx), signed(y, sy), z)
+        for sx, sy, z in zip(draw(signs), draw(signs), zs.tolist())
+    ]
+    return rotation, np.array(points).reshape(-1, 3)
+
+
+def signed(v, sign):
+    """`v`, or a zero `v` with the sign of `sign`."""
+    return math.copysign(v, sign) if v == 0.0 else v
 
 
 def scalar_solves(rotation, points, geom):
-    """Scalar IK row by row up to the first failure:
-    (angles, failing row or None, its error or None)."""
+    """`oracles.ik_point_reference` point by point up to the first
+    failure: (angles, failing row or None, its error or None)."""
+    solve, _ = ik_point_reference(rotation.tolist(), geom)
     rows = []
-    for i, point in enumerate(points):
+    for i, point in enumerate(points.tolist()):
         try:
-            rows.append(inverse_kinematics(Pose(rotation, point), geom))
-        except (UnreachableError, JointLimitError) as exc:
+            rows.append(solve(*point))
+        except (UnreachableError, ValueError) as exc:
             return rows, i, exc
     return rows, None, None
 
 
+def as_bytes(rows):
+    return np.array(rows, dtype=float).reshape(-1, 6).tobytes()
+
+
 def assert_path_solve_matches_scalar(rotation, points, geom):
+    """The kernel, as a path and point by point, against the reference:
+    angles by bytes (signed zeros included: the trace CSV prints them),
+    errors by type and message."""
     rows, bad_row, error = scalar_solves(rotation, points, geom)
-    path = Pose(rotation, points)
-    if bad_row is not None:
-        with pytest.raises((UnreachableError, JointLimitError)) as caught:
-            inverse_kinematics(path, geom)
-        assert type(caught.value) is type(error)
-        x, y, z = points[bad_row]
-        where = f"waypoint {bad_row} at ({x:.3f}, {y:.3f}, {z:.3f})"
-        assert str(caught.value) == f"{where}: {error}"
+    for i, point in enumerate(points[:len(rows)]):
+        assert as_bytes([inverse_kinematics(Pose(rotation, point), geom)]) == as_bytes(rows[i])
+    solved = inverse_kinematics(Pose(rotation, points[:len(rows)]), geom)
+    assert solved.tobytes() == as_bytes(rows)
+    if bad_row is None:
         return
-    angles = inverse_kinematics(path, geom)
-    # bit for bit, signed zeros included: the trace CSV prints these
-    assert angles.tobytes() == np.array(rows, dtype=float).reshape(-1, 6).tobytes()
+    with pytest.raises((UnreachableError, ValueError)) as alone:
+        inverse_kinematics(Pose(rotation, points[bad_row]), geom)
+    assert type(alone.value) is type(error) and str(alone.value) == str(error)
+    with pytest.raises((UnreachableError, ValueError)) as caught:
+        inverse_kinematics(Pose(rotation, points), geom)
+    assert type(caught.value) is type(error)
+    x, y, z = points[bad_row]
+    where = f"waypoint {bad_row} at ({x:.3f}, {y:.3f}, {z:.3f})"
+    assert str(caught.value) == f"{where}: {error}"
 
 
 def tool_down_leg(start, end, count):
     return TOOL_DOWN_ROTATION, np.linspace(start, end, count)
+
+
+def tool_down_vertical(x, y, x_signs, y_signs, top, bottom):
+    """A vertical tool-down leg at (x, y), a zero coordinate taking the
+    signs given point by point."""
+    zs = np.linspace(top, bottom, len(x_signs)).tolist()
+    points = [
+        (signed(x, sx), signed(y, sy), z) for sx, sy, z in zip(x_signs, y_signs, zs)
+    ]
+    return TOOL_DOWN_ROTATION, np.array(points)
+
+
+# runs of one, two and three points of equal (x, y) bits
+SIGNS = (1, 1, -1, 1, 1, 1, -1, -1, 1, -1, -1, -1, 1, -1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -551,6 +604,14 @@ def tool_down_leg(start, end, count):
 @example(leg=tool_down_leg([300.0, 0.0, 50.0], [900.0, 0.0, 50.0], 13))
 # joint 2 past its stop near the base from the 8th point on
 @example(leg=tool_down_leg([250.0, 0.0, 0.0], [0.0, 0.0, 0.0], 11))
+# on the yaw axis, every sign of zero in x and y: the yaw and theta6
+# follow the signs, so a run must end where a sign changes
+@example(leg=tool_down_vertical(0.0, 0.0, SIGNS, SIGNS[3:] + SIGNS[:3], 550.0, 200.0))
+# 30 mm from the axis the aimed branch gives way to the back-reaching
+# one at the 11th point, mid-run; theta1 is 0.0 or -0.0 with y
+@example(leg=tool_down_vertical(30.0, 0.0, SIGNS, SIGNS, 400.0, 100.0))
+# ... at the 8th, and neither branch reaches from the 12th on, mid-run
+@example(leg=tool_down_vertical(30.0, 0.0, SIGNS, SIGNS, 350.0, 0.0))
 def test_ik_path_matches_scalar_solves(leg):
     rotation, points = leg
     assert_path_solve_matches_scalar(rotation, points, GEOM)

@@ -152,7 +152,7 @@ INVARIANT_VALUE_ERRORS = {
     ("meshio", "TriangleMesh.__post_init__"),  # normals count
     ("meshio", "TriangleMesh.from_vertices"),  # degenerate facet
     ("kinematics", "inverse_kinematics"),  # rotation not orthonormal
-    ("kinematics", "_closed_form.solve"),  # NaN target
+    ("kinematics", "_path_kernel"),  # NaN target
     ("metrics", "chamfer_distance"),  # empty cloud
 }
 
