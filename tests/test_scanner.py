@@ -54,6 +54,18 @@ def small_grid(n_rows, n_cols, spacing=6.0):
     )
 
 
+def point_by_point_precheck(grid, geom):
+    """(1-based offenders, first reason) of `is_reachable` at the safe
+    height over every grid point in probe order; no reason when none fails."""
+    xs, ys = (a.tolist() for a in grid.axes())
+    checks = [
+        ((i + 1, k + 1), is_reachable((xs[i], ys[k], grid.safe_z), geom))
+        for i, k in grid.probe_order()
+    ]
+    offenders = [ik for ik, (ok, _) in checks if not ok]
+    return offenders, next((why for _, (ok, why) in checks if not ok), None)
+
+
 # ------------------------------------------------------------------ grid
 
 
@@ -168,21 +180,36 @@ def test_scan_unreachable_grid_aborts_before_probing(geom):
 
 
 def test_scan_unreachable_grid_lists_every_offender(geom, monkeypatch):
-    # the precheck solves a column per call; once one fails, each point is
+    # the precheck solves a column per call; a failing column's points are
     # checked alone, so the error lists every offender with the first
     # one's reason, as a point-by-point precheck does
     grid = ScanGrid(470.0, -200.0, 6, 5, 30.0, 100.0, safe_z=60.0)
-    xs, ys = (a.tolist() for a in grid.axes())
-    checks = [
-        ((i + 1, k + 1), is_reachable((xs[i], ys[k], grid.safe_z), geom))
-        for i, k in grid.probe_order()
-    ]
-    offenders = [ik for ik, (ok, _) in checks if not ok]
-    first_reason = next(why for _, (ok, why) in checks if not ok)
+    offenders, first_reason = point_by_point_precheck(grid, geom)
     assert 8 < len(offenders) < grid.point_count
     monkeypatch.setattr(scanner, "probe_cycle", lambda *a, **k: pytest.fail("probing started"))
     with pytest.raises(UnreachableGridError) as err:
         run_scan(grid, geom, plate_scene(), NoiseModel())
+    assert err.value.indices == offenders
+    assert str(err.value) == str(UnreachableGridError(offenders, first_reason))
+
+
+def test_scan_unreachable_grid_rechecks_only_its_failing_columns(geom, monkeypatch):
+    # the last two of seven columns hold every offender: the precheck
+    # checks their points alone and solves no passing column again
+    grid = ScanGrid(400.0, -100.0, 5, 7, 10.0, 100.0, safe_z=60.0)
+    offenders, first_reason = point_by_point_precheck(grid, geom)
+    assert {k for _, k in offenders} == {6, 7}
+    calls = []
+
+    def counting_is_reachable(point, geom):
+        calls.append(point)
+        return is_reachable(point, geom)
+
+    monkeypatch.setattr(scanner, "is_reachable", counting_is_reachable)
+    with pytest.raises(UnreachableGridError) as err:
+        run_scan(grid, geom, plate_scene(), NoiseModel())
+    assert len(calls) == grid.n_rows * 2
+    assert {y for _, y, _ in calls} == set(grid.axes()[1][5:].tolist())
     assert err.value.indices == offenders
     assert str(err.value) == str(UnreachableGridError(offenders, first_reason))
 
@@ -396,12 +423,15 @@ def test_scan_matches_cell_by_cell_reference_on_random_grids(
     geom = RobotGeometry()
     scene = TargetScene(mesh, table_z=table_z, floor_mode=floor_mode)
     noise = NoiseModel(sigma_contact=sigma, drift_per_contact=drift, seed=seed)
-    xs, ys = (a.tolist() for a in grid.axes())
-    if not all(is_reachable((xs[i], ys[k], grid.safe_z), geom)[0] for i, k in grid.probe_order()):
+    offenders, first_reason = point_by_point_precheck(grid, geom)
+    if offenders:
         event("unreachable at the safe height")
-        with pytest.raises(UnreachableGridError):
+        with pytest.raises(UnreachableGridError) as err:
             run_scan(grid, geom, scene, noise)
+        assert err.value.indices == offenders
+        assert str(err.value) == str(UnreachableGridError(offenders, first_reason))
         return
+    xs = grid.axes()[0].tolist()
     if xs[0] < 0.0 < xs[-1]:
         event("laterals cross x = 0")
     rays = []
