@@ -15,6 +15,7 @@ from scipy.spatial import cKDTree
 from armscan import motion
 from armscan.kinematics import (
     ACOS_CLAMP_TOL,
+    ConfigError,
     ELBOW_STRAIGHT_INTERIOR,
     JOINT_LIMITS,
     LIMIT_GRACE,
@@ -29,6 +30,8 @@ from armscan.kinematics import (
     check_limits,
     normalize_angle,
 )
+from armscan.meshio import PointCloud
+from armscan.metrics import check_sampling
 from armscan.motion import CSV_HEADER
 from armscan.scene import (
     BBOX_PAD,
@@ -546,3 +549,31 @@ def trace_csv_reference(angles):
     table = np.column_stack([np.arange(len(angles)), np.degrees(angles)])
     row = "%d" + ",%.6f" * 6 + "\n"
     return CSV_HEADER + (row * len(angles)) % tuple(table.ravel().tolist())
+
+
+def sample_mesh_surface_reference(mesh, count, seed=0):
+    """`metrics.sample_mesh_surface` as one whole-array build: every
+    gather, flip and sum over all `count` points at once."""
+    check_sampling(count, seed)
+    tris = mesh.vertices
+    if tris.size == 0:
+        raise ConfigError("cannot sample an empty mesh")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        edge1 = tris[:, 1] - tris[:, 0]
+        edge2 = tris[:, 2] - tris[:, 0]
+        areas = 0.5 * np.linalg.norm(np.cross(edge1, edge2), axis=1)
+        total = areas.sum()
+    if total <= 0.0:
+        raise ConfigError("mesh has zero surface area")
+    if not math.isfinite(total):
+        raise ConfigError("mesh surface area overflows")
+
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(areas), size=count, p=areas / total)
+    u = rng.random(count)
+    v = rng.random(count)
+    flip = u + v > 1.0
+    u[flip] = 1.0 - u[flip]
+    v[flip] = 1.0 - v[flip]
+    pts = tris[chosen, 0] + u[:, None] * edge1[chosen] + v[:, None] * edge2[chosen]
+    return PointCloud(pts)

@@ -2,6 +2,7 @@
 probe performance tests, checked against the brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from armscan.kinematics import ConfigError, UnreachableError
 from armscan.meshio import PointCloud, TriangleMesh
 from armscan.metrics import (
+    BLOCK_POINTS,
     MAX_SAMPLE_POINTS,
     TEST_A_DIRECTIONS,
     AccuracyReport,
@@ -22,13 +24,14 @@ from armscan.metrics import (
 )
 from armscan.metrics import test_a as run_accuracy_test
 from armscan.metrics import test_b as run_repeatability_test
-from armscan.objects import make_plate
+from armscan.objects import make_plate, make_wing
 from armscan.scene import NoiseModel
 
 from oracles import (
     chamfer_brute,
     chamfer_input_order,
     kasa_normal_equations,
+    sample_mesh_surface_reference,
     sphere_grid_search,
 )
 
@@ -209,6 +212,49 @@ def test_sample_rejects_empty_and_missing_size():
 def test_sample_rejects_a_count_over_the_ceiling():
     with pytest.raises(ValueError, match=f"at most {MAX_SAMPLE_POINTS}, got"):
         sample_mesh_surface(make_plate(0, 0, 1, 1, 0), count=MAX_SAMPLE_POINTS + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.sampled_from(
+        [1, BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1, 2 * BLOCK_POINTS + 1]
+    )
+    | st.integers(min_value=1, max_value=40_000),
+    seed=st.integers(min_value=0, max_value=2**64),
+    soup_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    zero_area=st.lists(st.sampled_from([None, "point", "edge"]), min_size=0, max_size=30),
+)
+def test_sample_equals_the_whole_array_build(count, seed, soup_seed, zero_area):
+    # a random triangle soup whose first facet has area; the others may
+    # collapse to a point or fold one vertex onto another (zero area,
+    # so the choice never picks them)
+    rng = np.random.default_rng(soup_seed)
+    tris = rng.uniform(-50.0, 50.0, size=(1 + len(zero_area), 3, 3))
+    for facet, kind in enumerate(zero_area, start=1):
+        if kind == "point":
+            tris[facet, 1:] = tris[facet, 0]
+        elif kind == "edge":
+            tris[facet, 2] = tris[facet, 1]
+    mesh = TriangleMesh(tris, np.zeros((len(tris), 3)))
+    got = sample_mesh_surface(mesh, count, seed).points
+    want = sample_mesh_surface_reference(mesh, count, seed).points
+    assert got.shape == want.shape == (count, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sample_peak_memory_per_point():
+    # the three draws and the result, 48 B per point, plus one block's
+    # temporaries: 60 B per point measured; the whole-array build read 100
+    mesh = make_wing(220, -70)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cloud = sample_mesh_surface(mesh, 200_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) == 200_000
+    assert peak / len(cloud) <= 72.0
 
 
 # ------------------------------------------------------------- sphere fit
