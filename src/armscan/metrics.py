@@ -4,12 +4,14 @@ algebraic sphere fitting, and the two probe performance tests.
 The Chamfer distance here is the sum of the two directed mean
 nearest-neighbor distances, not their average; both directed terms are
 reported so either convention can be recovered.  Each cloud's KD-tree
-is a sliding-midpoint one with compact nodes and 24-point leaves:
-fewer nodes and a lower memory peak than 16-point leaves without
-compacting, and no slower at 10k, 200k or 1M points.  SciPy (its
-KD-tree) is imported on the first Chamfer call, not with this
-module: nothing else in the package uses it, and its import would
-otherwise be about two thirds of every command's start-up.
+is a sliding-midpoint one with compact nodes and 32-point leaves, and
+each direction's queries run on two threads, the caller and one
+worker, which take alternate blocks.  The trees are built one after
+the other: a build holds the GIL, so a second thread gains nothing
+there.  SciPy (its KD-tree) is imported on the first Chamfer call,
+not with this module: nothing else in the package uses it, and its
+import would otherwise be about two thirds of every command's
+start-up.
 
 The accuracy test probes nine points on a reference sphere (four on
 the equator, four at 45 degrees latitude, one at the pole) and reports
@@ -97,27 +99,29 @@ def chamfer_distance(p: PointCloud, q: PointCloud) -> ChamferReport:
     the result is symmetric in its operands.
 
     Each cloud gets one sliding-midpoint tree with compact nodes and
-    24-point leaves (`leafsize=24, balanced_tree=False`).  At 200,000
-    points a side that is 24.0k nodes a tree against 41.4k with
-    16-point leaves and no compacting, and a build plus the queries
-    take about 0.36 s against 0.39 s: the builds are a little slower,
-    the queries faster, and the smaller trees lower the peak memory.
-    Each cloud is queried against the other's tree in its own tree's
-    leaf order (`tree.indices`), so consecutive queries walk the same
-    part of the other tree while it is in cache.  Nearest-neighbor
-    distances do not depend on tree shape or query order, and they are
-    scattered back to input order before the mean, so the mean adds
-    the same numbers in the same order as input-order queries of
-    balanced trees and the report is equal to theirs bit for bit.
+    32-point leaves (`leafsize=32, balanced_tree=False`).  At 200,000
+    points a side that is 17.3k nodes a tree against 24.2k with
+    24-point leaves, in the same single-thread build plus query time
+    (about 0.36 s); the smaller trees pay for the memory of the second
+    query thread.  The trees are built in turn on this thread, since
+    a build holds the GIL.  Each cloud is queried against the other's
+    tree in its own tree's leaf order (`tree.indices`), so consecutive
+    queries walk the same part of the other tree while it is in cache.
     Queries run in blocks of BLOCK_POINTS points, which bounds the
-    memory of each block's reordered copy and results.
+    memory of each block's reordered copy and results; this thread and
+    one worker take alternate blocks (`query` releases the GIL).
+    Nearest-neighbor distances do not depend on tree shape, query order
+    or thread, and they are scattered back to input order before the
+    mean, so the mean adds the same numbers in the same order as
+    input-order queries of balanced trees and the report is equal to
+    theirs bit for bit.
     """
     if len(p) == 0 or len(q) == 0:
         raise ValueError("chamfer distance needs two non-empty clouds")
     from scipy.spatial import cKDTree
 
-    tree_p = cKDTree(p.points, leafsize=24, balanced_tree=False)
-    tree_q = cKDTree(q.points, leafsize=24, balanced_tree=False)
+    tree_p = cKDTree(p.points, leafsize=32, balanced_tree=False)
+    tree_q = cKDTree(q.points, leafsize=32, balanced_tree=False)
     forward = _nearest_distances(tree_q, p.points, tree_p.indices).mean()
     backward = _nearest_distances(tree_p, q.points, tree_q.indices).mean()
     return ChamferReport(forward + backward, forward, backward, len(p), len(q))
@@ -125,11 +129,38 @@ def chamfer_distance(p: PointCloud, q: PointCloud) -> ChamferReport:
 
 def _nearest_distances(tree, points: np.ndarray, order: np.ndarray):
     """Distance from each point to its nearest neighbor in `tree`, in
-    input order, queried in blocks of the permutation `order`."""
+    input order, queried in blocks of the permutation `order`.
+
+    A worker thread queries the odd blocks while this one queries the
+    even ones (`query` releases the GIL); each writes its own slots.
+    The worker is always joined, and its error is raised here, so no
+    unwritten slot is ever returned.
+    """
+    import threading
+
     distances = np.empty(len(points))
-    for start in range(0, len(order), BLOCK_POINTS):
-        block = order[start : start + BLOCK_POINTS]
-        distances[block] = tree.query(points[block])[0]
+    starts = range(0, len(order), BLOCK_POINTS)
+    failed = []
+
+    def query(owned):
+        for start in owned:
+            block = order[start : start + BLOCK_POINTS]
+            distances[block] = tree.query(points[block])[0]
+
+    def work():
+        try:
+            query(starts[1::2])
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        query(starts[0::2])
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
     return distances
 
 

@@ -2,6 +2,8 @@
 probe performance tests, checked against the brute-force oracles."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from armscan.metrics import (
     MAX_SAMPLE_POINTS,
     TEST_A_DIRECTIONS,
     AccuracyReport,
+    _nearest_distances,
     chamfer_distance,
     fit_sphere,
     probe_directions,
@@ -150,10 +153,14 @@ def integer_grid(m, n):
         integer_grid(40, 25),
         integer_grid(10_000, 9_000),
         uniform(300, 2_000, offset=1e4),
+        # both threads with several blocks, the worker's last one short
+        uniform(3 * BLOCK_POINTS + 1, 2 * BLOCK_POINTS - 1),
+        uniform(BLOCK_POINTS + 1, 5),
     ],
     ids=[
         "1x1", "15x15", "16x16", "17x17", "10000x10000", "1x17", "17x10000",
         "10000x16", "ties-40x25", "ties-10000x9000", "far-300x2000",
+        "4-blocks-x-2-blocks", "2-blocks-x-5",
     ],
 )
 def test_chamfer_equals_input_order_kd_query(clouds):
@@ -162,6 +169,51 @@ def test_chamfer_equals_input_order_kd_query(clouds):
     report = chamfer_distance(PointCloud(p), PointCloud(q))
     got = (report.cd, report.forward_mean, report.backward_mean)
     assert got == chamfer_input_order(p, q)
+
+
+class BlockError(Exception):
+    pass
+
+
+class FailingTree:
+    # a stand-in tree whose query fails on the second block, which the
+    # worker thread owns; the first block is answered
+    def query(self, points):
+        if points[0, 0] >= BLOCK_POINTS:
+            raise BlockError("second block")
+        return np.zeros(len(points)), np.zeros(len(points), dtype=np.intp)
+
+
+def test_nearest_distances_raises_the_workers_error():
+    points = np.repeat(np.arange(BLOCK_POINTS + 1.0)[:, None], 3, axis=1)
+    threads = threading.active_count()
+    with pytest.raises(BlockError, match="second block"):
+        _nearest_distances(FailingTree(), points, np.arange(len(points)))
+    assert threading.active_count() == threads
+
+
+def test_chamfer_is_exact_under_concurrent_callers():
+    # three callers, each with its query worker, on switches every 10 us:
+    # every report still equals the input-order query's
+    p, q = uniform(3 * BLOCK_POINTS + 1, 2 * BLOCK_POINTS - 1)(np.random.default_rng(5))
+    reports = []
+
+    def call():
+        report = chamfer_distance(PointCloud(p), PointCloud(q))
+        reports.append((report.cd, report.forward_mean, report.backward_mean))
+
+    callers = [threading.Thread(target=call) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert reports == [chamfer_input_order(p, q)] * 3
 
 
 # ---------------------------------------------------------------- sampling

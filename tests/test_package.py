@@ -48,9 +48,10 @@ report = out/report.txt
 
 # Run in a fresh interpreter: the test process has SciPy loaded already.
 # Prints one JSON object: whether SciPy was loaded at each stage, the
-# exit code of each command, and compare's output.
+# exit code of each command, compare's output, and the live thread count
+# after the other commands and after compare.
 SCIPY_PROBE = """\
-import io, json, sys
+import io, json, sys, threading
 import armscan.cli as cli
 
 def loaded():
@@ -74,8 +75,10 @@ codes = [
     )
 ]
 seen["commands"] = loaded()
+threads = [threading.active_count()]
 code, text = run("compare", where + "/plate.stl", where + "/mid.xyz", "--samples", "200")
-print(json.dumps({"seen": seen, "codes": codes + [code], "compare": text}))
+threads.append(threading.active_count())
+print(json.dumps({"seen": seen, "codes": codes + [code], "compare": text, "threads": threads}))
 """
 
 
@@ -138,6 +141,8 @@ def test_only_compare_imports_scipy(tmp_path):
     result = json.loads(child.stdout)
     assert result["seen"] == {"import": False, "commands": False}
     assert result["codes"] == [0] * 6
+    # compare's query thread is joined before it returns
+    assert result["threads"] == [1, 1]
     out = io.StringIO()
     argv = ["compare", str(tmp_path / "plate.stl"), str(tmp_path / "mid.xyz"), "--samples", "200"]
     assert cli.main(argv, out=out) == 0
