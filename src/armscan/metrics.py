@@ -13,6 +13,12 @@ not with this module: nothing else in the package uses it, and its
 import would otherwise be about two thirds of every command's
 start-up.
 
+Surface samples are built in blocks of the same size, on one thread.
+Each block draws its uniforms from three PCG64 streams, advanced to
+where the seed's facet, `u` and `v` draws start, and picks its facets
+through a guide table, so the points equal those of `Generator.choice`
+and `Generator.random` drawn at full length, bit for bit.
+
 The accuracy test probes nine points on a reference sphere (four on
 the equator, four at 45 degrees latitude, one at the pole) and reports
 each point's diameter-equivalent deviation from the fitted sphere.
@@ -45,9 +51,15 @@ from .scene import NoiseModel
 # temporaries stay bounded whatever the count.
 BLOCK_POINTS = 8192
 
-# Most points sample_mesh_surface draws.  Sampling peaks at about 48 B
-# per point, about 0.5 GB at this count; a mistyped count would
-# otherwise fail deep in numpy trying to allocate terabytes.
+# Most steps sample_mesh_surface's guide-table facet pick takes forward
+# from a point's bucket; the points still moving take a binary search,
+# so a bucket crowded with tiny facets costs a block no more than that.
+GUIDE_STEPS = 2
+
+# Most points sample_mesh_surface draws.  Sampling peaks at about 24 B
+# per point, the result's own, about 242 MB traced at this count; a
+# mistyped count would otherwise fail deep in numpy trying to allocate
+# terabytes.
 MAX_SAMPLE_POINTS = 10_000_000
 
 TEST_B_DISTANCES = (120.0, 300.0, 500.0)
@@ -169,13 +181,35 @@ def sample_mesh_surface(mesh: TriangleMesh, count: int, seed: int = 0) -> PointC
     points on the mesh surface.  Sampling is seeded by the non-negative
     `seed` and reproducible.
 
-    The facet choice and both barycentric draws are full length; the
-    points are then built in blocks of BLOCK_POINTS rows gathered from
-    one (F, 9) table of each facet's first vertex and two edges.  The
-    blocks do the arithmetic of a whole-array build in the same order,
-    so the points are equal to its bit for bit.  The traced peak is
-    about 60 B per point at 200,000 points, against 100 for the
-    whole-array build.
+    The points are equal bit for bit to a whole-array build from
+    `rng = default_rng(seed)`: `rng.choice(F, count, p=areas / total)`
+    picks the facets, two `rng.random(count)` give `u` and `v`, which
+    are flipped where `u + v > 1`, and each point is `v0 + u*e1 + v*e2`.
+    No draw here is full length, though: each block of BLOCK_POINTS
+    points makes its own.
+
+    Draw streams: `Generator.random` takes one 64-bit PCG64 output per
+    double, so the whole-array build's facet uniforms, `u` and `v` are
+    outputs from 0, `count` and `2*count` of the seed's stream.  Three
+    PCG64s put there by `advance` (an LCG jump-ahead) draw exactly those
+    doubles, a block at a time.
+
+    Facet pick: `choice`'s own arithmetic as of numpy 2.4, the count of
+    entries of `cdf = (areas / total).cumsum()`, divided by `cdf[-1]`,
+    at most the uniform (`searchsorted(..., side="right")`).  A guide
+    table of G buckets, G the power of two at or above F, starts that
+    search: `guide[j]` counts the entries at most `j / G`, and
+    `floor(u * G)` is exact, so the answer is at or after
+    `guide[floor(u * G)]`.  A point steps forward while its entry is at
+    most `u`, which never passes the last facet, because `cdf[-1]` is
+    exactly 1.0 and `u` is below 1; after GUIDE_STEPS steps the points
+    still moving take the binary search.  Should numpy change
+    `choice`'s arithmetic, the oracle test, which calls it, fails.
+
+    Each block gathers its vertices and edges from three contiguous
+    (F, 3) arrays.  The traced peak is about 37 B per point at 200,000
+    points, 24 of them the result, against 100 for the whole-array
+    build.
     """
     check_sampling(count, seed)
     tris = mesh.vertices
@@ -191,21 +225,44 @@ def sample_mesh_surface(mesh: TriangleMesh, count: int, seed: int = 0) -> PointC
     if not math.isfinite(total):
         raise ConfigError("mesh surface area overflows")
 
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(areas), size=count, p=areas / total)
-    u = rng.random(count)
-    v = rng.random(count)
-    table = np.hstack([tris[:, 0], edge1, edge2])
+    cdf = (areas / total).cumsum()
+    cdf /= cdf[-1]
+    buckets = 1 << (len(cdf) - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
+    first = np.ascontiguousarray(tris[:, 0])
+    facet_rng, u_rng, v_rng = (
+        np.random.Generator(np.random.PCG64(seed).advance(offset))
+        for offset in (0, count, 2 * count)
+    )
     pts = np.empty((count, 3))
     for start in range(0, count, BLOCK_POINTS):
-        block = slice(start, start + BLOCK_POINTS)
-        rows = table[chosen[block]]
-        ub, vb = u[block], v[block]
-        flip = ub + vb > 1.0
-        ub[flip] = 1.0 - ub[flip]
-        vb[flip] = 1.0 - vb[flip]
-        pts[block] = rows[:, :3] + ub[:, None] * rows[:, 3:6] + vb[:, None] * rows[:, 6:]
+        size = min(BLOCK_POINTS, count - start)
+        chosen = _pick_facets(cdf, guide, facet_rng.random(size))
+        u = u_rng.random(size)
+        v = v_rng.random(size)
+        flip = u + v > 1.0
+        u = np.where(flip, 1.0 - u, u)
+        v = np.where(flip, 1.0 - v, v)
+        pts[start : start + size] = (
+            first.take(chosen, 0)
+            + u[:, None] * edge1.take(chosen, 0)
+            + v[:, None] * edge2.take(chosen, 0)
+        )
     return PointCloud(pts)
+
+
+def _pick_facets(cdf: np.ndarray, guide: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """`cdf.searchsorted(pick, side="right")` for uniforms in [0, 1),
+    started from the guide table of `sample_mesh_surface`."""
+    chosen = guide[(pick * len(guide)).astype(np.intp)]
+    for _ in range(GUIDE_STEPS):
+        moving = cdf[chosen] <= pick
+        if not moving.any():
+            return chosen
+        chosen += moving
+    moving = cdf[chosen] <= pick
+    chosen[moving] = cdf.searchsorted(pick[moving], side="right")
+    return chosen
 
 
 def check_sampling(count: int, seed: int) -> None:

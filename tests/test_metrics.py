@@ -15,6 +15,7 @@ from armscan.kinematics import ConfigError, UnreachableError
 from armscan.meshio import PointCloud, TriangleMesh
 from armscan.metrics import (
     BLOCK_POINTS,
+    GUIDE_STEPS,
     MAX_SAMPLE_POINTS,
     TEST_A_DIRECTIONS,
     AccuracyReport,
@@ -269,24 +270,36 @@ def test_sample_rejects_a_count_over_the_ceiling():
 @settings(max_examples=40, deadline=None)
 @given(
     count=st.sampled_from(
-        [1, BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1, 2 * BLOCK_POINTS + 1]
+        [
+            1,
+            BLOCK_POINTS - 1,
+            BLOCK_POINTS,
+            BLOCK_POINTS + 1,
+            2 * BLOCK_POINTS + 1,
+            3 * BLOCK_POINTS + 1,
+            4 * BLOCK_POINTS,
+        ]
     )
     | st.integers(min_value=1, max_value=40_000),
     seed=st.integers(min_value=0, max_value=2**64),
     soup_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    live=st.integers(min_value=1, max_value=300),
     zero_area=st.lists(st.sampled_from([None, "point", "edge"]), min_size=0, max_size=30),
 )
-def test_sample_equals_the_whole_array_build(count, seed, soup_seed, zero_area):
-    # a random triangle soup whose first facet has area; the others may
-    # collapse to a point or fold one vertex onto another (zero area,
-    # so the choice never picks them)
+def test_sample_equals_the_whole_array_build(count, seed, soup_seed, live, zero_area):
+    # a shuffled random triangle soup: `live` facets with area, each
+    # scaled so that the areas span eight orders of magnitude, and
+    # facets that may collapse to a point or fold one vertex onto
+    # another (zero area, so the choice never picks them)
     rng = np.random.default_rng(soup_seed)
-    tris = rng.uniform(-50.0, 50.0, size=(1 + len(zero_area), 3, 3))
-    for facet, kind in enumerate(zero_area, start=1):
+    tris = rng.uniform(-50.0, 50.0, size=(live + len(zero_area), 3, 3))
+    tris[:live] *= 10.0 ** rng.uniform(-3.0, 1.0, size=(live, 1, 1))
+    for facet, kind in enumerate(zero_area, start=live):
         if kind == "point":
             tris[facet, 1:] = tris[facet, 0]
         elif kind == "edge":
             tris[facet, 2] = tris[facet, 1]
+    tris = tris[rng.permutation(len(tris))]
     mesh = TriangleMesh(tris, np.zeros((len(tris), 3)))
     got = sample_mesh_surface(mesh, count, seed).points
     want = sample_mesh_surface_reference(mesh, count, seed).points
@@ -294,9 +307,66 @@ def test_sample_equals_the_whole_array_build(count, seed, soup_seed, zero_area):
     assert got.tobytes() == want.tobytes()
 
 
+def c_calls(call):
+    # C functions called while `call` runs (a measure of work that does
+    # not depend on the host's speed)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def tiny_facets(count, x0):
+    # `count` facets of 5e-9 mm^2 in a row from x0
+    a = np.arange(count) * 1e-3 + x0
+    tris = np.zeros((count, 3, 3))
+    tris[:, 0, 0] = a
+    tris[:, 1, 0] = a + 1e-4
+    tris[:, 2, 0] = a
+    tris[:, 2, 1] = 1e-4
+    return tris
+
+
+@pytest.mark.parametrize("side", ["before", "after", "both"])
+def test_sample_crowded_guide_bucket(side):
+    # 3,000 facets of 5e-9 mm^2 put 3,000 cdf entries, far more than
+    # GUIDE_STEPS, in one guide bucket beside one 5,000 mm^2 facet; the
+    # draws in that bucket must still pick exactly what rng.choice picks,
+    # with no more work per block than in an uncrowded bucket
+    big = np.array([[[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 100.0, 0.0]]])
+    tiny = tiny_facets(3000, 200.0)
+    parts = {"before": [tiny, big], "after": [big, tiny], "both": [tiny, big, tiny]}
+    tris = np.concatenate(parts[side])
+    mesh = TriangleMesh(tris, np.zeros((len(tris), 3)))
+    count = 12 * BLOCK_POINTS + 5
+    assert 3000 > GUIDE_STEPS
+    buckets = 1 << (len(tris) - 1).bit_length()
+    facet_draws = np.random.default_rng(4).random(count)
+    assert (facet_draws * buckets < 1.0).sum() >= 5  # some land in bucket 0
+
+    got = sample_mesh_surface(mesh, count, seed=4).points
+    want = sample_mesh_surface_reference(mesh, count, seed=4).points
+    assert got.tobytes() == want.tobytes()
+
+    plain = make_wing(220, -70)
+    blocks = -(-count // BLOCK_POINTS)
+    crowded = c_calls(lambda: sample_mesh_surface(mesh, count, seed=4))
+    uncrowded = c_calls(lambda: sample_mesh_surface(plain, count, seed=4))
+    assert crowded <= uncrowded + 2 * GUIDE_STEPS * blocks
+
+
 def test_sample_peak_memory_per_point():
-    # the three draws and the result, 48 B per point, plus one block's
-    # temporaries: 60 B per point measured; the whole-array build read 100
+    # the result, 24 B per point, the facets' vertex and edge arrays,
+    # the cdf, the guide table and one block's temporaries: 37.0 B per
+    # point measured; the whole-array build read 100
     mesh = make_wing(220, -70)
     tracemalloc.start()
     try:
@@ -306,7 +376,7 @@ def test_sample_peak_memory_per_point():
     finally:
         tracemalloc.stop()
     assert len(cloud) == 200_000
-    assert peak / len(cloud) <= 72.0
+    assert peak / len(cloud) <= 40.0
 
 
 # ------------------------------------------------------------- sphere fit
