@@ -5,10 +5,10 @@ The Chamfer distance here is the sum of the two directed mean
 nearest-neighbor distances, not their average; both directed terms are
 reported so either convention can be recovered.  Each cloud's KD-tree
 is a sliding-midpoint one with compact nodes and 32-point leaves, and
-each direction's queries run on two threads, the caller and one
-worker, which take alternate blocks.  The trees are built one after
-the other: a build holds the GIL, so a second thread gains nothing
-there.  SciPy (its KD-tree) is imported on the first Chamfer call,
+each direction's queries of more than one block run on two threads,
+the caller and one worker, which take alternate blocks.  The trees
+are built one after the other: a build holds the GIL, so a second
+thread gains nothing there.  SciPy (its KD-tree) is imported on the first Chamfer call,
 not with this module: nothing else in the package uses it, and its
 import would otherwise be about two thirds of every command's
 start-up.
@@ -120,8 +120,9 @@ def chamfer_distance(p: PointCloud, q: PointCloud) -> ChamferReport:
     tree in its own tree's leaf order (`tree.indices`), so consecutive
     queries walk the same part of the other tree while it is in cache.
     Queries run in blocks of BLOCK_POINTS points, which bounds the
-    memory of each block's reordered copy and results; this thread and
-    one worker take alternate blocks (`query` releases the GIL).
+    memory of each block's reordered copy and results; past one block,
+    this thread and one worker take alternate blocks (`query` releases
+    the GIL).
     Nearest-neighbor distances do not depend on tree shape, query order
     or thread, and they are scattered back to input order before the
     mean, so the mean adds the same numbers in the same order as
@@ -143,10 +144,11 @@ def _nearest_distances(tree, points: np.ndarray, order: np.ndarray):
     """Distance from each point to its nearest neighbor in `tree`, in
     input order, queried in blocks of the permutation `order`.
 
-    A worker thread queries the odd blocks while this one queries the
-    even ones (`query` releases the GIL); each writes its own slots.
-    The worker is always joined, and its error is raised here, so no
-    unwritten slot is ever returned.
+    With a second block, a worker thread queries the odd blocks while
+    this one queries the even ones (`query` releases the GIL); each
+    writes its own slots.  The worker is always joined, and its error
+    is raised here, so no unwritten slot is ever returned.  A single
+    block is queried here alone: a worker would have nothing to do.
     """
     import threading
 
@@ -158,6 +160,10 @@ def _nearest_distances(tree, points: np.ndarray, order: np.ndarray):
         for start in owned:
             block = order[start : start + BLOCK_POINTS]
             distances[block] = tree.query(points[block])[0]
+
+    if len(starts) < 2:
+        query(starts)
+        return distances
 
     def work():
         try:

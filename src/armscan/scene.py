@@ -17,10 +17,13 @@ The scene indexes its facets on a uniform xy grid built once: facet ids
 sorted by the cell of their padded box's centre, plus one start offset
 per cell and a table of the padded boxes in the same order, O(facets)
 storage.  Each cell is at least as wide as the widest box, so a ray
-tests only the facets of the 3x3 cells around it: it slices the three
-row-runs of those cells from the box table, keeps the facets whose box
-holds it in one comparison, and fetches the vertices of those alone.
-The arithmetic is that of testing every facet, so the result is exact.
+tests only the facets of the 3x3 cells around it: it walks the three
+row-runs of those cells in index order, tests each padded box with four
+float comparisons and reads the vertices of the facets that pass alone,
+all as Python numbers through memoryviews made at build, with no numpy
+call per ray.  The arithmetic is that of testing every facet, and the
+candidates are met in the same order as before the walk, so a tie keeps
+the same facet and the result is exact, bit for bit.
 The worst case is one very wide facet, which widens every cell until a
 ray tests nearly every facet, as an unindexed scan would.
 """
@@ -98,9 +101,15 @@ class TargetScene:
         del keys
         # `_boxes` holds the padded boxes in `_ids` order as four rows, lo x,
         # lo y, -hi x and -hi y: a ray at (x, y) is in a box where its
-        # column is <= (x, y, -x, -y), one comparison.
+        # column is <= (x, y, -x, -y).
         np.negative(boxes[2:], out=boxes[2:])
         self._boxes = np.take(boxes, self._ids, axis=1)
+        # What a ray reads, as zero-copy memoryviews, whose items are
+        # Python ints and floats: the offsets, the ids, the four box rows
+        # and the flat vertices (a copy only where `tris` is strided).
+        self._walk = tuple(
+            map(memoryview, (self._start, self._ids, *self._boxes, tris.reshape(-1)))
+        )
 
 
 def _padded_boxes(tris: np.ndarray) -> np.ndarray:
@@ -132,9 +141,10 @@ def raycast_down(x: float, y: float, scene: TargetScene):
 
     Returns None when no triangle covers the point.  Edge and vertex
     grazes count as hits; degenerate (edge-on) triangles never do.
-    Only the facets indexed in the 3x3 cells around (x, y) whose padded
-    box holds it are tested, with the arithmetic of a test of every
-    facet, so the result is the same bit for bit.
+    The facets indexed in the 3x3 cells around (x, y) are walked in
+    index order, run by run; those whose padded box holds the point are
+    tested with the arithmetic of a test of every facet, and the first
+    facet met keeps a tie, so the result is the same bit for bit.
     """
     x, y = float(x), float(y)
     ox, x_hi, cx, nx, oy, y_hi, cy, ny = scene._grid
@@ -143,27 +153,28 @@ def raycast_down(x: float, y: float, scene: TargetScene):
     i = int(min(nx - 1, (x - ox) / cx))
     k = int(min(ny - 1, (y - oy) / cy))
     first, last = max(k - 1, 0), min(k + 1, ny - 1) + 1
-    start = scene._start
-    runs = [
-        slice(start[row + first], start[row + last])
-        for row in range(max(i - 1, 0) * ny, min(i + 2, nx) * ny, ny)
-    ]
-    boxes = np.concatenate([scene._boxes[:, run] for run in runs], axis=1)
-    boxed = (boxes <= np.array((x, y, -x, -y))[:, None]).all(axis=0)
-    cand = np.concatenate([scene._ids[run] for run in runs])[boxed]
+    start, ids, lo_x, lo_y, neg_hi_x, neg_hi_y, verts = scene._walk
+    neg_x, neg_y = -x, -y
     best = None
-    for (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) in scene.mesh.vertices[cand].tolist():
-        e1x, e1y, e2x, e2y = x2 - x1, y2 - y1, x3 - x1, y3 - y1
-        det = e1x * e2y - e1y * e2x
-        if not abs(det) > DEGENERATE_DET:
-            continue
-        rx, ry = x - x1, y - y1
-        u = (rx * e2y - ry * e2x) / det
-        v = (ry * e1x - rx * e1y) / det
-        if u >= -EDGE_TOL and v >= -EDGE_TOL and u + v <= 1.0 + EDGE_TOL:
-            z = z1 + u * (z2 - z1) + v * (z3 - z1)
-            if best is None or z > best:
-                best = z
+    for row in range(max(i - 1, 0) * ny, min(i + 2, nx) * ny, ny):
+        for j in range(start[row + first], start[row + last]):
+            if not (
+                lo_x[j] <= x and lo_y[j] <= y and neg_hi_x[j] <= neg_x and neg_hi_y[j] <= neg_y
+            ):
+                continue
+            f = 9 * ids[j]
+            x1, y1, z1, x2, y2, z2, x3, y3, z3 = verts[f : f + 9].tolist()
+            e1x, e1y, e2x, e2y = x2 - x1, y2 - y1, x3 - x1, y3 - y1
+            det = e1x * e2y - e1y * e2x
+            if not abs(det) > DEGENERATE_DET:
+                continue
+            rx, ry = x - x1, y - y1
+            u = (rx * e2y - ry * e2x) / det
+            v = (ry * e1x - rx * e1y) / det
+            if u >= -EDGE_TOL and v >= -EDGE_TOL and u + v <= 1.0 + EDGE_TOL:
+                z = z1 + u * (z2 - z1) + v * (z3 - z1)
+                if best is None or z > best:
+                    best = z
     return best
 
 

@@ -193,6 +193,27 @@ def test_nearest_distances_raises_the_workers_error():
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize(
+    "m, n, threads",
+    [(1, 1, 0), (100, 100, 0), (BLOCK_POINTS, 17, 0), (BLOCK_POINTS, BLOCK_POINTS, 0),
+     (BLOCK_POINTS + 1, 5, 1)],
+)
+def test_chamfer_starts_a_worker_only_for_a_second_block(m, n, threads, monkeypatch):
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    rng = np.random.default_rng(3)
+    p, q = rng.uniform(-50, 50, (m, 3)), rng.uniform(-50, 50, (n, 3))
+    report = chamfer_distance(PointCloud(p), PointCloud(q))
+    assert (report.cd, report.forward_mean, report.backward_mean) == chamfer_input_order(p, q)
+    assert len(started) == threads
+
+
 def test_chamfer_is_exact_under_concurrent_callers():
     # three callers, each with its query worker, on switches every 10 us:
     # every report still equals the input-order query's

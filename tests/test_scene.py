@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from armscan import scene as scene_module
-from armscan.meshio import TriangleMesh
+from armscan.meshio import TriangleMesh, read_stl, write_stl_binary
 from armscan.objects import make_plate, make_wing
-from armscan.scanner import MAX_GRID_POINTS
+from armscan.scanner import MAX_GRID_POINTS, ScanGrid
 from armscan.scene import (
     CONTACT_MESH,
     CONTACT_NONE,
@@ -195,6 +195,58 @@ def test_raycast_equals_full_mask(case, rng):
     wrong = [(p, g, e) for p, g, e in zip(points, got, expected) if g != e]
     assert not wrong, f"{len(wrong)} of {len(points)} rays differ, first {wrong[:3]}"
     assert any(e is not None for e in expected)
+
+
+STRIDED_VIEWS = {
+    "facets-reversed": lambda v: v[::-1],
+    "vertices-reversed": lambda v: v[::-1, ::-1],
+    # the same values, read back to front: its flat view needs no copy
+    "reversed-in-memory": lambda v: np.ascontiguousarray(v[::-1, ::-1, ::-1])[::-1, ::-1, ::-1],
+    "every-other-facet": lambda v: np.repeat(v, 2, axis=0)[::2],
+    "fortran-order": np.asfortranarray,
+}
+
+
+@pytest.mark.parametrize("view", sorted(STRIDED_VIEWS))
+def test_raycast_over_strided_vertices_equals_full_mask(view, rng):
+    """A mesh whose vertices are a strided view of another array is
+    walked through the same flat vertex order as a contiguous copy."""
+    base = sized_soup(rng, 400, 4.0)
+    mesh = TriangleMesh(STRIDED_VIEWS[view](base.vertices), base.normals)
+    assert not mesh.vertices.flags.c_contiguous
+    scene = TargetScene(mesh)
+    points = probe_points(rng, mesh, scene, every_vertex=True)
+    expected = raycast_all_facets(mesh.vertices, points)
+    got = [raycast_down(x, y, scene) for x, y in points]
+    assert got == expected
+    assert any(e is not None for e in expected)
+
+
+def test_scene_of_a_loaded_mesh_reads_its_vertices_in_place():
+    mesh = read_stl(write_stl_binary(make_wing(220.0, -70.0)))
+    flat = np.asarray(TargetScene(mesh)._walk[-1])
+    assert np.shares_memory(flat, mesh.vertices)
+    assert flat.tolist() == mesh.vertices.reshape(-1).tolist()
+
+
+@pytest.mark.parametrize(
+    "mesh_args, grid",
+    [
+        # wing-dense: every ray hits
+        (dict(), ScanGrid(220.0, -70.0, 26, 24, 6.0, 6.0)),
+        # wing-fine-lowz: one row and one column overhang, 24 misses
+        (dict(n_span=121, n_chord=161), ScanGrid(214.0, -76.0, 13, 12, 12.0, 12.0)),
+    ],
+    ids=["wing-dense", "wing-fine-lowz"],
+)
+def test_raycast_of_the_benchmark_lattices_equals_full_mask(mesh_args, grid):
+    mesh = make_wing(220.0, -70.0, **mesh_args)
+    scene = TargetScene(mesh)
+    xs, ys = (axis.tolist() for axis in grid.axes())
+    points = [(x, y) for y in ys for x in xs]
+    expected = raycast_all_facets(mesh.vertices, points)
+    assert [raycast_down(x, y, scene) for x, y in points] == expected
+    assert expected.count(None) == (24 if mesh_args else 0)
 
 
 def test_raycast_monotone_under_added_triangles(rng):
