@@ -65,18 +65,21 @@ class TriangleMesh:
     def from_vertices(cls, vertices) -> "TriangleMesh":
         """Facets with the right-hand-rule normals of their vertex rows.
 
-        Raises ValueError for a facet with collinear vertices;
-        degenerate facets are never emitted.
+        Raises ValueError for a facet with collinear vertices or a
+        normal whose norm is not finite; such facets are never emitted.
         """
         v = np.asarray(vertices, dtype=float).reshape(-1, 3, 3)
-        cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-        # A row dot product rounds as a single facet's norm does;
-        # np.linalg.norm(axis=1) can differ in the last bit.
-        norm = np.sqrt(cross[:, None, :] @ cross[:, :, None])[:, 0, 0]
-        bad = np.flatnonzero(norm < DEGENERATE_NORM)
+        # edges past about 1e77 mm overflow the norm: rejected below, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+            # A row dot product rounds as a single facet's norm does;
+            # np.linalg.norm(axis=1) can differ in the last bit.
+            norm = np.sqrt(cross[:, None, :] @ cross[:, :, None])[:, 0, 0]
+        bad = np.flatnonzero(~(norm < math.inf) | (norm < DEGENERATE_NORM))
         if bad.size:
             v1, v2, v3 = v[bad[0]]
-            raise ValueError(f"degenerate triangle: {v1}, {v2}, {v3}")
+            why = "degenerate triangle" if norm[bad[0]] < DEGENERATE_NORM else "non-finite normal"
+            raise ValueError(f"{why}: {v1}, {v2}, {v3}")
         return cls(v, cross / norm[:, None])
 
     def __len__(self) -> int:

@@ -56,8 +56,8 @@ BLOCK_POINTS = 8192
 # so a bucket crowded with tiny facets costs a block no more than that.
 GUIDE_STEPS = 2
 
-# Most points sample_mesh_surface draws.  Sampling peaks at about 24 B
-# per point, the result's own, about 242 MB traced at this count; a
+# Most points sample_mesh_surface draws.  Sampling holds little beyond
+# the result's own 24 B a point, so this count fits in memory; a
 # mistyped count would otherwise fail deep in numpy trying to allocate
 # terabytes.
 MAX_SAMPLE_POINTS = 10_000_000
@@ -111,14 +111,13 @@ def chamfer_distance(p: PointCloud, q: PointCloud) -> ChamferReport:
     the result is symmetric in its operands.
 
     Each cloud gets one sliding-midpoint tree with compact nodes and
-    32-point leaves (`leafsize=32, balanced_tree=False`).  At 200,000
-    points a side that is 17.3k nodes a tree against 24.2k with
-    24-point leaves, in the same single-thread build plus query time
-    (about 0.36 s); the smaller trees pay for the memory of the second
-    query thread.  The trees are built in turn on this thread, since
-    a build holds the GIL.  Each cloud is queried against the other's
-    tree in its own tree's leaf order (`tree.indices`), so consecutive
-    queries walk the same part of the other tree while it is in cache.
+    32-point leaves (`leafsize=32, balanced_tree=False`): fewer nodes
+    than 24-point leaves give, in the same single-thread time, so the
+    smaller trees pay for the memory of the second query thread.  The
+    trees are built in turn on this thread, since a build holds the
+    GIL.  Each cloud is queried against the other's tree in its own
+    tree's leaf order (`tree.indices`), so consecutive queries walk the
+    same part of the other tree while it is in cache.
     Queries run in blocks of BLOCK_POINTS points, which bounds the
     memory of each block's reordered copy and results; past one block,
     this thread and one worker take alternate blocks (`query` releases

@@ -18,11 +18,13 @@ takes its contact first, with the error its caller drew for it, and
 solves both legs end to end in one `plan_line` call; only when that
 fails is the lateral leg solved again alone.  Solved rows go into a
 flat table of six floats per row, shared by a whole scan, and a cycle
-returns the table row of each of its waypoints.  A waypoint whose bits
-equal a safe-height point already in the table (the scan's precheck
-solves every grid point there) takes that row instead of a new solve.
-Contact heights come from the scene's exact raycast; the descent step
-size only shapes the joint log, never the measurement.
+returns the table row of each of its waypoints.  The scan's precheck
+solves every grid point at the safe height, so a cycle packs the bits
+of its two safe-height points once, and each leg end with those bits
+takes that point's row; the other waypoints are solved, and their new
+rows are numbered by range from where they were appended.  Contact
+heights come from the scene's exact raycast; the descent step size
+only shapes the joint log, never the measurement.
 
 Within a cycle the legs share their seam row once.  Cycles are
 concatenated whole: each lateral leg starts with the row the previous
@@ -123,8 +125,8 @@ def line_waypoints(start, end) -> list:
     is `start + (j / n) * (end - start)`, per coordinate in IEEE
     doubles, the operations of the array form `start + t[:, None] * d`.
     """
-    sx, sy, sz = (float(v) for v in start)
-    ex, ey, ez = (float(v) for v in end)
+    sx, sy, sz = map(float, start)
+    ex, ey, ez = map(float, end)
     dx, dy, dz = ex - sx, ey - sy, ez - sz
     length = leg_length(dx, dy, dz)
     if length < 1e-12:
@@ -273,30 +275,6 @@ def append_rows(table: array, rows) -> int:
     return first
 
 
-def _solve_legs(legs, known: dict, table: array, geom: RobotGeometry) -> list:
-    """Table rows of every waypoint of `legs`, one list per leg.
-
-    A leg's first or last waypoint whose bits are a key of `known`
-    takes that row; every other waypoint is solved, all legs in one
-    `plan_line` call, and appended to `table` in order.  A failed solve
-    raises before the table changes.
-    """
-    todo, ends = [], []
-    for leg in legs:
-        head = known.get(_BITS(*leg[0])) if leg else None
-        tail = known.get(_BITS(*leg[-1])) if len(leg) > 1 else None
-        todo += leg[head is not None : len(leg) - (tail is not None)]
-        ends.append((head, tail))
-    row = append_rows(table, plan_line(todo, geom))
-    rows = []
-    for leg, (head, tail) in zip(legs, ends):
-        n = len(leg) - (head is not None) - (tail is not None)
-        middle = list(range(row, row + n))
-        rows.append(([] if head is None else [head]) + middle + ([] if tail is None else [tail]))
-        row += n
-    return rows
-
-
 def probe_cycle(
     x: float,
     y: float,
@@ -316,20 +294,22 @@ def probe_cycle(
     flat `array('d')` of solved rows, six angles (rad) each, that the
     cycle appends its new rows to.  `safe_rows` holds the table rows
     already solved for (*from_xy, safe_z) and (x, y, safe_z), or None
-    for a point not in the table; a leg end whose bits equal such a
-    point takes its row instead of a solve.  Returns
+    for a point not in the table; the first and last waypoint of each
+    leg are matched by bits against those points, (x, y, safe_z) first,
+    and take the row of the one they equal instead of a solve.  Returns
     ((kind, z_true, z_measured), rows), the contact as `probe_contact`
     gives it and the table row of each of the cycle's waypoints.  The
     waypoints start and end at the safe height; seam waypoints shared
     between legs appear once.  The contact is taken first; the descent
     stops at the table on a miss (kind "none") and at the measured
     height otherwise.  The waypoints left to solve, of both legs, are
-    then solved in one `plan_line` call, even when none is left; the
-    retract is the descent's rows in reverse, so only the lateral leg
-    or the descent can fail.  A measured height that is not finite, or
-    lies more than STEP past the tool-down tip band, fails with no
-    descent planned.  A failed cycle's contact is (CONTACT_UNREACHABLE,
-    nan, nan), a kind distinct from a no-contact miss, and its rows are
+    then solved in one `plan_line` call, even when none is left, and
+    appended to `table` in order; the retract is the descent's rows in
+    reverse, so only the lateral leg or the descent can fail.  A
+    measured height that is not finite, or lies more than STEP past the
+    tool-down tip band, fails with no descent planned.  A failed
+    cycle's contact is (CONTACT_UNREACHABLE, nan, nan), a kind distinct
+    from a no-contact miss, and its rows are
     only the lateral travel, re-planned alone and still ending at the
     safe height, or nothing if that leg fails.
     """
@@ -337,11 +317,13 @@ def probe_cycle(
     z_stop = scene.table_z if contact[0] == CONTACT_NONE else contact[2]
     here = (x, y, safe_z)
     lateral = [] if from_xy is None else line_waypoints((*from_xy, safe_z), here)
-    known = {}
-    if from_xy is not None and safe_rows[0] is not None:
-        known[_BITS(*from_xy, safe_z)] = safe_rows[0]
-    if safe_rows[1] is not None:
-        known[_BITS(*here)] = safe_rows[1]
+    # `here` is matched first: a `from_xy` bit-equal to (x, y) takes
+    # safe_rows[1] when it has one.
+    here_key = None if safe_rows[1] is None else _BITS(*here)
+    from_key = None if from_xy is None or safe_rows[0] is None else _BITS(*from_xy, safe_z)
+    lat_head = _safe_row(lateral[0], here_key, from_key, safe_rows) if lateral else ()
+    lat_tail = _safe_row(lateral[-1], here_key, from_key, safe_rows) if len(lateral) > 1 else ()
+    lat_todo = lateral[len(lat_head) : len(lateral) - len(lat_tail)]
     # A tool-down tip at z_stop puts the wrist center z_stop + d6 - d1
     # above the shoulder, out of reach past l2 + d4: that descent fails
     # anyway, and toward a huge drifted height it would plan unboundedly
@@ -350,19 +332,35 @@ def probe_cycle(
     reach = geom.l2 + geom.d4 + STEP
     if -reach <= z_stop + geom.d6 - geom.d1 <= reach:
         descent = line_waypoints(here, (x, y, z_stop))
+        head = _safe_row(descent[0], here_key, from_key, safe_rows)
+        tail = _safe_row(descent[-1], here_key, from_key, safe_rows) if len(descent) > 1 else ()
+        todo = descent[len(head) : len(descent) - len(tail)]
         try:
-            lateral_rows, descend = _solve_legs((lateral, descent), known, table, geom)
+            first = append_rows(table, plan_line(lat_todo + todo, geom))
         except UnreachableError:
             pass
         else:
+            mid = first + len(lat_todo)
+            descend = [*head, *range(mid, mid + len(todo)), *tail]
             # Descent row 0 has a row too, though it sits where the
             # lateral leg ends: the retract ends on it, and the lateral's
-            # last waypoint need not equal it bit for bit.
-            retract = descend[-2::-1]  # back up the same line, less the contact row
-            return contact, lateral_rows + (descend[1:] if lateral else descend) + retract
+            # last waypoint need not equal it bit for bit.  The retract
+            # backs up the same line, less the contact row.
+            rows = [*lat_head, *range(first, mid), *lat_tail]
+            return contact, rows + (descend[1:] if lateral else descend) + descend[-2::-1]
 
     try:
-        (lateral_rows,) = _solve_legs((lateral,), known, table, geom)
+        first = append_rows(table, plan_line(lat_todo, geom))
+        rows = [*lat_head, *range(first, first + len(lat_todo)), *lat_tail]
     except UnreachableError:
-        lateral_rows = []
-    return (CONTACT_UNREACHABLE, math.nan, math.nan), lateral_rows
+        rows = []
+    return (CONTACT_UNREACHABLE, math.nan, math.nan), rows
+
+
+def _safe_row(point, here_key, from_key, safe_rows) -> tuple:
+    """The row of the safe-height point with the bits of `point`, as a
+    1-tuple, `here` first, or () for neither."""
+    key = _BITS(*point)
+    if key == here_key:
+        return (safe_rows[1],)
+    return (safe_rows[0],) if key == from_key else ()

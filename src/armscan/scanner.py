@@ -46,15 +46,10 @@ from .scene import (
 )
 
 DEFAULT_SAFE_Z = 60.0
-# Most probe points a grid may have.  A scan costs under 0.1 ms per
-# point (0.069 ms on a 51 x 47 grid over the wing, trace CSV included,
-# best of 7 on a 2-core x86 Xeon host), so this is minutes of work; a
-# mistyped 100000 x 100000 grid would otherwise spend hours in the
-# precheck before any motion.  Memory fits too: a 400 x 400 grid at
-# 0.5 mm over a plate (2,575,560 trace rows) reached 190 MB of max RSS
-# after the scan and 274 MB after streaming the trace CSV, from 29 MB
-# at start, about 1.5 KB per point: about 1.6 GB at 1,000,000 points,
-# a fifth of an 8 GB host.
+# Most probe points a grid may have.  A scan's time and memory grow
+# with its points, so this bound keeps a job within minutes and a
+# fraction of a host's memory; a mistyped 100000 x 100000 grid would
+# otherwise spend hours in the precheck before any motion.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -296,23 +291,28 @@ def run_scan(
     z_true, z_measured = np.full(shape, np.nan), np.full(shape, np.nan)
     index = array("q")
     last_xy = None
-    for i, k in grid.probe_order():
-        x, y = xs[i], ys[k]
-        ordinal = grid.contact_ordinal(i, k)
-        (kinds[i, k], z_true[i, k], z_measured[i, k]), rows = probe_cycle(
-            x,
-            y,
-            safe_z=grid.safe_z,
-            geom=geom,
-            scene=scene,
-            error=errors.item(ordinal),
-            table=table,
-            from_xy=last_xy,
-            # the previous grid point's row; the first cell has no lateral leg
-            safe_rows=(ordinal - 1, ordinal),
-        )
-        index.fromlist(rows)
-        last_xy = (x, y)
+    for k, y in enumerate(ys):
+        first = k * grid.n_rows  # the column's first contact ordinal
+        contacts = []
+        for i, (x, error) in enumerate(zip(xs, errors[first : first + grid.n_rows].tolist())):
+            contact, rows = probe_cycle(
+                x,
+                y,
+                safe_z=grid.safe_z,
+                geom=geom,
+                scene=scene,
+                error=error,
+                table=table,
+                from_xy=last_xy,
+                # the previous grid point's row; the first cell has no lateral leg
+                safe_rows=(first + i - 1, first + i),
+            )
+            contacts.append(contact)
+            index.fromlist(rows)
+            last_xy = (x, y)
+        # one slice per array and column: a column's contacts, never the
+        # whole grid's, are held as Python objects
+        kinds[:, k], z_true[:, k], z_measured[:, k] = zip(*contacts)
 
     points = PointGrid(grid, kinds, z_true, z_measured)
     mesh = triangulate(points, flip_normals=flip_normals)

@@ -46,6 +46,11 @@ EDGE_TOL = 1e-12
 # Padding of the per-triangle xy bounding boxes used for prefiltering;
 # keeps the prefilter conservative with respect to EDGE_TOL.
 BBOX_PAD = 1e-6
+# Largest coordinate magnitude (mm) a scene takes.  The raycast's
+# determinant and barycentric numerators, differences of products of
+# coordinate differences, stay finite below about 4.7e153 mm; past
+# that a hit test overflows to inf or NaN and every facet misses.
+MAX_COORDINATE = 1e153
 
 FLOOR_MODES = ("table", "skip")
 
@@ -78,8 +83,11 @@ class TargetScene:
         tris = self.mesh.vertices
         if tris.size == 0:
             raise ConfigError("scene mesh is empty")
-        if not np.isfinite(tris).all():
-            raise ConfigError("scene mesh contains non-finite coordinates")
+        # NaN fails both comparisons; min and max allocate no temporary
+        if not (-MAX_COORDINATE <= tris.min() and tris.max() <= MAX_COORDINATE):
+            raise ConfigError(
+                f"scene mesh has non-finite coordinates or ones past {MAX_COORDINATE:g} mm"
+            )
         low = tris[:, :, 2].min()
         if low < self.table_z - 1e-6:
             raise ConfigError(

@@ -547,6 +547,28 @@ def test_scan_mesh_content_error_names_the_mesh(tmp_path, mesh, why):
     assert not (tmp_path / "out").exists()
 
 
+def test_scan_rejects_a_mesh_its_raycast_would_overflow(tmp_path):
+    # ASCII coordinates are float64: a plate at z = 10 with corners at
+    # +-1e200 mm overflowed every hit test, and the probes went through
+    # it to the table ("table contacts 4", exit 0)
+    plate = TriangleMesh(
+        [[[-1e200, -1e200, 10.0], [1e200, -1e200, 10.0], [-1e200, 1e200, 10.0]],
+         [[1e200, -1e200, 10.0], [1e200, 1e200, 10.0], [-1e200, 1e200, 10.0]]],
+        [[0.0, 0.0, 1.0]] * 2,
+    )
+    config = write_job(tmp_path, x0=300)
+    (tmp_path / "plate.stl").write_text(write_stl_ascii(plate))
+    config.write_text(
+        config.read_text().replace("y0 = -30", "y0 = -5")
+        .replace("rows = 6", "rows = 2").replace("cols = 7", "cols = 2")
+    )
+    code, out, err = run_cli("scan", config)
+    named = f"[scene] mesh {(tmp_path / 'plate.stl').resolve()}"
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"error: {named}: scene mesh has non-finite coordinates or ones past")
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_bad_config_exit_code(tmp_path):
     config = write_job(tmp_path)
     config.write_text(config.read_text().replace("rows = 6", "rows = six"))

@@ -1,5 +1,7 @@
+import math
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +51,25 @@ def test_triangle_rejects_collinear_vertices():
         TriangleMesh.from_vertices(
             [[[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 0, 0], [1, 1, 1], [2, 2, 2]]]
         )
+
+
+@pytest.mark.parametrize(
+    "width, vertex",
+    # edges past about 1e77 mm overflow the squared norm; past about 1e154
+    # the cross product itself does, and a NaN vertex has no norm at all
+    [(1e140, None), (1e160, None), (10.0, math.nan)],
+    ids=["norm-overflows", "cross-overflows", "nan-vertex"],
+)
+def test_triangle_rejects_a_non_finite_normal(width, vertex):
+    # the two facets of make_plate(0, 0, width, width, 1)
+    a, b, c, d = [0.0, 0.0, 1.0], [width, 0.0, 1.0], [width, width, 1.0], [0.0, width, 1.0]
+    verts = np.array([[a, b, c], [a, c, d]])
+    if vertex is not None:
+        verts[1, 2, 0] = vertex
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite normal"):
+            TriangleMesh.from_vertices(verts)
 
 
 def test_triangle_flip_reverses_normal_and_winding():

@@ -463,6 +463,39 @@ def test_scan_matches_cell_by_cell_reference_on_random_grids(
     assert np.isnan(points.z_true[~touched]).all() and np.isnan(points.z_measured[~touched]).all()
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    case=scan_cases(),
+    floor_mode=st.sampled_from(["table", "skip"]),
+    table_z=st.sampled_from([0.0, -427.0]) | decimals(-427, 0),
+    drift=st.sampled_from([0.0, 1e308, -1e308]) | st.floats(-1000.0, 1000.0),
+)
+# lateral legs across the base fail, and so do descents around it and
+# contacts lifted past the reach
+@example(case=(FAILING_LATERALS[1].mesh, FAILING_LATERALS[0]), floor_mode="table", table_z=0.0,
+         drift=0.0)
+@example(case=(make_plate(0.0, -100.0, 200.0, 200.0, 25.0),
+               ScanGrid(-150.0, -150.0, 6, 6, 50.0, 50.0, safe_z=200.0)),
+         floor_mode="table", table_z=0.0, drift=0.0)
+@example(case=(make_plate(200.0, -100.0, 200.0, 200.0, 25.0),
+               ScanGrid(260.0, -20.0, 3, 4, 10.0, 10.0, safe_z=60.0)),
+         floor_mode="table", table_z=0.0, drift=200.0)
+def test_scan_leaves_no_orphan_rows_when_cycles_fail(case, floor_mode, table_z, drift):
+    # a cycle whose legs fail adds no row to the table that its waypoints
+    # do not name: every row past the precheck's is in the trace index
+    mesh, grid = case
+    geom = RobotGeometry()
+    if point_by_point_precheck(grid, geom)[0]:
+        return
+    scene = TargetScene(mesh, table_z=table_z, floor_mode=floor_mode)
+    result = run_scan(grid, geom, scene, NoiseModel(drift_per_contact=drift))
+    if (result.points.kinds == CONTACT_UNREACHABLE).any():
+        event("some cells unreachable")
+    trace = result.trace
+    cycle_rows = np.arange(grid.point_count, len(trace.table))
+    assert np.isin(cycle_rows, trace.index).all()
+
+
 def test_scan_takes_one_contact_per_cell_when_a_lateral_leg_fails(geom, monkeypatch):
     # a cell whose lateral leg fails still casts its ray, so the rays
     # equal the points probed and the cycles' rows sum to the trace
@@ -542,6 +575,26 @@ def test_scan_peak_memory_per_trace_row():
         tracemalloc.stop()
     assert len(result.trace) == 7207
     assert peak / len(result.trace) < 80.0
+
+
+def test_scan_peak_memory_per_grid_point():
+    # a 60 x 60 lattice over the whole wing, 23.6 waypoints a point: the
+    # table and the row index hold the scan's memory, and the contacts
+    # are held one column at a time; about 1,320 bytes a point at peak
+    grid = ScanGrid(220.0, -70.0, 60, 60, 2.5, 2.3, safe_z=60.0)
+    scene = TargetScene(make_wing(220.0, -70.0))
+    geom, noise = RobotGeometry(), NoiseModel(sigma_contact=0.02, drift_per_contact=0.0001, seed=7)
+    run_scan(small_grid(2, 2), geom, scene, noise)  # first-call set-up, outside the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_scan(grid, geom, scene, noise)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (result.points.kinds == CONTACT_MESH).all()
+    assert len(result.trace) == 84908
+    assert peak / grid.point_count < 1700.0
 
 
 def test_grid_spacing_below_corner_resolution_rejected():

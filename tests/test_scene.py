@@ -12,6 +12,7 @@ from armscan.scene import (
     CONTACT_MESH,
     CONTACT_NONE,
     CONTACT_TABLE,
+    MAX_COORDINATE,
     NoiseModel,
     TargetScene,
     probe_contact,
@@ -300,6 +301,42 @@ def test_scene_rejects_non_finite():
     mesh = joined(plane_patch(1.0), bad)
     with pytest.raises(ValueError, match="non-finite"):
         TargetScene(mesh)
+
+
+def square_plate(half, z=10.0):
+    """Two facets at height z over the square of corners (+-half, +-half)."""
+    return facets(
+        [
+            [[-half, -half, z], [half, -half, z], [-half, half, z]],
+            [[half, -half, z], [half, half, z], [-half, half, z]],
+        ]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    magnitude=st.floats(0.0, 300.0).map(lambda exponent: 10.0**exponent),
+    fx=st.floats(-0.99, 0.99),
+    fy=st.floats(-0.99, 0.99),
+)
+# at the bound, just past it, where a plate's hit test used to overflow
+# (about 6.7e153) and the plate of the scan repro
+@example(magnitude=MAX_COORDINATE, fx=0.5, fy=-0.5)
+@example(magnitude=math.nextafter(MAX_COORDINATE, math.inf), fx=0.5, fy=-0.5)
+@example(magnitude=1e154, fx=0.5, fy=-0.5)
+@example(magnitude=1e200, fx=0.0, fy=0.0)
+def test_scene_rejects_what_its_raycast_would_overflow(magnitude, fx, fy):
+    # a scene either refuses the plate or finds it under every ray, as
+    # the test of every facet does; the raycast's products once
+    # overflowed past about 6.7e153 and missed every facet
+    mesh = square_plate(magnitude)
+    if magnitude > MAX_COORDINATE:
+        with pytest.raises(ValueError, match=r"or ones past 1e\+153 mm"):
+            TargetScene(mesh)
+        return
+    x, y = fx * magnitude, fy * magnitude
+    scene = TargetScene(mesh)
+    assert raycast_down(x, y, scene) == raycast_all_facets(mesh.vertices, [(x, y)])[0] == 10.0
 
 
 # ------------------------------------------------------------------ noise
