@@ -34,8 +34,13 @@ scalar `math` code, one path kernel, `_path_kernel`.  It reads the link
 lengths, the tip-to-wrist offset, the rotation entries and the widened
 joint limits once per call.  The base yaw, the wrist angles and their
 limit checks depend on the point's (x, y) alone, so a run of points
-whose (x, y) bits match, such as a vertical descent, works them out
-once; each point then solves only its height and the elbow.
+with equal (x, y), such as a vertical descent, works them out once;
+each point then solves only its height and the elbow.  A run goes on
+while x and y `==` the previous point's and neither is zero: a zero of
+either sign starts a new run, since 0.0 and -0.0 aim the yaw apart,
+and so does a NaN, which equals nothing.  A point the aimed branch
+solves within every limit is appended straight away; any other point
+is solved again by the loop that tries both yaw branches.
 
 `inverse_kinematics` solves one `Pose`, one point, after a rotation
 check, and returns its `JointAngles`.  A path is `solve_path`: the
@@ -56,7 +61,6 @@ outside the program across the package, raises `ConfigError`.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -242,9 +246,6 @@ def forward_kinematics(angles: JointAngles, geom: RobotGeometry) -> Pose:
 # direction to solve along.
 MIN_CHORD = 1e-9
 
-# A run of path points shares its wrist half while these bits of (x, y) match.
-_XY = struct.Struct("<2d")
-
 
 def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
     """The closed form: solve the tip at each (x, y, z) of `points` under
@@ -253,15 +254,21 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
 
     The link lengths, the tip-to-wrist offset along the approach (column
     3) and the joint limits widened by LIMIT_GRACE are read once, the
-    limits from JOINT_LIMITS as they stand now.  A run of points whose
-    (x, y) bits match (so 0.0 and -0.0 differ) shares the wrist center's
-    azimuth and planar distance, and each yaw branch's wrist half: the
-    yaw, joints 4-6 and whether those four pass their limits.  Per point
-    only the height and the elbow half are solved.  The aimed branch
-    wins; the back-reaching one, its wrist half worked out once per run
-    when first needed, is tried where it fails.  The first point neither
-    branch solves, at index `len(rows)`, raises the aimed branch's
-    error with no prefix, or ValueError for a NaN coordinate.
+    limits from JOINT_LIMITS as they stand now.  A run of points goes on
+    while x and y equal the previous point's by float `==` and neither
+    is zero; a zero of either sign or a NaN starts a new run, since `==`
+    cannot tell 0.0 from -0.0 (which aim the yaw apart) and a NaN equals
+    nothing.  Equal non-zero floats have equal bits, so a run shares the
+    wrist center's azimuth and planar distance, and each yaw branch's
+    wrist half: the yaw, joints 4-6 and whether those four pass their
+    limits.  Per point only the height and the elbow half are solved.
+    A point the aimed branch solves within every limit takes a straight
+    path: its row is appended at once.  Any other point is solved again
+    by the two-branch loop: the aimed branch, then the back-reaching
+    one, its wrist half worked out once per run when first needed.  The
+    first point neither branch solves, at index `len(rows)`, raises the
+    aimed branch's error with no prefix, or ValueError for a NaN
+    coordinate.
     """
     d1, l1, l2, d4 = geom.d1, geom.l1, geom.l2, geom.d4
     sides, twice = l2 * l2 + d4 * d4, 2.0 * l2 * d4
@@ -271,6 +278,7 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
     (lo1, hi1), (lo2, hi2), (lo3, hi3), (lo4, hi4), (lo5, hi5), (lo6, hi6) = [
         (lo - g, hi + g) for lo, hi in JOINT_LIMITS
     ]
+    low, high = -1.0 - ACOS_CLAMP_TOL, 1.0 + ACOS_CLAMP_TOL
     # bound to locals: the loop below runs once per point
     atan2, hypot, acos, sin, cos, fmod = (
         math.atan2, math.hypot, math.acos, math.sin, math.cos, math.fmod
@@ -289,10 +297,7 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
         m11 = c1 * r11 + s1 * r21
         m21 = -s1 * r11 + c1 * r21
 
-        # atan2 keeps the tilt relative-accurate where acos(m33) would
-        # round tiny tilts to zero and drop a d6-scaled tip offset
         sin5 = hypot(m13, m23)
-        theta5 = atan2(sin5, m33)
         if sin5 <= WRIST_SINGULAR_TOL:
             theta4 = 0.0
             if m33 > 0.0:
@@ -302,9 +307,17 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
                 theta5 = pi
                 theta6 = atan2(m21, -m11)
         else:
+            # atan2 keeps the tilt relative-accurate where acos(m33)
+            # would round tiny tilts to zero and drop a d6-scaled tip
+            # offset
+            theta5 = atan2(sin5, m33)
             theta4 = normalize_angle(atan2(m23, m13))
             theta6 = atan2(m32, -m31)
-        theta6 = normalize_angle(theta6)
+        # normalize_angle(theta6), written out
+        theta6 = fmod(theta6 + pi, tau)
+        if theta6 <= 0.0:
+            theta6 += tau
+        theta6 -= pi
         # one chained comparison per joint; a NaN fails it
         ok = (
             lo1 <= theta1 <= hi1
@@ -315,20 +328,40 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
         return theta1, radial, theta4, theta5, theta6, ok
 
     append = rows.append
-    pack = _XY.pack
-    run = None
+    px = py = None
     for x, y, z in points:
-        key = pack(x, y)
-        if key != run:
-            run = key
+        if x != px or y != py or not x or not y:
+            px, py = x, y
             # wrist center: the tip backed off d6 along the approach
             xc = x - off_x
             yc = y - off_y
             azimuth = atan2(yc, xc)
             planar = hypot(xc, yc)
             aimed = wrist(azimuth, planar - l1)
+            a1, a_radial, a4, a5, a6, aimed_ok = aimed
             back = None
         height = z - off_z - d1  # above the shoulder
+
+        # The aimed branch's success, straight through.  The two-branch
+        # loop below solves the other points again, with the same
+        # arithmetic, for the back-reaching branch or the error.
+        if aimed_ok:
+            chord = hypot(a_radial, height)
+            cosine = (sides - chord * chord) / twice
+            if chord >= MIN_CHORD and low <= cosine <= high:
+                theta3 = ELBOW_STRAIGHT_INTERIOR - acos(
+                    1.0 if cosine > 1.0 else -1.0 if cosine < -1.0 else cosine
+                )
+                beta = atan2(d4 * sin(theta3), l2 + d4 * cos(theta3))
+                theta2 = atan2(height, a_radial) + beta - SHOULDER_ELEVATION_OFFSET
+                theta2 = fmod(theta2 + pi, tau)
+                if theta2 <= 0.0:
+                    theta2 += tau
+                theta2 -= pi
+                if lo2 <= theta2 <= hi2 and lo3 <= theta3 <= hi3:
+                    append((a1, theta2, theta3, a4, a5, a6))
+                    continue
+
         branch = aimed
         while True:
             theta1, radial, theta4, theta5, theta6, wrist_ok = branch
@@ -338,7 +371,7 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
             else:
                 alpha = atan2(height, radial)
                 cosine = (sides - chord * chord) / twice
-                if not -1.0 - ACOS_CLAMP_TOL <= cosine <= 1.0 + ACOS_CLAMP_TOL:
+                if not low <= cosine <= high:
                     error = UnreachableError(
                         f"elbow triangle (chord {chord:.3f} mm, annulus "
                         f"[{abs(l2 - d4):.3f}, {l2 + d4:.3f}]): "

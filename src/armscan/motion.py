@@ -124,6 +124,8 @@ def line_waypoints(start, end) -> list:
     extra interval through float rounding.  Waypoint j of n intervals
     is `start + (j / n) * (end - start)`, per coordinate in IEEE
     doubles, the operations of the array form `start + t[:, None] * d`.
+    A vertical leg, dx and dy zero, works its x and y out once: each
+    `t * dx` with t >= 0 is the zero `0.0 * dx`, with dx's sign.
     """
     sx, sy, sz = map(float, start)
     ex, ey, ez = map(float, end)
@@ -132,6 +134,9 @@ def line_waypoints(start, end) -> list:
     if length < 1e-12:
         return [(sx, sy, sz)]
     n = max(1, math.ceil(length / STEP - 1e-9))
+    if dx == 0.0 == dy:
+        x, y = sx + 0.0 * dx, sy + 0.0 * dy
+        return [(x, y, sz + j / n * dz) for j in range(n + 1)]
     return [(sx + t * dx, sy + t * dy, sz + t * dz) for t in [j / n for j in range(n + 1)]]
 
 

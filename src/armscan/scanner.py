@@ -141,15 +141,6 @@ class ScanGrid:
             self.y0 + np.arange(self.n_cols) * self.col_spacing,
         )
 
-    def contact_ordinal(self, i: int, k: int) -> int:
-        return k * self.n_rows + i
-
-    def probe_order(self):
-        """(i, k) pairs, ascending row within ascending column."""
-        for k in range(self.n_cols):
-            for i in range(self.n_rows):
-                yield i, k
-
     @property
     def point_count(self) -> int:
         return self.n_rows * self.n_cols

@@ -300,23 +300,22 @@ class NoiseModel:
         ordinal i, or `0.0 + drift * i` with no draw when sigma is 0;
         an overflow gives inf or NaN without a warning.  The ordinals
         are seeded NOISE_BLOCK at a time.  One generator serves the
-        call: it is set to each ordinal's PCG64 state in turn.
+        call: it is set to each ordinal's PCG64 state in turn, through
+        one state dict whose inner `state` and `inc` change per ordinal.
         """
         sigma, drift = self.sigma_contact, self.drift_per_contact
         out = np.empty(len(ordinals))
         generator = np.random.Generator(np.random.PCG64(0))
         bits = generator.bit_generator
+        full = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+        inner = full["state"]
         for start in range(0, len(ordinals), NOISE_BLOCK):
             block = [int(i) for i in ordinals[start : start + NOISE_BLOCK]]
             if sigma > 0.0:
                 values = []
                 for i, (state, inc) in zip(block, _pcg64_states(int(self.seed), block)):
-                    bits.state = {
-                        "bit_generator": "PCG64",
-                        "state": {"state": state, "inc": inc},
-                        "has_uint32": 0,
-                        "uinteger": 0,
-                    }
+                    inner["state"], inner["inc"] = state, inc
+                    bits.state = full
                     values.append(sigma * generator.standard_normal() + drift * i)
             else:
                 values = [0.0 + drift * i for i in block]

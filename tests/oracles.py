@@ -481,6 +481,12 @@ def probe_cycle_per_leg(x, y, *, safe_z, geom, scene, error, from_xy=None):
     return contact, np.concatenate([lateral, descend, retract])
 
 
+def probe_order(grid):
+    """The (i, k) cells of `grid` in probe order, ascending row within
+    ascending column: cell (i, k) is contact ordinal k * n_rows + i."""
+    return [(i, k) for k in range(grid.n_cols) for i in range(grid.n_rows)]
+
+
 def scan_reference(grid, geom, scene, noise, flip_normals=False):
     """`scanner.run_scan` cell by cell, for a grid that passes its checks.
 
@@ -500,7 +506,7 @@ def scan_reference(grid, geom, scene, noise, flip_normals=False):
     rows.
     """
     xs, ys = (a.tolist() for a in grid.axes())
-    order = list(grid.probe_order())
+    order = probe_order(grid)
     hits = raycast_all_facets(scene.mesh.vertices, [(xs[i], ys[k]) for i, k in order])
     low, high = _tip_band(geom)
     shape = (grid.n_rows, grid.n_cols)

@@ -33,7 +33,7 @@ from armscan.scanner import PointGrid, ScanGrid, run_scan, triangulate
 from armscan.scene import NoiseModel, TargetScene, raycast_down
 
 from conftest import random_joint_tuples
-from oracles import chamfer_brute, raycast_brute, sphere_probe_monte_carlo
+from oracles import chamfer_brute, probe_order, raycast_brute, sphere_probe_monte_carlo
 
 GEOM = RobotGeometry()
 
@@ -116,7 +116,7 @@ def test_criterion_2_plane_scan_fidelity(plate_scan, rng):
                 PLATE_GRID.y0 + k * PLATE_GRID.col_spacing,
                 PLATE_Z,
             )
-            for i, k in PLATE_GRID.probe_order()
+            for i, k in probe_order(PLATE_GRID)
         ]
     )
     measured = plate_scan.points.measured_cloud().points

@@ -387,6 +387,19 @@ def test_ik_nan_position_is_value_error(geom):
         inverse_kinematics(Pose.tool_down(math.inf, 0.0, 50.0), geom)
 
 
+def test_ik_nan_mid_run_is_value_error(geom):
+    # a NaN x breaks a run of equal (x, y): it starts a run of its own,
+    # since a NaN equals nothing, and fails unprefixed
+    path = [(300.0, 10.0, 50.0 - 5.0 * j) for j in range(6)]
+    path[3] = (math.nan, 10.0, path[3][2])
+    with pytest.raises(ValueError, match="^target position is not finite$"):
+        solve_path(path, TOOL_DOWN_ROTATION.tolist(), geom)
+    rows = []
+    with pytest.raises(ValueError, match="^target position is not finite$"):
+        kinematics._path_kernel(path, TOOL_DOWN_ROTATION.tolist(), geom, rows)
+    assert rows == solve_path(path[:3], TOOL_DOWN_ROTATION.tolist(), geom)
+
+
 @pytest.mark.parametrize(
     "point",
     [
@@ -591,6 +604,10 @@ def tool_down_vertical(x, y, x_signs, y_signs, top, bottom):
 
 # runs of one, two and three points of equal (x, y) bits
 SIGNS = (1, 1, -1, 1, 1, 1, -1, -1, 1, -1, -1, -1, 1, -1)
+TOOL_DOWN_NEGATIVE_ZEROS = np.array([[1.0, 0.0, -0.0], [0.0, -1.0, -0.0], [0.0, 0.0, -1.0]])
+NEARLY_TOOL_DOWN = np.array([[1.0, 0.0, 1e-300], [0.0, -1.0, 0.0], [1e-300, 0.0, -1.0]])
+AXIS_DESCENT = tool_down_vertical(0.0, 0.0, SIGNS, SIGNS[1:] + SIGNS[:1], 550.0, 200.0)[1]
+OFF_AXIS_DESCENT = tool_down_vertical(30.0, 0.0, SIGNS, SIGNS, 400.0, 100.0)[1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -609,6 +626,11 @@ SIGNS = (1, 1, -1, 1, 1, 1, -1, -1, 1, -1, -1, -1, 1, -1)
 @example(leg=tool_down_vertical(30.0, 0.0, SIGNS, SIGNS, 400.0, 100.0))
 # ... at the 8th, and neither branch reaches from the 12th on, mid-run
 @example(leg=tool_down_vertical(30.0, 0.0, SIGNS, SIGNS, 350.0, 0.0))
+# tool down with -0.0 in column 3: the tip offset and the wrist's m13
+# and m23 are zeros of either sign
+@example(leg=(TOOL_DOWN_NEGATIVE_ZEROS, AXIS_DESCENT))
+# r13 = 1e-300: wrist-singular, yet column 3 is not exactly vertical
+@example(leg=(NEARLY_TOOL_DOWN, OFF_AXIS_DESCENT))
 def test_ik_path_matches_scalar_solves(leg):
     rotation, points = leg
     assert_path_solve_matches_scalar(rotation, points, GEOM)

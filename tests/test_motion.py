@@ -109,6 +109,16 @@ def segments(draw):
 @example(segment=((0.0, -0.0, 60.0), (-0.0, 0.0, 60.0)))
 @example(segment=((300.0, -0.0, 60.0), (300.0, -0.0, 25.0)))
 @example(segment=((0.0, 0.0, 0.0), (0.3, 0.0, 0.0)))
+# vertical legs: x and y worked out once, zeros of either sign kept
+@example(segment=((-0.0, 12.5, 60.0), (-0.0, 12.5, 25.0)))
+@example(segment=((0.0, -0.0, 60.0), (-0.0, 0.0, 17.3)))
+@example(segment=((300.0, -0.0, 60.0), (300.0, 0.0, 61.0)))
+# |dz| below the 1e-12 of a degenerate leg, and just above it
+@example(segment=((300.0, 10.0, 0.0), (300.0, 10.0, 5e-13)))
+@example(segment=((300.0, 10.0, 0.0), (300.0, 10.0, -2e-12)))
+# a whole number of STEPs, down and up
+@example(segment=((300.0, 10.0, 60.0), (300.0, 10.0, 60.0 - 7 * motion.STEP)))
+@example(segment=((-0.0, 10.0, -40.0), (0.0, 10.0, -40.0 + 13 * motion.STEP)))
 def test_waypoints_match_the_array_form_bit_for_bit(segment):
     start, end = segment
     expected = line_waypoints_reference(start, end)
@@ -117,6 +127,23 @@ def test_waypoints_match_the_array_form_bit_for_bit(segment):
         assert all(type(v) is float for p in pts for v in p)
         assert np.array(pts).shape == expected.shape
         assert np.array(pts).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "start, end",
+    [
+        ((300.0, 10.0, 0.0), (300.0, 10.0, 2e154)),  # |dz| squared overflows
+        ((-0.0, 0.0, 1e200), (0.0, -0.0, -1e200)),
+        ((300.0, 10.0, 60.0), (300.0, 10.0, math.nan)),  # a NaN z
+        ((300.0, -0.0, math.nan), (300.0, -0.0, 25.0)),
+    ],
+)
+def test_vertical_waypoints_fail_as_the_array_form(start, end):
+    with pytest.raises((OverflowError, ValueError)) as expected:
+        with np.errstate(over="ignore"):
+            line_waypoints_reference(start, end)
+    with pytest.raises(type(expected.value), match=f"^{expected.value}$"):
+        line_waypoints(start, end)
 
 
 # ------------------------------------------------------------------ planning
@@ -137,6 +164,20 @@ def test_plan_line_trace_positions_on_segment(geom, monkeypatch):
 def test_plan_line_limits_respected(geom):
     for angles in plan_line(line_waypoints([250, 0, 30], [300, 0, 30]), geom):
         check_limits(JointAngles(*angles))
+
+
+def test_plan_line_descent_solves_its_wrist_once(geom, monkeypatch):
+    # a vertical descent is one run: one wrist half (one sin, of the
+    # yaw) and an elbow per waypoint (one sin each, of theta3)
+    descent = line_waypoints((300.0, 10.0, 60.0), (300.0, 10.0, 5.0))
+    assert len(descent) == 12
+    calls = []
+    sin = math.sin
+    monkeypatch.setattr(math, "sin", lambda a: calls.append(a) or sin(a))
+    rows = plan_line(descent, geom)
+    monkeypatch.undo()
+    assert len(rows) == 12 and len(calls) == 1 + 12
+    assert calls[0] == rows[0][0] and calls[1:] == [row[2] for row in rows]
 
 
 def test_plan_line_unreachable_names_waypoint(geom, monkeypatch):

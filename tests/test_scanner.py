@@ -33,6 +33,7 @@ from armscan.scene import (
 from oracles import (
     line_waypoints_reference,
     plan_line_loop,
+    probe_order,
     scan_reference,
     trace_csv_reference,
     triangulate_loop,
@@ -60,7 +61,7 @@ def point_by_point_precheck(grid, geom):
     xs, ys = (a.tolist() for a in grid.axes())
     checks = [
         ((i + 1, k + 1), is_reachable((xs[i], ys[k], grid.safe_z), geom))
-        for i, k in grid.probe_order()
+        for i, k in probe_order(grid)
     ]
     offenders = [ik for ik, (ok, _) in checks if not ok]
     return offenders, next((why for _, (ok, why) in checks if not ok), None)
@@ -125,11 +126,23 @@ def test_grid_point_bound_checked_before_axes(monkeypatch):
         ScanGrid(0.0, 0.0, 1000, 1001, 1.0, 1.0)
 
 
-def test_grid_probe_order_column_major():
-    g = ScanGrid(0, 0, 3, 2, 1.0, 1.0)
-    order = list(g.probe_order())
-    assert order == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
-    assert [g.contact_ordinal(i, k) for i, k in order] == list(range(6))
+def test_grid_probe_order_column_major(geom, monkeypatch):
+    # run_scan probes row by row within each column, and the n-th cell
+    # it probes takes the error of contact ordinal n
+    grid = small_grid(3, 2)
+    xs, ys = (a.tolist() for a in grid.axes())
+    probed = []
+
+    def cycle(x, y, **kw):
+        probed.append((x, y, kw["error"]))
+        return motion.probe_cycle(x, y, **kw)
+
+    monkeypatch.setattr(scanner, "probe_cycle", cycle)
+    noise = NoiseModel(sigma_contact=0.5, drift_per_contact=0.25, seed=3)
+    run_scan(grid, geom, plate_scene(), noise)
+    order = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+    assert probe_order(grid) == order
+    assert probed == [(xs[i], ys[k], noise.error_at(n)) for n, (i, k) in enumerate(order)]
 
 
 # ------------------------------------------------------------------ scan
@@ -164,7 +177,7 @@ def test_scan_contact_ordinals_via_drift(geom):
     grid = small_grid(4, 5)
     result = run_scan(grid, geom, plate_scene(25.0),
                       NoiseModel(drift_per_contact=drift))
-    for i, k in grid.probe_order():
+    for i, k in probe_order(grid):
         z_measured, z_true = result.points.z_measured[i, k], result.points.z_true[i, k]
         ordinal = round((z_measured - z_true) / drift)
         assert ordinal == k * grid.n_rows + i
@@ -252,7 +265,7 @@ def test_scan_with_failing_descents_matches_waypoint_loop(geom, monkeypatch):
 def lateral_leg_fails(grid, geom) -> bool:
     """Whether `plan_line_loop` fails a leg between consecutive cells."""
     xs, ys = (a.tolist() for a in grid.axes())
-    cells = [(xs[i], ys[k], grid.safe_z) for i, k in grid.probe_order()]
+    cells = [(xs[i], ys[k], grid.safe_z) for i, k in probe_order(grid)]
     for start, end in zip(cells, cells[1:]):
         try:
             plan_line_loop(line_waypoints(start, end), geom)
@@ -275,7 +288,7 @@ OFF_BITS_GRID = ScanGrid(-120.3, 250.7, 4, 3, 110.9, 13.1, safe_z=60.0)
 
 def test_off_bits_grid_has_lateral_ends_off_their_grid_points():
     xs, ys = (a.tolist() for a in OFF_BITS_GRID.axes())
-    cells = [(xs[i], ys[k], 60.0) for i, k in OFF_BITS_GRID.probe_order()]
+    cells = [(xs[i], ys[k], 60.0) for i, k in probe_order(OFF_BITS_GRID)]
     ends = [line_waypoints(start, end)[-1] for start, end in zip(cells, cells[1:])]
     off = [end for end, cell in zip(ends, cells[1:]) if POINT_BITS(*end) != POINT_BITS(*cell)]
     assert len(ends) == 11 and len(off) == 2
@@ -543,11 +556,11 @@ def test_scan_solves_each_distinct_point_once(monkeypatch):
     assert (points.kinds == CONTACT_MESH).all()
 
     xs, ys = (a.tolist() for a in grid.axes())
-    cells = [(xs[i], ys[k], 60.0) for i, k in grid.probe_order()]
+    cells = [(xs[i], ys[k], 60.0) for i, k in probe_order(grid)]
     legs = [line_waypoints_reference(a, b) for a, b in zip(cells, cells[1:])]
     legs += [
         line_waypoints_reference(cell, (*cell[:2], points.z_measured[i, k]))
-        for (i, k), cell in zip(grid.probe_order(), cells)
+        for (i, k), cell in zip(probe_order(grid), cells)
     ]
     every = [tuple(p) for p in cells] + [tuple(p) for leg in legs for p in leg.tolist()]
     solved_bits = [POINT_BITS(*p) for p in solved]
@@ -621,9 +634,9 @@ def test_coordinates_match_grid_points_bit_for_bit(geom, monkeypatch):
     points = run_scan(grid, geom, scene, NoiseModel(sigma_contact=0.02, seed=1)).points
     q = points.coordinates()
     assert q.shape == (5, 7, 3)
-    written = [(240.1 + i * 0.3, -30.7 + k * 0.7) for i, k in grid.probe_order()]
+    written = [(240.1 + i * 0.3, -30.7 + k * 0.7) for i, k in probe_order(grid)]
     assert len(touched) == len(written)
-    for (i, k), xy, probed in zip(grid.probe_order(), written, touched):
+    for (i, k), xy, probed in zip(probe_order(grid), written, touched):
         assert q[k, i, :2].tobytes() == np.array(xy).tobytes()
         assert np.array(probed).tobytes() == np.array(xy).tobytes()
     no_height = np.isin(points.kinds, [CONTACT_NONE, CONTACT_UNREACHABLE]).T
@@ -676,7 +689,7 @@ def test_triangulate_2x2_exact_vertex_sequences(geom):
         (i, k): np.array(
             [240.0 + i * 6.0, -30.0 + k * 6.0, result.points.z_measured[i, k]]
         )
-        for i, k in grid.probe_order()
+        for i, k in probe_order(grid)
     }
     mesh = result.mesh
     assert len(mesh) == 2
