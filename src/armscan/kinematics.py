@@ -36,11 +36,13 @@ joint limits once per call.  The base yaw, the wrist angles and their
 limit checks depend on the point's (x, y) alone, so a run of points
 with equal (x, y), such as a vertical descent, works them out once;
 each point then solves only its height and the elbow.  A run goes on
-while x and y `==` the previous point's and neither is zero: a zero of
-either sign starts a new run, since 0.0 and -0.0 aim the yaw apart,
-and so does a NaN, which equals nothing.  A point the aimed branch
-solves within every limit is appended straight away; any other point
-is solved again by the loop that tries both yaw branches.
+while x and y `==` the previous point's, a zero also by its sign,
+since 0.0 and -0.0 aim the yaw apart; a NaN, which equals nothing,
+starts a new run.  A point the aimed branch solves within every limit
+is appended straight away; any other point is solved again by the loop
+that tries both yaw branches.  A point neither branch solves raises,
+or, with failure records asked for, takes a placeholder row and a
+record that `failure_error` turns into its error.
 
 `inverse_kinematics` solves one `Pose`, one point, after a rotation
 check, and returns its `JointAngles`.  A path is `solve_path`: the
@@ -246,8 +248,29 @@ def forward_kinematics(angles: JointAngles, geom: RobotGeometry) -> Pose:
 # direction to solve along.
 MIN_CHORD = 1e-9
 
+# The placeholder row of a point whose failure `_path_kernel` records.
+FAILED_ROW = (math.nan,) * 6
 
-def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
+
+def failure_error(failure: tuple, geom: RobotGeometry) -> UnreachableError:
+    """The error of a failure record of `_path_kernel`: the aimed
+    branch's (chord, cosine, angles), angles None when the elbow
+    triangle does not close.  Its message is built only here."""
+    chord, cosine, angles = failure
+    if chord < MIN_CHORD:
+        return UnreachableError("wrist center coincides with the shoulder")
+    if angles is None:
+        return UnreachableError(
+            f"elbow triangle (chord {chord:.3f} mm, annulus [{abs(geom.l2 - geom.d4):.3f}, "
+            f"{geom.l2 + geom.d4:.3f}]): cosine argument {cosine:.6f} outside [-1, 1]"
+        )
+    try:  # names the first joint outside its interval
+        check_limits(angles)
+    except JointLimitError as exc:
+        return exc
+
+
+def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list, failures=None) -> None:
     """The closed form: solve the tip at each (x, y, z) of `points` under
     `rot` (nested floats, unchecked), appending the six joint angles of
     each point to `rows` as a tuple.
@@ -255,20 +278,22 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
     The link lengths, the tip-to-wrist offset along the approach (column
     3) and the joint limits widened by LIMIT_GRACE are read once, the
     limits from JOINT_LIMITS as they stand now.  A run of points goes on
-    while x and y equal the previous point's by float `==` and neither
-    is zero; a zero of either sign or a NaN starts a new run, since `==`
-    cannot tell 0.0 from -0.0 (which aim the yaw apart) and a NaN equals
-    nothing.  Equal non-zero floats have equal bits, so a run shares the
-    wrist center's azimuth and planar distance, and each yaw branch's
-    wrist half: the yaw, joints 4-6 and whether those four pass their
-    limits.  Per point only the height and the elbow half are solved.
-    A point the aimed branch solves within every limit takes a straight
-    path: its row is appended at once.  Any other point is solved again
-    by the two-branch loop: the aimed branch, then the back-reaching
-    one, its wrist half worked out once per run when first needed.  The
-    first point neither branch solves, at index `len(rows)`, raises the
-    aimed branch's error with no prefix, or ValueError for a NaN
-    coordinate.
+    while x and y equal the previous point's by float `==` and, where
+    zero, by sign (`copysign`): 0.0 == -0.0, yet they aim the yaw apart.
+    A NaN equals nothing and starts a new run.  Equal floats of equal
+    sign have equal bits, so a run shares the wrist center's azimuth
+    and planar distance, and each yaw branch's wrist half: the yaw,
+    joints 4-6 and whether those four pass their limits.  Per point
+    only the height and the elbow half are solved.  A point the aimed
+    branch solves within every limit takes a straight path: its row is
+    appended at once.  Any other point is solved again by the two-branch
+    loop: the aimed branch, then the back-reaching one, its wrist half
+    worked out once per run when first needed.  A point neither branch
+    solves raises ValueError for a NaN coordinate.  Otherwise, given a
+    `failures` list, it appends FAILED_ROW to `rows` and (its index,
+    the aimed branch's failure record) to `failures`, and the solve
+    goes on; given none, it raises the aimed branch's error, with no
+    prefix, at index `len(rows)`.
     """
     d1, l1, l2, d4 = geom.d1, geom.l1, geom.l2, geom.d4
     sides, twice = l2 * l2 + d4 * d4, 2.0 * l2 * d4
@@ -283,7 +308,7 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
     atan2, hypot, acos, sin, cos, fmod = (
         math.atan2, math.hypot, math.acos, math.sin, math.cos, math.fmod
     )
-    pi, tau = math.pi, 2.0 * math.pi
+    pi, tau, copysign = math.pi, 2.0 * math.pi, math.copysign
 
     def wrist(theta1: float, radial: float) -> tuple:
         """One yaw branch's half shared by a run: (theta1, radial,
@@ -330,7 +355,9 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
     append = rows.append
     px = py = None
     for x, y, z in points:
-        if x != px or y != py or not x or not y:
+        if x != px or y != py or not x and copysign(1.0, x) != copysign(1.0, px) or (
+            not y and copysign(1.0, y) != copysign(1.0, py)
+        ):
             px, py = x, y
             # wrist center: the tip backed off d6 along the approach
             xc = x - off_x
@@ -366,44 +393,30 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
         while True:
             theta1, radial, theta4, theta5, theta6, wrist_ok = branch
             chord = hypot(radial, height)
-            if chord < MIN_CHORD:
-                error = UnreachableError("wrist center coincides with the shoulder")
-            else:
+            cosine = (sides - chord * chord) / twice
+            angles = None
+            if chord >= MIN_CHORD and low <= cosine <= high:
+                # acos(min(1.0, max(-1.0, cosine))), written out
+                interior = acos(1.0 if cosine > 1.0 else -1.0 if cosine < -1.0 else cosine)
+                theta3 = ELBOW_STRAIGHT_INTERIOR - interior
+                # Shoulder angle from the solved elbow angle rather than
+                # a second acos: the pair then closes the triangle
+                # exactly, which keeps the round trip tight even at the
+                # stretched (interior = pi) boundary where independent
+                # acos calls are ill-conditioned.
+                beta = atan2(d4 * sin(theta3), l2 + d4 * cos(theta3))
+                # normalize_angle(alpha + beta - SHOULDER_ELEVATION_OFFSET)
                 alpha = atan2(height, radial)
-                cosine = (sides - chord * chord) / twice
-                if not low <= cosine <= high:
-                    error = UnreachableError(
-                        f"elbow triangle (chord {chord:.3f} mm, annulus "
-                        f"[{abs(l2 - d4):.3f}, {l2 + d4:.3f}]): "
-                        f"cosine argument {cosine:.6f} outside [-1, 1]"
-                    )
-                else:
-                    # acos(min(1.0, max(-1.0, cosine))), written out
-                    interior = acos(
-                        1.0 if cosine > 1.0 else -1.0 if cosine < -1.0 else cosine
-                    )
-                    theta3 = ELBOW_STRAIGHT_INTERIOR - interior
-                    # Shoulder angle from the solved elbow angle rather
-                    # than a second acos: the pair then closes the
-                    # triangle exactly, which keeps the round trip tight
-                    # even at the stretched (interior = pi) boundary where
-                    # independent acos calls are ill-conditioned.
-                    beta = atan2(d4 * sin(theta3), l2 + d4 * cos(theta3))
-                    # normalize_angle(alpha + beta - SHOULDER_ELEVATION_OFFSET)
-                    theta2 = fmod(alpha + beta - SHOULDER_ELEVATION_OFFSET + pi, tau)
-                    if theta2 <= 0.0:
-                        theta2 += tau
-                    theta2 -= pi
-                    angles = (theta1, theta2, theta3, theta4, theta5, theta6)
-                    if wrist_ok and lo2 <= theta2 <= hi2 and lo3 <= theta3 <= hi3:
-                        append(angles)
-                        break
-                    try:  # names the first joint outside its interval
-                        check_limits(angles)
-                    except JointLimitError as exc:
-                        error = exc
+                theta2 = fmod(alpha + beta - SHOULDER_ELEVATION_OFFSET + pi, tau)
+                if theta2 <= 0.0:
+                    theta2 += tau
+                theta2 -= pi
+                angles = (theta1, theta2, theta3, theta4, theta5, theta6)
+                if wrist_ok and lo2 <= theta2 <= hi2 and lo3 <= theta3 <= hi3:
+                    append(angles)
+                    break
             if branch is aimed:
-                aimed_error = error
+                failure = (chord, cosine, angles)
                 if back is None:
                     back = wrist(normalize_angle(azimuth + pi), -planar - l1)
                 branch = back
@@ -411,7 +424,11 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list) -> None:
             # a NaN fails the reach test, beside an infinite coordinate too
             if math.isnan(x) or math.isnan(y) or math.isnan(z):
                 raise ValueError("target position is not finite")
-            raise aimed_error
+            if failures is None:
+                raise failure_error(failure, geom)
+            failures.append((len(rows), failure))
+            append(FAILED_ROW)
+            break
 
 
 def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> JointAngles:

@@ -11,20 +11,18 @@ over the same (x, y), so a descent, one such run, costs its elbow
 solves alone.  No velocity profile exists; the rows are the sequence
 an open-loop controller would stream.
 
-A probe cycle is two such lines, lateral travel at the safe height and
-descent to the contact, then the retract: the descent's rows replayed
-in reverse back to the safe height, with no further IK.  The cycle
-takes its contact first, with the error its caller drew for it, and
-solves both legs end to end in one `plan_line` call; only when that
-fails is the lateral leg solved again alone.  Solved rows go into a
-flat table of six floats per row, shared by a whole scan, and a cycle
-returns the table row of each of its waypoints.  The scan's precheck
-solves every grid point at the safe height, so a cycle packs the bits
-of its two safe-height points once, and each leg end with those bits
-takes that point's row; the other waypoints are solved, and their new
-rows are numbered by range from where they were appended.  Contact
-heights come from the scene's exact raycast; the descent step size
-only shapes the joint log, never the measurement.
+A probe cycle descends over a grid point to the contact and retracts:
+the descent's rows replayed in reverse back to the safe height, with no
+further IK.  The lateral leg that brings it there, at the safe height,
+depends on no contact, so the scan's precheck solves every such leg
+with the grid points, in one tour per column, and hands the cycle the
+leg's rows.  The cycle takes its contact first, with the error its
+caller drew for it, and solves its descent in one `plan_line` call.
+Solved rows go into a flat table of six floats per row, shared by a
+whole scan, and a cycle returns the table row of each of its
+waypoints; a descent end with the grid point's bits takes its row.
+Contact heights come from the scene's exact raycast; the descent step
+size only shapes the joint log, never the measurement.
 
 Within a cycle the legs share their seam row once.  Cycles are
 concatenated whole: each lateral leg starts with the row the previous
@@ -289,83 +287,57 @@ def probe_cycle(
     scene: TargetScene,
     error: float,
     table: array,
-    from_xy=None,
-    safe_rows=(None, None),
+    here_row: int,
+    lateral,
 ) -> tuple:
-    """One touch: travel over (x, y), descend to contact, retract.
+    """One touch: descend over (x, y) to contact and retract.
 
-    `error` is the contact's measurement error, drawn by the caller
-    (`NoiseModel.errors` at the contact's ordinal).  `table` is the
-    flat `array('d')` of solved rows, six angles (rad) each, that the
-    cycle appends its new rows to.  `safe_rows` holds the table rows
-    already solved for (*from_xy, safe_z) and (x, y, safe_z), or None
-    for a point not in the table; the first and last waypoint of each
-    leg are matched by bits against those points, (x, y, safe_z) first,
-    and take the row of the one they equal instead of a solve.  Returns
-    ((kind, z_true, z_measured), rows), the contact as `probe_contact`
-    gives it and the table row of each of the cycle's waypoints.  The
-    waypoints start and end at the safe height; seam waypoints shared
-    between legs appear once.  The contact is taken first; the descent
-    stops at the table on a miss (kind "none") and at the measured
-    height otherwise.  The waypoints left to solve, of both legs, are
-    then solved in one `plan_line` call, even when none is left, and
-    appended to `table` in order; the retract is the descent's rows in
-    reverse, so only the lateral leg or the descent can fail.  A
-    measured height that is not finite, or lies more than STEP past the
-    tool-down tip band, fails with no descent planned.  A failed
-    cycle's contact is (CONTACT_UNREACHABLE, nan, nan), a kind distinct
-    from a no-contact miss, and its rows are
-    only the lateral travel, re-planned alone and still ending at the
-    safe height, or nothing if that leg fails.
+    `error` is the contact's measurement error, drawn by the caller.
+    `table` is the flat `array('d')` of solved rows, six angles (rad)
+    each, that the cycle appends its new rows to; `here_row` is the row
+    of (x, y, safe_z) in it.  `lateral` holds the table rows of the leg
+    that brought the probe over (x, y) at the safe height: [] for none,
+    None for a leg that failed.  Returns ((kind, z_true, z_measured),
+    rows), the contact as `probe_contact` gives it and the table row of
+    each waypoint of the lateral leg, the descent and the retract.  The
+    contact is taken first, even after a failed leg.  The descent stops
+    at the table on a miss (kind "none") and at the measured height
+    otherwise; its ends with the bits of (x, y, safe_z) take
+    `here_row`, and its other waypoints are solved in one `plan_line`
+    call, even when none is left.  The retract is the descent's rows in
+    reverse, less the contact row.  A measured height that is not
+    finite, or lies more than STEP past the tool-down tip band, fails
+    with no descent planned.  A failed cycle's contact is
+    (CONTACT_UNREACHABLE, nan, nan), a kind distinct from a no-contact
+    miss, and its rows are the lateral leg's, none if that leg failed.
     """
     contact = probe_contact(x, y, scene, error)
+    unreachable = (CONTACT_UNREACHABLE, math.nan, math.nan)
+    if lateral is None:
+        return unreachable, []
     z_stop = scene.table_z if contact[0] == CONTACT_NONE else contact[2]
-    here = (x, y, safe_z)
-    lateral = [] if from_xy is None else line_waypoints((*from_xy, safe_z), here)
-    # `here` is matched first: a `from_xy` bit-equal to (x, y) takes
-    # safe_rows[1] when it has one.
-    here_key = None if safe_rows[1] is None else _BITS(*here)
-    from_key = None if from_xy is None or safe_rows[0] is None else _BITS(*from_xy, safe_z)
-    lat_head = _safe_row(lateral[0], here_key, from_key, safe_rows) if lateral else ()
-    lat_tail = _safe_row(lateral[-1], here_key, from_key, safe_rows) if len(lateral) > 1 else ()
-    lat_todo = lateral[len(lat_head) : len(lateral) - len(lat_tail)]
     # A tool-down tip at z_stop puts the wrist center z_stop + d6 - d1
     # above the shoulder, out of reach past l2 + d4: that descent fails
     # anyway, and toward a huge drifted height it would plan unboundedly
     # many waypoints.  STEP of slack leaves the boundary to the IK.  A
     # NaN height fails the comparison too.
     reach = geom.l2 + geom.d4 + STEP
-    if -reach <= z_stop + geom.d6 - geom.d1 <= reach:
-        descent = line_waypoints(here, (x, y, z_stop))
-        head = _safe_row(descent[0], here_key, from_key, safe_rows)
-        tail = _safe_row(descent[-1], here_key, from_key, safe_rows) if len(descent) > 1 else ()
-        todo = descent[len(head) : len(descent) - len(tail)]
-        try:
-            first = append_rows(table, plan_line(lat_todo + todo, geom))
-        except UnreachableError:
-            pass
-        else:
-            mid = first + len(lat_todo)
-            descend = [*head, *range(mid, mid + len(todo)), *tail]
-            # Descent row 0 has a row too, though it sits where the
-            # lateral leg ends: the retract ends on it, and the lateral's
-            # last waypoint need not equal it bit for bit.  The retract
-            # backs up the same line, less the contact row.
-            rows = [*lat_head, *range(first, mid), *lat_tail]
-            return contact, rows + (descend[1:] if lateral else descend) + descend[-2::-1]
-
+    if not -reach <= z_stop + geom.d6 - geom.d1 <= reach:
+        return unreachable, lateral
+    here = (x, y, safe_z)
+    descent = line_waypoints(here, (x, y, z_stop))
+    # `a + 0.0 * b` need not keep the bits of `a`
+    key = _BITS(*here)
+    head = (here_row,) if _BITS(*descent[0]) == key else ()
+    tail = (here_row,) if len(descent) > 1 and _BITS(*descent[-1]) == key else ()
+    todo = descent[len(head) : len(descent) - len(tail)]
     try:
-        first = append_rows(table, plan_line(lat_todo, geom))
-        rows = [*lat_head, *range(first, first + len(lat_todo)), *lat_tail]
+        first = append_rows(table, plan_line(todo, geom))
     except UnreachableError:
-        rows = []
-    return (CONTACT_UNREACHABLE, math.nan, math.nan), rows
-
-
-def _safe_row(point, here_key, from_key, safe_rows) -> tuple:
-    """The row of the safe-height point with the bits of `point`, as a
-    1-tuple, `here` first, or () for neither."""
-    key = _BITS(*point)
-    if key == here_key:
-        return (safe_rows[1],)
-    return (safe_rows[0],) if key == from_key else ()
+        return unreachable, lateral
+    descend = [*head, *range(first, first + len(todo)), *tail]
+    # Descent row 0 has a row too, though it sits where the lateral leg
+    # ends: the retract ends on it, and the lateral's last waypoint need
+    # not equal it bit for bit.  The retract backs up the same line,
+    # less the contact row.
+    return contact, lateral + (descend[1:] if lateral else descend) + descend[-2::-1]

@@ -4,16 +4,17 @@ its tessellation into a height-field mesh.
 Probing visits column after column, ascending row within each column,
 so the contact ordinal of cell (i, k) is k * n_rows + i (0-based).  The
 error model's cumulative drift therefore compounds along the scan
-exactly in probe order.  Before any probing, a precheck solves the
-safe-height points of each column in one path solve (a failing column
-alone again point by point, to list its offenders), and every contact's
-error is drawn in one `NoiseModel.errors` batch; the per-cell loop then
-does only per-cell work: one raycast and one probe cycle.
-The precheck's rows open the scan's one table of solved rows, grid
-point (i, k) at row k * n_rows + i, so a cycle whose descent start or
-lateral leg end is a grid point takes its row and solves only the rest;
-each grid point is solved once.  The trace is that table and the row
-index of every waypoint, not a copy of the rows.
+exactly in probe order.  Before any probing, a precheck solves each
+column's safe-height tour, its grid points and the lateral legs into
+them, in one kernel call that records failures: a failing grid point is
+an offender, a failing lateral point fails its cell's leg.  Every
+contact's error is drawn in one `NoiseModel.errors` batch; the per-cell
+loop then does only per-cell work: one raycast and one probe cycle,
+which only descends.  The precheck's rows open the scan's one table of
+solved rows, grid point (i, k) at row k * n_rows + i, then the passing
+legs' rows; a leg end or a descent end with a grid point's bits takes
+its row, so each grid point is solved once.  The trace is that table
+and the row index of every waypoint, not a copy of the rows.
 
 Each completed cell (i, k) with all four corners contacted yields two
 triangles with a fixed vertex sequence:
@@ -33,9 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import ConfigError, RobotGeometry, UnreachableError, is_reachable
+# is_reachable is not called here; it stays bound by name because
+# armbench/tracer.py wraps every module's binding of it.
+from .kinematics import ConfigError, RobotGeometry, UnreachableError, is_reachable  # noqa: F401
+from .kinematics import _path_kernel, failure_error
 from .meshio import DEGENERATE_NORM, PointCloud, TriangleMesh
-from .motion import JointTrace, append_rows, plan_line, probe_cycle
+from .motion import _BITS, _TOOL_DOWN, STEP, JointTrace, append_rows, line_waypoints, probe_cycle
 from .scene import (
     CONTACT_MESH,
     CONTACT_NONE,
@@ -51,6 +55,10 @@ DEFAULT_SAFE_Z = 60.0
 # fraction of a host's memory; a mistyped 100000 x 100000 grid would
 # otherwise spend hours in the precheck before any motion.
 MAX_GRID_POINTS = 1_000_000
+
+# A cell's lateral-leg flags: its first waypoint takes the previous grid
+# point's row, its last one the cell's own; or the leg failed.
+FROM, HERE, FAILED = 1, 2, 4
 
 
 class UnreachableGridError(UnreachableError):
@@ -234,16 +242,16 @@ def run_scan(
     take, `d1 - l2 - d4 - d6` (ConfigError otherwise: a miss would plan
     a descent through waypoints it can never reach).  Every grid
     point must be reachable at the safe height before any probing
-    starts, solved one path per lattice column; otherwise
-    UnreachableGridError lists the offenders, in probe order, and no
-    motion is logged.
-    Those rows start the table of solved rows that every cycle reuses
-    and appends to; the trace joins the cycles' row indices.
-    The contact errors are drawn once for the whole lattice, in probe
-    order, and each cycle gets its own.
-    Per-point descent failures during the scan do not abort it: they
-    mark the cell unreachable, with NaN heights, and leave holes in the
-    mesh.
+    starts, solved with the lateral legs between them in one tour per
+    lattice column; otherwise UnreachableGridError lists the offenders,
+    in probe order, with the first one's reason, and no motion is
+    logged.  Those rows start the table of solved rows that every cycle
+    reuses and appends its descent to; the trace joins the cycles' row
+    indices.  The contact errors are drawn once for the whole lattice,
+    in probe order, and each cycle gets its own.
+    Per-point failures during the scan, of a lateral leg or a descent,
+    do not abort it: they mark the cell unreachable, with NaN heights,
+    and leave holes in the mesh.
     """
     top = scene.mesh.vertices[:, :, 2].max()
     if grid.safe_z < top:
@@ -257,50 +265,96 @@ def run_scan(
             f"tip height {lowest:g} mm"
         )
     xs, ys = (a.tolist() for a in grid.axes())
-    # One solve per column, its rows kept: grid point (i, k) is table row
-    # k * n_rows + i, its contact ordinal.  A failing column alone is
-    # checked again point by point, so the error lists each offender.
-    # It adds one reason, its first offender's, or its solve's should no
-    # point fail alone: a failed column always raises.
-    table = array("d")
-    bad, reasons = [], []
+    safe_z, n_rows, count = grid.safe_z, grid.n_rows, grid.point_count
+    # A reachable tool-down tip lies within l1 + l2 + d4 of the yaw axis:
+    # a grid wider than twice that fails, and its long legs are not built.
+    span = 2.0 * (geom.l1 + geom.l2 + geom.d4) + STEP
+    legs = xs[-1] - xs[0] <= span and ys[-1] - ys[0] <= span
+    # The safe-height tour, one kernel call per column.  Per cell, flat:
+    # the first table row of its leg's solved waypoints, and its flags.
+    # A leg's first waypoint can have the bits of its start alone, its
+    # last those of its end alone: the grid points differ in x or y.
+    table, laterals = array("d"), array("d")
+    firsts, ends = array("q"), bytearray(count)
+    bad, reason = [], None
     for k, y in enumerate(ys):
-        column = [(x, y, grid.safe_z) for x in xs]
-        try:
-            append_rows(table, plan_line(column, geom))
-        except UnreachableError as exc:
-            checks = [is_reachable(point, geom) for point in column]
-            bad += [(i + 1, k + 1) for i, (ok, _) in enumerate(checks) if not ok]
-            reasons.append(next((why for ok, why in checks if not ok), str(exc)))
-    if reasons:
-        raise UnreachableGridError(bad, reasons[0])
+        first = k * n_rows
+        # an in-column leg's y and z, `a + t * 0.0` for t >= 0
+        leg_y, leg_z = y + 0.0, safe_z + 0.0
+        tour, at = [], []
+        for i, x in enumerate(xs):
+            here = (x, y, safe_z)
+            if legs and (i or k):  # `start` is the previous grid point
+                if i:  # line_waypoints' arithmetic with dy = dz = 0
+                    sx = start[0]
+                    dx = x - sx
+                    length = math.sqrt(dx * dx + 0.0 * 0.0 + 0.0 * 0.0)
+                    n = max(1, math.ceil(length / STEP - 1e-9))
+                    leg = [(sx + j / n * dx, leg_y, leg_z) for j in range(n + 1)]
+                    if length < 1e-12:
+                        leg = [start]
+                else:  # the leg from the previous column
+                    leg = line_waypoints(start, here)
+                h = _BITS(*leg[0]) == _BITS(*start)
+                t = len(leg) > 1 and _BITS(*leg[-1]) == _BITS(*here)
+                ends[first + i] = h * FROM | t * HERE
+                tour += leg[h : len(leg) - t]
+            at.append(len(tour))
+            tour.append(here)
+            start = here
+        rows, failures = [], []
+        _path_kernel(tour, _TOOL_DOWN, geom, rows, failures)
+        failed, kept, p, base = dict(failures), [], 0, count + len(laterals) // 6
+        for i, q in enumerate(at):
+            firsts.append(base + len(kept))
+            if q in failed:
+                bad.append((i + 1, k + 1))
+                reason = reason or str(failure_error(failed[q], geom))
+            if failed and any(j in failed for j in range(p, q)):
+                ends[first + i] = FAILED
+            else:
+                kept += rows[p:q]
+            p = q + 1
+        if not bad:  # else the precheck fails, and keeps no rows
+            append_rows(table, [rows[p] for p in at])
+            append_rows(laterals, kept)
+    if bad:
+        raise UnreachableGridError(bad, reason)
+    firsts.append(count + len(laterals) // 6)
+    table += laterals
+    del laterals
 
     # every contact's error, in probe order: the probe index is the ordinal
-    errors = noise.errors(range(grid.point_count))
-    shape = (grid.n_rows, grid.n_cols)
+    errors = noise.errors(range(count))
+    shape = (n_rows, grid.n_cols)
     kinds = np.full(shape, CONTACT_UNREACHABLE)  # the longest kind name sets the width
     z_true, z_measured = np.full(shape, np.nan), np.full(shape, np.nan)
     index = array("q")
-    last_xy = None
     for k, y in enumerate(ys):
-        first = k * grid.n_rows  # the column's first contact ordinal
+        first = k * n_rows  # the column's first contact ordinal
         contacts = []
-        for i, (x, error) in enumerate(zip(xs, errors[first : first + grid.n_rows].tolist())):
+        for c, (x, error) in enumerate(zip(xs, errors[first : first + n_rows].tolist()), first):
+            # the rows of the cell's lateral leg: its first waypoint may be
+            # the previous grid point, its last the cell's, row c
+            flags, lateral = ends[c], None
+            if flags != FAILED:
+                lateral = [c - 1] if flags & FROM else []
+                lateral += range(firsts[c], firsts[c + 1])
+                if flags & HERE:
+                    lateral.append(c)
             contact, rows = probe_cycle(
                 x,
                 y,
-                safe_z=grid.safe_z,
+                safe_z=safe_z,
                 geom=geom,
                 scene=scene,
                 error=error,
                 table=table,
-                from_xy=last_xy,
-                # the previous grid point's row; the first cell has no lateral leg
-                safe_rows=(first + i - 1, first + i),
+                here_row=c,
+                lateral=lateral,
             )
             contacts.append(contact)
             index.fromlist(rows)
-            last_xy = (x, y)
         # one slice per array and column: a column's contacts, never the
         # whole grid's, are held as Python objects
         kinds[:, k], z_true[:, k], z_measured[:, k] = zip(*contacts)

@@ -606,6 +606,8 @@ def tool_down_vertical(x, y, x_signs, y_signs, top, bottom):
 SIGNS = (1, 1, -1, 1, 1, 1, -1, -1, 1, -1, -1, -1, 1, -1)
 TOOL_DOWN_NEGATIVE_ZEROS = np.array([[1.0, 0.0, -0.0], [0.0, -1.0, -0.0], [0.0, 0.0, -1.0]])
 NEARLY_TOOL_DOWN = np.array([[1.0, 0.0, 1e-300], [0.0, -1.0, 0.0], [1e-300, 0.0, -1.0]])
+# runs of four, three, one, three and one points of one sign
+ZERO_RUNS = (1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0, 1.0)
 AXIS_DESCENT = tool_down_vertical(0.0, 0.0, SIGNS, SIGNS[1:] + SIGNS[:1], 550.0, 200.0)[1]
 OFF_AXIS_DESCENT = tool_down_vertical(30.0, 0.0, SIGNS, SIGNS, 400.0, 100.0)[1]
 
@@ -631,9 +633,71 @@ OFF_AXIS_DESCENT = tool_down_vertical(30.0, 0.0, SIGNS, SIGNS, 400.0, 100.0)[1]
 @example(leg=(TOOL_DOWN_NEGATIVE_ZEROS, AXIS_DESCENT))
 # r13 = 1e-300: wrist-singular, yet column 3 is not exactly vertical
 @example(leg=(NEARLY_TOOL_DOWN, OFF_AXIS_DESCENT))
+# runs of equal (x, y) where x or y is 0.0 or -0.0: a zero of one sign
+# shares a run, and a sign change within it starts a new one
+@example(leg=tool_down_vertical(0.0, 250.0, ZERO_RUNS, [1.0] * 12, 400.0, 0.0))
+@example(leg=tool_down_vertical(300.0, 0.0, [1.0] * 12, ZERO_RUNS, 300.0, -100.0))
+@example(leg=tool_down_vertical(0.0, 0.0, ZERO_RUNS, ZERO_RUNS[::-1], 550.0, 200.0))
 def test_ik_path_matches_scalar_solves(leg):
     rotation, points = leg
     assert_path_solve_matches_scalar(rotation, points, GEOM)
+
+
+def out_and_back(start, end, count):
+    """A tool-down path from `start` to `end` and back, `count` points a way."""
+    way = np.linspace(start, end, count)
+    return TOOL_DOWN_ROTATION, np.concatenate([way, way[-2::-1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    leg=legs()
+    | st.tuples(
+        st.sampled_from([TOOL_DOWN_ROTATION]),
+        st.lists(
+            st.tuples(st.floats(-700.0, 700.0), st.floats(-700.0, 700.0), st.floats(-400.0, 800.0)),
+            min_size=1,
+            max_size=30,
+        ).map(np.array),
+    )
+)
+# out of reach and back: the elbow triangle fails mid-path
+@example(leg=out_and_back([300.0, 0.0, 50.0], [700.0, 0.0, 50.0], 9))
+# over the base and on: joint 2 past its stop mid-path
+@example(leg=tool_down_leg([250.0, 0.0, 0.0], [-250.0, 0.0, 0.0], 21))
+# the wrist center on the shoulder, between reachable points
+@example(leg=(TOOL_DOWN_ROTATION, np.array([[300.0, 0.0, 50.0], [65.0, 0.0, 100.0], [300.0, 0.0, 40.0]])))
+# a descent that neither branch reaches from its 12th point on, mid-run
+@example(leg=tool_down_vertical(30.0, 0.0, SIGNS, SIGNS, 350.0, 0.0))
+def test_ik_failure_records_match_scalar_solves(leg):
+    # with failure records the kernel solves every point: a solved row is
+    # the reference's by bytes, and a failure gives the reference's
+    # error, type and message, from its record
+    rotation, points = leg
+    solve, _ = ik_point_reference(rotation.tolist(), GEOM)
+    rows, failures = [], []
+    kinematics._path_kernel(points.tolist(), rotation.tolist(), GEOM, rows, failures)
+    assert len(rows) == len(points)
+    failed = dict(failures)
+    assert len(failed) == len(failures)
+    for i, point in enumerate(points.tolist()):
+        try:
+            expected = solve(*point)
+        except UnreachableError as exc:
+            error = kinematics.failure_error(failed.pop(i), GEOM)
+            assert type(error) is type(exc) and str(error) == str(exc)
+            assert as_bytes(rows[i]) == as_bytes(kinematics.FAILED_ROW)
+        else:
+            assert as_bytes(rows[i]) == as_bytes(expected)
+    assert failed == {}
+
+
+def test_ik_failure_records_still_raise_on_nan(geom):
+    path = [(300.0, 10.0, 50.0), (900.0, 0.0, 50.0), (math.nan, 0.0, 50.0), (300.0, 0.0, 40.0)]
+    rows, failures = [], []
+    with pytest.raises(ValueError, match="^target position is not finite$"):
+        kinematics._path_kernel(path, TOOL_DOWN_ROTATION.tolist(), geom, rows, failures)
+    assert len(rows) == 2 and [i for i, _ in failures] == [1]
 
 
 def test_ik_path_branch_changes_mid_leg(geom):

@@ -1,11 +1,11 @@
 import math
+import struct
 import tracemalloc
 from array import array
-from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from armscan import motion
 from armscan.kinematics import (
@@ -16,12 +16,22 @@ from armscan.kinematics import (
     UnreachableError,
     check_limits,
     forward_kinematics,
+    is_reachable,
 )
 from armscan.meshio import TriangleMesh, write_atomic
-from armscan.motion import JointTrace, line_waypoints, plan_line, probe_cycle
-from armscan.scene import CONTACT_MESH, CONTACT_TABLE, CONTACT_UNREACHABLE, NoiseModel, TargetScene
+from armscan.motion import JointTrace, append_rows, line_waypoints, plan_line, probe_cycle
+from armscan.scene import (
+    CONTACT_MESH,
+    CONTACT_TABLE,
+    CONTACT_UNREACHABLE,
+    NoiseModel,
+    TargetScene,
+    probe_contact,
+)
 
 from oracles import line_waypoints_reference, probe_cycle_per_leg, trace_csv_reference
+
+POINT_BITS = struct.Struct("3d").pack
 
 
 def plate_scene(z=25.0, size=200.0, x0=200.0, y0=-100.0, **kw):
@@ -36,10 +46,28 @@ def plate_scene(z=25.0, size=200.0, x0=200.0, y0=-100.0, **kw):
     )
 
 
-def cycle_angles(x, y, **kw):
-    """`probe_cycle` into a fresh table: its contact and its (N, 6) angles."""
+def lateral_table(x, y, from_xy, safe_z, geom):
+    """What a scan's precheck hands a cycle: a table holding the solve
+    of (x, y, safe_z) at row 0, then the lateral leg from
+    (*from_xy, safe_z) solved whole.  Returns (table, 0, the leg's
+    rows): [] without `from_xy`, None when the leg fails.  Raises
+    UnreachableError when (x, y, safe_z) has no solve."""
+    here = (x, y, safe_z)
     table = array("d")
-    contact, rows = probe_cycle(x, y, table=table, **kw)
+    append_rows(table, plan_line([here], geom))
+    if from_xy is None:
+        return table, 0, []
+    try:
+        first = append_rows(table, plan_line(line_waypoints((*from_xy, safe_z), here), geom))
+    except UnreachableError:
+        return table, 0, None
+    return table, 0, list(range(first, len(table) // 6))
+
+
+def cycle_angles(x, y, *, from_xy=None, **kw):
+    """`probe_cycle` after `lateral_table`: its contact and its (N, 6) angles."""
+    table, here_row, lateral = lateral_table(x, y, from_xy, kw["safe_z"], kw["geom"])
+    contact, rows = probe_cycle(x, y, table=table, here_row=here_row, lateral=lateral, **kw)
     return contact, JointTrace(table, rows).angles
 
 
@@ -167,17 +195,19 @@ def test_plan_line_limits_respected(geom):
 
 
 def test_plan_line_descent_solves_its_wrist_once(geom, monkeypatch):
-    # a vertical descent is one run: one wrist half (one sin, of the
-    # yaw) and an elbow per waypoint (one sin each, of theta3)
-    descent = line_waypoints((300.0, 10.0, 60.0), (300.0, 10.0, 5.0))
-    assert len(descent) == 12
-    calls = []
+    # a vertical descent is one run, a zero coordinate's too: one wrist
+    # half (one sin, of the yaw) and an elbow per waypoint (one sin
+    # each, of theta3); line_waypoints would turn -0.0 into 0.0
     sin = math.sin
-    monkeypatch.setattr(math, "sin", lambda a: calls.append(a) or sin(a))
-    rows = plan_line(descent, geom)
-    monkeypatch.undo()
-    assert len(rows) == 12 and len(calls) == 1 + 12
-    assert calls[0] == rows[0][0] and calls[1:] == [row[2] for row in rows]
+    for x, y in [(300.0, 10.0), (300.0, 0.0), (300.0, -0.0), (0.0, 300.0), (-0.0, 300.0)]:
+        descent = [(x, y, z) for _, _, z in line_waypoints((x, y, 60.0), (x, y, 5.0))]
+        assert len(descent) == 12
+        calls = []
+        monkeypatch.setattr(math, "sin", lambda a: calls.append(a) or sin(a))
+        rows = plan_line(descent, geom)
+        monkeypatch.undo()
+        assert len(rows) == 12 and len(calls) == 1 + 12, (x, y)
+        assert calls[0] == rows[0][0] and calls[1:] == [row[2] for row in rows]
 
 
 def test_plan_line_unreachable_names_waypoint(geom, monkeypatch):
@@ -289,9 +319,9 @@ def test_probe_cycle_noise_applied(geom):
 
 
 def test_probe_cycle_retract_replays_descent(geom, monkeypatch):
-    # one path solve per cycle, the lateral waypoints then the descent's;
-    # the retract is the descent's rows reversed bit for bit, less the
-    # contact row
+    # one path solve per cycle, the descent's waypoints below the safe
+    # height; the retract is the descent's rows reversed bit for bit,
+    # less the contact row, and ends on the safe-height row
     solved = []
 
     def counting_plan_line(waypoints, g):
@@ -306,18 +336,20 @@ def test_probe_cycle_retract_replays_descent(geom, monkeypatch):
     for index, (x, y) in enumerate(
         (x, y) for x in np.linspace(220.0, 380.0, 11) for y in np.linspace(-60.0, 60.0, 7)
     ):
+        table, here_row, lateral = lateral_table(x, y, (x - 7.0, y - 5.0), 73.0, geom)
         solved.clear()
-        (kind, _, _), rows = cycle_angles(
+        (kind, _, _), rows = probe_cycle(
             x, y, safe_z=73.0, geom=geom, scene=scene, error=noise.error_at(index),
-            from_xy=(x - 7.0, y - 5.0),
+            table=table, here_row=here_row, lateral=lateral,
         )
         assert kind == CONTACT_MESH
         calls.append(len(solved))
-        n = len(line_waypoints((x - 7.0, y - 5.0, 73.0), (x, y, 73.0)))
-        lateral, descend = solved[0][:n], solved[0][n:]
-        bottom = len(lateral) - 1 + len(descend)
-        assert np.array_equal(rows[len(lateral) - 1 : bottom], descend)
-        if not np.array_equal(rows[bottom:], descend[-2::-1]):
+        angles = JointTrace(table, rows).angles
+        descend = np.concatenate([JointTrace(table, [here_row]).angles, solved[0]])
+        n, bottom = len(lateral), len(lateral) + len(solved[0])
+        assert rows[:n] == lateral and rows[-1] == here_row
+        assert np.array_equal(angles[n:bottom], descend[1:])
+        if not np.array_equal(angles[bottom:], descend[-2::-1]):
             not_reversed.append((x, y))
     assert calls == [1] * 77
     assert not_reversed == []
@@ -352,10 +384,13 @@ COORD = st.floats(-450.0, 450.0)
 def test_probe_cycle_matches_one_solve_per_leg(
     x, y, from_xy, plate_z, floor_mode, sigma, drift, seed, index
 ):
-    # the one-call cycle against the two-call one it replaced: the same
-    # contact and the same rows, bit for bit
+    # the cycle after a lateral leg solved ahead against the reference
+    # that solves both legs itself: the same contact and the same rows,
+    # bit for bit; a scan's cycles start over points it has solved
+    geom = RobotGeometry()
+    assume(is_reachable((x, y, 60.0), geom)[0])
     kw = dict(
-        safe_z=60.0, geom=RobotGeometry(), scene=plate_scene(plate_z, floor_mode=floor_mode),
+        safe_z=60.0, geom=geom, scene=plate_scene(plate_z, floor_mode=floor_mode),
         error=NoiseModel(sigma_contact=sigma, drift_per_contact=drift, seed=seed).error_at(index),
         from_xy=from_xy,
     )
@@ -365,21 +400,6 @@ def test_probe_cycle_matches_one_solve_per_leg(
     assert np.array([z_true, z_measured]).tobytes() == np.array([ref_true, ref_measured]).tobytes()
     assert rows.shape == ref_rows.shape
     assert rows.tobytes() == ref_rows.tobytes()
-
-
-def presolved_table(points, geom):
-    """A table holding the tool-down solve of each point that has one,
-    as the scan's precheck fills it, and each point's row (None where
-    the point has no solve)."""
-    table, rows = array("d"), []
-    for point in points:
-        try:
-            table.extend(chain.from_iterable(plan_line([point], geom)))
-        except UnreachableError:
-            rows.append(None)
-        else:
-            rows.append(len(table) // 6 - 1)
-    return table, tuple(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -392,33 +412,43 @@ def presolved_table(points, geom):
     drift=st.sampled_from([0.0, 1e308]) | st.floats(-1000.0, 1000.0),
     index=st.integers(0, 10_000),
 )
-# a negative zero: the lateral leg's first waypoint is +0.0 and is solved
-@example(x=300.0, y=0.0, from_xy=(290.0, -0.0), plate_z=25.0, floor_mode="table",
+# a negative zero: the descent's first waypoint is +0.0 and is solved
+@example(x=300.0, y=-0.0, from_xy=(290.0, -0.0), plate_z=25.0, floor_mode="table",
          drift=0.0, index=0)
 # from_xy bit-equal to (x, y): a one-waypoint lateral leg
 @example(x=300.0, y=10.0, from_xy=(300.0, 10.0), plate_z=25.0, floor_mode="skip",
          drift=0.0, index=0)
 def test_probe_cycle_reuses_safe_height_rows(x, y, from_xy, plate_z, floor_mode, drift, index):
-    # the cycle's safe-height ends solved ahead, as the scan's precheck
-    # does: the cycle takes their rows for the leg ends with their bits,
-    # solves fewer points, and its angles stay those of a cycle that
-    # solves every waypoint, bit for bit
+    # a descent end with the bits of (x, y, 60) takes its row from the
+    # table instead of a solve, and the angles stay the reference's
     geom = RobotGeometry()
+    assume(is_reachable((x, y, 60.0), geom)[0])
     kw = dict(
         safe_z=60.0, geom=geom, scene=plate_scene(plate_z, floor_mode=floor_mode),
-        error=NoiseModel(drift_per_contact=drift).error_at(index), from_xy=from_xy,
+        error=NoiseModel(drift_per_contact=drift).error_at(index),
     )
-    table, safe_rows = presolved_table([(*from_xy, 60.0), (x, y, 60.0)], geom)
-    ahead = len(table) // 6
-    (kind, z_true, z_measured), rows = probe_cycle(x, y, table=table, safe_rows=safe_rows, **kw)
-    fresh = array("d")
-    (ref_kind, ref_true, ref_measured), ref_rows = probe_cycle(x, y, table=fresh, **kw)
+    solved = []
+
+    def recording_plan_line(waypoints, g):
+        solved.extend(waypoints)
+        return plan_line(waypoints, g)
+
+    table, here_row, lateral = lateral_table(x, y, from_xy, 60.0, geom)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(motion, "plan_line", recording_plan_line)
+        (kind, z_true, z_measured), rows = probe_cycle(
+            x, y, table=table, here_row=here_row, lateral=lateral, **kw
+        )
+    (ref_kind, ref_true, ref_measured), ref_rows = probe_cycle_per_leg(
+        x, y, from_xy=from_xy, **kw
+    )
     assert kind == ref_kind
     assert np.array([z_true, z_measured]).tobytes() == np.array([ref_true, ref_measured]).tobytes()
-    assert JointTrace(table, rows).angles.tobytes() == JointTrace(fresh, ref_rows).angles.tobytes()
-    # each safe row taken stands for at least one waypoint left unsolved
-    reused = {row for row in rows if row < ahead}
-    assert len(table) // 6 - ahead + len(reused) <= len(fresh) // 6
+    assert JointTrace(table, rows).angles.tobytes() == ref_rows.tobytes()
+    key = POINT_BITS(x, y, 60.0)
+    assert key not in {POINT_BITS(*point) for point in solved}
+    if rows[len(lateral or ()) :] and POINT_BITS(x + 0.0, y + 0.0, 60.0) == key:
+        assert rows[-1] == here_row  # the retract ends on the table's row
 
 
 def test_probe_cycle_solves_nothing_already_solved(geom, monkeypatch):
@@ -431,15 +461,33 @@ def test_probe_cycle_solves_nothing_already_solved(geom, monkeypatch):
         calls.append(list(waypoints))
         return plan_line(waypoints, g)
 
-    table, safe_rows = presolved_table([(297.0, 4.0, 60.0), (300.0, 0.0, 60.0)], geom)
+    table = array("d")
+    append_rows(table, plan_line([(297.0, 4.0, 60.0), (300.0, 0.0, 60.0)], geom))
     monkeypatch.setattr(motion, "plan_line", recording_plan_line)
     (kind, _, _), rows = probe_cycle(
         300.0, 0.0, safe_z=60.0, geom=geom, scene=plate_scene(60.0),
-        error=0.0, table=table, from_xy=(297.0, 4.0), safe_rows=safe_rows,
+        error=0.0, table=table, here_row=1, lateral=[0, 1],
     )
     assert kind == CONTACT_MESH
     assert calls == [[]]
     assert rows == [0, 1] and len(table) == 12
+
+
+def test_probe_cycle_after_a_failed_lateral_leg_takes_its_contact(geom, monkeypatch):
+    # one ray and no solve: the cell is unreachable with no rows
+    rays = []
+
+    def counting_probe_contact(*args):
+        rays.append(args[:2])
+        return probe_contact(*args)
+
+    monkeypatch.setattr(motion, "probe_contact", counting_probe_contact)
+    monkeypatch.setattr(motion, "plan_line", lambda *a: pytest.fail("a descent was planned"))
+    contact, rows = probe_cycle(
+        300.0, 0.0, safe_z=60.0, geom=geom, scene=plate_scene(25.0),
+        error=0.0, table=array("d"), here_row=0, lateral=None,
+    )
+    assert contact[0] == CONTACT_UNREACHABLE and rows == [] and rays == [(300.0, 0.0)]
 
 
 def test_probe_cycle_deterministic(geom):

@@ -208,7 +208,7 @@ def test_scan_unreachable_grid_lists_every_offender(geom, monkeypatch):
 
 def test_scan_unreachable_grid_rechecks_only_its_failing_columns(geom, monkeypatch):
     # the last two of seven columns hold every offender: the precheck
-    # checks their points alone and solves no passing column again
+    # reads them from its one solve per column and checks no point again
     grid = ScanGrid(400.0, -100.0, 5, 7, 10.0, 100.0, safe_z=60.0)
     offenders, first_reason = point_by_point_precheck(grid, geom)
     assert {k for _, k in offenders} == {6, 7}
@@ -221,8 +221,7 @@ def test_scan_unreachable_grid_rechecks_only_its_failing_columns(geom, monkeypat
     monkeypatch.setattr(scanner, "is_reachable", counting_is_reachable)
     with pytest.raises(UnreachableGridError) as err:
         run_scan(grid, geom, plate_scene(), NoiseModel())
-    assert len(calls) == grid.n_rows * 2
-    assert {y for _, y, _ in calls} == set(grid.axes()[1][5:].tolist())
+    assert calls == []
     assert err.value.indices == offenders
     assert str(err.value) == str(UnreachableGridError(offenders, first_reason))
 
@@ -509,6 +508,118 @@ def test_scan_leaves_no_orphan_rows_when_cycles_fail(case, floor_mode, table_z, 
     assert np.isin(cycle_rows, trace.index).all()
 
 
+def tour_reference(grid):
+    """Each column's safe-height tour as the precheck solves it: per cell,
+    the waypoints of `line_waypoints_reference` from the previous grid
+    point but a first or last one with the bits of either end, then the
+    cell's grid point."""
+    xs, ys = (a.tolist() for a in grid.axes())
+    tours, start = [], None
+    for y in ys:
+        tours.append([])
+        for x in xs:
+            here = (x, y, grid.safe_z)
+            if start is not None:
+                leg = line_waypoints_reference(start, here).tolist()
+                ends = {POINT_BITS(*start), POINT_BITS(*here)}
+                head = POINT_BITS(*leg[0]) in ends
+                tail = len(leg) > 1 and POINT_BITS(*leg[-1]) in ends
+                tours[-1] += leg[head : len(leg) - tail]
+            tours[-1].append(here)
+            start = here
+    return [[POINT_BITS(*point) for point in tour] for tour in tours]
+
+
+# a plate below every safe height drawn here, -0.0 included
+LOW_PLATE = TargetScene(make_plate(-300.0, -300.0, 600.0, 600.0, -10.0), table_z=-20.0)
+# grid corners in the arm's annulus, or far out, near 1e6 mm
+NEAR_CORNERS = st.tuples(decimals(150, 400), decimals(-300, 250))
+FAR_COORDS = (
+    st.floats(-1e6, 1e6)
+    | st.sampled_from([999_999.7, -1e6])
+    | st.floats(-1e6, 1e6).map(lambda v: math.copysign(1e6, v) - v % 10)
+)
+TOUR_CORNERS = NEAR_CORNERS | NEAR_CORNERS | st.tuples(FAR_COORDS, FAR_COORDS)
+TOUR_SPACINGS = (
+    st.sampled_from([0.3, 0.7, 110.9])
+    | st.integers(1, 12).map(lambda m: m * motion.STEP)
+    | decimals(1, 60)
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    corner=TOUR_CORNERS,
+    n_rows=st.integers(1, 5),
+    n_cols=st.integers(1, 5),
+    row_spacing=TOUR_SPACINGS,
+    col_spacing=TOUR_SPACINGS,
+    safe_z=st.sampled_from([-0.0, 0.0, 60.0]),
+)
+@example(corner=(OFF_BITS_GRID.x0, OFF_BITS_GRID.y0), n_rows=4, n_cols=3, row_spacing=110.9,
+         col_spacing=13.1, safe_z=60.0)
+@example(corner=(240.1, -30.7), n_rows=5, n_cols=4, row_spacing=0.3, col_spacing=0.7, safe_z=-0.0)
+@example(corner=(250.0, -20.0), n_rows=3, n_cols=3, row_spacing=15.0, col_spacing=10.0, safe_z=0.0)
+@example(corner=(999_999.7, -1e6), n_rows=3, n_cols=2, row_spacing=0.3, col_spacing=5.0, safe_z=60.0)
+def test_precheck_tour_matches_line_waypoints(corner, n_rows, n_cols, row_spacing, col_spacing,
+                                              safe_z):
+    # the precheck builds each column's legs without line_waypoints: the
+    # points its kernel call solves, and the rows each cycle's lateral
+    # leg gets, are those of the reference legs, bit for bit, each leg
+    # end with a grid point's bits taking that point's row, the cell's
+    # own first
+    grid = ScanGrid(*corner, n_rows, n_cols, row_spacing, col_spacing, safe_z=safe_z)
+    geom, kernel, tours, cycles = RobotGeometry(), scanner._path_kernel, [], []
+
+    def recording_kernel(points, *args):
+        tours.append([POINT_BITS(*point) for point in points])
+        return kernel(points, *args)
+
+    def recording_cycle(x, y, **kw):
+        cycles.append((x, y, kw["here_row"], kw["lateral"], kw["table"]))
+        return motion.probe_cycle(x, y, **kw)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scanner, "_path_kernel", recording_kernel)
+        patch.setattr(scanner, "probe_cycle", recording_cycle)
+        try:
+            run_scan(grid, geom, LOW_PLATE, NoiseModel())
+        except UnreachableGridError:
+            event("unreachable at the safe height")
+    assert tours == tour_reference(grid)
+    for (x, y, c, lateral, table), start in zip(cycles[1:], cycles):
+        here, start = (x, y, safe_z), (*start[:2], safe_z)
+        leg = line_waypoints_reference(start, here).tolist()
+        try:
+            angles = plan_line_loop(leg, geom)
+        except UnreachableError:
+            assert lateral is None
+            continue
+        assert motion.JointTrace(table, lateral).angles.tobytes() == np.array(angles).tobytes()
+        for end, row in ((leg[0], lateral[0]), (leg[-1], lateral[-1])):
+            expected = {POINT_BITS(*start): c - 1, POINT_BITS(*here): c}.get(POINT_BITS(*end))
+            assert row == expected or expected is None and row >= grid.point_count
+
+
+def test_precheck_builds_no_legs_across_a_grid_wider_than_the_reach(geom, monkeypatch):
+    # 1,000 mm lateral legs, past any pair of reachable points: the tour
+    # is the grid points alone, and the error that of the point checks
+    grid = ScanGrid(-1000.0, -1000.0, 3, 3, 1000.0, 1000.0, safe_z=60.0)
+    kernel, tours = scanner._path_kernel, []
+
+    def recording_kernel(points, *args):
+        tours.append(len(points))
+        return kernel(points, *args)
+
+    monkeypatch.setattr(scanner, "_path_kernel", recording_kernel)
+    offenders, first_reason = point_by_point_precheck(grid, geom)
+    with pytest.raises(UnreachableGridError) as err:
+        run_scan(grid, geom, plate_scene(), NoiseModel())
+    assert tours == [3, 3, 3]
+    assert err.value.indices == offenders
+    assert str(err.value) == str(UnreachableGridError(offenders, first_reason))
+
+
 def test_scan_takes_one_contact_per_cell_when_a_lateral_leg_fails(geom, monkeypatch):
     # a cell whose lateral leg fails still casts its ray, so the rays
     # equal the points probed and the cycles' rows sum to the trace
@@ -533,14 +644,19 @@ def test_scan_takes_one_contact_per_cell_when_a_lateral_leg_fails(geom, monkeypa
 
 
 def test_scan_solves_each_distinct_point_once(monkeypatch):
-    # the precheck's safe-height rows serve the descent starts and the
-    # lateral legs' ends with the same bits: every point is solved once,
-    # and each cycle still makes one plan_line call
+    # the precheck's tour solves the grid points and the lateral legs'
+    # other waypoints; its rows serve the descent starts and the leg
+    # ends with the same bits: every point is solved once, and each
+    # cycle makes one plan_line call
     grid = ScanGrid(260.0, -20.0, 3, 4, 10.0, 10.0, safe_z=60.0)
     scene = TargetScene(make_plate(200.0, -100.0, 200.0, 200.0, 25.0))
     noise = NoiseModel(sigma_contact=0.02, drift_per_contact=0.001, seed=5)
     solved, cycle_calls = [], []
-    solve_path, plan_line = motion.solve_path, motion.plan_line
+    kernel, solve_path, plan_line = scanner._path_kernel, motion.solve_path, motion.plan_line
+
+    def counting_kernel(points, rot, geom, rows, failures):
+        solved.extend(points)
+        return kernel(points, rot, geom, rows, failures)
 
     def counting_solve_path(points, rot, geom):
         solved.extend(points)
@@ -550,6 +666,7 @@ def test_scan_solves_each_distinct_point_once(monkeypatch):
         cycle_calls.append(len(waypoints))
         return plan_line(waypoints, geom)
 
+    monkeypatch.setattr(scanner, "_path_kernel", counting_kernel)
     monkeypatch.setattr(motion, "solve_path", counting_solve_path)
     monkeypatch.setattr(motion, "plan_line", counting_plan_line)
     points = run_scan(grid, RobotGeometry(), scene, noise).points
