@@ -122,8 +122,9 @@ def line_waypoints(start, end) -> list:
     extra interval through float rounding.  Waypoint j of n intervals
     is `start + (j / n) * (end - start)`, per coordinate in IEEE
     doubles, the operations of the array form `start + t[:, None] * d`.
-    A vertical leg, dx and dy zero, works its x and y out once: each
-    `t * dx` with t >= 0 is the zero `0.0 * dx`, with dx's sign.
+    A vertical leg, dx and dy zero, works its x and y out once, and a
+    leg along x, dy and dz zero, its y and z: each `t * d` of a zero d
+    with t >= 0 is the zero `0.0 * d`, with d's sign.
     """
     sx, sy, sz = map(float, start)
     ex, ey, ez = map(float, end)
@@ -135,6 +136,9 @@ def line_waypoints(start, end) -> list:
     if dx == 0.0 == dy:
         x, y = sx + 0.0 * dx, sy + 0.0 * dy
         return [(x, y, sz + j / n * dz) for j in range(n + 1)]
+    if dy == 0.0 == dz:
+        y, z = sy + 0.0 * dy, sz + 0.0 * dz
+        return [(sx + j / n * dx, y, z) for j in range(n + 1)]
     return [(sx + t * dx, sy + t * dy, sz + t * dz) for t in [j / n for j in range(n + 1)]]
 
 
@@ -255,6 +259,18 @@ def waypoint_digits(start: int, stop: int) -> np.ndarray:
             group *= head > 0
         digits[:, g] = group
     return digits.view(np.uint8).reshape(n, groups, 4)[:, :, :3].reshape(n, 3 * groups)
+
+
+def leg_between(start, end) -> tuple:
+    """`line_waypoints(start, end)` less its end waypoints that carry the
+    bits of `start` (the first) or `end` (the last, of two or more),
+    whose solved rows those points' own rows stand for.  Returns
+    (waypoints, head, tail), head and tail true where an end was left
+    out."""
+    leg = line_waypoints(start, end)
+    head = _BITS(*leg[0]) == _BITS(*start)
+    tail = len(leg) > 1 and _BITS(*leg[-1]) == _BITS(*end)
+    return leg[head : len(leg) - tail], head, tail
 
 
 def plan_line(waypoints, geom: RobotGeometry) -> list:

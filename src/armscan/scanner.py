@@ -39,7 +39,7 @@ import numpy as np
 from .kinematics import ConfigError, RobotGeometry, UnreachableError, is_reachable  # noqa: F401
 from .kinematics import _path_kernel, failure_error
 from .meshio import DEGENERATE_NORM, PointCloud, TriangleMesh
-from .motion import _BITS, _TOOL_DOWN, STEP, JointTrace, append_rows, line_waypoints, probe_cycle
+from .motion import _TOOL_DOWN, STEP, JointTrace, append_rows, leg_between, probe_cycle
 from .scene import (
     CONTACT_MESH,
     CONTACT_NONE,
@@ -270,43 +270,32 @@ def run_scan(
     # a grid wider than twice that fails, and its long legs are not built.
     span = 2.0 * (geom.l1 + geom.l2 + geom.d4) + STEP
     legs = xs[-1] - xs[0] <= span and ys[-1] - ys[0] <= span
-    # The safe-height tour, one kernel call per column.  Per cell, flat:
+    # The safe-height tour, one kernel call per column.  The grid points'
+    # rows open the table, then the passing legs' rows; per cell, flat:
     # the first table row of its leg's solved waypoints, and its flags.
     # A leg's first waypoint can have the bits of its start alone, its
     # last those of its end alone: the grid points differ in x or y.
-    table, laterals = array("d"), array("d")
+    # Once a grid point fails, so does the precheck: no more legs are built.
+    table = array("d", bytes(48 * count))
     firsts, ends = array("q"), bytearray(count)
     bad, reason = [], None
     for k, y in enumerate(ys):
         first = k * n_rows
-        # an in-column leg's y and z, `a + t * 0.0` for t >= 0
-        leg_y, leg_z = y + 0.0, safe_z + 0.0
         tour, at = [], []
         for i, x in enumerate(xs):
             here = (x, y, safe_z)
-            if legs and (i or k):  # `start` is the previous grid point
-                if i:  # line_waypoints' arithmetic with dy = dz = 0
-                    sx = start[0]
-                    dx = x - sx
-                    length = math.sqrt(dx * dx + 0.0 * 0.0 + 0.0 * 0.0)
-                    n = max(1, math.ceil(length / STEP - 1e-9))
-                    leg = [(sx + j / n * dx, leg_y, leg_z) for j in range(n + 1)]
-                    if length < 1e-12:
-                        leg = [start]
-                else:  # the leg from the previous column
-                    leg = line_waypoints(start, here)
-                h = _BITS(*leg[0]) == _BITS(*start)
-                t = len(leg) > 1 and _BITS(*leg[-1]) == _BITS(*here)
-                ends[first + i] = h * FROM | t * HERE
-                tour += leg[h : len(leg) - t]
+            if legs and not bad and (i or k):  # `start` is the previous grid point
+                leg, head, tail = leg_between(start, here)
+                ends[first + i] = head * FROM | tail * HERE
+                tour += leg
             at.append(len(tour))
             tour.append(here)
             start = here
         rows, failures = [], []
         _path_kernel(tour, _TOOL_DOWN, geom, rows, failures)
-        failed, kept, p, base = dict(failures), [], 0, count + len(laterals) // 6
+        failed, kept, p = dict(failures), [], 0
         for i, q in enumerate(at):
-            firsts.append(base + len(kept))
+            firsts.append(len(table) // 6 + len(kept))
             if q in failed:
                 bad.append((i + 1, k + 1))
                 reason = reason or str(failure_error(failed[q], geom))
@@ -316,13 +305,11 @@ def run_scan(
                 kept += rows[p:q]
             p = q + 1
         if not bad:  # else the precheck fails, and keeps no rows
-            append_rows(table, [rows[p] for p in at])
-            append_rows(laterals, kept)
+            table[6 * first : 6 * (first + n_rows)] = array("d", [a for p in at for a in rows[p]])
+            append_rows(table, kept)
     if bad:
         raise UnreachableGridError(bad, reason)
-    firsts.append(count + len(laterals) // 6)
-    table += laterals
-    del laterals
+    firsts.append(len(table) // 6)
 
     # every contact's error, in probe order: the probe index is the ordinal
     errors = noise.errors(range(count))

@@ -147,6 +147,12 @@ def segments(draw):
 # a whole number of STEPs, down and up
 @example(segment=((300.0, 10.0, 60.0), (300.0, 10.0, 60.0 - 7 * motion.STEP)))
 @example(segment=((-0.0, 10.0, -40.0), (0.0, 10.0, -40.0 + 13 * motion.STEP)))
+# legs along x: y and z worked out once, zeros of either sign kept
+@example(segment=((240.1, -0.0, -0.0), (240.4, -0.0, -0.0)))
+@example(segment=((-120.3, 0.0, 60.0), (-9.4, -0.0, 60.0)))
+@example(segment=((0.0, 12.5, 0.0), (-0.0, 12.5, -0.0)))
+@example(segment=((999_999.7, -1e6, 60.0), (1_000_000.0, -1e6, 60.0)))
+@example(segment=((300.0, 10.0, 60.0), (300.0 - 9 * motion.STEP, 10.0, 60.0)))
 def test_waypoints_match_the_array_form_bit_for_bit(segment):
     start, end = segment
     expected = line_waypoints_reference(start, end)

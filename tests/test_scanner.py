@@ -508,18 +508,21 @@ def test_scan_leaves_no_orphan_rows_when_cycles_fail(case, floor_mode, table_z, 
     assert np.isin(cycle_rows, trace.index).all()
 
 
-def tour_reference(grid):
+def tour_reference(grid, geom):
     """Each column's safe-height tour as the precheck solves it: per cell,
     the waypoints of `line_waypoints_reference` from the previous grid
     point but a first or last one with the bits of either end, then the
-    cell's grid point."""
+    cell's grid point.  Past the column of the first grid point that
+    fails, the tours are the grid points alone."""
     xs, ys = (a.tolist() for a in grid.axes())
+    offenders, _ = point_by_point_precheck(grid, geom)
+    columns = min((k for _, k in offenders), default=grid.n_cols)
     tours, start = [], None
-    for y in ys:
+    for k, y in enumerate(ys):
         tours.append([])
         for x in xs:
             here = (x, y, grid.safe_z)
-            if start is not None:
+            if start is not None and k < columns:
                 leg = line_waypoints_reference(start, here).tolist()
                 ends = {POINT_BITS(*start), POINT_BITS(*here)}
                 head = POINT_BITS(*leg[0]) in ends
@@ -563,11 +566,10 @@ TOUR_SPACINGS = (
 @example(corner=(999_999.7, -1e6), n_rows=3, n_cols=2, row_spacing=0.3, col_spacing=5.0, safe_z=60.0)
 def test_precheck_tour_matches_line_waypoints(corner, n_rows, n_cols, row_spacing, col_spacing,
                                               safe_z):
-    # the precheck builds each column's legs without line_waypoints: the
-    # points its kernel call solves, and the rows each cycle's lateral
-    # leg gets, are those of the reference legs, bit for bit, each leg
-    # end with a grid point's bits taking that point's row, the cell's
-    # own first
+    # the points the precheck's kernel calls solve, and the rows each
+    # cycle's lateral leg gets, are those of the reference legs, bit for
+    # bit, each leg end with a grid point's bits taking that point's row,
+    # the cell's own first
     grid = ScanGrid(*corner, n_rows, n_cols, row_spacing, col_spacing, safe_z=safe_z)
     geom, kernel, tours, cycles = RobotGeometry(), scanner._path_kernel, [], []
 
@@ -586,7 +588,7 @@ def test_precheck_tour_matches_line_waypoints(corner, n_rows, n_cols, row_spacin
             run_scan(grid, geom, LOW_PLATE, NoiseModel())
         except UnreachableGridError:
             event("unreachable at the safe height")
-    assert tours == tour_reference(grid)
+    assert tours == tour_reference(grid, geom)
     for (x, y, c, lateral, table), start in zip(cycles[1:], cycles):
         here, start = (x, y, safe_z), (*start[:2], safe_z)
         leg = line_waypoints_reference(start, here).tolist()
