@@ -16,7 +16,8 @@ the descent's rows replayed in reverse back to the safe height, with no
 further IK.  The lateral leg that brings it there, at the safe height,
 depends on no contact, so the scan's precheck solves every such leg
 with the grid points, in one tour per column, and hands the cycle the
-leg's rows.  The cycle takes its contact first, with the error its
+leg's rows; `leg_between` gives such a leg less its ends with a grid
+point's bits.  The cycle takes its contact first, with the error its
 caller drew for it, and solves its descent in one `plan_line` call.
 Solved rows go into a flat table of six floats per row, shared by a
 whole scan, and a cycle returns the table row of each of its
@@ -126,9 +127,9 @@ def line_waypoints(start, end) -> list:
     leg along x, dy and dz zero, its y and z: each `t * d` of a zero d
     with t >= 0 is the zero `0.0 * d`, with d's sign.
     """
-    sx, sy, sz = map(float, start)
-    ex, ey, ez = map(float, end)
-    dx, dy, dz = ex - sx, ey - sy, ez - sz
+    (sx, sy, sz), (ex, ey, ez) = start, end
+    sx, sy, sz = float(sx), float(sy), float(sz)
+    dx, dy, dz = float(ex) - sx, float(ey) - sy, float(ez) - sz
     length = leg_length(dx, dy, dz)
     if length < 1e-12:
         return [(sx, sy, sz)]

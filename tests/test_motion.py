@@ -19,7 +19,14 @@ from armscan.kinematics import (
     is_reachable,
 )
 from armscan.meshio import TriangleMesh, write_atomic
-from armscan.motion import JointTrace, append_rows, line_waypoints, plan_line, probe_cycle
+from armscan.motion import (
+    JointTrace,
+    append_rows,
+    leg_between,
+    line_waypoints,
+    plan_line,
+    probe_cycle,
+)
 from armscan.scene import (
     CONTACT_MESH,
     CONTACT_TABLE,
@@ -101,6 +108,16 @@ def test_waypoints_endpoints_exact_and_collinear(monkeypatch):
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     assert gaps.max() <= 7.0 + 1e-12
     assert np.ptp(gaps) < 1e-9
+
+
+def test_leg_between_leaves_out_only_ends_with_the_points_bits():
+    start, end = (300.0, 10.0, 60.0), (306.0, 10.0, 60.0)
+    assert leg_between(start, end) == ([(303.0, 10.0, 60.0)], True, True)
+    # y + 0.0 * dy turns -0.0 into 0.0: neither end keeps its point's bits
+    start, end = (300.0, -0.0, 60.0), (306.0, -0.0, 60.0)
+    assert leg_between(start, end) == (line_waypoints(start, end), False, False)
+    # a one-waypoint leg is its start, left out once
+    assert leg_between(start, start) == ([], True, False)
 
 
 def test_waypoints_exact_multiple_no_phantom_interval(monkeypatch):
