@@ -38,11 +38,11 @@ with equal (x, y), such as a vertical descent, works them out once;
 each point then solves only its height and the elbow.  A run goes on
 while x and y `==` the previous point's, a zero also by its sign,
 since 0.0 and -0.0 aim the yaw apart; a NaN, which equals nothing,
-starts a new run.  A point the aimed branch solves within every limit
-is appended straight away; any other point is solved again by the loop
-that tries both yaw branches.  A point neither branch solves raises,
-or, with failure records asked for, takes a placeholder row and a
-record that `failure_error` turns into its error.
+starts a new run.  Each point takes one pass per yaw branch: the aimed
+branch, then, only where that fails, the back-reaching branch.  A
+point neither branch solves raises, or, with failure records asked
+for, takes a placeholder row and a record that `failure_error` turns
+into its error.
 
 `inverse_kinematics` solves one `Pose`, one point, after a rotation
 check, and returns its `JointAngles`.  A path is `solve_path`: the
@@ -284,16 +284,15 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list, failures=No
     sign have equal bits, so a run shares the wrist center's azimuth
     and planar distance, and each yaw branch's wrist half: the yaw,
     joints 4-6 and whether those four pass their limits.  Per point
-    only the height and the elbow half are solved.  A point the aimed
-    branch solves within every limit takes a straight path: its row is
-    appended at once.  Any other point is solved again by the two-branch
-    loop: the aimed branch, then the back-reaching one, its wrist half
-    worked out once per run when first needed.  A point neither branch
-    solves raises ValueError for a NaN coordinate.  Otherwise, given a
-    `failures` list, it appends FAILED_ROW to `rows` and (its index,
-    the aimed branch's failure record) to `failures`, and the solve
-    goes on; given none, it raises the aimed branch's error, with no
-    prefix, at index `len(rows)`.
+    only the height and the elbow half are solved, one pass per branch:
+    the aimed branch, whose row is appended if it is within every limit
+    and whose values are otherwise the point's failure record, then the
+    back-reaching branch, its wrist half worked out once per run when
+    first needed.  A point neither branch solves raises ValueError for
+    a NaN coordinate.  Otherwise, given a `failures` list, it appends
+    FAILED_ROW to `rows` and (its index, the failure record) to
+    `failures`, and the solve goes on; given none, it raises the aimed
+    branch's error, with no prefix, at index `len(rows)`.
     """
     d1, l1, l2, d4 = geom.d1, geom.l1, geom.l2, geom.d4
     sides, twice = l2 * l2 + d4 * d4, 2.0 * l2 * d4
@@ -364,71 +363,61 @@ def _path_kernel(points, rot: list, geom: RobotGeometry, rows: list, failures=No
             yc = y - off_y
             azimuth = atan2(yc, xc)
             planar = hypot(xc, yc)
-            aimed = wrist(azimuth, planar - l1)
-            a1, a_radial, a4, a5, a6, aimed_ok = aimed
+            a1, a_radial, a4, a5, a6, aimed_ok = wrist(azimuth, planar - l1)
             back = None
         height = z - off_z - d1  # above the shoulder
 
-        # The aimed branch's success, straight through.  The two-branch
-        # loop below solves the other points again, with the same
-        # arithmetic, for the back-reaching branch or the error.
-        if aimed_ok:
-            chord = hypot(a_radial, height)
-            cosine = (sides - chord * chord) / twice
-            if chord >= MIN_CHORD and low <= cosine <= high:
-                theta3 = ELBOW_STRAIGHT_INTERIOR - acos(
-                    1.0 if cosine > 1.0 else -1.0 if cosine < -1.0 else cosine
-                )
-                beta = atan2(d4 * sin(theta3), l2 + d4 * cos(theta3))
-                theta2 = atan2(height, a_radial) + beta - SHOULDER_ELEVATION_OFFSET
-                theta2 = fmod(theta2 + pi, tau)
-                if theta2 <= 0.0:
-                    theta2 += tau
-                theta2 -= pi
-                if lo2 <= theta2 <= hi2 and lo3 <= theta3 <= hi3:
-                    append((a1, theta2, theta3, a4, a5, a6))
-                    continue
-
-        branch = aimed
-        while True:
-            theta1, radial, theta4, theta5, theta6, wrist_ok = branch
-            chord = hypot(radial, height)
-            cosine = (sides - chord * chord) / twice
-            angles = None
-            if chord >= MIN_CHORD and low <= cosine <= high:
-                # acos(min(1.0, max(-1.0, cosine))), written out
-                interior = acos(1.0 if cosine > 1.0 else -1.0 if cosine < -1.0 else cosine)
-                theta3 = ELBOW_STRAIGHT_INTERIOR - interior
-                # Shoulder angle from the solved elbow angle rather than
-                # a second acos: the pair then closes the triangle
-                # exactly, which keeps the round trip tight even at the
-                # stretched (interior = pi) boundary where independent
-                # acos calls are ill-conditioned.
-                beta = atan2(d4 * sin(theta3), l2 + d4 * cos(theta3))
-                # normalize_angle(alpha + beta - SHOULDER_ELEVATION_OFFSET)
-                alpha = atan2(height, radial)
-                theta2 = fmod(alpha + beta - SHOULDER_ELEVATION_OFFSET + pi, tau)
-                if theta2 <= 0.0:
-                    theta2 += tau
-                theta2 -= pi
-                angles = (theta1, theta2, theta3, theta4, theta5, theta6)
-                if wrist_ok and lo2 <= theta2 <= hi2 and lo3 <= theta3 <= hi3:
-                    append(angles)
-                    break
-            if branch is aimed:
-                failure = (chord, cosine, angles)
-                if back is None:
-                    back = wrist(normalize_angle(azimuth + pi), -planar - l1)
-                branch = back
+        # The aimed branch; a point it does not solve within every limit
+        # keeps its values as the failure record.
+        chord = hypot(a_radial, height)
+        cosine = (sides - chord * chord) / twice
+        angles = None
+        if chord >= MIN_CHORD and low <= cosine <= high:
+            # acos(min(1.0, max(-1.0, cosine))), written out
+            interior = acos(1.0 if cosine > 1.0 else -1.0 if cosine < -1.0 else cosine)
+            theta3 = ELBOW_STRAIGHT_INTERIOR - interior
+            # Shoulder angle from the solved elbow angle rather than a
+            # second acos: the pair then closes the triangle exactly,
+            # which keeps the round trip tight even at the stretched
+            # (interior = pi) boundary where independent acos calls are
+            # ill-conditioned.
+            beta = atan2(d4 * sin(theta3), l2 + d4 * cos(theta3))
+            # normalize_angle(chord elevation + beta - elevation offset)
+            theta2 = fmod(atan2(height, a_radial) + beta - SHOULDER_ELEVATION_OFFSET + pi, tau)
+            if theta2 <= 0.0:
+                theta2 += tau
+            theta2 -= pi
+            angles = (a1, theta2, theta3, a4, a5, a6)
+            if aimed_ok and lo2 <= theta2 <= hi2 and lo3 <= theta3 <= hi3:
+                append(angles)
                 continue
-            # a NaN fails the reach test, beside an infinite coordinate too
-            if math.isnan(x) or math.isnan(y) or math.isnan(z):
-                raise ValueError("target position is not finite")
-            if failures is None:
-                raise failure_error(failure, geom)
-            failures.append((len(rows), failure))
-            append(FAILED_ROW)
-            break
+        failure = (chord, cosine, angles)
+
+        # The back-reaching branch: the same elbow arithmetic, its wrist
+        # half worked out at most once per run
+        if back is None:
+            back = wrist(normalize_angle(azimuth + pi), -planar - l1)
+        b1, b_radial, b4, b5, b6, back_ok = back
+        chord = hypot(b_radial, height)
+        cosine = (sides - chord * chord) / twice
+        if back_ok and chord >= MIN_CHORD and low <= cosine <= high:
+            interior = acos(1.0 if cosine > 1.0 else -1.0 if cosine < -1.0 else cosine)
+            theta3 = ELBOW_STRAIGHT_INTERIOR - interior
+            beta = atan2(d4 * sin(theta3), l2 + d4 * cos(theta3))
+            theta2 = fmod(atan2(height, b_radial) + beta - SHOULDER_ELEVATION_OFFSET + pi, tau)
+            if theta2 <= 0.0:
+                theta2 += tau
+            theta2 -= pi
+            if lo2 <= theta2 <= hi2 and lo3 <= theta3 <= hi3:
+                append((b1, theta2, theta3, b4, b5, b6))
+                continue
+        # a NaN fails the reach test, beside an infinite coordinate too
+        if math.isnan(x) or math.isnan(y) or math.isnan(z):
+            raise ValueError("target position is not finite")
+        if failures is None:
+            raise failure_error(failure, geom)
+        failures.append((len(rows), failure))
+        append(FAILED_ROW)
 
 
 def inverse_kinematics(pose: Pose, geom: RobotGeometry) -> JointAngles:

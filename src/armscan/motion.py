@@ -21,7 +21,8 @@ point's bits.  The cycle takes its contact first, with the error its
 caller drew for it, and solves its descent in one `plan_line` call.
 Solved rows go into a flat table of six floats per row, shared by a
 whole scan, and a cycle returns the table row of each of its
-waypoints; a descent end with the grid point's bits takes its row.
+waypoints; a descent's first waypoint, with the grid point's bits,
+takes its row.
 Contact heights come from the scene's exact raycast; the descent step
 size only shapes the joint log, never the measurement.
 
@@ -319,12 +320,12 @@ def probe_cycle(
     each waypoint of the lateral leg, the descent and the retract.  The
     contact is taken first, even after a failed leg.  The descent stops
     at the table on a miss (kind "none") and at the measured height
-    otherwise; its ends with the bits of (x, y, safe_z) take
-    `here_row`, and its other waypoints are solved in one `plan_line`
-    call, even when none is left.  The retract is the descent's rows in
-    reverse, less the contact row.  A measured height that is not
-    finite, or lies more than STEP past the tool-down tip band, fails
-    with no descent planned.  A failed cycle's contact is
+    otherwise; its first waypoint, if it has the bits of (x, y, safe_z),
+    takes `here_row`, and its other waypoints are solved in one
+    `plan_line` call, even when none is left.  The retract is the
+    descent's rows in reverse, less the contact row.  A measured height
+    that is not finite, or lies more than STEP past the tool-down tip
+    band, fails with no descent planned.  A failed cycle's contact is
     (CONTACT_UNREACHABLE, nan, nan), a kind distinct from a no-contact
     miss, and its rows are the lateral leg's, none if that leg failed.
     """
@@ -343,16 +344,14 @@ def probe_cycle(
         return unreachable, lateral
     here = (x, y, safe_z)
     descent = line_waypoints(here, (x, y, z_stop))
-    # `a + 0.0 * b` need not keep the bits of `a`
-    key = _BITS(*here)
-    head = (here_row,) if _BITS(*descent[0]) == key else ()
-    tail = (here_row,) if len(descent) > 1 and _BITS(*descent[-1]) == key else ()
-    todo = descent[len(head) : len(descent) - len(tail)]
+    # `a + 0.0 * b` need not keep the bits of `a`; the last z never has safe_z's
+    head = _BITS(*descent[0]) == _BITS(*here)
+    todo = descent[head:]
     try:
         first = append_rows(table, plan_line(todo, geom))
     except UnreachableError:
         return unreachable, lateral
-    descend = [*head, *range(first, first + len(todo)), *tail]
+    descend = [here_row] * head + [*range(first, first + len(todo))]
     # Descent row 0 has a row too, though it sits where the lateral leg
     # ends: the retract ends on it, and the lateral's last waypoint need
     # not equal it bit for bit.  The retract backs up the same line,

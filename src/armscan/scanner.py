@@ -12,9 +12,9 @@ contact's error is drawn in one `NoiseModel.errors` batch; the per-cell
 loop then does only per-cell work: one raycast and one probe cycle,
 which only descends.  The precheck's rows open the scan's one table of
 solved rows, grid point (i, k) at row k * n_rows + i, then the passing
-legs' rows; a leg end or a descent end with a grid point's bits takes
-its row, so each grid point is solved once.  The trace is that table
-and the row index of every waypoint, not a copy of the rows.
+legs' rows; a leg end or a descent's start with a grid point's bits
+takes its row, so each grid point is solved once.  The trace is that
+table and the row index of every waypoint, not a copy of the rows.
 
 Each completed cell (i, k) with all four corners contacted yields two
 triangles with a fixed vertex sequence:

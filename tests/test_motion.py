@@ -233,6 +233,23 @@ def test_plan_line_descent_solves_its_wrist_once(geom, monkeypatch):
         assert calls[0] == rows[0][0] and calls[1:] == [row[2] for row in rows]
 
 
+def test_plan_line_solves_each_yaw_branch_once(geom, monkeypatch):
+    # a point the aimed branch fails costs one elbow (one acos, one sin)
+    # per yaw branch, whether the back-reaching branch solves it or both
+    # fail; a run works each branch's wrist half out once (one sin)
+    acos, sin = math.acos, math.sin
+    acos_calls, sin_calls = [], []
+    monkeypatch.setattr(math, "acos", lambda a: acos_calls.append(a) or acos(a))
+    monkeypatch.setattr(math, "sin", lambda a: sin_calls.append(a) or sin(a))
+    rows = plan_line([(-10.0, 0.0, z) for z in (175.0, 170.0, 165.0)], geom)
+    assert [row[0] for row in rows] == [0.0] * 3  # the back-reaching yaw
+    assert len(acos_calls) == 2 * 3 and len(sin_calls) == 2 + 2 * 3
+    acos_calls.clear()
+    with pytest.raises(JointLimitError, match="^waypoint 0 .*: joint 2 angle -140.642 deg "):
+        plan_line([(-200.0, 0.0, -350.0)], geom)
+    assert len(acos_calls) == 2
+
+
 def test_plan_line_unreachable_names_waypoint(geom, monkeypatch):
     # end far outside the workspace: failure happens mid-path
     monkeypatch.setattr(motion, "STEP", 50.0)
@@ -442,8 +459,9 @@ def test_probe_cycle_matches_one_solve_per_leg(
 @example(x=300.0, y=10.0, from_xy=(300.0, 10.0), plate_z=25.0, floor_mode="skip",
          drift=0.0, index=0)
 def test_probe_cycle_reuses_safe_height_rows(x, y, from_xy, plate_z, floor_mode, drift, index):
-    # a descent end with the bits of (x, y, 60) takes its row from the
-    # table instead of a solve, and the angles stay the reference's
+    # a descent's first waypoint with the bits of (x, y, 60) takes its
+    # row from the table instead of a solve, and no other waypoint has
+    # those bits; the angles stay the reference's
     geom = RobotGeometry()
     assume(is_reachable((x, y, 60.0), geom)[0])
     kw = dict(
