@@ -1,14 +1,15 @@
 """Triangle meshes, point clouds, and their file formats.
 
-A mesh is two arrays: `vertices`, (N, 3, 3) float64 with one row of
-three vertices per facet, and `normals`, (N, 3) float64 unit normals.
+A mesh is two arrays: `vertices`, (N, 3, 3) with one row of three
+vertices per facet, and `normals`, (N, 3) unit normals, float32 as read
+from binary STL and float64 otherwise; consumers compute in float64.
 
 Binary STL is the primary interchange format: 80-byte header, u32
 triangle count, then one 50-byte record per facet (`STL_RECORD`:
 float32 normal, float32 3x3 vertices, u16 attribute written as 0).
-Coordinates are held as float64 in memory and narrowed to float32 on
-write; that narrowing is the format's precision, not ours, and
-write-read-write round trips are bit-exact.
+Coordinates are held as read and narrowed to float32 on write; that
+narrowing is the format's precision, not ours, and write-read-write
+round trips are bit-exact.
 
 ASCII STL is read, every solid of a file into one mesh, but never
 written; a stream whose length is the 84 + 50 * count its header
@@ -48,14 +49,14 @@ class FormatError(ValueError):
 @dataclass
 class TriangleMesh:
     """Ordered triangle soup, as STL stores it: (N, 3, 3) vertices and
-    (N, 3) unit normals."""
+    (N, 3) unit normals; float32 arrays are kept, others made float64."""
 
     vertices: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
     normals: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3, 3)
-        self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
+        self.vertices = _coordinates(self.vertices).reshape(-1, 3, 3)
+        self.normals = _coordinates(self.normals).reshape(-1, 3)
         if len(self.normals) != len(self.vertices):
             raise ValueError(
                 f"{len(self.normals)} normals for {len(self.vertices)} facets"
@@ -84,6 +85,11 @@ class TriangleMesh:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def _coordinates(values) -> np.ndarray:
+    values = np.asarray(values)
+    return values if values.dtype == np.float32 else values.astype(float, copy=False)
 
 
 @dataclass
@@ -129,9 +135,10 @@ def _read_stl_binary(data: bytes) -> TriangleMesh:
             f"({expected} bytes) but the file holds {len(data)} bytes"
         )
     records = np.frombuffer(data, dtype=STL_RECORD, offset=STL_HEADER_BYTES + 4)
-    mesh = TriangleMesh(
-        records["vertices"].astype(float), records["normal"].astype(float)
-    )
+    # copies, not views: the raycast needs contiguous vertices, and a
+    # view would keep `data` alive
+    vertices, normals = (np.ascontiguousarray(records[name]) for name in ("vertices", "normal"))
+    mesh = TriangleMesh(vertices, normals)
     return _require_finite(
         mesh, lambda k: f"byte {STL_HEADER_BYTES + 4 + k * STL_RECORD.itemsize}"
     )
@@ -140,8 +147,10 @@ def _read_stl_binary(data: bytes) -> TriangleMesh:
 def _require_finite(mesh: TriangleMesh, position) -> TriangleMesh:
     """`mesh`, or FormatError naming its first facet with a NaN or
     infinite coordinate; `position(k)` says where facet k starts."""
-    # one flat reduction first: a per-facet one doubles a binary read
-    if np.isfinite(mesh.vertices).all() and np.isfinite(mesh.normals).all():
+    # min and max first, with no temporary (a NaN gives NaN): a per-facet
+    # reduction doubles a binary read
+    arrays = (mesh.vertices, mesh.normals)
+    if all(-math.inf < float(a.min()) and float(a.max()) < math.inf for a in arrays if a.size):
         return mesh
     finite = np.isfinite(mesh.vertices).all(axis=(1, 2))
     finite &= np.isfinite(mesh.normals).all(axis=1)

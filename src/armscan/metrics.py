@@ -217,7 +217,7 @@ def sample_mesh_surface(mesh: TriangleMesh, count: int, seed: int = 0) -> PointC
     build.
     """
     check_sampling(count, seed)
-    tris = mesh.vertices
+    tris = np.asarray(mesh.vertices, dtype=float)
     if tris.size == 0:
         raise ConfigError("cannot sample an empty mesh")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

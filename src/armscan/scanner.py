@@ -253,10 +253,9 @@ def run_scan(
     do not abort it: they mark the cell unreachable, with NaN heights,
     and leave holes in the mesh.
     """
-    top = scene.mesh.vertices[:, :, 2].max()
-    if grid.safe_z < top:
+    if grid.safe_z < scene.top:
         raise ConfigError(
-            f"safe height {grid.safe_z:g} mm is below the scene top at {top:g} mm"
+            f"safe height {grid.safe_z:g} mm is below the scene top at {scene.top:g} mm"
         )
     lowest = geom.d1 - geom.l2 - geom.d4 - geom.d6
     if scene.table_z < lowest:

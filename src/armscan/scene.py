@@ -66,7 +66,8 @@ class TargetScene:
 
     floor_mode chooses what a probe miss records: "table" takes the
     table plane as the contact (the physical rig would touch it),
-    "skip" records nothing and leaves a hole in the grid.
+    "skip" records nothing and leaves a hole in the grid.  `top` is the
+    highest vertex z, a Python float.
     """
 
     mesh: TriangleMesh
@@ -83,12 +84,14 @@ class TargetScene:
         tris = self.mesh.vertices
         if tris.size == 0:
             raise ConfigError("scene mesh is empty")
-        # NaN fails both comparisons; min and max allocate no temporary
-        if not (-MAX_COORDINATE <= tris.min() and tris.max() <= MAX_COORDINATE):
+        # NaN fails both comparisons; min and max allocate no temporary.
+        # Python floats: a float32 would round the other side to float32.
+        if not (-MAX_COORDINATE <= float(tris.min()) and float(tris.max()) <= MAX_COORDINATE):
             raise ConfigError(
                 f"scene mesh has non-finite coordinates or ones past {MAX_COORDINATE:g} mm"
             )
-        low = tris[:, :, 2].min()
+        heights = tris[:, :, 2]
+        low, self.top = float(heights.min()), float(heights.max())
         if low < self.table_z - 1e-6:
             raise ConfigError(
                 f"mesh dips {self.table_z - low:.6g} mm below the table plane"
@@ -111,7 +114,9 @@ class TargetScene:
         # lo y, -hi x and -hi y: a ray at (x, y) is in a box where its
         # column is <= (x, y, -x, -y).
         np.negative(boxes[2:], out=boxes[2:])
-        self._boxes = np.take(boxes, self._ids, axis=1)
+        for row in boxes:  # in place: a build holds one table of boxes
+            row.take(self._ids, out=row)
+        self._boxes = boxes
         # What a ray reads, as zero-copy memoryviews, whose items are
         # Python ints and floats: the offsets, the ids, the four box rows
         # and the flat vertices (a copy only where `tris` is strided).
@@ -126,8 +131,10 @@ def _padded_boxes(tris: np.ndarray) -> np.ndarray:
     boxes = np.empty((4, len(tris)))
     for axis in (0, 1):
         a, b, c = tris[:, 0, axis], tris[:, 1, axis], tris[:, 2, axis]
-        boxes[axis] = np.minimum(np.minimum(a, b), c) - BBOX_PAD
-        boxes[axis + 2] = np.maximum(np.maximum(a, b), c) + BBOX_PAD
+        np.minimum(np.minimum(a, b), c, out=boxes[axis])
+        np.maximum(np.maximum(a, b), c, out=boxes[axis + 2])
+    boxes[:2] -= BBOX_PAD  # in float64, whatever the vertices' dtype
+    boxes[2:] += BBOX_PAD
     return boxes
 
 

@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from armscan.meshio import (
     FormatError,
     PointCloud,
     TriangleMesh,
+    load_stl,
     read_stl,
     read_xyz,
     save_stl,
@@ -22,6 +24,7 @@ from armscan.meshio import (
     write_xyz,
 )
 from armscan.motion import JointTrace
+from armscan.objects import make_wing
 
 from conftest import write_stl_ascii
 
@@ -118,7 +121,27 @@ def test_write_narrows_to_float32(rng):
     mesh = TriangleMesh.from_vertices([v1, [1, 0, 0], [0, 1, 0]])
     back = read_stl(write_stl_binary(mesh))
     assert back.vertices[0, 0, 0] == np.float32(0.1)
-    assert back.vertices[0, 0, 0] != 0.1
+    # float(): a float32 compared with a Python float is compared in float32
+    assert float(back.vertices[0, 0, 0]) != 0.1
+
+
+def test_load_stl_peak_memory_on_the_fine_wing(tmp_path):
+    # the file's bytes and contiguous float32 copies of the vertices and
+    # normals, 96% of them: no float64 widening and no temporaries for
+    # the finite check (about 3.1 times the file's bytes when those were
+    # made)
+    path = tmp_path / "fine.stl"
+    save_stl(make_wing(220.0, -70.0, n_span=121, n_chord=161), path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mesh = load_stl(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(mesh) == 38_400
+    assert peak <= 2 * path.stat().st_size
+    assert mesh.vertices.dtype == mesh.normals.dtype == np.float32
 
 
 def test_binary_truncated_raises():

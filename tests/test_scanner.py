@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 from armscan import motion, scanner
 from armscan import scene as scene_module
 from armscan.kinematics import ConfigError, RobotGeometry, UnreachableError, is_reachable
-from armscan.meshio import write_stl_binary
+from armscan.meshio import read_stl, write_stl_binary
 from armscan.motion import line_waypoints
 from armscan.objects import make_plate, make_wing
 from armscan.scanner import (
@@ -238,6 +238,19 @@ def test_scan_rejects_a_table_below_the_lowest_tip_height():
         match=r"^table plane at -428 mm is below the lowest tool-down tip height -427 mm$",
     ):
         run_scan(grid, geom, plate_scene(table_z=-428.0), NoiseModel())
+
+
+def test_scan_rejects_a_safe_height_one_ulp_below_a_float32_top(geom):
+    # a plate read from binary STL at the float32 nearest 25.1 mm: in
+    # float32 the safe height one ulp below it would round up to it
+    top = float(np.float32(25.1))
+    mesh = read_stl(write_stl_binary(make_plate(230.0, -40.0, 40.0, 40.0, top)))
+    assert mesh.vertices.dtype == np.float32
+    grid = ScanGrid(240.0, -30.0, 2, 2, 6.0, 6.0, safe_z=top)
+    assert (run_scan(grid, geom, TargetScene(mesh), NoiseModel()).points.kinds == CONTACT_MESH).all()
+    grid = ScanGrid(240.0, -30.0, 2, 2, 6.0, 6.0, safe_z=math.nextafter(top, -math.inf))
+    with pytest.raises(ConfigError, match=r"^safe height 25.1 mm is below the scene top at 25.1 mm$"):
+        run_scan(grid, geom, TargetScene(mesh), NoiseModel())
 
 
 def test_scan_with_failing_descents_matches_waypoint_loop(geom, monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from armscan import scene as scene_module
+from armscan.kinematics import ConfigError
 from armscan.meshio import TriangleMesh, read_stl, write_stl_binary
+from armscan.metrics import sample_mesh_surface
 from armscan.objects import make_plate, make_wing
 from armscan.scanner import MAX_GRID_POINTS, ScanGrid
 from armscan.scene import (
@@ -228,6 +230,84 @@ def test_scene_of_a_loaded_mesh_reads_its_vertices_in_place():
     flat = np.asarray(TargetScene(mesh)._walk[-1])
     assert np.shares_memory(flat, mesh.vertices)
     assert flat.tolist() == mesh.vertices.reshape(-1).tolist()
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+# float32 values: a coarse lattice, where facets share edges and vertices
+# and collapse, both zeros, the type's extremes and anything between
+float32_coordinates = st.one_of(
+    st.integers(-3, 3).map(lambda i: 2.5 * i),
+    st.sampled_from(
+        [0.0, -0.0, float(np.float32(0.1)), FLOAT32_MAX, -FLOAT32_MAX,
+         float(np.nextafter(np.float32(FLOAT32_MAX), 0))]
+    ),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+def sampled(mesh, seed):
+    try:
+        return sample_mesh_surface(mesh, 50, seed).points.tobytes()
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tris=st.lists(st.lists(float32_coordinates, min_size=9, max_size=9), min_size=1, max_size=16),
+    seed=st.integers(0, 2**32),
+)
+# ties at +-0.0, a facet collapsed to a point, and a plate spanning the range
+@example(tris=[[0.0, 0.0, -0.0, 2.5, 0.0, 0.0, 0.0, 2.5, -0.0],
+               [0.0, 0.0, 0.0, 2.5, 0.0, -0.0, 0.0, 2.5, 0.0], [-0.0] * 9], seed=0)
+@example(tris=[[-FLOAT32_MAX, -FLOAT32_MAX, FLOAT32_MAX, FLOAT32_MAX, -FLOAT32_MAX, 0.0,
+                -FLOAT32_MAX, FLOAT32_MAX, -FLOAT32_MAX]], seed=1)
+def test_a_float32_mesh_equals_its_float64_widening(tris, seed):
+    """A scene and a sample of float32 vertices are, bit for bit, those
+    of the same vertices in float64, and the raycast is the oracle's."""
+    narrow = np.array(tris, dtype=np.float32).reshape(-1, 3, 3)
+    wide = narrow.astype(float)
+    meshes = [TriangleMesh(v, np.zeros((len(v), 3), v.dtype)) for v in (narrow, wide)]
+    assert meshes[0].vertices.dtype == np.float32
+    table_z = float(narrow[:, :, 2].min())
+    scenes = [TargetScene(mesh, table_z) for mesh in meshes]
+    assert repr(scenes[0]._grid) == repr(scenes[1]._grid)
+    for name in ("_ids", "_start", "_boxes"):
+        got, want = (getattr(scene, name) for scene in scenes)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert scenes[0].top == scenes[1].top == wide[:, :, 2].max()
+    x0, x1, _, _, y0, y1, _, _ = scenes[1]._grid
+    lattice = np.stack(np.meshgrid(np.linspace(x0, x1, 9), np.linspace(y0, y1, 9)), axis=-1)
+    points = np.concatenate([lattice.reshape(-1, 2), wide[:, :, :2].reshape(-1, 2)]).tolist()
+    heights = [[raycast_down(x, y, scene) for x, y in points] for scene in scenes]
+    assert repr(heights[0]) == repr(heights[1])
+    assert heights[1] == raycast_all_facets(wide, points)
+    assert sampled(meshes[0], seed) == sampled(meshes[1], seed)
+
+
+@pytest.mark.filterwarnings("error")
+def test_scene_checks_a_loaded_mesh_at_the_float32_extremes():
+    # compared with a float32, MAX_COORDINATE would be cast to float32
+    # and warn of an overflow; the checks compare Python floats
+    plate = square_plate(FLOAT32_MAX, z=FLOAT32_MAX)
+    mesh = read_stl(write_stl_binary(joined(plate, square_plate(FLOAT32_MAX, z=-FLOAT32_MAX))))
+    assert mesh.vertices.dtype == np.float32
+    scene = TargetScene(mesh, table_z=-FLOAT32_MAX)
+    assert scene.top == FLOAT32_MAX
+    points = [(0.0, 0.0), (FLOAT32_MAX, -FLOAT32_MAX), (-FLOAT32_MAX, 1.0)]
+    heights = [raycast_down(x, y, scene) for x, y in points]
+    assert heights == raycast_all_facets(mesh.vertices, points) == [FLOAT32_MAX] * 3
+
+
+def test_scene_rejects_a_table_just_above_a_float32_bottom():
+    # in float32 the plane less its 1e-6 mm slack would round down to the
+    # bottom, 1000.1 mm, and pass
+    bottom = float(np.float32(1000.1))
+    mesh = read_stl(write_stl_binary(plane_patch(bottom)))
+    assert mesh.vertices.dtype == np.float32
+    TargetScene(mesh, table_z=bottom + 1e-6)
+    with pytest.raises(ConfigError, match="mesh dips 1.5e-06 mm below the table plane"):
+        TargetScene(mesh, table_z=bottom + 1.5e-6)
 
 
 @pytest.mark.parametrize(
