@@ -14,11 +14,11 @@ an open-loop controller would stream.
 A probe cycle descends over a grid point to the contact and retracts:
 the descent's rows replayed in reverse back to the safe height, with no
 further IK.  The lateral leg that brings it there, at the safe height,
-depends on no contact, so the scan's precheck solves every such leg
-with the grid points, in one tour per column, and hands the cycle the
-leg's rows; `leg_between` gives such a leg less its ends with a grid
-point's bits.  The cycle takes its contact first, with the error its
-caller drew for it, and solves its descent in one `plan_line` call.
+depends on no contact, so the scan solves a column's legs in one call
+before the column's cycles and hands each cycle its leg's rows;
+`leg_between` gives such a leg less its ends with a grid point's bits.
+The cycle takes its contact first, with the error its caller drew for
+it, and solves its descent in one `plan_line` call.
 Solved rows go into a flat table of six floats per row, shared by a
 whole scan, and a cycle returns the table row of each of its
 waypoints; a descent's first waypoint, with the grid point's bits,

@@ -4,17 +4,17 @@ its tessellation into a height-field mesh.
 Probing visits column after column, ascending row within each column,
 so the contact ordinal of cell (i, k) is k * n_rows + i (0-based).  The
 error model's cumulative drift therefore compounds along the scan
-exactly in probe order.  Before any probing, a precheck solves each
-column's safe-height tour, its grid points and the lateral legs into
-them, in one kernel call that records failures: a failing grid point is
-an offender, a failing lateral point fails its cell's leg.  Every
-contact's error is drawn in one `NoiseModel.errors` batch; the per-cell
-loop then does only per-cell work: one raycast and one probe cycle,
-which only descends.  The precheck's rows open the scan's one table of
-solved rows, grid point (i, k) at row k * n_rows + i, then the passing
-legs' rows; a leg end or a descent's start with a grid point's bits
-takes its row, so each grid point is solved once.  The trace is that
-table and the row index of every waypoint, not a copy of the rows.
+exactly in probe order.  Before any probing, a precheck solves the grid
+points, one kernel call per column that records failures: a failing
+grid point is an offender, and no leg is built.  Their rows open the
+scan's one table of solved rows, grid point (i, k) at row k * n_rows + i.
+Every contact's error is drawn in one `NoiseModel.errors` batch.  Then
+per column one kernel call solves the lateral legs into its cells (a
+failing point fails its cell's leg), and each cell takes one raycast
+and one probe cycle, which only descends.  A leg end or a descent's
+start with a grid point's bits takes that point's row, so each grid
+point is solved once.  The trace is that table and the row index of
+every waypoint, not a copy of the rows.
 
 Each completed cell (i, k) with all four corners contacted yields two
 triangles with a fixed vertex sequence:
@@ -39,7 +39,7 @@ import numpy as np
 from .kinematics import ConfigError, RobotGeometry, UnreachableError, is_reachable  # noqa: F401
 from .kinematics import _path_kernel, failure_error
 from .meshio import DEGENERATE_NORM, PointCloud, TriangleMesh
-from .motion import _TOOL_DOWN, STEP, JointTrace, append_rows, leg_between, probe_cycle
+from .motion import _TOOL_DOWN, JointTrace, append_rows, leg_between, probe_cycle
 from .scene import (
     CONTACT_MESH,
     CONTACT_NONE,
@@ -55,10 +55,6 @@ DEFAULT_SAFE_Z = 60.0
 # fraction of a host's memory; a mistyped 100000 x 100000 grid would
 # otherwise spend hours in the precheck before any motion.
 MAX_GRID_POINTS = 1_000_000
-
-# A cell's lateral-leg flags: its first waypoint takes the previous grid
-# point's row, its last one the cell's own; or the leg failed.
-FROM, HERE, FAILED = 1, 2, 4
 
 
 class UnreachableGridError(UnreachableError):
@@ -242,12 +238,13 @@ def run_scan(
     take, `d1 - l2 - d4 - d6` (ConfigError otherwise: a miss would plan
     a descent through waypoints it can never reach).  Every grid
     point must be reachable at the safe height before any probing
-    starts, solved with the lateral legs between them in one tour per
-    lattice column; otherwise UnreachableGridError lists the offenders,
-    in probe order, with the first one's reason, and no motion is
-    logged.  Those rows start the table of solved rows that every cycle
-    reuses and appends its descent to; the trace joins the cycles' row
-    indices.  The contact errors are drawn once for the whole lattice,
+    starts, solved one lattice column per kernel call; otherwise
+    UnreachableGridError lists the offenders, in probe order, with the
+    first one's reason, and no leg is built nor motion logged.  Those
+    rows start the table of solved rows.  Each column's lateral legs are
+    solved in one call just before its cycles, which reuse the table's
+    rows and append their descents to it; the trace joins the cycles'
+    row indices.  The contact errors are drawn once for the whole lattice,
     in probe order, and each cycle gets its own.
     Per-point failures during the scan, of a lateral leg or a descent,
     do not abort it: they mark the cell unreachable, with NaN heights,
@@ -265,50 +262,19 @@ def run_scan(
         )
     xs, ys = (a.tolist() for a in grid.axes())
     safe_z, n_rows, count = grid.safe_z, grid.n_rows, grid.point_count
-    # A reachable tool-down tip lies within l1 + l2 + d4 of the yaw axis:
-    # a grid wider than twice that fails, and its long legs are not built.
-    span = 2.0 * (geom.l1 + geom.l2 + geom.d4) + STEP
-    legs = xs[-1] - xs[0] <= span and ys[-1] - ys[0] <= span
-    # The safe-height tour, one kernel call per column.  The grid points'
-    # rows open the table, then the passing legs' rows; per cell, flat:
-    # the first table row of its leg's solved waypoints, and its flags.
-    # A leg's first waypoint can have the bits of its start alone, its
-    # last those of its end alone: the grid points differ in x or y.
-    # Once a grid point fails, so does the precheck: no more legs are built.
-    table = array("d", bytes(48 * count))
-    firsts, ends = array("q"), bytearray(count)
-    bad, reason = [], None
+    # The grid points, one kernel call per column.  While none fails,
+    # their rows open the table: grid point (i, k) at row k * n_rows + i.
+    table, bad, reason = array("d"), [], None
     for k, y in enumerate(ys):
-        first = k * n_rows
-        tour, at = [], []
-        for i, x in enumerate(xs):
-            here = (x, y, safe_z)
-            if legs and not bad and (i or k):  # `start` is the previous grid point
-                leg, head, tail = leg_between(start, here)
-                ends[first + i] = head * FROM | tail * HERE
-                tour += leg
-            at.append(len(tour))
-            tour.append(here)
-            start = here
         rows, failures = [], []
-        _path_kernel(tour, _TOOL_DOWN, geom, rows, failures)
-        failed, kept, p = dict(failures), [], 0
-        for i, q in enumerate(at):
-            firsts.append(len(table) // 6 + len(kept))
-            if q in failed:
-                bad.append((i + 1, k + 1))
-                reason = reason or str(failure_error(failed[q], geom))
-            if failed and any(j in failed for j in range(p, q)):
-                ends[first + i] = FAILED
-            else:
-                kept += rows[p:q]
-            p = q + 1
-        if not bad:  # else the precheck fails, and keeps no rows
-            table[6 * first : 6 * (first + n_rows)] = array("d", [a for p in at for a in rows[p]])
-            append_rows(table, kept)
+        _path_kernel([(x, y, safe_z) for x in xs], _TOOL_DOWN, geom, rows, failures)
+        for i, failure in failures:
+            bad.append((i + 1, k + 1))
+            reason = reason or str(failure_error(failure, geom))
+        if not bad:
+            append_rows(table, rows)
     if bad:
         raise UnreachableGridError(bad, reason)
-    firsts.append(len(table) // 6)
 
     # every contact's error, in probe order: the probe index is the ordinal
     errors = noise.errors(range(count))
@@ -318,16 +284,31 @@ def run_scan(
     index = array("q")
     for k, y in enumerate(ys):
         first = k * n_rows  # the column's first contact ordinal
+        # The lateral legs into the column's cells, each from the previous
+        # grid point, in one kernel call; a failing point fails its leg.
+        legs = []
+        for i, x in enumerate(xs):
+            here = (x, y, safe_z)
+            # `start` is the previous grid point; the scan's first cell has no leg
+            legs.append(leg_between(start, here) if i or k else ([], False, False))
+            start = here
+        rows, failures = [], []
+        _path_kernel([p for leg, _, _ in legs for p in leg], _TOOL_DOWN, geom, rows, failures)
+        # per cell, the table rows of its leg: a left-out end takes its grid
+        # point's row, the previous one's (c - 1) or its own (c)
+        failed, kept, laterals, p = {j for j, _ in failures}, [], [], 0
+        for c, (leg, head, tail) in enumerate(legs, first):
+            q, at = p + len(leg), len(table) // 6 + len(kept)
+            if failed.isdisjoint(range(p, q)):
+                laterals.append([c - 1] * head + [*range(at, at + q - p)] + [c] * tail)
+                kept += rows[p:q]
+            else:
+                laterals.append(None)
+            p = q
+        append_rows(table, kept)
         contacts = []
-        for c, (x, error) in enumerate(zip(xs, errors[first : first + n_rows].tolist()), first):
-            # the rows of the cell's lateral leg: its first waypoint may be
-            # the previous grid point, its last the cell's, row c
-            flags, lateral = ends[c], None
-            if flags != FAILED:
-                lateral = [c - 1] if flags & FROM else []
-                lateral += range(firsts[c], firsts[c + 1])
-                if flags & HERE:
-                    lateral.append(c)
+        cells = zip(xs, errors[first : first + n_rows].tolist(), laterals)
+        for c, (x, error, lateral) in enumerate(cells, first):
             contact, rows = probe_cycle(
                 x,
                 y,

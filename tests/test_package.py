@@ -189,3 +189,38 @@ def test_only_invariants_raise_plain_value_error():
     sites = plain_value_error_sites(SRC / "armscan")
     assert set(sites) == INVARIANT_VALUE_ERRORS
     assert len(sites) == len(INVARIANT_VALUE_ERRORS)
+
+
+# Imports that their module does not use, each bound by name on purpose:
+# armbench/tracer.py wraps every module's binding of these functions, so
+# a call that reached them through this module would be traced.
+TRACER_BINDINGS = [("motion", "inverse_kinematics"), ("scanner", "is_reachable")]
+
+
+def unused_imports(package: Path) -> list:
+    """(module, name) of each top-level import that its module neither
+    reads by name nor lists in `__all__`."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append((path.stem, name))
+    return unused
+
+
+def test_no_module_has_an_unused_import():
+    # the project configures no linter: without this check, an import
+    # orphaned by a deletion would stay
+    assert unused_imports(SRC / "armscan") == TRACER_BINDINGS

@@ -522,27 +522,26 @@ def test_scan_leaves_no_orphan_rows_when_cycles_fail(case, floor_mode, table_z, 
 
 
 def tour_reference(grid, geom):
-    """Each column's safe-height tour as the precheck solves it: per cell,
-    the waypoints of `line_waypoints_reference` from the previous grid
-    point but a first or last one with the bits of either end, then the
-    cell's grid point.  Past the column of the first grid point that
-    fails, the tours are the grid points alone."""
+    """The points of the scan's kernel calls, in order: each column's grid
+    points; then, if none is an offender, each column's lateral legs,
+    per cell the waypoints of `line_waypoints_reference` from the
+    previous grid point but a first or last one with the bits of either
+    end."""
     xs, ys = (a.tolist() for a in grid.axes())
-    offenders, _ = point_by_point_precheck(grid, geom)
-    columns = min((k for _, k in offenders), default=grid.n_cols)
-    tours, start = [], None
-    for k, y in enumerate(ys):
-        tours.append([])
-        for x in xs:
-            here = (x, y, grid.safe_z)
-            if start is not None and k < columns:
-                leg = line_waypoints_reference(start, here).tolist()
-                ends = {POINT_BITS(*start), POINT_BITS(*here)}
-                head = POINT_BITS(*leg[0]) in ends
-                tail = len(leg) > 1 and POINT_BITS(*leg[-1]) in ends
-                tours[-1] += leg[head : len(leg) - tail]
-            tours[-1].append(here)
-            start = here
+    tours = [[(x, y, grid.safe_z) for x in xs] for y in ys]
+    if not point_by_point_precheck(grid, geom)[0]:
+        start = None
+        for y in ys:
+            tours.append([])
+            for x in xs:
+                here = (x, y, grid.safe_z)
+                if start is not None:
+                    leg = line_waypoints_reference(start, here).tolist()
+                    ends = {POINT_BITS(*start), POINT_BITS(*here)}
+                    head = POINT_BITS(*leg[0]) in ends
+                    tail = len(leg) > 1 and POINT_BITS(*leg[-1]) in ends
+                    tours[-1] += leg[head : len(leg) - tail]
+                start = here
     return [[POINT_BITS(*point) for point in tour] for tour in tours]
 
 
@@ -579,7 +578,7 @@ TOUR_SPACINGS = (
 @example(corner=(999_999.7, -1e6), n_rows=3, n_cols=2, row_spacing=0.3, col_spacing=5.0, safe_z=60.0)
 def test_precheck_tour_matches_line_waypoints(corner, n_rows, n_cols, row_spacing, col_spacing,
                                               safe_z):
-    # the points the precheck's kernel calls solve, and the rows each
+    # the points the scan's kernel calls solve, and the rows each
     # cycle's lateral leg gets, are those of the reference legs, bit for
     # bit, each leg end with a grid point's bits taking that point's row,
     # the cell's own first
@@ -616,10 +615,19 @@ def test_precheck_tour_matches_line_waypoints(corner, n_rows, n_cols, row_spacin
             assert row == expected or expected is None and row >= grid.point_count
 
 
-def test_precheck_builds_no_legs_across_a_grid_wider_than_the_reach(geom, monkeypatch):
-    # 1,000 mm lateral legs, past any pair of reachable points: the tour
-    # is the grid points alone, and the error that of the point checks
-    grid = ScanGrid(-1000.0, -1000.0, 3, 3, 1000.0, 1000.0, safe_z=60.0)
+@pytest.mark.parametrize(
+    "grid, calls",
+    [
+        # 1,000 mm lateral legs, past any pair of reachable points
+        (ScanGrid(-1000.0, -1000.0, 3, 3, 1000.0, 1000.0, safe_z=60.0), [3, 3, 3]),
+        # the last two of seven columns hold all 6 offenders
+        (ScanGrid(400.0, -100.0, 5, 7, 10.0, 100.0, safe_z=60.0), [5] * 7),
+    ],
+    ids=["wider-than-the-reach", "last-two-columns-fail"],
+)
+def test_precheck_builds_no_legs_when_a_grid_point_fails(geom, monkeypatch, grid, calls):
+    # the kernel calls solve the grid points alone, one column a call,
+    # and the error is that of the point checks
     kernel, tours = scanner._path_kernel, []
 
     def recording_kernel(points, *args):
@@ -630,7 +638,7 @@ def test_precheck_builds_no_legs_across_a_grid_wider_than_the_reach(geom, monkey
     offenders, first_reason = point_by_point_precheck(grid, geom)
     with pytest.raises(UnreachableGridError) as err:
         run_scan(grid, geom, plate_scene(), NoiseModel())
-    assert tours == [3, 3, 3]
+    assert tours == calls
     assert err.value.indices == offenders
     assert str(err.value) == str(UnreachableGridError(offenders, first_reason))
 
